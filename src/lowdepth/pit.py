@@ -1,14 +1,22 @@
 """Randomized identity testing by evaluation over a prime field.
 
-Commutative formulas are evaluated at uniformly random scalar points, so each
-trial errs with probability at most d/p for syntactic degree d.  In the
-non-commutative case variables are replaced by independent uniform m x m
-matrices with m at least one more than the degree; matrices of that dimension
-satisfy no identity of such low degree, so a mismatch witnesses inequality
-while agreement over independent trials makes equality overwhelmingly likely.
+Commutative formulas are evaluated at uniformly random scalar points.  In the
+non-commutative case each variable x_i is replaced by the m x m matrix
+sum_j r_{i,j} E_{j,j+1}, with random entries on the first superdiagonal only
+and m at least one more than the degree (Bogdanov and Wee, CCC 2005; Raz and
+Shpilka, CCC 2004).  A product of such matrices keeps every value a sum of
+superdiagonals, and entry (0, k) of the result is the degree-k part of the
+polynomial with each word x_{w_1} ... x_{w_k} sent to prod_t r_{w_t, t-1}.
+That map is injective on words, so a non-zero difference stays a non-zero
+polynomial of degree at most d in the r's.  By Schwartz-Zippel a trial then
+errs with probability at most d/p for syntactic degree d, in both modes.
 
 An "unequal" verdict is certain and carries a witness that can be replayed;
 "equal-probably" reports the per-trial error bound.
+
+All trials run in one bottom-up traversal: a value holds every trial's
+residues, edge scalars are reduced mod p once per formula, and a value is
+dropped as soon as its last parent has used it.
 
 Rational formulas are reduced mod the configured prime (sound: a mismatch mod
 p separates them over Q too).  Formulas over a prime field are evaluated in
@@ -19,14 +27,19 @@ integers mod a different prime would be meaningless.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import ModeMismatch
 from .fields import MERSENNE61, PrimeField
 from . import ir
 
-Matrix = tuple[tuple[int, ...], ...]
+#: A value for all trials at once: superdiagonal k -> its entries, position j
+#: of trial t at index j * trials + t.  Scalar mode uses diagonal 0 of a 1 x 1
+#: matrix, so a scalar value is {0: [one residue per trial]}.
+Value = dict[int, list[int]]
 
 
 @dataclass(frozen=True)
@@ -41,7 +54,7 @@ class PITConfig:
 class PITResult:
     verdict: str  # "equal-probably" | "unequal"
     trials_run: int
-    per_trial_error: Fraction | None  # scalar case only
+    per_trial_error: Fraction  # d/p in both modes
     witness: dict | None
 
     @property
@@ -53,75 +66,84 @@ def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def eval_scalar(formula: ir.Formula, point: dict[int, int], p: int) -> int:
-    """Evaluate the formula at a scalar point, all arithmetic mod p."""
+def _residue(fp: PrimeField, c) -> int:
+    try:
+        return fp.normalize(c)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"edge scalar {c}: {exc}; choose another prime") from None
+
+
+def _add_into(acc: Value, c: int, v: Value) -> None:
+    """acc += c * v, entries left unreduced."""
+    for k, xs in v.items():
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = xs if c == 1 else [c * x for x in xs]
+        elif c == 1:
+            acc[k] = [a + x for a, x in zip(cur, xs)]
+        else:
+            acc[k] = [a + c * x for a, x in zip(cur, xs)]
+
+
+def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
+    """Matrix product of two sums of superdiagonals.
+
+    Diagonal k1 times diagonal k2 is diagonal k1 + k2 with c[j] = a[j] *
+    b[j + k1]; diagonals at or beyond m vanish.
+    """
+    out: Value = {}
+    for k1, xs in a.items():
+        off = k1 * trials
+        for k2, ys in b.items():
+            k = k1 + k2
+            if k >= m:
+                continue
+            prod = [x * y % p for x, y in zip(xs, ys[off:] if off else ys)]
+            cur = out.get(k)
+            out[k] = prod if cur is None else [(x + y) % p for x, y in zip(cur, prod)]
+    return out
+
+
+def _evaluate(root: ir.Node, leaves: dict[int, Value], m: int, trials: int, p: int) -> Value:
+    """Value of the root for every trial; leaves maps variable -> value.
+
+    Each edge scalar is reduced once.  A node's value is dropped when its
+    last parent edge has read it, so shared nodes are evaluated once and kept
+    only as long as needed.
+    """
     fp = PrimeField(p)
-
-    def fn(node: ir.Node, vals: list) -> int:
+    order = list(ir.iter_postorder(root))
+    uses = Counter(id(child) for node in order if ir.is_gate(node) for _, child in node.children)
+    one: Value = {0: [1] * (m * trials)}
+    vals: dict[int, Value] = {}
+    for node in order:
         if isinstance(node, ir.VarLeaf):
-            return point[node.var] % p
+            vals[id(node)] = leaves[node.var]
+            continue
         if isinstance(node, ir.OneLeaf):
-            return 1
-        coeffs = [fp.normalize(c) for c, _ in node.children]
+            vals[id(node)] = one
+            continue
+        edges = []
+        for c, child in node.children:
+            key = id(child)
+            edges.append((_residue(fp, c), vals[key]))
+            uses[key] -= 1
+            if not uses[key]:
+                del vals[key]
         if isinstance(node, ir.SumGate):
-            return sum(c * v for c, v in zip(coeffs, vals)) % p
-        acc = 1
-        for c, v in zip(coeffs, vals):
-            acc = acc * c % p * v % p
-        return acc
-
-    return ir.node_attribute(formula.root, fn)[id(formula.root)]  # type: ignore[return-value]
-
-
-# -- matrix arithmetic -------------------------------------------------------
-
-def _mat_identity(m: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-
-
-def _mat_random(rng: random.Random, m: int, p: int) -> Matrix:
-    return tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(m))
-
-
-def _mat_add(a: Matrix, b: Matrix, p: int) -> Matrix:
-    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(c: int, a: Matrix, p: int) -> Matrix:
-    if c == 1:
-        return a
-    return tuple(tuple(c * x % p for x in row) for row in a)
-
-def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a
-    )
-
-
-def eval_matrix(formula: ir.Formula, assignment: dict[int, Matrix], m: int, p: int) -> Matrix:
-    """Evaluate with matrix-valued variables; products keep child order."""
-    fp = PrimeField(p)
-    ident = _mat_identity(m)
-
-    def fn(node: ir.Node, vals: list) -> Matrix:
-        if isinstance(node, ir.VarLeaf):
-            return assignment[node.var]
-        if isinstance(node, ir.OneLeaf):
-            return ident
-        coeffs = [fp.normalize(c) for c, _ in node.children]
-        if isinstance(node, ir.SumGate):
-            acc = None
-            for c, v in zip(coeffs, vals):
-                scaled = _mat_scale(c, v, p)
-                acc = scaled if acc is None else _mat_add(acc, scaled, p)
-            return acc
-        acc = ident
-        for c, v in zip(coeffs, vals):
-            acc = _mat_mul(_mat_scale(c, acc, p), v, p)
-        return acc
-
-    return ir.node_attribute(formula.root, fn)[id(formula.root)]  # type: ignore[return-value]
+            acc: Value = {}
+            for c, v in edges:
+                _add_into(acc, c, v)
+            val = {k: [x % p for x in xs] for k, xs in acc.items()}
+        else:
+            coeff, val = edges[0]
+            for c, v in edges[1:]:
+                coeff = coeff * c % p
+                val = _mul(val, v, m, trials, p)
+            if coeff != 1:
+                val = {k: [coeff * x % p for x in xs] for k, xs in val.items()}
+        vals[id(node)] = val
+    return vals[id(root)]
 
 
 def _point_for_trial(seed: int, variables: list[int], p: int) -> dict[int, int]:
@@ -129,9 +151,30 @@ def _point_for_trial(seed: int, variables: list[int], p: int) -> dict[int, int]:
     return {v: rng.randrange(p) for v in variables}
 
 
-def _matrices_for_trial(seed: int, variables: list[int], m: int, p: int) -> dict[int, Matrix]:
-    rng = random.Random(seed)
-    return {v: _mat_random(rng, m, p) for v in variables}
+def _scalar_leaves(seeds: list[int], variables: list[int], p: int) -> dict[int, Value]:
+    """x_v -> its coordinate of every trial's point."""
+    cols: dict[int, list[int]] = {v: [] for v in variables}
+    for seed in seeds:
+        for v, x in _point_for_trial(seed, variables, p).items():
+            cols[v].append(x)
+    return {v: {0: xs} for v, xs in cols.items()}
+
+
+def _superdiagonal_leaves(seeds: list[int], variables: list[int], m: int, p: int) -> dict[int, Value]:
+    """x_v -> sum_j r_{v,j} E_{j,j+1}, with fresh r's for every trial."""
+    trials = len(seeds)
+    cols: dict[int, list[int]] = {v: [0] * ((m - 1) * trials) for v in variables}
+    for t, seed in enumerate(seeds):
+        rng = random.Random(seed)
+        for v in variables:
+            cols[v][t::trials] = [rng.randrange(p) for _ in range(m - 1)]  # r_{v,0..m-2}
+    return {v: {1: xs} for v, xs in cols.items()}
+
+
+def _entry(val: Value, i: int, j: int, trial: int, trials: int) -> int:
+    """Entry (i, j) of one trial's matrix; zero off the stored diagonals."""
+    diag = val.get(j - i)
+    return 0 if diag is None else diag[i * trials + trial]
 
 
 def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PITResult:
@@ -157,68 +200,63 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
             f"{2 * d * max(ma.size, mb.size)}; error bounds would be weak"
         )
     vs = sorted(ir.variables(a) | ir.variables(b))
-
+    trials = cfg.trials
+    seeds = [_trial_seed(cfg.seed, t) for t in range(trials)]
     if a.commutative:
-        for t in range(cfg.trials):
-            seed = _trial_seed(cfg.seed, t)
-            point = _point_for_trial(seed, vs, p)
-            va = eval_scalar(a, point, p)
-            vb = eval_scalar(b, point, p)
-            if va != vb:
-                witness = {
-                    "kind": "scalar",
-                    "prime": p,
-                    "trial": t,
-                    "trial_seed": seed,
-                    "point": {str(v): x for v, x in point.items()},
-                    "lhs": va,
-                    "rhs": vb,
-                }
-                return PITResult("unequal", t + 1, Fraction(d, p), witness)
-        return PITResult("equal-probably", cfg.trials, Fraction(d, p), None)
-
-    m = cfg.matrix_dim if cfg.matrix_dim is not None else d + 1
-    if m < d + 1:
-        raise ValueError(f"matrix dimension {m} below degree bound {d + 1}")
-    for t in range(cfg.trials):
-        seed = _trial_seed(cfg.seed, t)
-        mats = _matrices_for_trial(seed, vs, m, p)
-        va = eval_matrix(a, mats, m, p)
-        vb = eval_matrix(b, mats, m, p)
-        if va != vb:
-            i, j = next(
-                (i, j) for i in range(m) for j in range(m) if va[i][j] != vb[i][j]
-            )
-            witness = {
-                "kind": "matrix",
-                "prime": p,
-                "trial": t,
-                "trial_seed": seed,
-                "dim": m,
-                "entry": [i, j],
-                "lhs": va[i][j],
-                "rhs": vb[i][j],
-            }
-            return PITResult("unequal", t + 1, None, witness)
-    return PITResult("equal-probably", cfg.trials, None, None)
+        m = 1
+        leaves = _scalar_leaves(seeds, vs, p)
+    else:
+        m = cfg.matrix_dim if cfg.matrix_dim is not None else d + 1
+        if m < d + 1:
+            raise ValueError(f"matrix dimension {m} below degree bound {d + 1}")
+        leaves = _superdiagonal_leaves(seeds, vs, m, p)
+    va = _evaluate(a.root, leaves, m, trials, p)
+    vb = _evaluate(b.root, leaves, m, trials, p)
+    error = Fraction(d, p)
+    # the first differing trial, and in it the first differing entry in row-major order
+    first = min(
+        ((idx % trials, idx // trials, idx // trials + k)
+         for k in va.keys() | vb.keys()
+         for idx, (x, y) in enumerate(zip_longest(va.get(k, ()), vb.get(k, ()), fillvalue=0))
+         if x != y),
+        default=None,
+    )
+    if first is None:
+        return PITResult("equal-probably", trials, error, None)
+    t, i, j = first
+    witness = {
+        "kind": "scalar" if a.commutative else "superdiagonal",
+        "prime": p,
+        "trial": t,
+        "trial_seed": seeds[t],
+    }
+    if a.commutative:
+        witness["point"] = {str(v): x for v, x in _point_for_trial(seeds[t], vs, p).items()}
+    else:
+        witness["dim"] = m
+        witness["entry"] = [i, j]
+    witness["lhs"] = _entry(va, i, j, t, trials)
+    witness["rhs"] = _entry(vb, i, j, t, trials)
+    return PITResult("unequal", t + 1, error, witness)
 
 
 def check_witness(a: ir.Formula, b: ir.Formula, witness: dict) -> bool:
     """Replay a recorded witness and confirm it still separates the formulas."""
     p = witness["prime"]
     vs = sorted(ir.variables(a) | ir.variables(b))
+    seeds = [witness["trial_seed"]]
     if witness["kind"] == "scalar":
-        point = _point_for_trial(witness["trial_seed"], vs, p)
+        point = _point_for_trial(seeds[0], vs, p)
         if {str(v): x for v, x in point.items()} != witness["point"]:
             return False
-        va = eval_scalar(a, point, p)
-        vb = eval_scalar(b, point, p)
-        return va == witness["lhs"] and vb == witness["rhs"] and va != vb
-    if witness["kind"] == "matrix":
+        m, i, j = 1, 0, 0
+        leaves = _scalar_leaves(seeds, vs, p)
+    elif witness["kind"] == "superdiagonal":
         m = witness["dim"]
-        mats = _matrices_for_trial(witness["trial_seed"], vs, m, p)
-        va = eval_matrix(a, mats, m, p)
-        vb = eval_matrix(b, mats, m, p)
         i, j = witness["entry"]
-        return va[i][j] == witness["lhs"] and vb[i][j] == witness["rhs"] and va[i][j] != vb[i][j]
-    raise ValueError(f"unknown witness kind {witness.get('kind')!r}")
+        leaves = _superdiagonal_leaves(seeds, vs, m, p)
+    else:
+        raise ValueError(f"unknown witness kind {witness.get('kind')!r}")
+    va = _entry(_evaluate(a.root, leaves, m, 1, p), i, j, 0, 1)
+    vb = _entry(_evaluate(b.root, leaves, m, 1, p), i, j, 0, 1)
+    return va == witness["lhs"] and vb == witness["rhs"] and va != vb

@@ -129,6 +129,16 @@ def test_verify_equal_exit_codes(tmp_path, capsys):
     assert rep["extra"]["witness"]["kind"] == "scalar"
 
 
+def test_vanishing_denominator_is_usage_error(tmp_path, capsys):
+    # 1/p has no residue mod p = 2^61 - 1, the default prime
+    f = tmp_path / "f.frm"
+    f.write_text("(+ x1 (scale 1/2305843009213693951 (* x2 x3)))\n")
+    code, _, err = run_cli(capsys, "verify-equal", str(f), str(f), "--method", "pit")
+    assert code == EXIT_USAGE
+    assert len(err.strip().splitlines()) == 1
+    assert "vanishes mod 2305843009213693951" in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     path = tmp_path / "m.frm"
     run_cli(capsys, "gen-hard", "--k", "2", "--r", "3", "-o", str(path))
