@@ -199,11 +199,11 @@ def cmd_check_hard(args) -> int:
     p = hardpoly.HardParams(k=args.k, r=args.r)
     target = sexpr.parse_file(args.formula) if args.formula else hardpoly.gen_hard(p)
     t0 = time.perf_counter()
-    table = poly.expand(target, budget=args.budget)
+    table, (prefix_ok, prefix_cx), (gate_ok, gate_cx) = hardpoly.check_formula(
+        p, target, budget=args.budget
+    )
     count_ok = table.num_terms() == hardpoly.expected_monomials(p)
     coeffs_ok = all(target.field.is_one(c) for c in table.terms.values())
-    prefix_ok, prefix_cx = hardpoly.check_prefix_property(p, target, budget=args.budget)
-    gate_ok, gate_cx = hardpoly.check_gate_counts(target, p, budget=args.budget)
     duration = time.perf_counter() - t0
     ok = count_ok and coeffs_ok and prefix_ok and gate_ok
     rep = Report(

@@ -177,9 +177,22 @@ def check_prefix_property(
     at least l + 1 letters.  Returns (True, None) or (False, counterexample).
     """
     f = formula if formula is not None else gen_hard(p)
-    table = poly.expand(f, budget=budget if budget is not None else poly.DEFAULT_EXPANSION_BUDGET)
+    return _prefix_verdict(p, poly.expand(f, budget=_budget(budget)))
+
+
+def _budget(budget: int | None) -> int:
+    return budget if budget is not None else poly.DEFAULT_EXPANSION_BUDGET
+
+
+def _prefix_verdict(p: HardParams, table: poly.PolyTable) -> tuple[bool, dict | None]:
+    decoded_of: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for key in table.terms:
-        decoded = [decode_var(p, v) for v in _monomial_vars(key, f.commutative)]
+        decoded = []
+        for v in _monomial_vars(key, table.commutative):
+            dv = decoded_of.get(v)
+            if dv is None:
+                dv = decoded_of[v] = decode_var(p, v)
+            decoded.append(dv)
         for i in range(len(decoded)):
             for j in range(i + 1, len(decoded)):
                 sig_i, tau_i = decoded[i]
@@ -206,14 +219,24 @@ def check_gate_counts(
     Applies to the canonical formula and to any rewritten monotone formula
     for it.  Raises NotComputingH when the polynomial does not match.
     """
-    budget = budget if budget is not None else poly.DEFAULT_EXPANSION_BUDGET
+    budget = _budget(budget)
+    table, counts = poly.expand_with_gate_counts(formula, budget=budget)
+    return _gate_count_verdict(formula, p, table, counts, budget)
+
+
+def _gate_count_verdict(
+    formula: Formula,
+    p: HardParams,
+    table: poly.PolyTable,
+    counts: dict[int, int],
+    budget: int,
+) -> tuple[bool, dict | None]:
     reference = gen_hard(p, commutative=formula.commutative, field=formula.field)
-    if not poly.equal_expand(formula, reference, budget=budget):
+    if table != poly.expand(reference, budget=budget):
         raise NotComputingH(f"formula does not compute the (k={p.k}, r={p.r}) polynomial")
-    counts = poly.gate_monomial_counts(formula, budget=budget)
-    table = ir.metrics_table(formula)
+    metrics = ir.metrics_table(formula)
     for gate_id, count in counts.items():
-        d_gate = table[gate_id].syn_degree
+        d_gate = metrics[gate_id].syn_degree
         if d_gate == 0:
             continue  # constant gates cannot appear in a monotone formula for H
         if count > p.r ** (d_gate - 1):
@@ -224,6 +247,18 @@ def check_gate_counts(
                 "bound": p.r ** (d_gate - 1),
             }
     return True, None
+
+
+def check_formula(
+    p: HardParams,
+    formula: Formula,
+    budget: int | None = None,
+) -> tuple[poly.PolyTable, tuple[bool, dict | None], tuple[bool, dict | None]]:
+    """The formula's table, check_prefix_property and check_gate_counts,
+    all from one expansion of the formula."""
+    budget = _budget(budget)
+    table, counts = poly.expand_with_gate_counts(formula, budget=budget)
+    return table, _prefix_verdict(p, table), _gate_count_verdict(formula, p, table, counts, budget)
 
 
 def expected_monomials(p: HardParams) -> int:

@@ -104,15 +104,36 @@ def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
     return out
 
 
-def _evaluate(root: ir.Node, leaves: dict[int, Value], m: int, trials: int, p: int) -> Value:
-    """Value of the root for every trial; leaves maps variable -> value.
+def _shape(root: ir.Node) -> tuple[list[ir.Node], int, int, set[int]]:
+    """Postorder of the distinct nodes, syntactic degree, size and variables,
+    from one traversal."""
+    order = list(ir.iter_postorder(root))
+    degree: dict[int, int] = {}
+    size: dict[int, int] = {}
+    vs: set[int] = set()
+    for node in order:
+        if isinstance(node, ir.VarLeaf):
+            degree[id(node)], size[id(node)] = 1, 1
+            vs.add(node.var)
+        elif isinstance(node, ir.OneLeaf):
+            degree[id(node)], size[id(node)] = 0, 1
+        else:
+            kids = [id(child) for _, child in node.children]
+            degs = [degree[k] for k in kids]
+            degree[id(node)] = max(degs) if isinstance(node, ir.SumGate) else sum(degs)
+            size[id(node)] = sum(size[k] for k in kids)
+    return order, degree[id(root)], size[id(root)], vs
+
+
+def _evaluate(order: list[ir.Node], leaves: dict[int, Value], m: int, trials: int, p: int) -> Value:
+    """Value of the root (the last node of the postorder) for every trial;
+    leaves maps variable -> value.
 
     Each edge scalar is reduced once.  A node's value is dropped when its
     last parent edge has read it, so shared nodes are evaluated once and kept
     only as long as needed.
     """
     fp = PrimeField(p)
-    order = list(ir.iter_postorder(root))
     uses = Counter(id(child) for node in order if ir.is_gate(node) for _, child in node.children)
     one: Value = {0: [1] * (m * trials)}
     vals: dict[int, Value] = {}
@@ -143,7 +164,7 @@ def _evaluate(root: ir.Node, leaves: dict[int, Value], m: int, trials: int, p: i
             if coeff != 1:
                 val = {k: [coeff * x % p for x in xs] for k, xs in val.items()}
         vals[id(node)] = val
-    return vals[id(root)]
+    return vals[id(order[-1])]
 
 
 def _point_for_trial(seed: int, variables: list[int], p: int) -> dict[int, int]:
@@ -188,18 +209,18 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
     # soundly mod any large p
     native = isinstance(a.field, PrimeField)
     p = a.field.p if native else cfg.prime
-    ma = ir.metrics(a)
-    mb = ir.metrics(b)
-    d = max(ma.syn_degree, mb.syn_degree, 1)
+    order_a, deg_a, size_a, vars_a = _shape(a.root)
+    order_b, deg_b, size_b, vars_b = _shape(b.root)
+    d = max(deg_a, deg_b, 1)
     if native:
         if p <= 2 * d:
             raise ValueError(f"field {a.field.name} too small to test degree {d}")
-    elif p <= 2 * d * max(ma.size, mb.size):
+    elif p <= 2 * d * max(size_a, size_b):
         raise ValueError(
             f"prime {p} below the heuristic floor 2 * degree * size = "
-            f"{2 * d * max(ma.size, mb.size)}; error bounds would be weak"
+            f"{2 * d * max(size_a, size_b)}; error bounds would be weak"
         )
-    vs = sorted(ir.variables(a) | ir.variables(b))
+    vs = sorted(vars_a | vars_b)
     trials = cfg.trials
     seeds = [_trial_seed(cfg.seed, t) for t in range(trials)]
     if a.commutative:
@@ -210,8 +231,8 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
         if m < d + 1:
             raise ValueError(f"matrix dimension {m} below degree bound {d + 1}")
         leaves = _superdiagonal_leaves(seeds, vs, m, p)
-    va = _evaluate(a.root, leaves, m, trials, p)
-    vb = _evaluate(b.root, leaves, m, trials, p)
+    va = _evaluate(order_a, leaves, m, trials, p)
+    vb = _evaluate(order_b, leaves, m, trials, p)
     error = Fraction(d, p)
     # the first differing trial, and in it the first differing entry in row-major order
     first = min(
@@ -243,7 +264,9 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
 def check_witness(a: ir.Formula, b: ir.Formula, witness: dict) -> bool:
     """Replay a recorded witness and confirm it still separates the formulas."""
     p = witness["prime"]
-    vs = sorted(ir.variables(a) | ir.variables(b))
+    order_a, _, _, vars_a = _shape(a.root)
+    order_b, _, _, vars_b = _shape(b.root)
+    vs = sorted(vars_a | vars_b)
     seeds = [witness["trial_seed"]]
     if witness["kind"] == "scalar":
         point = _point_for_trial(seeds[0], vs, p)
@@ -257,6 +280,6 @@ def check_witness(a: ir.Formula, b: ir.Formula, witness: dict) -> bool:
         leaves = _superdiagonal_leaves(seeds, vs, m, p)
     else:
         raise ValueError(f"unknown witness kind {witness.get('kind')!r}")
-    va = _entry(_evaluate(a.root, leaves, m, 1, p), i, j, 0, 1)
-    vb = _entry(_evaluate(b.root, leaves, m, 1, p), i, j, 0, 1)
+    va = _entry(_evaluate(order_a, leaves, m, 1, p), i, j, 0, 1)
+    vb = _entry(_evaluate(order_b, leaves, m, 1, p), i, j, 0, 1)
     return va == witness["lhs"] and vb == witness["rhs"] and va != vb

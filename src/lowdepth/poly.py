@@ -4,16 +4,28 @@ A PolyTable maps monomial keys to non-zero coefficients.  In commutative mode
 the key is a sorted tuple of (variable, exponent) pairs; in non-commutative
 mode it is the word of variable ids in multiplication order.  The empty key
 is the constant monomial.  Expansion is the oracle every rewriting pass is
-checked against, so it is written for exactness first and speed second.
+checked against, so its result is exact and does not depend on how it is
+computed.
+
+Expansion runs bottom-up on plain dicts.  Inside it a commutative monomial is
+the sorted tuple of its variable ids, one entry per power, so the product of
+two monomials is tuple(sorted(a + b)); a non-commutative one is its word.
+Over Q a coefficient is a plain int until an edge scalar with a denominator
+other than 1 makes it a Fraction (the two mix exactly); over Fp it is an int
+in [0, p).  Only the root table is converted to PolyTable keys and field
+scalars, so the result is the table that composing PolyTable.add, scale and
+mul gate by gate gives: the same keys in the same order, the same
+coefficients, and BudgetExceeded on the same inputs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
 from .errors import BudgetExceeded, ModeMismatch
-from .fields import Field, Scalar
+from .fields import Field, PrimeField, Scalar
 from . import ir
 
 #: Default cap on expansion table entries (per table).
@@ -110,8 +122,7 @@ class PolyTable:
                     out.pop(key, None)
                 else:
                     out[key] = acc
-            if budget is not None and len(out) > budget:
-                raise BudgetExceeded(f"expansion table grew past {budget} entries")
+            _over_budget(out, budget)
         return PolyTable(self.commutative, f, out)
 
     # -- queries ------------------------------------------------------------
@@ -149,28 +160,133 @@ class PolyTable:
 # Expansion
 # ---------------------------------------------------------------------------
 
-def _expand_memo(formula: ir.Formula, budget: int | None) -> dict[int, PolyTable]:
-    """Per-node tables keyed by id(node), bottom-up."""
+def _edge_scalar(c: Scalar, p: int | None) -> Scalar:
+    """An edge scalar as the kernel uses it: reduced mod p over Fp, a plain
+    int over Q when its denominator is 1."""
+    if p is not None:
+        return c % p
+    return c.numerator if c.denominator == 1 else c
+
+
+def _scaled(t: dict, s: Scalar, p: int | None) -> dict:
+    """A new table holding s * t, zero products dropped."""
+    if not s:
+        return {}
+    if s == 1:
+        return dict(t)
+    if p is None:
+        return {k: s * c for k, c in t.items()}
+    return {k: v for k, c in t.items() if (v := s * c % p)}
+
+
+def _over_budget(t: dict, budget: int | None) -> None:
+    if budget is not None and len(t) > budget:
+        raise BudgetExceeded(f"expansion table grew past {budget} entries")
+
+
+def _sum(edges: list, p: int | None) -> dict:
+    """Sum of scalar * table over the edges, accumulated in one new dict."""
+    s, t = edges[0]
+    acc = _scaled(t, s, p)
+    get = acc.get
+    for s, t in edges[1:]:
+        if not s:
+            continue
+        if p is not None:
+            for k, c in t.items():
+                v = (get(k, 0) + s * c) % p
+                if v:
+                    acc[k] = v
+                else:
+                    acc.pop(k, None)
+        else:
+            # over Q no product of non-zero coefficients is zero, so a zero
+            # sum means the key was present
+            for k, c in t.items():
+                v = get(k, 0) + s * c
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+    return acc
+
+
+def _product(edges: list, commutative: bool, p: int | None, budget: int | None) -> dict:
+    """Product of scalar * table over the edges, left to right.
+
+    The running product is the outer loop and the next factor the inner one,
+    and the budget is checked after every outer row.
+    """
+    s, t = edges[0]
+    acc = _scaled(t, s, p)  # the single row of 1 * (s * t)
+    _over_budget(acc, budget)
+    for s, t in edges[1:]:
+        if not s:
+            t = {}
+        out: dict = {}
+        get = out.get
+        for ka, ca in acc.items():
+            cs = ca * s if p is None else ca * s % p
+            for kb, cb in t.items():
+                key = tuple(sorted(ka + kb)) if commutative else ka + kb
+                if p is None:
+                    v = get(key, 0) + cs * cb
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+                else:
+                    v = (get(key, 0) + cs * cb) % p
+                    if v:
+                        out[key] = v
+                    else:
+                        out.pop(key, None)
+            _over_budget(out, budget)
+        acc = out
+    return acc
+
+
+def _expand(formula: ir.Formula, budget: int | None, sizes: dict[int, int] | None = None) -> PolyTable:
+    """Root table of the formula, bottom-up over its distinct nodes.
+
+    Inside the loop a table is a plain dict from internal keys to internal
+    coefficients (see the module docstring); only the root is converted to
+    PolyTable keys and field scalars.  Each edge scalar is converted once, and
+    a child's table is dropped once its last parent edge has read it.  When
+    sizes is given it receives the number of terms at every node, keyed by
+    id(node).
+    """
     comm, f = formula.commutative, formula.field
-
-    def fn(node: ir.Node, vals: list) -> PolyTable:
+    p = f.p if isinstance(f, PrimeField) else None
+    order = list(ir.iter_postorder(formula.root))
+    uses = Counter(id(child) for node in order if ir.is_gate(node) for _, child in node.children)
+    tables: dict[int, dict] = {}
+    for node in order:
         if isinstance(node, ir.VarLeaf):
-            return PolyTable.var(comm, f, node.var)
-        if isinstance(node, ir.OneLeaf):
-            return PolyTable.const(comm, f, f.one())
-        if isinstance(node, ir.SumGate):
-            acc = PolyTable.zero(comm, f)
-            for (scalar, _), sub in zip(node.children, vals):
-                acc = acc.add(sub.scale(scalar))
-            _check_budget(acc, budget)
-            return acc
-        acc = PolyTable.const(comm, f, f.one())
-        for (scalar, _), sub in zip(node.children, vals):
-            acc = acc.mul(sub.scale(scalar), budget=budget)
-        _check_budget(acc, budget)
-        return acc
-
-    return ir.node_attribute(formula.root, fn)  # type: ignore[return-value]
+            t = {(node.var,): 1}
+        elif isinstance(node, ir.OneLeaf):
+            t = {(): 1}
+        else:
+            edges = []
+            for c, child in node.children:
+                key = id(child)
+                edges.append((_edge_scalar(c, p), tables[key]))
+                uses[key] -= 1
+                if not uses[key]:
+                    del tables[key]
+            if isinstance(node, ir.SumGate):
+                t = _sum(edges, p)
+            else:
+                t = _product(edges, comm, p, budget)
+            _over_budget(t, budget)
+        if sizes is not None:
+            sizes[id(node)] = len(t)
+        tables[id(node)] = t
+    norm = f.normalize
+    root = tables[id(formula.root)]
+    if comm:
+        return PolyTable(comm, f, {word_to_comm_key(k): norm(c) for k, c in root.items()})
+    return PolyTable(comm, f, {k: norm(c) for k, c in root.items()})
 
 
 def expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> PolyTable:
@@ -180,12 +296,16 @@ def expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -
     Distributes over the constructors: a sum gate adds scaled child tables, a
     product gate multiplies them in child order.
     """
-    return _expand_memo(formula, budget)[id(formula.root)]
+    return _expand(formula, budget)
 
 
-def _check_budget(table: PolyTable, budget: int | None) -> None:
-    if budget is not None and table.num_terms() > budget:
-        raise BudgetExceeded(f"expansion table grew past {budget} entries")
+def expand_with_gate_counts(
+    formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET
+) -> tuple[PolyTable, dict[int, int]]:
+    """expand and gate_monomial_counts from one expansion."""
+    sizes: dict[int, int] = {}
+    table = _expand(formula, budget, sizes)
+    return table, {i: sizes[id(node)] for i, node in enumerate(ir.gates_preorder(formula))}
 
 
 def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> bool:
@@ -248,8 +368,4 @@ def gate_monomial_counts(formula: ir.Formula, budget: int | None = DEFAULT_EXPAN
 
     Keys are preorder gate ids (0 is the output gate).
     """
-    memo = _expand_memo(formula, budget)
-    return {
-        i: memo[id(node)].num_terms()
-        for i, node in enumerate(ir.gates_preorder(formula))
-    }
+    return expand_with_gate_counts(formula, budget)[1]

@@ -1,6 +1,6 @@
 import json
 
-from lowdepth import cli, ir, poly, sexpr
+from lowdepth import cli, hardpoly, ir, poly, sexpr
 from lowdepth.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
 
 
@@ -44,12 +44,16 @@ def test_validate_ok_and_bad(tmp_path, capsys):
 
 
 def test_validate_zero_gates(tmp_path, capsys):
-    p = tmp_path / "z.frm"
-    p.write_text("(+ (* x2 (+ x1 (scale -1 x1))) x3)\n")
-    code, out, _ = run_cli(capsys, "validate", str(p), "--check-zero-gates")
-    assert code == EXIT_VERIFY_FAILED
-    rep = reports(out)[0]
-    assert rep["extra"]["zero_gates"]
+    # preorder gate ids: 0 root, 1 the product, 2 x2, 3 the sum that cancels
+    for text in ("(+ (* x2 (+ x1 (scale -1 x1))) x3)\n",
+                 "field: Fp:7\n(+ (* x2 (+ (scale 3 x1) (scale 4 x1))) x3)\n",
+                 "mode: noncommutative\n(+ (* x2 (+ (* x1 x3) (scale -1 (* x1 x3)))) x4)\n"):
+        p = tmp_path / "z.frm"
+        p.write_text(text)
+        code, out, _ = run_cli(capsys, "validate", str(p), "--check-zero-gates")
+        assert code == EXIT_VERIFY_FAILED
+        rep = reports(out)[0]
+        assert rep["extra"]["zero_gates"] == [1, 3]
 
 
 def test_expand_output(tmp_path, capsys):
@@ -162,12 +166,52 @@ def test_check_hard(capsys):
     assert rep["extra"]["gate_count_bound"] is True
 
 
-def test_check_hard_wrong_formula(tmp_path, capsys):
-    other = tmp_path / "o.frm"
-    other.write_text("(* x1 x2)\n")
-    code, _, err = run_cli(capsys, "check-hard", "--k", "1", "--r", "2",
-                           "--formula", str(other))
-    assert code == EXIT_VERIFY_FAILED
+def _count_expansions(monkeypatch) -> tuple[list, list]:
+    """Record the formula of every expansion and every H reference built."""
+    expanded, references = [], []
+    real_expand, real_gen_hard = poly._expand, hardpoly.gen_hard
+
+    def counting_expand(formula, *args, **kwargs):
+        expanded.append(formula)
+        return real_expand(formula, *args, **kwargs)
+
+    def recording_gen_hard(*args, **kwargs):
+        references.append(real_gen_hard(*args, **kwargs))
+        return references[-1]
+
+    monkeypatch.setattr(poly, "_expand", counting_expand)
+    monkeypatch.setattr(hardpoly, "gen_hard", recording_gen_hard)
+    return expanded, references
+
+
+def test_check_hard_expands_target_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "h.frm"
+    run_cli(capsys, "gen-hard", "--k", "2", "--r", "3", "-o", str(path))
+    expanded, references = _count_expansions(monkeypatch)
+    code, out, _ = run_cli(capsys, "check-hard", "--k", "2", "--r", "3", "--formula", str(path))
+    assert code == EXIT_OK
+    assert len(references) == 1
+    assert len(expanded) == 2
+    assert expanded[0] is not references[0]  # the target, read from the file
+    assert expanded[1] is references[0]
+    extra = reports(out)[0]["extra"]
+    assert extra["monomial_count"] == 3**3
+    assert extra["prefix_property"] is True and extra["gate_count_bound"] is True
+
+
+def test_check_hard_wrong_formula(tmp_path, capsys, monkeypatch):
+    expanded, references = _count_expansions(monkeypatch)
+    # the second is H(1, 2) with one monomial doubled: right support, wrong polynomial
+    for text in ("(* x1 x2)\n", "(+ (* x0 x2) (scale 2 (* x1 x3)))\n"):
+        other = tmp_path / "o.frm"
+        other.write_text(text)
+        expanded.clear()
+        references.clear()
+        code, _, err = run_cli(capsys, "check-hard", "--k", "1", "--r", "2",
+                               "--formula", str(other))
+        assert code == EXIT_VERIFY_FAILED
+        assert "does not compute" in err
+        assert len(expanded) == 2 and expanded[1] is references[0]
 
 
 def test_bench_csv(tmp_path, capsys):

@@ -169,6 +169,44 @@ def test_prefix_property_mutated_counterexample():
     assert cx is not None and cx["tau_lcp"] < cx["sigma_lcp"] + 1
 
 
+@pytest.mark.parametrize("commutative", [True, False])
+def test_prefix_property_first_counterexample_decodes_once(commutative, monkeypatch):
+    p = hp.HardParams(k=2, r=2)
+    f = hp.gen_hard(p, commutative=commutative)
+    bad_leaf = hp.encode_var(p, (1, 1), (1, 1))
+    replacement = hp.encode_var(p, (1, 1), (2, 1))
+
+    def mutate(node, vals):
+        if isinstance(node, VarLeaf):
+            return VarLeaf(replacement) if node.var == bad_leaf else node
+        return type(node)(tuple((c, v) for (c, _), v in zip(node.children, vals)))
+
+    mutated = f.with_root(ir.node_attribute(f.root, mutate)[id(f.root)])
+    decoded = []
+    real_decode = hp.decode_var
+
+    def counting_decode(params, var):
+        decoded.append(var)
+        return real_decode(params, var)
+
+    monkeypatch.setattr(hp, "decode_var", counting_decode)
+    ok, cx = hp.check_prefix_property(p, mutated)
+    # the first counterexample in expansion order, as found before variables
+    # were decoded once each
+    assert not ok
+    assert cx == {
+        "monomial": ((2, 1), (4, 1), (8, 1), (12, 1)) if commutative else (2, 4, 8, 12),
+        "pair": [[[1, 1], [2, 1]], [[1, 2], [1, 1]]],
+        "sigma_lcp": 1,
+        "tau_lcp": 0,
+    }
+    assert len(decoded) == len(set(decoded))
+
+    decoded.clear()
+    assert hp.check_prefix_property(hp.HardParams(k=3, r=2), budget=None) == (True, None)
+    assert sorted(decoded) == list(range(hp.HardParams(k=3, r=2).num_vars))
+
+
 def test_gate_counts_canonical():
     ok, cx = hp.check_gate_counts(hp.gen_hard(hp.HardParams(k=2, r=2)), hp.HardParams(k=2, r=2))
     assert ok and cx is None

@@ -75,9 +75,16 @@ def test_per_trial_error_bound_reported():
 
 def test_prime_floor_enforced():
     f = sexpr.parse("(* x1 x2 x3 x4)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         pit_equal(f, f, PITConfig(trials=1, prime=17))  # 2*d*s = 32 > 17
+    assert str(exc.value) == (
+        "prime 17 below the heuristic floor 2 * degree * size = 32; error bounds would be weak"
+    )
     assert pit_equal(f, f, PITConfig(trials=1, prime=101)).equal
+    g = sexpr.parse("field: Fp:7\n(* x1 x2 x3 x4)")
+    with pytest.raises(ValueError) as exc:
+        pit_equal(g, g, PITConfig(trials=1))
+    assert str(exc.value) == "field Fp:7 too small to test degree 4"
 
 
 def test_native_prime_field_evaluation():
@@ -185,3 +192,14 @@ def test_dense_matrix_witness_kind_rejected():
     }
     with pytest.raises(ValueError, match="unknown witness kind"):
         check_witness(a, b, witness)
+
+
+def test_shape_matches_metrics_and_variables(corpus_both):
+    shared = sexpr.parse("(* x1 x2)").root
+    dag = ir.Formula(ir.SumGate(((Fraction(1), shared), (Fraction(2), shared))))
+    for f in corpus_both[:20] + [dag]:
+        order, degree, size, variables = pit._shape(f.root)
+        m = ir.metrics(f)
+        assert (degree, size, variables) == (m.syn_degree, m.size, ir.variables(f))
+        assert order == list(ir.iter_postorder(f.root))
+    assert pit._shape(dag.root)[2] == 4  # positions, not distinct nodes

@@ -144,3 +144,142 @@ def test_support_expand_monotone_detection():
     support = poly.support_expand(f)
     actual = poly.expand(f).support()
     assert actual < support  # the cancelled monomial is in the parse-tree support
+
+
+# ---------------------------------------------------------------------------
+# differential test: the expansion kernel against gate-by-gate PolyTable ops
+# ---------------------------------------------------------------------------
+
+def _reference_memo(formula: Formula, budget: int | None) -> dict:
+    """Per-node tables from PolyTable.add/scale/mul, one gate at a time.
+
+    The budget is checked after every outer row of a product (inside
+    PolyTable.mul) and at the end of every gate.
+    """
+    comm, f = formula.commutative, formula.field
+
+    def fn(node, vals):
+        if isinstance(node, ir.VarLeaf):
+            return PolyTable.var(comm, f, node.var)
+        if isinstance(node, OneLeaf):
+            return PolyTable.const(comm, f, f.one())
+        if isinstance(node, SumGate):
+            acc = PolyTable.zero(comm, f)
+            for (c, _), sub in zip(node.children, vals):
+                acc = acc.add(sub.scale(c))
+        else:
+            acc = PolyTable.const(comm, f, f.one())
+            for (c, _), sub in zip(node.children, vals):
+                acc = acc.mul(sub.scale(c), budget=budget)
+        if budget is not None and acc.num_terms() > budget:
+            raise BudgetExceeded(f"expansion table grew past {budget} entries")
+        return acc
+
+    return ir.node_attribute(formula.root, fn)
+
+
+def _reweighted(f: Formula, rng: random.Random, weights: list, field=None) -> Formula:
+    field = f.field if field is None else field
+
+    def fn(node, vals):
+        if isinstance(node, SumGate):
+            return SumGate(tuple((rng.choice(weights), v) for v in vals))
+        if isinstance(node, ir.ProdGate):
+            return ir.ProdGate(tuple((rng.choice(weights), v) for v in vals))
+        return node
+
+    return Formula(ir.node_attribute(f.root, fn)[id(f.root)], f.commutative, field)
+
+
+def _differential_inputs(corpus_comm, corpus_noncomm) -> list[Formula]:
+    rng = random.Random(2024)
+    q = [Fraction(1, 2), Fraction(-3, 4), Fraction(1), Fraction(-1), Fraction(2)]
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
+    out = list(corpus_comm) + list(corpus_noncomm)
+    for f in corpus_comm[:8] + corpus_noncomm[:8]:
+        w = _reweighted(f, rng, q)
+        one, x1 = Fraction(1), ir.VarLeaf(1)
+        x1_w = ir.ProdGate(((one, x1), (one, w.root)))
+        w_x1 = ir.ProdGate(((one, w.root), (one, x1)))
+        # x1 * w - w * x1 cancels in commutative mode only; half w - half w
+        # cancels through a child that appears twice in one gate
+        out.append(w)
+        out.append(w.with_root(SumGate((
+            (one, x1_w),
+            (Fraction(-1), w_x1),
+            (half, w.root),
+            (minus_half, w.root),
+            (Fraction(-3, 4), _reweighted(f, rng, q).root),
+        ))))
+        out.append(w.with_root(ir.ProdGate(((half, w.root), (Fraction(-3, 4), w.root)))))
+        out.append(_reweighted(f, rng, [1, 2, 3, 4, 5, 6], field=PrimeField(7)))
+    for field, weights in ((QQ, [Fraction(1), Fraction(1)]), (QQ, [half, Fraction(1)]),
+                           (PrimeField(7), [1, 1]), (PrimeField(7), [3, 5])):
+        # (a x1 + b x2)^30: high powers of two variables; mod 7 most binomials vanish
+        factors = tuple(
+            (1, SumGate(((weights[0], ir.VarLeaf(1)), (weights[1], ir.VarLeaf(2))))) for _ in range(30)
+        )
+        out.append(Formula(ir.ProdGate(factors), True, field))
+    # (x1 - x2)(y1 + y2) * sum_i x1^i x2^(7-i): the product's rows reach 16
+    # terms before cancellation leaves x1^8 y1 + x1^8 y2 - x2^8 y1 - x2^8 y2
+    x1, x2 = ir.VarLeaf(1), ir.VarLeaf(2)
+    geometric = SumGate(tuple(
+        (1, ir.ProdGate(tuple((1, x1) for _ in range(i)) + tuple((1, x2) for _ in range(7 - i))))
+        for i in range(8)
+    ))
+    out.append(Formula(ir.ProdGate((
+        (1, SumGate(((1, x1), (-1, x2)))),
+        (1, SumGate(((1, ir.VarLeaf(3)), (1, ir.VarLeaf(4))))),
+        (1, geometric),
+    ))))
+    # a first factor over budget 0 times a factor that cancels to zero
+    out.append(sexpr.parse("(* x1 (+ x2 (scale -1 x2)))"))
+    # mod 6, which PrimeField accepts although it is not prime, 2 * 3 = 0
+    two_x1_x2 = SumGate(((2, x1), (1, x2)))
+    out.append(Formula(ir.ProdGate(((3, two_x1_x2), (2, x2))), True, PrimeField(6)))
+    out.append(Formula(SumGate(((3, two_x1_x2), (1, x1))), True, PrimeField(6)))
+    # zero edge scalars, which only well-formedness checks reject
+    zero = Fraction(0)
+    out.append(Formula(SumGate(((1, x2), (zero, x1), (zero, x2)))))
+    out.append(Formula(ir.ProdGate(((1, x1), (zero, x2), (1, x2)))))
+    return out
+
+
+def _assert_same_table(got: PolyTable, want: PolyTable) -> None:
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # same key order
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+    if isinstance(got.field, PrimeField):
+        assert all(type(c) is int and 0 <= c < got.field.p for c in got.terms.values())
+    else:
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_expand_matches_gate_by_gate_reference(corpus_comm, corpus_noncomm):
+    inputs = _differential_inputs(corpus_comm, corpus_noncomm)
+    cancelled = 0
+    for f in inputs:
+        memo = _reference_memo(f, None)
+        _assert_same_table(poly.expand(f, budget=None), memo[id(f.root)])
+        assert poly.gate_monomial_counts(f, budget=None) == {
+            i: memo[id(node)].num_terms() for i, node in enumerate(ir.gates_preorder(f))
+        }
+        cancelled += len(memo[id(f.root)].terms) < len(poly.support_expand(f, budget=None))
+    assert cancelled >= 10  # the inputs do exercise cancellation
+
+
+def test_expand_budget_matches_gate_by_gate_reference(corpus_comm, corpus_noncomm):
+    inputs = _differential_inputs(corpus_comm, corpus_noncomm)
+    raised = {0: 0, 10: 0, 100: 0, 1000: 0}
+    for f in inputs:
+        for budget in raised:
+            try:
+                want = _reference_memo(f, budget)[id(f.root)]
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded):
+                    poly.expand(f, budget=budget)
+                raised[budget] += 1
+                continue
+            _assert_same_table(poly.expand(f, budget=budget), want)
+    # both outcomes occur at every budget
+    assert all(0 < n < len(inputs) for n in raised.values())
