@@ -48,7 +48,6 @@ from .transforms import (
     BBSplit,
     FrontierSet,
     Potential,
-    ReductionParams,
     auto_delta,
     bb_branch_param,
     bb_decompose,

@@ -39,7 +39,7 @@ from .errors import (
     TooSmall,
 )
 from .fields import Field, Scalar
-from .util import ceil_div, ceil_log2, deep
+from .util import ceil_div, ceil_log2, run_recursive
 from . import ir
 from .ir import (
     Formula,
@@ -78,26 +78,6 @@ def auto_delta(size: int, degree: int, sum_depth: int = 1) -> int:
     while degree**j < size:
         j += 1
     return j
-
-
-@dataclass(frozen=True)
-class ReductionParams:
-    """Everything the reduction passes are parameterized over."""
-
-    delta: int = 1
-    epsilon: Fraction = Fraction(1, 2)
-    expansion_budget: int = 10**6
-    parse_tree_budget: int = 10**5
-
-    def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError(f"delta must be >= 1, got {self.delta}")
-        if not 0 < self.epsilon <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-
-    @property
-    def k_bb(self) -> int:
-        return bb_branch_param(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -525,7 +505,6 @@ def bb_decompose(formula: Formula, split: BBSplit | int):
     return a, b, c
 
 
-@deep
 def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1, 2)) -> Formula:
     """Depth O(log s) at size about s^(1+eps), fan-in 2 throughout.
 
@@ -542,30 +521,31 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
     one = field.one()
     start = binarize(formula)
 
-    def reduce_node(node: Node) -> Node:
+    def reduce_node(node: Node):
         sizes = _leaf_count(node)
         s = sizes[id(node)]
         if s <= k:
             return node
         path = _walk_split(node, sizes, s, k)
+        del sizes  # it covers the whole subtree; do not hold it while recursing
         alpha = node if not path else path[-1][0].children[path[-1][1]][1]
         if not is_gate(alpha) or len(alpha.children) != 2:
             raise InternalInvariantError("split walk must end on a fan-in-2 gate")
         a_edges, b_edges, c_val, ps = _decompose_along(path, field)
 
         (cb, beta), (cg, gamma) = alpha.children
-        core: Node = _gate(alpha, ((cb, reduce_node(beta)), (cg, reduce_node(gamma))))
+        core: Node = _gate(alpha, ((cb, (yield beta)), (cg, (yield gamma))))
 
-        def reduce_part(edges: list) -> tuple[Scalar, Node] | None:
+        def reduce_part(edges: list):
             made = _edges_to_node(edges, field)
             if made is None:
                 return None
             c, sub = made
             c2, sub2 = _binarize_node(sub, field)
-            return (field.mul(c, c2), reduce_node(sub2))
+            return (field.mul(c, c2), (yield sub2))
 
-        left = reduce_part(a_edges)
-        right = reduce_part(b_edges)
+        left = yield from reduce_part(a_edges)
+        right = yield from reduce_part(b_edges)
         sc = ps
         body = core
         if left is not None:
@@ -580,9 +560,9 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
         if cn is None:
             return SumGate(((sc, body), (cv, OneLeaf())))
         cc, c_bin = _binarize_node(cn, field)
-        return SumGate(((sc, body), (field.mul(cv, cc), reduce_node(c_bin))))
+        return SumGate(((sc, body), (field.mul(cv, cc), (yield c_bin))))
 
-    return formula.with_root(reduce_node(start.root))
+    return formula.with_root(run_recursive(reduce_node, start.root))
 
 
 # ---------------------------------------------------------------------------
@@ -659,21 +639,25 @@ def select_frontier(formula: Formula, delta: int) -> FrontierSet:
 
 
 def frontier_residual(formula: Formula, gate_ids: frozenset[int]) -> Formula:
-    """The formula with the given gates replaced by fresh placeholder leaves."""
-    from .util import run_deep
+    """The formula with the given gates replaced by fresh placeholder leaves.
 
+    Fresh variables are numbered in preorder of the replaced positions.
+    """
     fresh = ir.FreshVars()
     nodes = ir.gates_preorder(formula)
     replaced = {id(nodes[g]) for g in gate_ids}
 
-    def build(node: Node) -> Node:
+    def build(node: Node):
         if id(node) in replaced:
             return VarLeaf(fresh.take())
         if not is_gate(node):
             return node
-        return _gate(node, tuple((c, build(ch)) for c, ch in node.children))
+        edges = []
+        for c, ch in node.children:
+            edges.append((c, (yield ch)))
+        return _gate(node, tuple(edges))
 
-    return formula.with_root(run_deep(build, formula.root))
+    return formula.with_root(run_recursive(build, formula.root))
 
 
 _FACTOR, _CONSTANT, _INTERIOR = 0, 1, 2
@@ -796,7 +780,6 @@ def skew_to_sigma_pi(g: Formula) -> Formula:
     return g.with_root(SumGate(tuple(summands)))
 
 
-@deep
 def depth_reduce_main(formula: Formula, delta: int) -> Formula:
     """Potential-guided parallelization of a fan-in-2 formula.
 
@@ -819,7 +802,7 @@ def depth_reduce_main(formula: Formula, delta: int) -> Formula:
     # every recursion level
     phi = _phi_map(formula.root, delta)
 
-    def reduce_node(node: Node) -> Node | None:
+    def reduce_node(node: Node):
         if is_leaf(node):
             return node
         if id(node) not in phi:
@@ -829,7 +812,9 @@ def depth_reduce_main(formula: Formula, delta: int) -> Formula:
             return node
         frontier = _frontier_nodes(node, delta, phi)
         frontier_ids = {id(n) for n in frontier}
-        reduced: dict[int, Node | None] = {id(n): reduce_node(n) for n in frontier}
+        reduced: dict[int, Node | None] = {}
+        for n in frontier:
+            reduced[id(n)] = yield n
 
         def classify(n: Node) -> int:
             if id(n) in frontier_ids:
@@ -878,7 +863,7 @@ def depth_reduce_main(formula: Formula, delta: int) -> Formula:
             return scale_node(c, sub, field)
         return SumGate(tuple(summands))
 
-    out_root = reduce_node(formula.root)
+    out_root = run_recursive(reduce_node, formula.root)
     if out_root is None:
         raise ValueError("formula computes the zero polynomial; no formula represents it")
     out = formula.with_root(out_root)
@@ -902,7 +887,6 @@ def depth_reduce_main(formula: Formula, delta: int) -> Formula:
 # Degree components
 # ---------------------------------------------------------------------------
 
-@deep
 def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
     """Degree components 0..target_d of a fan-in-2 formula.
 
@@ -922,16 +906,12 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
     one = field.one()
     m_in = ir.metrics(formula)
 
-    # component values: None (absent), ("s", scalar), or a Node
-    memo: dict[tuple[int, int], object] = {}
+    # component values: None (absent), ("s", scalar), or a Node; a node's
+    # attribute is the list of its components 0..target_d
+    def comps(node: Node, vals: list) -> list:
+        return [_comp_raw(node, vals, i) for i in range(target_d + 1)]
 
-    def comp(node: Node, i: int):
-        key = (id(node), i)
-        if key not in memo:
-            memo[key] = _comp_raw(node, i)
-        return memo[key]
-
-    def _comp_raw(node: Node, i: int):
+    def _comp_raw(node: Node, vals: list, i: int):
         if isinstance(node, VarLeaf):
             return node if i == 1 else None
         if isinstance(node, OneLeaf):
@@ -940,8 +920,8 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
             if i == 0:
                 acc = field.zero()
                 seen = False
-                for c, ch in node.children:
-                    sub = comp(ch, 0)
+                for (c, _), sub_comps in zip(node.children, vals):
+                    sub = sub_comps[0]
                     if sub is None:
                         continue
                     seen = True
@@ -950,24 +930,25 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
                     return None
                 return ("s", acc)
             parts = []
-            for c, ch in node.children:
-                sub = comp(ch, i)
+            for (c, _), sub_comps in zip(node.children, vals):
+                sub = sub_comps[i]
                 if sub is not None:
                     parts.append((c, sub))
             return _assemble_sum(parts)
-        (cl, left), (cr, right) = node.children
+        (cl, _), (cr, _) = node.children
+        left, right = vals
         coef = field.mul(cl, cr)
         if i == 0:
-            a = comp(left, 0)
-            b = comp(right, 0)
+            a = left[0]
+            b = right[0]
             if a is None or b is None:
                 return None
             val = field.mul(coef, field.mul(a[1], b[1]))
             return None if field.is_zero(val) else ("s", val)
         parts = []
         for j in range(i + 1):
-            a = comp(left, j)
-            b = comp(right, i - j)
+            a = left[j]
+            b = right[i - j]
             if a is None or b is None:
                 continue
             if j == 0:
@@ -987,8 +968,7 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
         return SumGate(tuple(parts))
 
     components: list[Formula | None] = []
-    for i in range(target_d + 1):
-        val = comp(formula.root, i)
+    for val in ir.node_attribute(formula.root, comps)[id(formula.root)]:  # type: ignore[union-attr]
         if val is None:
             components.append(None)
         elif isinstance(val, tuple):
@@ -1018,7 +998,6 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
 # Product fan-in 2
 # ---------------------------------------------------------------------------
 
-@deep
 def product_fanin_2(formula: Formula) -> Formula:
     """Equivalent formula whose product gates all have fan-in 2.
 
@@ -1031,31 +1010,29 @@ def product_fanin_2(formula: Formula) -> Formula:
     one = field.one()
     degrees = _syn_degrees(formula.root)
 
-    def go(node: Node) -> tuple[Scalar, Node]:
+    def go(node: Node, vals: list) -> tuple[Scalar, Node]:
         if is_leaf(node):
             return (one, node)
         if isinstance(node, SumGate):
             edges = []
-            for c, ch in node.children:
-                cm, sub = go(ch)
+            for (c, _), (cm, sub) in zip(node.children, vals):
                 edges.append((field.mul(c, cm), sub))
             if len(edges) == 1 and not isinstance(edges[0][1], OneLeaf):
                 return edges[0]
             return (one, SumGate(tuple(edges)))
-        return go_prod(list(node.children))
+        return go_prod(list(zip(node.children, vals)))
 
+    # edges are ((scalar, input child), value of the child) pairs
     def go_prod(edges: list) -> tuple[Scalar, Node]:
         if len(edges) == 1:
-            c, ch = edges[0]
-            cm, sub = go(ch)
+            (c, _), (cm, sub) = edges[0]
             return (field.mul(c, cm), sub)
         if len(edges) == 2:
             out = []
-            for c, ch in edges:
-                cm, sub = go(ch)
+            for (c, _), (cm, sub) in edges:
                 out.append((field.mul(c, cm), sub))
             return (one, ProdGate(tuple(out)))
-        degs = [degrees[id(ch)] for _, ch in edges]
+        degs = [degrees[id(ch)] for (_, ch), _ in edges]
         d = sum(degs)
         prefix = 0
         m = len(edges)
@@ -1075,7 +1052,7 @@ def product_fanin_2(formula: Formula) -> Formula:
             body = sub if body is None else ProdGate(((one, body), (one, sub)))
         return (sc, body)  # type: ignore[return-value]
 
-    scalar, out_root = go(formula.root)
+    scalar, out_root = ir.node_attribute(formula.root, go)[id(formula.root)]  # type: ignore[misc]
     out = formula.with_root(scale_node(scalar, out_root, field))
     for node in ir.iter_postorder(out.root):
         if isinstance(node, ProdGate) and len(node.children) != 2:
@@ -1089,7 +1066,6 @@ def product_fanin_2(formula: Formula) -> Formula:
 # Compositions
 # ---------------------------------------------------------------------------
 
-@deep
 def depth_reduce_homogeneous(formula: Formula) -> Formula:
     """Full reduction to depth O(log d): binarize, split-reduce at eps = 1/2,
     potential-reduce at delta = ceil(log2 size' / log2 d), then collapse.
@@ -1106,7 +1082,6 @@ def depth_reduce_homogeneous(formula: Formula) -> Formula:
     return out
 
 
-@deep
 def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fraction(1, 2)) -> Formula:
     """Depth O(log d) at near-linear size s^(1+eps).
 
@@ -1149,7 +1124,6 @@ def _floor_ratio_log(eps: Fraction, s: int, d: int) -> int:
     return j
 
 
-@deep
 def pipeline_inhom(formula: Formula, budget: int | None = None) -> Formula:
     """Depth O(log d) for a possibly inhomogeneous formula computing a
     homogeneous polynomial: binarize, split-reduce, take the degree-d

@@ -1,78 +1,34 @@
 """Small shared helpers.
 
-run_deep executes a function on a worker thread with a large stack so that
-recursive passes can handle very deep trees (combs) without tripping the
-interpreter's conservative recursion ceiling on the main thread.
+run_recursive evaluates a recursive function written as a generator on an
+explicit stack, so passes that recurse once per subproblem (the split and
+potential reductions, the frontier residual) handle trees of any depth on the
+caller's thread, at the interpreter's default recursion limit.
 """
 
 from __future__ import annotations
 
-import functools
-import sys
-import threading
 
-_DEEP_STACK_BYTES = 512 * 1024 * 1024
-_DEEP_RECURSION_LIMIT = 1_000_000
+def run_recursive(gen_fn, arg):
+    """Return f(arg) for the recursive function f that gen_fn spells out.
 
-_lock = threading.Lock()
-_local = threading.local()
-_deep_users = 0
-_saved_limit = None
-
-
-def run_deep(fn, *args, **kwargs):
-    """Call fn(*args, **kwargs) with a large stack; nested calls run inline.
-
-    The interpreter recursion limit is process-global, so it is raised while
-    any deep worker runs and restored when the last one finishes.
+    gen_fn(x) is a generator: inside it, ``r = yield sub`` stands for
+    ``r = f(sub)`` and its return value is f(x).  Calls run one at a time in
+    the order the plain recursion would run them, so results are identical;
+    the depth is bounded by memory, not by the interpreter's stack.
     """
-    global _deep_users, _saved_limit
-    if getattr(_local, "active", False):
-        return fn(*args, **kwargs)
-
-    box: dict = {}
-
-    def target():
-        _local.active = True
+    stack = [gen_fn(arg)]
+    value = None
+    while stack:
         try:
-            box["value"] = fn(*args, **kwargs)
-        except BaseException as exc:  # propagated to the caller below
-            box["error"] = exc
-        finally:
-            _local.active = False
-
-    with _lock:
-        if _deep_users == 0:
-            _saved_limit = sys.getrecursionlimit()
-            if _saved_limit < _DEEP_RECURSION_LIMIT:
-                sys.setrecursionlimit(_DEEP_RECURSION_LIMIT)
-        _deep_users += 1
-        old_size = threading.stack_size(_DEEP_STACK_BYTES)
-        try:
-            thread = threading.Thread(target=target, name="lowdepth-deep")
-            thread.start()
-        finally:
-            threading.stack_size(old_size)
-    try:
-        thread.join()
-    finally:
-        with _lock:
-            _deep_users -= 1
-            if _deep_users == 0 and _saved_limit is not None:
-                sys.setrecursionlimit(_saved_limit)
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-def deep(fn):
-    """Decorator form of run_deep for pass entry points."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return run_deep(fn, *args, **kwargs)
-
-    return wrapper
+            sub = stack[-1].send(value)
+        except StopIteration as stop:
+            stack.pop()
+            value = stop.value
+        else:
+            stack.append(gen_fn(sub))
+            value = None
+    return value
 
 
 def ceil_log2(n: int) -> int:

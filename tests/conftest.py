@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from lowdepth import ir, poly
+from lowdepth import ir, poly, sexpr
 from lowdepth.bench import gen_random_homogeneous, gen_random_skew
 from lowdepth.hardpoly import HardParams, gen_hard
 from lowdepth.transforms import binarize
@@ -70,3 +71,15 @@ def assert_equivalent(a, b, budget: int = 10**6) -> None:
 
 def binarized(f):
     return binarize(f)
+
+
+def digest(outputs) -> str:
+    """sha256 over the serialized outputs; a list output (homogenize) is
+    hashed component by component, an absent component as "None"."""
+    h = hashlib.sha256()
+    for out in outputs:
+        for f in out if isinstance(out, list) else [out]:
+            h.update(b"None" if f is None else sexpr.serialize(f).encode())
+            h.update(b"\0")
+        h.update(b"\1")
+    return h.hexdigest()

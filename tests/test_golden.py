@@ -8,26 +8,15 @@ which already builds those outputs.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 
 import pytest
 
-from lowdepth import ir, sexpr
+from lowdepth import ir
 from lowdepth import transforms as tr
 from lowdepth.hardpoly import HardParams, gen_hard
 
-
-def digest(outputs) -> str:
-    """sha256 over the serialized outputs; a list output (homogenize) is
-    hashed component by component, an absent component as "None"."""
-    h = hashlib.sha256()
-    for out in outputs:
-        for f in out if isinstance(out, list) else [out]:
-            h.update(b"None" if f is None else sexpr.serialize(f).encode())
-            h.update(b"\0")
-        h.update(b"\1")
-    return h.hexdigest()
+from conftest import digest
 
 
 def _main(f):

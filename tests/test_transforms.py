@@ -14,7 +14,7 @@ from lowdepth.errors import (
 from lowdepth.hardpoly import HardParams, gen_hard
 from lowdepth.ir import Formula, OneLeaf, ProdGate, SumGate, VarLeaf
 
-from conftest import assert_equivalent
+from conftest import assert_equivalent, digest
 
 ONE = Fraction(1)
 
@@ -217,6 +217,8 @@ def test_bb_branch_param():
     assert tr.bb_branch_param(Fraction(2, 3)) == 64
     with pytest.raises(ValueError):
         tr.bb_branch_param(0)
+    with pytest.raises(ValueError):
+        tr.bb_branch_param(Fraction(3, 2))
 
 
 def test_bb_size_one_unchanged():
@@ -240,6 +242,24 @@ def test_bb_comb64():
     assert m.size <= 64**2
     assert m.syn_degree <= ir.syn_degree(f)
     assert ir.is_monotone(out)
+
+
+def test_bb_comb_memory_linear():
+    # each recursion level must drop its leaf-count map, which covers its
+    # whole subtree, before it recurses: holding them all costs about 8x the
+    # input on a comb, while the output alone is about 1.3x
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        f = gen_comb(2001)
+        input_bytes = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tr.depth_reduce_bb(f, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - input_bytes <= 2 * input_bytes
 
 
 def test_bb_monotone_and_mode_preserved(corpus_both):
@@ -445,6 +465,8 @@ def test_main_requires_fanin_2():
     f = sexpr.parse("(+ x1 x2 x3)")
     with pytest.raises(ValueError):
         tr.depth_reduce_main(f, 1)
+    with pytest.raises(ValueError, match="delta must be >= 1"):
+        tr.depth_reduce_main(tr.binarize(f), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -680,14 +702,6 @@ def test_pipeline_mixed_degrees_rejected():
         tr.pipeline_inhom(f)
 
 
-def test_reduction_params_validation():
-    with pytest.raises(ValueError):
-        tr.ReductionParams(delta=0)
-    with pytest.raises(ValueError):
-        tr.ReductionParams(epsilon=Fraction(3, 2))
-    assert tr.ReductionParams(epsilon=Fraction(1, 2)).k_bb == 256
-
-
 def test_auto_delta():
     assert tr.auto_delta(200, 16) == 2
     assert tr.auto_delta(16, 2) == 4
@@ -747,24 +761,55 @@ def test_homogenize_over_prime_field():
     assert acc == poly.expand(f)
 
 
-def test_deep_comb_all_passes():
-    # depth ~8000 exercises the large-stack worker in every recursive pass
-    from lowdepth.bench import gen_comb
+def test_deep_comb_all_passes(monkeypatch):
+    # depth ~8000, far above the interpreter's default recursion limit of
+    # 1000: every pass must run on the caller's thread at that limit
+    import sys
+    import threading
+
     from lowdepth.pit import PITConfig, pit_equal
 
-    f = gen_comb(8001)
-    assert ir.metrics(f).depth == 8000
-    pf = tr.product_fanin_2(f)
-    assert ir.size(pf) == ir.size(f)
-    bb = tr.depth_reduce_bb(f, 1)
-    assert ir.metrics(bb).depth < 400
-    fb = tr.binarize(f)
-    m = ir.metrics(fb)
-    delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
-    main = tr.depth_reduce_main(fb, delta)
-    cfg = PITConfig(trials=2, seed=0)
-    for out in (pf, bb, main):
-        assert pit_equal(f, out, cfg).equal
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a pass started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        f = gen_comb(8001)
+        assert ir.metrics(f).depth == 8000
+        pf = tr.product_fanin_2(f)
+        assert ir.size(pf) == ir.size(f)
+        bb = tr.depth_reduce_bb(f, 1)
+        assert ir.metrics(bb).depth < 400
+        fb = tr.binarize(f)
+        m = ir.metrics(fb)
+        delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
+        main = tr.depth_reduce_main(fb, delta)
+        # a right-nested sum chain of 8001 leaves
+        node = VarLeaf(8000)
+        for i in range(7999, -1, -1):
+            node = SumGate(((ONE, VarLeaf(i)), (ONE, node)))
+        comps = tr.homogenize(Formula(node), 1)
+        fs = tr.select_frontier(fb, delta)
+        assert (len(fs.gate_ids), fs.phi_root) == (4, 2012)
+        # nested ids: the leaf x0 and the middle gate take the fresh
+        # variables in preorder; the deepest gate lies inside the middle one
+        nodes = ir.gates_preorder(fb)
+        gates = [i for i, n in enumerate(nodes) if ir.is_gate(n)]
+        residual = tr.frontier_residual(fb, frozenset({1, gates[len(gates) // 2], gates[-1]}))
+        assert ir.metrics(residual).depth == 4000
+        cfg = PITConfig(trials=2, seed=0)
+        for out in (pf, bb, main):
+            assert pit_equal(f, out, cfg).equal
+    finally:
+        sys.setrecursionlimit(limit)
+    # the outputs, pinned byte for byte
+    assert digest([pf]) == "6fdae5af3a1421e265ffdc61399d6dea8b190022fcfb4b75c82e5a530205d1de"
+    assert digest([bb]) == "22de70d6f76057cff9074381e4683aed910764e10b5ec71d68b0d11f8749b334"
+    assert digest([main]) == "a9c4b0f4d5b1ec552c8dc9a22f7dddae4fe3009f83db4250357aba7f756691bf"
+    assert digest([comps]) == "34726221908b29df7f942f3015cbc106c1ef87e2301f27228a944ba41e3e9e9b"
+    assert digest([residual]) == "9dc989bf8ef92316489715ef489ce128831f9470ad0297918cff2768fe3c237f"
 
 
 def test_decompose_at_root():
