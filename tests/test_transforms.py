@@ -782,6 +782,8 @@ def test_deep_comb_all_passes(monkeypatch):
         assert ir.size(pf) == ir.size(f)
         bb = tr.depth_reduce_bb(f, 1)
         assert ir.metrics(bb).depth < 400
+        # the CLI's default epsilon, k = 256
+        bb_half = tr.depth_reduce_bb(f, Fraction(1, 2))
         fb = tr.binarize(f)
         m = ir.metrics(fb)
         delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
@@ -800,13 +802,14 @@ def test_deep_comb_all_passes(monkeypatch):
         residual = tr.frontier_residual(fb, frozenset({1, gates[len(gates) // 2], gates[-1]}))
         assert ir.metrics(residual).depth == 4000
         cfg = PITConfig(trials=2, seed=0)
-        for out in (pf, bb, main):
+        for out in (pf, bb, bb_half, main):
             assert pit_equal(f, out, cfg).equal
     finally:
         sys.setrecursionlimit(limit)
     # the outputs, pinned byte for byte
     assert digest([pf]) == "6fdae5af3a1421e265ffdc61399d6dea8b190022fcfb4b75c82e5a530205d1de"
     assert digest([bb]) == "22de70d6f76057cff9074381e4683aed910764e10b5ec71d68b0d11f8749b334"
+    assert digest([bb_half]) == "33f0229eb5285d652a84610e97e64cf0548788f621b453aa697fc53c2c365c10"
     assert digest([main]) == "a9c4b0f4d5b1ec552c8dc9a22f7dddae4fe3009f83db4250357aba7f756691bf"
     assert digest([comps]) == "34726221908b29df7f942f3015cbc106c1ef87e2301f27228a944ba41e3e9e9b"
     assert digest([residual]) == "9dc989bf8ef92316489715ef489ce128831f9470ad0297918cff2768fe3c237f"
