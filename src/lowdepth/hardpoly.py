@@ -184,25 +184,32 @@ def _budget(budget: int | None) -> int:
     return budget if budget is not None else poly.DEFAULT_EXPANSION_BUDGET
 
 
+def _breaks_alignment(p: HardParams, a: Wordpair, b: Wordpair) -> bool:
+    ell = _lcp(a[0], b[0])
+    return ell < p.k and _lcp(a[1], b[1]) < ell + 1
+
+
 def _prefix_verdict(p: HardParams, table: poly.PolyTable) -> tuple[bool, dict | None]:
-    decoded_of: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    decoded_of: dict[int, Wordpair] = {}
+    breaks: dict[tuple[int, int], bool] = {}  # per ordered variable pair, decided once
     for key in table.terms:
-        decoded = []
-        for v in _monomial_vars(key, table.commutative):
-            dv = decoded_of.get(v)
-            if dv is None:
-                dv = decoded_of[v] = decode_var(p, v)
-            decoded.append(dv)
-        for i in range(len(decoded)):
-            for j in range(i + 1, len(decoded)):
-                sig_i, tau_i = decoded[i]
-                sig_j, tau_j = decoded[j]
-                ell = _lcp(sig_i, sig_j)
-                if ell < p.k and _lcp(tau_i, tau_j) < ell + 1:
+        variables = _monomial_vars(key, table.commutative)
+        for v in variables:
+            if v not in decoded_of:
+                decoded_of[v] = decode_var(p, v)
+        for i, v_i in enumerate(variables):
+            for v_j in variables[i + 1:]:
+                broken = breaks.get((v_i, v_j))
+                if broken is None:
+                    broken = breaks[v_i, v_j] = _breaks_alignment(
+                        p, decoded_of[v_i], decoded_of[v_j]
+                    )
+                if broken:
+                    (sig_i, tau_i), (sig_j, tau_j) = decoded_of[v_i], decoded_of[v_j]
                     return False, {
                         "monomial": key,
                         "pair": [[list(sig_i), list(tau_i)], [list(sig_j), list(tau_j)]],
-                        "sigma_lcp": ell,
+                        "sigma_lcp": _lcp(sig_i, sig_j),
                         "tau_lcp": _lcp(tau_i, tau_j),
                     }
     return True, None

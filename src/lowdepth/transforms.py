@@ -107,10 +107,30 @@ def _potential_of(degree: int, sum_depth: int, delta: int) -> Potential:
 # Node-level helpers
 # ---------------------------------------------------------------------------
 
-def _leaf_count(root: Node) -> dict[int, int]:
-    return ir.node_attribute(
-        root, lambda n, vals: 1 if is_leaf(n) else sum(vals)
-    )  # type: ignore[return-value]
+def _leaf_counts(root: Node, known: dict[int, int]) -> dict[int, int]:
+    """Leaf count of every gate below root that known lacks, keyed by id.
+
+    Leaves count 1 and get no entry.  The walk does not enter a gate known
+    has, so it costs the gates known lacks, not the whole subtree.
+    """
+    counts: dict[int, int] = {}
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            counts[id(node)] = sum(_leaves(ch, counts, known) for _, ch in node.children)
+        elif is_gate(node) and id(node) not in known and id(node) not in counts:
+            stack.append((node, True))
+            stack.extend((ch, False) for _, ch in node.children)
+    return counts
+
+
+def _leaves(node: Node, counts: dict[int, int], known: dict[int, int]) -> int:
+    """Leaf count of node: 1 for a leaf, else its entry in counts or known."""
+    if is_leaf(node):
+        return 1
+    n = counts.get(id(node))
+    return known[id(node)] if n is None else n
 
 
 def _syn_degrees(root: Node) -> dict[int, int]:
@@ -315,8 +335,8 @@ def bb_find_split(formula: Formula, k: int) -> BBSplit:
     """
     if k < 4:
         raise ValueError(f"branch parameter k must be >= 4, got {k}")
-    sizes = _leaf_count(formula.root)
-    s = sizes[id(formula.root)]
+    sizes = _leaf_counts(formula.root, {})
+    s = _leaves(formula.root, sizes, {})
     if s <= k:
         raise TooSmall(f"size {s} <= k = {k}")
     hits: list[tuple[int, int]] = []
@@ -325,7 +345,7 @@ def bb_find_split(formula: Formula, k: int) -> BBSplit:
             continue
         if not _satisfies_split(sizes[id(node)], s, k):
             continue
-        if any(_satisfies_split(sizes[id(ch)], s, k) for _, ch in node.children):
+        if any(_satisfies_split(_leaves(ch, sizes, {}), s, k) for _, ch in node.children):
             continue
         hits.append((gate_id, sizes[id(node)]))
     if len(hits) != 1:
@@ -334,7 +354,9 @@ def bb_find_split(formula: Formula, k: int) -> BBSplit:
     return BBSplit(gate_id=gate_id, size_total=s, size_alpha=size_alpha, k=k)
 
 
-def _walk_split(root: Node, sizes: dict[int, int], s: int, k: int) -> list[tuple[Node, int]]:
+def _walk_split(
+    root: Node, counts: dict[int, int], known: dict[int, int], s: int, k: int
+) -> list[tuple[Node, int]]:
     """Path of (gate, child-index) pairs from the root down to the split gate.
 
     Exploits uniqueness: keep descending into the single child that still
@@ -347,7 +369,7 @@ def _walk_split(root: Node, sizes: dict[int, int], s: int, k: int) -> list[tuple
         big = [
             i
             for i, (_, ch) in enumerate(cur.children)
-            if _satisfies_split(sizes[id(ch)], s, k)
+            if _satisfies_split(_leaves(ch, counts, known), s, k)
         ]
         if len(big) > 1:
             raise InternalInvariantError("two children above the split threshold")
@@ -514,20 +536,28 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
     the branch parameter k = max(4, 2^ceil(4/eps)) are returned unchanged.
     Homogeneity, monotonicity, mode, and the syntactic degree bound are
     preserved.
+
+    Leaf counts are computed once per pass for the gates of the binarized
+    input.  A recursion level counts only the gates that decompositions
+    built (the A, B and C parts, and what lies below them down to input
+    gates), and drops that map before it recurses, so the pass holds counts
+    for the input plus one level's new gates, not for every level.
     """
     eps = Fraction(epsilon)
     k = bb_branch_param(eps)
     field = formula.field
     one = field.one()
     start = binarize(formula)
+    # start lives until the pass returns, so no node built later reuses an id
+    input_counts = _leaf_counts(start.root, {})
 
     def reduce_node(node: Node):
-        sizes = _leaf_count(node)
-        s = sizes[id(node)]
+        counts = _leaf_counts(node, input_counts)
+        s = _leaves(node, counts, input_counts)
         if s <= k:
             return node
-        path = _walk_split(node, sizes, s, k)
-        del sizes  # it covers the whole subtree; do not hold it while recursing
+        path = _walk_split(node, counts, input_counts, s, k)
+        del counts  # do not hold one level's map while recursing
         alpha = node if not path else path[-1][0].children[path[-1][1]][1]
         if not is_gate(alpha) or len(alpha.children) != 2:
             raise InternalInvariantError("split walk must end on a fan-in-2 gate")

@@ -207,6 +207,43 @@ def test_prefix_property_first_counterexample_decodes_once(commutative, monkeypa
     assert sorted(decoded) == list(range(hp.HardParams(k=3, r=2).num_vars))
 
 
+def _prefix_reference(p, table):
+    # every pair of every monomial, decided afresh
+    for key in table.terms:
+        words = [hp.decode_var(p, v) for v in hp._monomial_vars(key, table.commutative)]
+        for i in range(len(words)):
+            for j in range(i + 1, len(words)):
+                (sig_i, tau_i), (sig_j, tau_j) = words[i], words[j]
+                ell = hp._lcp(sig_i, sig_j)
+                if ell < p.k and hp._lcp(tau_i, tau_j) < ell + 1:
+                    return False, {
+                        "monomial": key,
+                        "pair": [[list(sig_i), list(tau_i)], [list(sig_j), list(tau_j)]],
+                        "sigma_lcp": ell,
+                        "tau_lcp": hp._lcp(tau_i, tau_j),
+                    }
+    return True, None
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+def test_prefix_verdict_matches_reference_on_relabelled_leaves(commutative):
+    # one leaf relabelled at a time: the pair verdicts reused across monomials
+    # must give the first counterexample that deciding every pair gives
+    for k, r in ((2, 2), (2, 3)):
+        p = hp.HardParams(k=k, r=r)
+        f = hp.gen_hard(p, commutative=commutative)
+        for old in range(p.num_vars):
+            new = (old + 1) % p.num_vars
+
+            def relabel(node, vals):
+                if isinstance(node, VarLeaf):
+                    return VarLeaf(new) if node.var == old else node
+                return type(node)(tuple((c, v) for (c, _), v in zip(node.children, vals)))
+
+            table = poly.expand(f.with_root(ir.node_attribute(f.root, relabel)[id(f.root)]))
+            assert hp._prefix_verdict(p, table) == _prefix_reference(p, table)
+
+
 def test_gate_counts_canonical():
     ok, cx = hp.check_gate_counts(hp.gen_hard(hp.HardParams(k=2, r=2)), hp.HardParams(k=2, r=2))
     assert ok and cx is None

@@ -245,9 +245,10 @@ def test_bb_comb64():
 
 
 def test_bb_comb_memory_linear():
-    # each recursion level must drop its leaf-count map, which covers its
-    # whole subtree, before it recurses: holding them all costs about 8x the
-    # input on a comb, while the output alone is about 1.3x
+    # the pass holds leaf counts for the input's gates, computed once, plus
+    # one level's map for the gates decompositions built, which it drops
+    # before recursing: holding a whole-subtree map per level costs about 8x
+    # the input on a comb, while the output alone is about 1.3x
     import tracemalloc
 
     tracemalloc.start()
@@ -260,6 +261,29 @@ def test_bb_comb_memory_linear():
     finally:
         tracemalloc.stop()
     assert peak - input_bytes <= 2 * input_bytes
+
+
+def test_bb_comb_leaf_counting_linear(monkeypatch):
+    # counting every level's whole subtree visits about k*s gates on a comb;
+    # counting the input once and each level's new gates visits each gate
+    # about once
+    kept, visits, distinct = [], [], set()
+    leaf_counts = tr._leaf_counts
+
+    def counting(root, known):
+        counts = leaf_counts(root, known)
+        kept.append(root)  # keeps every counted gate alive, so ids stay distinct
+        visits.append(len(counts))
+        distinct.update(counts)
+        return counts
+
+    monkeypatch.setattr(tr, "_leaf_counts", counting)
+    f = gen_comb(2001)
+    tr.depth_reduce_bb(f, Fraction(1, 2))
+    input_gates = sum(1 for n in ir.gates_preorder(tr.binarize(f)) if ir.is_gate(n))
+    assert visits[0] == input_gates  # the binarized input, counted first
+    # distinct = the input's gates plus every gate a decomposition built
+    assert sum(visits) <= 2 * len(distinct)
 
 
 def test_bb_monotone_and_mode_preserved(corpus_both):
