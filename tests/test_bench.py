@@ -126,6 +126,15 @@ def test_row_failure_marked_not_raised():
     assert rows[0].failed and not rows[0].verified
 
 
+def test_unknown_verify_method_fails_row():
+    e = bench.Experiment(
+        family="comb", family_params={"size": 8}, pass_name="bb", verify="bogus"
+    )
+    (row,) = bench.run(e)
+    assert not row.verified
+    assert "unknown verification method" in row.failed
+
+
 def test_csv_columns_fixed_order():
     header = bench.rows_to_csv([]).splitlines()[0]
     assert header == ",".join(bench.CSV_COLUMNS)

@@ -133,6 +133,47 @@ def test_verify_equal_exit_codes(tmp_path, capsys):
     assert rep["extra"]["witness"]["kind"] == "scalar"
 
 
+def test_reduce_falls_back_to_pit_over_budget(tmp_path, capsys):
+    src = tmp_path / "in.frm"
+    src.write_text("(+ x1 x2 x3 (* x4 x5 x6))\n")
+    code, out, _ = run_cli(
+        capsys, "reduce", str(src), "--method", "main", "--budget", "1",
+        "-o", str(tmp_path / "out.frm"),
+    )
+    assert code == EXIT_OK
+    rep = reports(out)[0]
+    assert rep["verify"] == {"method": "pit", "verdict": "equal-probably"}
+    assert "extra" not in rep
+
+
+def test_verify_equal_budget_policy(tmp_path, capsys):
+    a = tmp_path / "a.frm"
+    b = tmp_path / "b.frm"
+    c = tmp_path / "c.frm"
+    a.write_text("(* (+ x1 x2) x3)\n")
+    b.write_text("(+ (* x3 x2) (* x1 x3))\n")
+    c.write_text("(+ (* x3 x2) (scale 2 (* x1 x3)))\n")
+    auto = ("--method", "auto", "--budget", "1")
+    code, out, _ = run_cli(capsys, "verify-equal", str(a), str(b), *auto)
+    assert code == EXIT_OK
+    rep = reports(out)[0]
+    assert rep["params"] == {"method": "pit"}
+    assert rep["verify"] == {"method": "pit", "verdict": "equal-probably"}
+    code, out, _ = run_cli(capsys, "verify-equal", str(a), str(c), *auto)
+    assert code == EXIT_VERIFY_FAILED
+    rep = reports(out)[0]
+    assert rep["verify"] == {"method": "pit", "verdict": "unequal"}
+    assert rep["extra"]["witness"]["kind"] == "scalar"
+    code, out, _ = run_cli(capsys, "verify-equal", str(a), str(c))
+    assert code == EXIT_VERIFY_FAILED
+    assert reports(out)[0]["verify"] == {"method": "expand", "verdict": "unequal"}
+    code, _, err = run_cli(
+        capsys, "verify-equal", str(a), str(b), "--method", "expand", "--budget", "1"
+    )
+    assert code == EXIT_BUDGET
+    assert "budget" in err.lower()
+
+
 def test_vanishing_denominator_is_usage_error(tmp_path, capsys):
     # 1/p has no residue mod p = 2^61 - 1, the default prime
     f = tmp_path / "f.frm"

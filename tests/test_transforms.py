@@ -197,14 +197,27 @@ def test_decompose_identity_on_corpus(corpus_both):
 
 
 def test_find_split_uniqueness_matches_walk(corpus_both):
-    # the exhaustive scan and the descent agree; uniqueness is checked inside
-    for f in corpus_both[:15]:
-        fb = tr.binarize(f)
-        sizes = {i: m.size for i, m in ir.metrics_table(fb).items()}
-        if sizes[0] <= 16:
-            continue
-        split = tr.bb_find_split(fb, 16)
-        assert sizes[split.gate_id] == split.size_alpha
+    # reference: scan every gate in preorder for the split predicate
+    for f in corpus_both:
+        for g in (f, tr.binarize(f)):
+            table = ir.metrics_table(g)
+            sizes = ir.metrics_map(g.root)
+            s = table[0].size
+            for k in (4, 16):
+                if s <= k:
+                    with pytest.raises(TooSmall):
+                        tr.bb_find_split(g, k)
+                    continue
+                heavy = lambda sz: k * sz >= (k - 1) * s
+                hits = [
+                    (i, table[i].size)
+                    for i, node in enumerate(ir.gates_preorder(g))
+                    if ir.is_gate(node) and heavy(table[i].size)
+                    and not any(heavy(sizes[id(ch)].size) for _, ch in node.children)
+                ]
+                split = tr.bb_find_split(g, k)
+                assert hits == [(split.gate_id, split.size_alpha)]
+                assert split.size_total == s
 
 
 # ---------------------------------------------------------------------------
