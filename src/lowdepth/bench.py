@@ -244,6 +244,10 @@ class FrontierRow:
     failed: str = ""  # non-empty: error text; the row is not counted verified
 
 
+#: Pass names apply_pass dispatches, in the order the CLI lists them.
+PASSES = ("bb", "main", "nearlinear", "homogeneous", "prodfanin2", "pipeline")
+
+
 def apply_pass(formula: Formula, pass_name: str, params: dict) -> tuple[Formula, dict]:
     """Dispatch a pass by CLI name; returns the output and resolved params."""
     info: dict = {}
@@ -274,15 +278,12 @@ def apply_pass(formula: Formula, pass_name: str, params: dict) -> tuple[Formula,
     raise ValueError(f"unknown pass {pass_name!r}")
 
 
-def _verify(formula: Formula, out: Formula, method: str, e: Experiment, seed: int) -> bool:
-    if method == "none":
+def _verify(formula: Formula, out: Formula, e: Experiment, seed: int) -> bool:
+    if e.verify == "none":
         return True
-    if method == "expand":
-        return poly.equal_expand(formula, out, budget=e.expansion_budget)
-    if method == "pit":
-        cfg = pit.PITConfig(trials=e.pit_trials, seed=seed)
-        return pit.pit_equal(formula, out, cfg).equal
-    raise ValueError(f"unknown verification method {method!r}")
+    cfg = pit.PITConfig(trials=e.pit_trials, seed=seed)
+    verdict, _, _ = pit.verify(formula, out, e.verify, e.expansion_budget, cfg)
+    return verdict != "unequal"
 
 
 def run(e: Experiment) -> list[FrontierRow]:
@@ -334,7 +335,7 @@ def _run_one(e: Experiment, seed: int, t0: float) -> FrontierRow:
         bound_depth = 2 * (2 * d.bit_length()) + 1  # reference curve, fitted not asserted
         bound_size = m_in.size**2 * max(m_in.syn_degree, 1)
 
-    verified = _verify(formula, out, e.verify, e, seed)
+    verified = _verify(formula, out, e, seed)
     return FrontierRow(
         s_in=m_in.size,
         d=m_in.syn_degree,

@@ -113,21 +113,10 @@ def cmd_reduce(args) -> int:
     out, info = bench.apply_pass(f, args.method, params)
     duration = time.perf_counter() - t0
 
-    verdict, method = "skipped", "none"
-    witness = None
+    verdict, method, witness = "skipped", "none", None
     if not args.no_verify:
-        method = "expand"
-        try:
-            equal = poly.equal_expand(f, out, budget=args.budget)
-        except BudgetExceeded:
-            method = "pit"  # expansion too big; fall back to randomized testing
-            cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
-            res = pit.pit_equal(f, out, cfg)
-            equal = res.equal
-            witness = res.witness
-        verdict = "equal" if method == "expand" and equal else (
-            "equal-probably" if equal else "unequal"
-        )
+        cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
+        verdict, method, witness = pit.verify(f, out, "auto", args.budget, cfg)
     rep = Report.for_pass(
         f"reduce/{args.method}",
         f,
@@ -229,25 +218,8 @@ def cmd_check_hard(args) -> int:
 def cmd_verify_equal(args) -> int:
     a = sexpr.parse_file(args.lhs)
     b = sexpr.parse_file(args.rhs)
-    method = args.method
-    witness = None
-    equal = False
-    verdict = "unequal"
-    if method in ("auto", "expand"):
-        try:
-            equal = poly.equal_expand(a, b, budget=args.budget)
-            method = "expand"
-            verdict = "equal" if equal else "unequal"
-        except BudgetExceeded:
-            if method == "expand":
-                raise
-            method = "pit"  # expansion over budget; downgrade and report it
-    if method == "pit":
-        cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
-        res = pit.pit_equal(a, b, cfg)
-        equal = res.equal
-        witness = res.witness
-        verdict = res.verdict
+    cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
+    verdict, method, witness = pit.verify(a, b, args.method, args.budget, cfg)
     rep = Report(
         pass_name="verify-equal",
         params={"method": method},
@@ -256,7 +228,7 @@ def cmd_verify_equal(args) -> int:
         extra={"witness": witness} if witness else {},
     )
     _emit(args, rep)
-    return EXIT_OK if equal else EXIT_VERIFY_FAILED
+    return EXIT_VERIFY_FAILED if verdict == "unequal" else EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -351,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="run a depth-reduction pass")
     p.add_argument("formula")
+    # prodfanin2 has its own subcommand
     p.add_argument("--method", required=True,
-                   choices=["bb", "main", "nearlinear", "homogeneous", "pipeline"])
+                   choices=[name for name in bench.PASSES if name != "prodfanin2"])
     p.add_argument("--delta", default="auto")
     p.add_argument("--epsilon", default="auto")
     p.add_argument("--no-verify", action="store_true")
@@ -403,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure passes over formula families")
     p.add_argument("--family", required=True,
                    choices=["comb", "random-homogeneous", "random-skew", "hard", "user-file"])
-    p.add_argument("--pass", dest="pass_name", required=True,
-                   choices=["bb", "main", "nearlinear", "homogeneous", "prodfanin2", "pipeline"])
+    p.add_argument("--pass", dest="pass_name", required=True, choices=bench.PASSES)
     p.add_argument("--sizes", default=None, help="comma list of sizes")
     p.add_argument("--degrees", default=None, help="comma list of degrees")
     p.add_argument("--n-vars", type=int, default=8)

@@ -95,10 +95,6 @@ def is_gate(node: Node) -> bool:
     return isinstance(node, (SumGate, ProdGate))
 
 
-def same_gate_kind(a: Node, b: Node) -> bool:
-    return type(a) is type(b)
-
-
 # ---------------------------------------------------------------------------
 # Iterative traversals
 # ---------------------------------------------------------------------------
@@ -163,27 +159,10 @@ def gates_preorder(formula: Formula) -> list[Node]:
     return [node for node, _ in iter_preorder_positions(formula.root)]
 
 
-def copy_tree(root: Node) -> Node:
-    """Structure-preserving deep copy producing entirely fresh node objects."""
-    memo = node_attribute(root, _rebuild_node)
-    return memo[id(root)]  # type: ignore[return-value]
-
-
-def _rebuild_node(node: Node, child_values: list) -> Node:
-    if isinstance(node, SumGate):
-        return SumGate(tuple((c, new) for (c, _), new in zip(node.children, child_values)))
-    if isinstance(node, ProdGate):
-        return ProdGate(tuple((c, new) for (c, _), new in zip(node.children, child_values)))
-    if isinstance(node, VarLeaf):
-        return VarLeaf(node.var)
-    return OneLeaf()
-
-
 def tree_materialize(root: Node) -> Node:
-    """Expand internal sharing into a true tree (copies every position).
-
-    copy_tree memoizes by object and keeps sharing; this one must not, so it
-    runs a post-order over positions with an explicit value stack.
+    """A fresh true tree equal to root: every position gets its own new node,
+    so internal sharing is expanded.  Post-order over positions with an
+    explicit value stack, so deep trees need no recursion.
     """
     out: list[Node] = []
     stack: list[tuple[Node, bool]] = [(root, False)]

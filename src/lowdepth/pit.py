@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .errors import ModeMismatch
+from .errors import BudgetExceeded, ModeMismatch
 from .fields import MERSENNE61, PrimeField
-from . import ir
+from . import ir, poly
 
 #: A value for all trials at once: superdiagonal k -> its entries, position j
 #: of trial t at index j * trials + t.  Scalar mode uses diagonal 0 of a 1 x 1
@@ -259,6 +259,28 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
     witness["lhs"] = _entry(va, i, j, t, trials)
     witness["rhs"] = _entry(vb, i, j, t, trials)
     return PITResult("unequal", t + 1, error, witness)
+
+
+def verify(
+    a: ir.Formula, b: ir.Formula, method: str, budget: int | None, cfg: PITConfig
+) -> tuple[str, str, dict | None]:
+    """Decide whether a and b agree; returns (verdict, method used, witness).
+
+    "expand" decides exactly ("equal" or "unequal") and lets BudgetExceeded
+    through; "auto" expands and falls back to pit_equal when the expansion
+    goes over budget; "pit" runs pit_equal directly.  Only a PIT "unequal"
+    carries a witness.
+    """
+    if method not in ("expand", "auto", "pit"):
+        raise ValueError(f"unknown verification method {method!r}")
+    if method != "pit":
+        try:
+            return ("equal" if poly.equal_expand(a, b, budget) else "unequal"), "expand", None
+        except BudgetExceeded:
+            if method == "expand":
+                raise
+    res = pit_equal(a, b, cfg)
+    return res.verdict, "pit", res.witness
 
 
 def check_witness(a: ir.Formula, b: ir.Formula, witness: dict) -> bool:

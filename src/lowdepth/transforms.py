@@ -133,28 +133,6 @@ def _leaves(node: Node, counts: dict[int, int], known: dict[int, int]) -> int:
     return known[id(node)] if n is None else n
 
 
-def _syn_degrees(root: Node) -> dict[int, int]:
-    def fn(node: Node, vals: list) -> int:
-        if isinstance(node, VarLeaf):
-            return 1
-        if isinstance(node, OneLeaf):
-            return 0
-        if isinstance(node, SumGate):
-            return max(vals)
-        return sum(vals)
-
-    return ir.node_attribute(root, fn)  # type: ignore[return-value]
-
-
-def _sum_depths(root: Node) -> dict[int, int]:
-    def fn(node: Node, vals: list) -> int:
-        if is_leaf(node):
-            return 0
-        return (1 if isinstance(node, SumGate) else 0) + max(vals)
-
-    return ir.node_attribute(root, fn)  # type: ignore[return-value]
-
-
 def scale_node(scalar: Scalar, node: Node, field: Field) -> Node:
     """Fold a scalar into a node.
 
@@ -328,40 +306,32 @@ def _satisfies_split(sz: int, s: int, k: int) -> bool:
 
 
 def bb_find_split(formula: Formula, k: int) -> BBSplit:
-    """Scan all gates for the split predicate; exactly one must satisfy it.
+    """Walk from the root to the split gate, as depth_reduce_bb does.
 
-    Raises TooSmall when size <= k (callers use the base case) and treats a
-    duplicate hit as IR corruption.
+    Raises TooSmall when size <= k (callers use the base case); a gate with
+    two children above the threshold is IR corruption.
     """
     if k < 4:
         raise ValueError(f"branch parameter k must be >= 4, got {k}")
-    sizes = _leaf_counts(formula.root, {})
-    s = _leaves(formula.root, sizes, {})
+    root = formula.root
+    counts = _leaf_counts(root, {})
+    s = _leaves(root, counts, {})
     if s <= k:
         raise TooSmall(f"size {s} <= k = {k}")
-    hits: list[tuple[int, int]] = []
-    for gate_id, (node, _) in enumerate(ir.iter_preorder_positions(formula.root)):
-        if not is_gate(node):
-            continue
-        if not _satisfies_split(sizes[id(node)], s, k):
-            continue
-        if any(_satisfies_split(_leaves(ch, sizes, {}), s, k) for _, ch in node.children):
-            continue
-        hits.append((gate_id, sizes[id(node)]))
-    if len(hits) != 1:
-        raise InternalInvariantError(f"split gate must be unique, found {len(hits)}")
-    gate_id, size_alpha = hits[0]
-    return BBSplit(gate_id=gate_id, size_total=s, size_alpha=size_alpha, k=k)
+    _, alpha = _walk_split(root, counts, {}, s, k)
+    gate_id = next(i for i, (node, _) in enumerate(ir.iter_preorder_positions(root)) if node is alpha)
+    return BBSplit(gate_id=gate_id, size_total=s, size_alpha=counts[id(alpha)], k=k)
 
 
 def _walk_split(
     root: Node, counts: dict[int, int], known: dict[int, int], s: int, k: int
-) -> list[tuple[Node, int]]:
-    """Path of (gate, child-index) pairs from the root down to the split gate.
+) -> tuple[list[tuple[Node, int]], Node]:
+    """The split gate and the path of (gate, child-index) pairs down to it.
 
     Exploits uniqueness: keep descending into the single child that still
-    meets the threshold.  The split gate is the child indicated by the last
-    pair, or the root itself when the path is empty.
+    meets the threshold (two such children cannot both fit in s for k > 2,
+    so seeing them means corrupt counts).  The path is empty when the split
+    gate is the root.
     """
     path: list[tuple[Node, int]] = []
     cur = root
@@ -374,7 +344,7 @@ def _walk_split(
         if len(big) > 1:
             raise InternalInvariantError("two children above the split threshold")
         if not big:
-            return path
+            return path, cur
         path.append((cur, big[0]))
         cur = cur.children[big[0]][1]
 
@@ -556,9 +526,8 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
         s = _leaves(node, counts, input_counts)
         if s <= k:
             return node
-        path = _walk_split(node, counts, input_counts, s, k)
+        path, alpha = _walk_split(node, counts, input_counts, s, k)
         del counts  # do not hold one level's map while recursing
-        alpha = node if not path else path[-1][0].children[path[-1][1]][1]
         if not is_gate(alpha) or len(alpha.children) != 2:
             raise InternalInvariantError("split walk must end on a fan-in-2 gate")
         a_edges, b_edges, c_val, ps = _decompose_along(path, field)
@@ -608,14 +577,13 @@ class FrontierSet:
     phi_root: int
 
 
-def _phi_map(root: Node, delta: int) -> dict[int, int]:
-    degrees = _syn_degrees(root)
-    sdepths = _sum_depths(root)
-    out: dict[int, int] = {}
-    for nid, d in degrees.items():
-        if d >= 1:
-            out[nid] = _potential_of(d, sdepths[nid], delta).phi
-    return out
+def _phi_map(metrics: dict[int, ir.GateMetrics], delta: int) -> dict[int, int]:
+    """Potential of every node of degree >= 1, from its ir.metrics_map."""
+    return {
+        nid: _potential_of(m.syn_degree, m.sum_depth, delta).phi
+        for nid, m in metrics.items()
+        if m.syn_degree >= 1
+    }
 
 
 def _frontier_nodes(root: Node, delta: int, phi: dict[int, int]) -> list[Node]:
@@ -651,7 +619,7 @@ def select_frontier(formula: Formula, delta: int) -> FrontierSet:
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     root = formula.root
-    phi = _phi_map(root, delta)
+    phi = _phi_map(ir.metrics_map(root), delta)
     if id(root) not in phi or phi[id(root)] == 0:
         return FrontierSet(frozenset(), delta, phi.get(id(root), 0))
     members = {id(n) for n in _frontier_nodes(root, delta, phi)}
@@ -825,12 +793,14 @@ def depth_reduce_main(formula: Formula, delta: int) -> Formula:
     if ir.max_fanin(formula) > 2:
         raise ValueError("depth_reduce_main needs a fan-in-2 input; binarize first")
     field = formula.field
-    m_in = ir.metrics(formula)
+    metrics = ir.metrics_map(formula.root)
+    m_in = metrics[id(formula.root)]
     if m_in.syn_degree == 0:
         return formula  # constant output gate, already depth <= 1
     # the potential is intrinsic to a subtree, so one global map serves
-    # every recursion level
-    phi = _phi_map(formula.root, delta)
+    # every recursion level; the metrics are not needed past this point
+    phi = _phi_map(metrics, delta)
+    del metrics
 
     def reduce_node(node: Node):
         if is_leaf(node):
@@ -872,7 +842,7 @@ def depth_reduce_main(formula: Formula, delta: int) -> Formula:
                     coef = field.mul(coef, rc)
                     continue
                 used[id(f)] = used.get(id(f), 0) + 1
-                parts.append(ir.copy_tree(r) if used[id(f)] > 1 else r)
+                parts.append(ir.tree_materialize(r) if used[id(f)] > 1 else r)
             if dead:
                 continue
             if not parts:
@@ -1038,7 +1008,7 @@ def product_fanin_2(formula: Formula) -> Formula:
     """
     field = formula.field
     one = field.one()
-    degrees = _syn_degrees(formula.root)
+    metrics = ir.metrics_map(formula.root)
 
     def go(node: Node, vals: list) -> tuple[Scalar, Node]:
         if is_leaf(node):
@@ -1062,7 +1032,7 @@ def product_fanin_2(formula: Formula) -> Formula:
             for (c, _), (cm, sub) in edges:
                 out.append((field.mul(c, cm), sub))
             return (one, ProdGate(tuple(out)))
-        degs = [degrees[id(ch)] for (_, ch), _ in edges]
+        degs = [metrics[id(ch)].syn_degree for (_, ch), _ in edges]
         d = sum(degs)
         prefix = 0
         m = len(edges)
@@ -1087,7 +1057,7 @@ def product_fanin_2(formula: Formula) -> Formula:
     for node in ir.iter_postorder(out.root):
         if isinstance(node, ProdGate) and len(node.children) != 2:
             raise InternalInvariantError("product gate with fan-in != 2 in output")
-    if ir.metrics(out).size > ir.metrics(formula).size:
+    if ir.metrics(out).size > metrics[id(formula.root)].size:
         raise InternalInvariantError("leaf count grew in product_fanin_2")
     return out
 

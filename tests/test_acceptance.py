@@ -327,7 +327,7 @@ def test_criterion_9_split_structure(corpus):
         if ir.size(fb) <= k:
             continue
         try:
-            split = tr.bb_find_split(fb, k)  # exhaustive scan; raises on duplicates
+            split = tr.bb_find_split(fb, k)  # the pass's walk; raises on two heavy children
         except Exception as exc:  # noqa: BLE001
             violations.append((name, f"find_split: {exc}"))
             continue

@@ -1,6 +1,6 @@
 import pytest
 
-from lowdepth import bench, ir
+from lowdepth import bench, ir, poly
 from lowdepth.errors import InfeasibleShape
 from lowdepth.ir import VarLeaf
 
@@ -133,6 +133,15 @@ def test_unknown_verify_method_fails_row():
     (row,) = bench.run(e)
     assert not row.verified
     assert "unknown verification method" in row.failed
+
+
+def test_every_pass_name_dispatches():
+    f = bench.gen_random_homogeneous(4, 4, 40, seed=7)
+    for name in bench.PASSES:
+        out, _ = bench.apply_pass(f, name, {})
+        assert poly.equal_expand(f, out), name
+    with pytest.raises(ValueError, match="unknown pass"):
+        bench.apply_pass(f, "bogus", {})
 
 
 def test_csv_columns_fixed_order():

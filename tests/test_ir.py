@@ -185,6 +185,12 @@ def test_validate_empty_gate():
 
 
 def test_copy_tree_structural_equality(corpus_both):
-    f = corpus_both[0]
-    assert ir.copy_tree(f.root) == f.root
-    assert ir.copy_tree(f.root) is not f.root
+    shared = ProdGate(((ONE, VarLeaf(0)), (ONE, VarLeaf(1))))
+    dag = SumGate(((ONE, shared), (Fraction(2), shared), (ONE, OneLeaf())))
+    for root in (corpus_both[0].root, dag):
+        out = ir.tree_materialize(root)
+        assert out == root
+        old_ids = {id(n) for n in ir.iter_postorder(root)}
+        positions = [n for n, _ in ir.iter_preorder_positions(out)]
+        assert len({id(n) for n in positions}) == len(positions)
+        assert not old_ids & {id(n) for n in positions}
