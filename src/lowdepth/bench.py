@@ -13,7 +13,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import InfeasibleShape, InternalInvariantError
 from .fields import QQ, Field
@@ -244,40 +243,6 @@ class FrontierRow:
     failed: str = ""  # non-empty: error text; the row is not counted verified
 
 
-#: Pass names apply_pass dispatches, in the order the CLI lists them.
-PASSES = ("bb", "main", "nearlinear", "homogeneous", "prodfanin2", "pipeline")
-
-
-def apply_pass(formula: Formula, pass_name: str, params: dict) -> tuple[Formula, dict]:
-    """Dispatch a pass by CLI name; returns the output and resolved params."""
-    info: dict = {}
-    if pass_name == "bb":
-        eps = Fraction(params.get("epsilon") or Fraction(1, 2))
-        info["epsilon"] = eps
-        info["k_bb"] = transforms.bb_branch_param(eps)
-        return transforms.depth_reduce_bb(formula, eps), info
-    if pass_name == "main":
-        f2 = formula if ir.max_fanin(formula) <= 2 else transforms.binarize(formula)
-        m = ir.metrics(f2)
-        delta = params.get("delta")
-        if delta in (None, "auto"):
-            delta = transforms.auto_delta(m.size, m.syn_degree, m.sum_depth)
-        info["delta"] = int(delta)
-        info["main_input_metrics"] = m
-        return transforms.depth_reduce_main(f2, int(delta)), info
-    if pass_name == "nearlinear":
-        eps = Fraction(params.get("epsilon") or Fraction(1, 2))
-        info["epsilon"] = eps
-        return transforms.depth_reduce_nearlinear(formula, eps), info
-    if pass_name == "homogeneous":
-        return transforms.depth_reduce_homogeneous(formula), info
-    if pass_name == "prodfanin2":
-        return transforms.product_fanin_2(formula), info
-    if pass_name == "pipeline":
-        return transforms.pipeline_inhom(formula), info
-    raise ValueError(f"unknown pass {pass_name!r}")
-
-
 def _verify(formula: Formula, out: Formula, e: Experiment, seed: int) -> bool:
     if e.verify == "none":
         return True
@@ -310,24 +275,15 @@ def run(e: Experiment) -> list[FrontierRow]:
 def _run_one(e: Experiment, seed: int, t0: float) -> FrontierRow:
     formula = make_family(e.family, e.family_params, seed)
     m_in = ir.metrics(formula)
-    out, info = apply_pass(formula, e.pass_name, e.pass_params)
+    out, params, main_bounds = transforms.run_pass(formula, e.pass_name, e.pass_params)
     m_out = ir.metrics(out)
 
-    phi_delta = 0
-    bound_size = 0
-    bound_depth = 0
-    if e.pass_name == "main":
-        mi = info["main_input_metrics"]
-        delta = info["delta"]
-        phi_delta = transforms._potential_of(max(mi.syn_degree, 1), mi.sum_depth, delta).phi
-        bound_size = mi.size * max(mi.syn_degree, 1) ** delta
+    phi_delta = bound_size = bound_depth = 0
+    if main_bounds is not None:  # the bounds main checked its output against
+        phi_delta, bound_size = main_bounds
         bound_depth = 2 * phi_delta + 1
-        if m_out.product_depth > phi_delta:
-            raise InternalInvariantError("main row violated the product-depth bound")
-        if m_out.size > bound_size:
-            raise InternalInvariantError("main row violated the size bound")
     elif e.pass_name in ("bb", "nearlinear"):
-        eps = info["epsilon"]
+        eps = params["epsilon"]
         bound_size = math.ceil(m_in.size ** (1 + float(eps)))
         bound_depth = transforms.bb_branch_param(eps) * max(1, m_in.size.bit_length())
     elif e.pass_name in ("homogeneous", "pipeline"):

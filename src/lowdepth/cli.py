@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .errors import BudgetExceeded, FormulaSyntaxError, LowdepthError, WellFormednessError
 from .fields import MERSENNE61, QQ, field_from_name
@@ -49,10 +48,6 @@ def _write_formula(args, formula) -> None:
         sexpr.write_file(args.out, formula)
     else:
         sys.stdout.write(sexpr.serialize(formula))
-
-
-def _parse_epsilon(text: str) -> Fraction:
-    return Fraction(1, 2) if text == "auto" else Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +104,19 @@ def cmd_expand(args) -> int:
 def cmd_reduce(args) -> int:
     f = sexpr.parse_file(args.formula)
     t0 = time.perf_counter()
-    params = {"delta": args.delta, "epsilon": _parse_epsilon(args.epsilon)}
-    out, info = bench.apply_pass(f, args.method, params)
+    params = {"delta": args.delta, "epsilon": args.epsilon}
+    out, params, _ = transforms.run_pass(f, args.method, params)
     duration = time.perf_counter() - t0
 
     verdict, method, witness = "skipped", "none", None
     if not args.no_verify:
         cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
         verdict, method, witness = pit.verify(f, out, "auto", args.budget, cfg)
-    rep = Report.for_pass(
-        f"reduce/{args.method}",
-        f,
-        out,
-        params={k: v for k, v in info.items() if k != "main_input_metrics"},
+    rep = Report(
+        pass_name=f"reduce/{args.method}" if args.cmd == "reduce" else args.cmd,
+        params=params,
+        input_metrics=metrics_dict(ir.metrics(f)),
+        output_metrics=metrics_dict(ir.metrics(out)),
         verify_method=method,
         verdict=verdict,
         duration=duration,
@@ -154,17 +149,6 @@ def cmd_homogenize(args) -> int:
         duration=duration,
         extra={"components": written},
     )
-    _emit(args, rep)
-    return EXIT_OK
-
-
-def cmd_prodfanin2(args) -> int:
-    f = sexpr.parse_file(args.formula)
-    t0 = time.perf_counter()
-    out = transforms.product_fanin_2(f)
-    duration = time.perf_counter() - t0
-    rep = Report.for_pass("prodfanin2", f, out, duration=duration)
-    _write_formula(args, out)
     _emit(args, rep)
     return EXIT_OK
 
@@ -261,7 +245,7 @@ def cmd_bench(args) -> int:
                 family=args.family,
                 family_params=fam_params,
                 pass_name=args.pass_name,
-                pass_params={"epsilon": _parse_epsilon(args.epsilon), "delta": args.delta},
+                pass_params={"epsilon": args.epsilon, "delta": args.delta},
                 seed=args.seed,
                 repetitions=args.reps,
                 verify=args.verify,
@@ -325,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     # prodfanin2 has its own subcommand
     p.add_argument("--method", required=True,
-                   choices=[name for name in bench.PASSES if name != "prodfanin2"])
+                   choices=[name for name in transforms.PASSES if name != "prodfanin2"])
     p.add_argument("--delta", default="auto")
     p.add_argument("--epsilon", default="auto")
     p.add_argument("--no-verify", action="store_true")
@@ -345,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prodfanin2", help="rebalance products to fan-in 2")
     p.add_argument("formula")
     p.add_argument("-o", "--out")
-    p.set_defaults(fn=cmd_prodfanin2)
+    p.set_defaults(fn=cmd_reduce, method="prodfanin2", delta=None, epsilon=None, no_verify=True)
 
     p = sub.add_parser("gen-hard", help="emit the canonical hard formula")
     p.add_argument("--k", type=int, required=True)
@@ -376,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure passes over formula families")
     p.add_argument("--family", required=True,
                    choices=["comb", "random-homogeneous", "random-skew", "hard", "user-file"])
-    p.add_argument("--pass", dest="pass_name", required=True, choices=bench.PASSES)
+    p.add_argument("--pass", dest="pass_name", required=True, choices=transforms.PASSES)
     p.add_argument("--sizes", default=None, help="comma list of sizes")
     p.add_argument("--degrees", default=None, help="comma list of degrees")
     p.add_argument("--n-vars", type=int, default=8)

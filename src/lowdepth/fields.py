@@ -1,8 +1,8 @@
 """Coefficient fields: arbitrary-precision rationals and integers mod a prime.
 
-All arithmetic in the toolkit is exact; there is no floating point anywhere.
-A scalar is a Fraction (over Q) or a plain int in [0, p) (over Fp).  A formula
-carries exactly one field; values from the two fields are never mixed.
+Every asserted bound uses exact integer arithmetic; only bench's reference
+curves and fitted constants are floats.  A scalar is a Fraction (over Q) or a
+plain int in [0, p) (over Fp); a formula carries one field, never mixed.
 """
 
 from __future__ import annotations

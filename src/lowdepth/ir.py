@@ -277,8 +277,15 @@ def metrics_map(root: Node) -> dict[int, GateMetrics]:
 
 
 def metrics(formula: Formula) -> GateMetrics:
-    """Metrics of the output gate, computed in one bottom-up traversal."""
-    return metrics_map(formula.root)[id(formula.root)]
+    """Metrics of the output gate, kept on the (immutable) formula once known."""
+    m = formula.__dict__.get("_root_metrics")
+    return keep_metrics(formula, metrics_map(formula.root)) if m is None else m
+
+
+def keep_metrics(formula: Formula, memo: dict[int, GateMetrics]) -> GateMetrics:
+    """Keep the root entry of formula's metrics_map on it for metrics; return it."""
+    object.__setattr__(formula, "_root_metrics", memo[id(formula.root)])
+    return memo[id(formula.root)]
 
 
 def metrics_table(formula: Formula) -> dict[int, GateMetrics]:
@@ -310,6 +317,7 @@ def max_fanin(formula: Formula) -> int:
 def is_homogeneous(formula: Formula) -> bool:
     """True iff the children of every sum gate share one syntactic degree."""
     memo = metrics_map(formula.root)
+    keep_metrics(formula, memo)
     for node in iter_postorder(formula.root):
         if isinstance(node, SumGate):
             degrees = {memo[id(ch)].syn_degree for _, ch in node.children}

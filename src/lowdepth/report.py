@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .ir import Formula, GateMetrics, metrics
+from .ir import GateMetrics
 
 
 def metrics_dict(m: GateMetrics) -> dict:
@@ -39,15 +39,6 @@ class Report:
     verdict: str = "skipped"  # equal | unequal | equal-probably | skipped | failed
     duration: float = 0.0
     extra: dict = dc_field(default_factory=dict)
-
-    @classmethod
-    def for_pass(cls, pass_name: str, before: Formula, after: Formula, **kw) -> "Report":
-        return cls(
-            pass_name=pass_name,
-            input_metrics=metrics_dict(metrics(before)),
-            output_metrics=metrics_dict(metrics(after)),
-            **kw,
-        )
 
     def to_json(self) -> str:
         payload = {

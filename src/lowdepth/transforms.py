@@ -3,8 +3,11 @@
 Every pass is equivalence-preserving (exact expansion equality, word-for-word
 in non-commutative mode) and preserves homogeneity, syntactic monotonicity,
 and the commutativity mode whenever it claims to.  Inputs are never mutated;
-outputs are fresh trees (they may share subtrees with the input, never with
-themselves).
+outputs may share subtrees with the input.  depth_reduce_bb's outputs may also
+hold one node object at two positions (a product sibling on the split path
+lands in both the A and the C part); their serialized bytes are those of the
+tree, but bb_decompose and frontier_residual expect true trees, which parsing
+the serialized form or ir.tree_materialize gives.
 
 The passes:
 
@@ -64,6 +67,35 @@ def bb_branch_param(epsilon: Fraction | int | str) -> int:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
     e = ceil_div(4 * eps.denominator, eps.numerator)
     return max(4, 2**e)
+
+
+def bb_depth_bound(s: int, k: int) -> int:
+    """Depth bound of depth_reduce_bb at size s and branch parameter k.
+
+    s when s <= k, else bb_depth_bound(ceil((k-1)s/k) - 1, k) + 4:
+    * a base case returns a fan-in-2 tree with at most s <= k leaves (with at
+      most a fan-in-1 sum on top), so its depth is at most s;
+    * alpha has k*size >= (k-1)*s and neither child of alpha does, so each
+      child has at most ceil((k-1)s/k) - 1 leaves;
+    * A, B and C lie outside alpha, so each has at most floor(s/k) leaves,
+      no more than a child of alpha (the bound grows with s);
+    * a level adds 4 gates above the reduced parts: the core alpha' = beta' op
+      gamma', the products with A' and B', and the sum with C'.
+    """
+    levels = 0
+    while s > k:
+        s = ceil_div((k - 1) * s, k) - 1
+        levels += 1
+    return s + 4 * levels
+
+
+def _check_bb(f_in: Formula, f_out: Formula, eps: Fraction) -> None:
+    """bb's contract: depth within bb_depth_bound, syntactic degree unchanged."""
+    m_in, m_out = ir.metrics(f_in), ir.metrics(f_out)
+    if m_out.depth > bb_depth_bound(m_in.size, bb_branch_param(eps)):
+        raise InternalInvariantError(f"bb output depth {m_out.depth} above its bound")
+    if m_out.syn_degree != m_in.syn_degree:
+        raise InternalInvariantError("bb changed the syntactic degree")
 
 
 def auto_delta(size: int, degree: int, sum_depth: int = 1) -> int:
@@ -778,25 +810,35 @@ def skew_to_sigma_pi(g: Formula) -> Formula:
     return g.with_root(SumGate(tuple(summands)))
 
 
-def depth_reduce_main(formula: Formula, delta: int) -> Formula:
+def depth_reduce_main(formula: Formula, delta: int | str) -> Formula:
     """Potential-guided parallelization of a fan-in-2 formula.
 
     Output product depth is at most ceil(log2 d) + ceil(sum_depth/delta) and
     leaf count at most size * d^delta; both are asserted per run, as is that
-    the syntactic degree never grows.  Homogeneity, monotonicity and the mode
-    are preserved.  Output gates have arbitrary fan-in; collapse afterwards
-    for the alternating form of depth <= 2 * product_depth + 1.
+    the syntactic degree never grows.  delta "auto" is auto_delta of the
+    input's size, degree and sum depth.  Homogeneity, monotonicity and the
+    mode are preserved.  Output gates have arbitrary fan-in; collapse
+    afterwards for the alternating form of depth <= 2 * product_depth + 1.
     """
-    delta = int(delta)
-    if delta < 1:
+    return _reduce_main(formula, delta)[0]
+
+
+def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tuple[int, int]]:
+    """depth_reduce_main, plus its delta and its (product depth, size) bounds."""
+    if delta != "auto" and int(delta) < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     if ir.max_fanin(formula) > 2:
         raise ValueError("depth_reduce_main needs a fan-in-2 input; binarize first")
     field = formula.field
     metrics = ir.metrics_map(formula.root)
-    m_in = metrics[id(formula.root)]
+    m_in = ir.keep_metrics(formula, metrics)
+    if delta == "auto":
+        delta = auto_delta(m_in.size, m_in.syn_degree, m_in.sum_depth)
+    delta = int(delta)
+    d = max(m_in.syn_degree, 1)  # a constant input gets the bounds of d = 1
+    bounds = (_potential_of(d, m_in.sum_depth, delta).phi, m_in.size * d**delta)
     if m_in.syn_degree == 0:
-        return formula  # constant output gate, already depth <= 1
+        return formula, delta, bounds  # constant output gate, already depth <= 1
     # the potential is intrinsic to a subtree, so one global map serves
     # every recursion level; the metrics are not needed past this point
     phi = _phi_map(metrics, delta)
@@ -869,18 +911,17 @@ def depth_reduce_main(formula: Formula, delta: int) -> Formula:
     out = formula.with_root(out_root)
 
     m_out = ir.metrics(out)
-    phi_bound = _potential_of(m_in.syn_degree, m_in.sum_depth, delta).phi
-    if m_out.product_depth > phi_bound:
+    if m_out.product_depth > bounds[0]:
         raise InternalInvariantError(
-            f"product depth {m_out.product_depth} above potential bound {phi_bound}"
+            f"product depth {m_out.product_depth} above potential bound {bounds[0]}"
         )
-    if m_out.size > m_in.size * m_in.syn_degree**delta:
+    if m_out.size > bounds[1]:
         raise InternalInvariantError(
             f"size {m_out.size} above bound {m_in.size} * {m_in.syn_degree}^{delta}"
         )
     if m_out.syn_degree > m_in.syn_degree:
         raise InternalInvariantError("syntactic degree grew")
-    return out
+    return out, delta, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -980,12 +1021,12 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
     for i, comp_f in enumerate(components):
         if comp_f is None:
             continue
+        if not ir.is_homogeneous(comp_f):  # this also keeps comp_f's metrics
+            raise InternalInvariantError(f"component {i} is not homogeneous")
         m = ir.metrics(comp_f)
         total += m.size
         if i > 0 and m.syn_degree != i:
             raise InternalInvariantError(f"component {i} has degree {m.syn_degree}")
-        if not ir.is_homogeneous(comp_f):
-            raise InternalInvariantError(f"component {i} is not homogeneous")
         if m.product_depth > m_in.product_depth:
             raise InternalInvariantError("component product depth grew")
     bound = m_in.size * math.comb(m_in.product_depth + target_d + 1, target_d)
@@ -1009,6 +1050,7 @@ def product_fanin_2(formula: Formula) -> Formula:
     field = formula.field
     one = field.one()
     metrics = ir.metrics_map(formula.root)
+    m_in = ir.keep_metrics(formula, metrics)
 
     def go(node: Node, vals: list) -> tuple[Scalar, Node]:
         if is_leaf(node):
@@ -1057,7 +1099,7 @@ def product_fanin_2(formula: Formula) -> Formula:
     for node in ir.iter_postorder(out.root):
         if isinstance(node, ProdGate) and len(node.children) != 2:
             raise InternalInvariantError("product gate with fan-in != 2 in output")
-    if ir.metrics(out).size > metrics[id(formula.root)].size:
+    if ir.metrics(out).size > m_in.size:
         raise InternalInvariantError("leaf count grew in product_fanin_2")
     return out
 
@@ -1074,9 +1116,10 @@ def depth_reduce_homogeneous(formula: Formula) -> Formula:
     """
     d = ir.syn_degree(formula)
     f1 = depth_reduce_bb(formula, Fraction(1, 2))
+    f2 = depth_reduce_main(f1, "auto")
+    _check_bb(formula, f1, Fraction(1, 2))  # main measured f1
     m1 = ir.metrics(f1)
-    delta = auto_delta(m1.size, d, m1.sum_depth)
-    out = collapse(depth_reduce_main(f1, delta))
+    out = collapse(f2)
     if d >= 1 and ir.metrics(out).size > m1.size * m1.size * max(d, 1):
         raise InternalInvariantError("size above the s'^2 * d bound")
     return out
@@ -1098,17 +1141,21 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
     if d <= 1:
         # no product structure: split-reduce, then flatten the sums
         f1 = depth_reduce_bb(formula, eps)
-        m1 = ir.metrics(f1)
-        f2 = depth_reduce_main(f1, auto_delta(m1.size, d, m1.sum_depth))
+        f2 = depth_reduce_main(f1, "auto")
+        _check_bb(formula, f1, eps)
         return collapse(f2)
     # branch test d^(4/eps) >= s, exactly: with eps = p/q it is d^(4q) >= s^p
     if d ** (4 * eps.denominator) >= s**eps.numerator:
-        return depth_reduce_bb(formula, eps)
+        out = depth_reduce_bb(formula, eps)
+        _check_bb(formula, out, eps)
+        return out
     f1 = depth_reduce_bb(formula, eps / 2)
     delta = _floor_ratio_log(eps, s, d)
     if delta < 2:
         raise InternalInvariantError("branch condition must force delta >= 2")
-    return collapse(depth_reduce_main(f1, delta))
+    f2 = depth_reduce_main(f1, delta)
+    _check_bb(formula, f1, eps / 2)
+    return collapse(f2)
 
 
 def _floor_ratio_log(eps: Fraction, s: int, d: int) -> int:
@@ -1147,13 +1194,48 @@ def pipeline_inhom(formula: Formula, budget: int | None = None) -> Formula:
         raise ValueError("pipeline needs degree >= 1; the input is a constant")
     f1 = depth_reduce_bb(formula, Fraction(1, 2))
     comps = homogenize(f1, d)
+    _check_bb(formula, f1, Fraction(1, 2))  # homogenize measured f1
     comp_d = comps[d]
     if comp_d is None:
         raise InternalInvariantError("degree component missing for the output degree")
-    comp_b = binarize(comp_d)
-    m = ir.metrics(comp_b)
-    delta = auto_delta(m.size, d, m.sum_depth)
-    out = collapse(depth_reduce_main(comp_b, delta))
+    out = collapse(depth_reduce_main(binarize(comp_d), "auto"))
     if not ir.is_homogeneous(out):
         raise InternalInvariantError("pipeline output is not homogeneous")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+#: Pass names run_pass dispatches, in the order the CLI lists them.
+PASSES = ("bb", "main", "nearlinear", "homogeneous", "prodfanin2", "pipeline")
+
+
+def run_pass(formula: Formula, name: str, params: dict) -> tuple[Formula, dict, tuple | None]:
+    """Run a pass by name: the output, the resolved parameters and, for main,
+    the (product depth, size) bounds its output was checked against.
+
+    epsilon None or "auto" means 1/2, delta None or "auto" means auto_delta;
+    the passes reject other values out of range.  main gets its input
+    binarized when a gate is wider than 2."""
+    if name in ("bb", "nearlinear"):
+        eps = params.get("epsilon")
+        eps = Fraction(1, 2) if eps in (None, "auto") else Fraction(eps)
+        if name == "nearlinear":
+            return depth_reduce_nearlinear(formula, eps), {"epsilon": eps}, None
+        out = depth_reduce_bb(formula, eps)
+        _check_bb(formula, out, eps)
+        return out, {"epsilon": eps, "k_bb": bb_branch_param(eps)}, None
+    if name == "main":
+        f2 = formula if ir.max_fanin(formula) <= 2 else binarize(formula)
+        delta = params.get("delta")
+        out, delta, bounds = _reduce_main(f2, "auto" if delta is None else delta)
+        return out, {"delta": delta}, bounds
+    if name == "homogeneous":
+        return depth_reduce_homogeneous(formula), {}, None
+    if name == "prodfanin2":
+        return product_fanin_2(formula), {}, None
+    if name == "pipeline":
+        return pipeline_inhom(formula), {}, None
+    raise ValueError(f"unknown pass {name!r}")

@@ -18,7 +18,6 @@ from lowdepth import bench, hardpoly as hp, ir, pit, poly, sexpr
 from lowdepth import transforms as tr
 from lowdepth.ir import Formula, ProdGate, SumGate, VarLeaf
 
-PASSES = ("bb", "main", "nearlinear", "homogeneous", "prodfanin2", "pipeline")
 EPSILON = Fraction(1)  # k_bb = 16, so the split recursion is exercised at corpus sizes
 PT_CAP = 2500
 
@@ -84,28 +83,10 @@ def runs(corpus):
     out: list[PassRun] = []
     for name, f in corpus:
         table_in = poly.expand(f)
-        for pass_name in PASSES:
-            delta = None
-            if pass_name == "main":
-                f_in = tr.binarize(f)
-                m = ir.metrics(f_in)
-                delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
-                result = tr.depth_reduce_main(f_in, delta)
-            elif pass_name == "bb":
-                f_in = f
-                result = tr.depth_reduce_bb(f, EPSILON)
-            elif pass_name == "nearlinear":
-                f_in = f
-                result = tr.depth_reduce_nearlinear(f, EPSILON)
-            elif pass_name == "homogeneous":
-                f_in = f
-                result = tr.depth_reduce_homogeneous(f)
-            elif pass_name == "prodfanin2":
-                f_in = f
-                result = tr.product_fanin_2(f)
-            else:
-                f_in = f
-                result = tr.pipeline_inhom(f)
+        for pass_name in tr.PASSES:
+            result, params, _ = tr.run_pass(f, pass_name, {"epsilon": EPSILON})
+            # the formula run_pass hands the pass: main's wider inputs are binarized
+            f_in = tr.binarize(f) if pass_name == "main" and ir.max_fanin(f) > 2 else f
             out.append(
                 PassRun(
                     entry=name,
@@ -114,7 +95,7 @@ def runs(corpus):
                     out=result,
                     m_in=ir.metrics(f_in),
                     m_out=ir.metrics(result),
-                    delta=delta,
+                    delta=params.get("delta"),
                     expand_equal=(poly.expand(result) == table_in),
                 )
             )
@@ -142,7 +123,7 @@ def test_criterion_1_oracle_equivalence(corpus, runs):
         not bad
         and n_random >= 200  # >= 100 per mode
         and modes == {True, False}
-        and len(rs) == len(corpus) * len(PASSES)
+        and len(rs) == len(corpus) * len(tr.PASSES)
         and elapsed < 600.0
     )
     _report(1, ok,
@@ -399,7 +380,7 @@ def test_criterion_11_cross_oracle(corpus):
     comm_entries = [(n, f) for n, f in corpus if f.commutative][:40]
     for name, f in comm_entries:
         for pass_name in ("bb", "main", "prodfanin2"):
-            out, _ = bench.apply_pass(f, pass_name, {"epsilon": EPSILON})
+            out, _, _ = tr.run_pass(f, pass_name, {"epsilon": EPSILON})
             expected = poly.equal_expand(f, out)
             got = pit.pit_equal(f, out, cfg_comm).equal
             if got != expected:
@@ -410,7 +391,7 @@ def test_criterion_11_cross_oracle(corpus):
         if not f.commutative and ir.syn_degree(f) <= 4 and ir.size(f) <= 120
     ][:8]
     for name, f in nc_entries:
-        out, _ = bench.apply_pass(f, "main", {})
+        out, _, _ = tr.run_pass(f, "main", {})
         expected = poly.equal_expand(f, out)
         got = pit.pit_equal(f, out, cfg_comm).equal
         if got != expected:

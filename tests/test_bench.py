@@ -1,6 +1,6 @@
 import pytest
 
-from lowdepth import bench, ir, poly
+from lowdepth import bench, ir, poly, transforms
 from lowdepth.errors import InfeasibleShape
 from lowdepth.ir import VarLeaf
 
@@ -137,11 +137,11 @@ def test_unknown_verify_method_fails_row():
 
 def test_every_pass_name_dispatches():
     f = bench.gen_random_homogeneous(4, 4, 40, seed=7)
-    for name in bench.PASSES:
-        out, _ = bench.apply_pass(f, name, {})
+    for name in transforms.PASSES:
+        out, _, _ = transforms.run_pass(f, name, {})
         assert poly.equal_expand(f, out), name
     with pytest.raises(ValueError, match="unknown pass"):
-        bench.apply_pass(f, "bogus", {})
+        transforms.run_pass(f, "bogus", {})
 
 
 def test_csv_columns_fixed_order():

@@ -1,6 +1,9 @@
 import json
 
-from lowdepth import cli, hardpoly, ir, poly, sexpr
+import pytest
+
+from lowdepth import bench, cli, hardpoly, ir, poly, sexpr, transforms
+from lowdepth.ir import ProdGate, SumGate, VarLeaf
 from lowdepth.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
 
 
@@ -93,6 +96,98 @@ def test_reduce_no_verify(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert reports(out)[0]["verify"]["verdict"] == "skipped"
+
+
+def test_reduce_epsilon_out_of_range_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "in.frm"
+    src.write_text("(* x1 x2 x3)\n")
+    for method in ("bb", "nearlinear"):
+        for eps, shown in (("0", "0"), ("0/5", "0"), ("2", "2")):
+            code, _, err = run_cli(
+                capsys, "reduce", str(src), "--method", method, "--epsilon", eps,
+                "--no-verify", "-o", str(tmp_path / "o.frm"),
+            )
+            assert code == EXIT_USAGE
+            assert err.strip() == f"error: epsilon must be in (0, 1], got {shown}"
+
+
+def test_bench_epsilon_out_of_range_fails_rows(capsys):
+    for eps in ("0", "2"):
+        code, out, _ = run_cli(
+            capsys, "bench", "--family", "comb", "--sizes", "16,32", "--pass", "bb",
+            "--epsilon", eps, "--verify", "pit",
+        )
+        assert code == EXIT_VERIFY_FAILED
+        rows = [r for r in reports(out) if r["pass"] == "bench/bb"]
+        assert len(rows) == 2
+        for r in rows:
+            assert r["verify"]["verdict"] == "failed"
+            assert "epsilon must be in (0, 1]" in r["extra"]["error"]
+
+
+@pytest.mark.parametrize("fault", ["deeper", "higher-degree"])
+def test_reduce_rejects_bb_output_outside_contract(tmp_path, capsys, monkeypatch, fault):
+    f = bench.gen_comb(200)
+    src = tmp_path / "in.frm"
+    sexpr.write_file(str(src), f)
+    bound = transforms.bb_depth_bound(200, transforms.bb_branch_param(1))
+    real = transforms.depth_reduce_bb
+
+    def doctored(formula, epsilon):
+        out = real(formula, epsilon)
+        one, root = out.field.one(), out.root
+        if fault == "deeper":  # fan-in-1 sums, one level past the bound
+            for _ in range(bound + 1 - ir.metrics(out).depth):
+                root = SumGate(((one, root),))
+        else:  # times a fresh variable, within the depth bound
+            root = ProdGate(((one, root), (one, VarLeaf(999))))
+            assert ir.metrics(out).depth + 1 <= bound
+        return out.with_root(root)
+
+    monkeypatch.setattr(transforms, "depth_reduce_bb", doctored)
+    code, _, err = run_cli(
+        capsys, "reduce", str(src), "--method", "bb", "--epsilon", "1",
+        "-o", str(tmp_path / "o.frm"),
+    )
+    assert code == EXIT_VERIFY_FAILED
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: bb ")
+
+
+def test_metrics_walks_per_reduce(tmp_path, capsys, monkeypatch):
+    # every formula's root metrics are measured once and kept; passes that
+    # build a per-node map keep its root entry instead of walking again
+    wide = bench.gen_random_homogeneous(6, 4, 60, seed=3)
+    quadratic = bench.gen_random_homogeneous(6, 2, 60, seed=3)
+    assert ir.max_fanin(wide) > 2 and 2**4 < ir.size(quadratic)
+    files = {}
+    for name, f in (("wide", wide), ("fan2", transforms.binarize(wide)), ("d2", quadratic)):
+        files[name] = tmp_path / f"{name}.frm"
+        sexpr.write_file(str(files[name]), f)
+    walks = []
+    real = ir.metrics_map
+
+    def counting(root):
+        walks.append(root)
+        return real(root)
+
+    monkeypatch.setattr(ir, "metrics_map", counting)
+    out = str(tmp_path / "o.frm")
+    cases = [
+        (["reduce", files["wide"], "--method", "homogeneous"], 4),
+        (["reduce", files["fan2"], "--method", "main"], 2),
+        (["reduce", files["wide"], "--method", "main"], 3),
+        (["reduce", files["wide"], "--method", "nearlinear"], 2),  # bb only
+        (["reduce", files["d2"], "--method", "nearlinear", "--epsilon", "1"], 4),
+        (["reduce", files["wide"], "--method", "pipeline"], 6),
+        (["prodfanin2", files["wide"]], 2),
+        (["reduce", files["wide"], "--method", "bb"], 2),
+    ]
+    for argv, most in cases:
+        walks.clear()
+        extra = ["--no-verify"] if argv[0] == "reduce" else []
+        code, _, _ = run_cli(capsys, *map(str, argv), *extra, "-o", out)
+        assert code == EXIT_OK
+        assert len(walks) <= most, (argv, len(walks))
 
 
 def test_homogenize_writes_components(tmp_path, capsys):

@@ -311,6 +311,40 @@ def test_bb_monotone_and_mode_preserved(corpus_both):
         assert ir.syn_degree(out) <= ir.syn_degree(f)
 
 
+def test_bb_depth_bound_recursion():
+    # s up to k, then 4 more per level, each shrinking s to ceil((k-1)s/k) - 1
+    assert [tr.bb_depth_bound(s, 16) for s in (1, 16, 17, 18)] == [1, 16, 19, 20]
+    assert [tr.bb_depth_bound(8001, k) for k in (16, 256)] == [375, 3356]
+
+
+def test_bb_contract_on_corpus(corpus_both):
+    hard33 = gen_hard(HardParams(k=3, r=3))
+    for eps in (Fraction(1, 2), 1):
+        k = tr.bb_branch_param(eps)
+        for f in corpus_both + [hard33]:
+            out, params, _ = tr.run_pass(f, "bb", {"epsilon": eps})  # checks the contract
+            assert params == {"epsilon": eps, "k_bb": k}
+            m_in, m_out = ir.metrics(f), ir.metrics(out)
+            assert m_out.depth <= tr.bb_depth_bound(m_in.size, k)
+            assert m_out.syn_degree == m_in.syn_degree
+
+
+def test_run_pass_rejects_out_of_range_params():
+    f = gen_random_homogeneous(4, 4, 40, seed=7)
+    for delta in (0, "0"):
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            tr.run_pass(f, "main", {"delta": delta})
+    for name in ("bb", "nearlinear"):
+        for eps in (0, "0/5", Fraction(0), "2"):
+            with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\]"):
+                tr.run_pass(f, name, {"epsilon": eps})
+    # only None and "auto" pick the defaults
+    assert tr.run_pass(f, "bb", {"epsilon": None})[1]["epsilon"] == Fraction(1, 2)
+    m = ir.metrics(f if ir.max_fanin(f) <= 2 else tr.binarize(f))
+    auto = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
+    assert tr.run_pass(f, "main", {"delta": "auto"})[1] == {"delta": auto}
+
+
 # ---------------------------------------------------------------------------
 # potential, frontier, skew rewrite
 # ---------------------------------------------------------------------------
@@ -469,6 +503,7 @@ def test_main_corpus_bounds_and_preservation(corpus_both):
         m = ir.metrics(fb)
         delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
         out = tr.depth_reduce_main(fb, delta)
+        assert tr.depth_reduce_main(fb, "auto") == out
         assert_equivalent(f, out)
         mo = ir.metrics(out)
         phi = tr._potential_of(max(m.syn_degree, 1), m.sum_depth, delta).phi
@@ -821,6 +856,7 @@ def test_deep_comb_all_passes(monkeypatch):
         assert ir.metrics(bb).depth < 400
         # the CLI's default epsilon, k = 256
         bb_half = tr.depth_reduce_bb(f, Fraction(1, 2))
+        assert (ir.metrics(bb).depth, ir.metrics(bb_half).depth) == (277, 2453)
         fb = tr.binarize(f)
         m = ir.metrics(fb)
         delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
