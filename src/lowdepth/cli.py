@@ -285,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--human", action="store_true", help="human-readable reports")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, budget=True):
-        if budget:
-            p.add_argument("--budget", type=int, default=poly.DEFAULT_EXPANSION_BUDGET)
+    def add_budget(p):
+        p.add_argument("--budget", type=int, default=poly.DEFAULT_EXPANSION_BUDGET)
 
     p = sub.add_parser("stats", help="structural metrics of a formula")
     p.add_argument("formula")
@@ -296,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="well-formedness (and optional zero-gate) check")
     p.add_argument("formula")
     p.add_argument("--check-zero-gates", action="store_true")
-    add_common(p)
+    add_budget(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("expand", help="exact expansion")
     p.add_argument("formula")
     p.add_argument("--max-terms", type=int, default=64, help="cap on printed terms")
-    add_common(p)
+    add_budget(p)
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("reduce", help="run a depth-reduction pass")
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--prime", type=int, default=_default_prime())
     p.add_argument("-o", "--out")
-    add_common(p)
+    add_budget(p)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("homogenize", help="split into degree components")
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--formula", default=None,
                    help="check this formula instead of the canonical one")
-    add_common(p)
+    add_budget(p)
     p.set_defaults(fn=cmd_check_hard)
 
     p = sub.add_parser("verify-equal", help="decide whether two formulas agree")
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--prime", type=int, default=_default_prime())
-    add_common(p)
+    add_budget(p)
     p.set_defaults(fn=cmd_verify_equal)
 
     p = sub.add_parser("bench", help="measure passes over formula families")

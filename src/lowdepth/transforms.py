@@ -229,8 +229,17 @@ def _balance_edges(kind, edges: list, one: Scalar):
     return (one, kind((left, right)))
 
 
-def _binarize_node(root: Node, field: Field) -> tuple[Scalar, Node]:
-    """Bottom-up fan-in-2 normalization; returns a pending scalar and a node."""
+def binarize(formula: Formula) -> Formula:
+    """Equivalent formula with every gate at fan-in 2.
+
+    Fan-in-1 gates are absorbed into the parent edge; wider gates split into
+    balanced binary trees, preserving child order, degrees and signs, so
+    homogeneity, monotonicity and the mode survive.  Leaf count never grows
+    (it only shrinks when parallel constant leaves of one sum merge).  Two
+    degenerate shapes keep a fan-in-1 sum at the root: a scaled bare leaf and
+    a constant output.
+    """
+    field = formula.field
     one = field.one()
 
     def fn(node: Node, vals: list) -> tuple[Scalar, Node]:
@@ -254,29 +263,12 @@ def _binarize_node(root: Node, field: Field) -> tuple[Scalar, Node]:
             if not isinstance(sub, OneLeaf):
                 return (c, sub)  # absorb the fan-in-1 gate into the parent edge
             return (one, SumGate(tuple(edges)))
-        if len(edges) == 2:
-            if not changed:
-                return (one, node)
-            return (one, _gate(node, tuple(edges)))
-        kind = SumGate if isinstance(node, SumGate) else ProdGate
-        return (one, _balance_edges(kind, edges, one)[1])
+        if len(edges) == 2 and not changed:
+            return (one, node)
+        return _balance_edges(type(node), edges, one)
 
-    scalar, out = ir.node_attribute(root, fn)[id(root)]  # type: ignore[misc]
-    return scalar, out
-
-
-def binarize(formula: Formula) -> Formula:
-    """Equivalent formula with every gate at fan-in 2.
-
-    Fan-in-1 gates are absorbed into the parent edge; wider gates split into
-    balanced binary trees, preserving child order, degrees and signs, so
-    homogeneity, monotonicity and the mode survive.  Leaf count never grows
-    (it only shrinks when parallel constant leaves of one sum merge).  Two
-    degenerate shapes keep a fan-in-1 sum at the root: a scaled bare leaf and
-    a constant output.
-    """
-    scalar, out = _binarize_node(formula.root, formula.field)
-    return formula.with_root(scale_node(scalar, out, formula.field))
+    scalar, out = ir.node_attribute(formula.root, fn)[id(formula.root)]  # type: ignore[misc]
+    return formula.with_root(scale_node(scalar, out, field))
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +398,16 @@ def _path_to(root: Node, target: Node) -> list[tuple[Node, int]]:
     return path
 
 
-# constant-or-node values: None is the zero polynomial, (scalar, None) a
-# constant, (scalar, node) a scaled subformula
-PendingValue = "tuple[Scalar, Node | None] | None"
-
-
 def _decompose_along(path: list[tuple[Node, int]], field: Field):
     """Split F = A * alpha * B + C along a root-to-alpha path.
 
-    Returns (a_edges, b_edges, c_value, path_scalar): A collects the factors
-    multiplying alpha on the left, top-down; B the right factors, bottom-up;
-    C is F with alpha set to zero, as a pending value (None when it
-    vanishes); the path scalar is the product of edge weights on the path.
+    Returns (A, B, C) as pending values: None is the zero polynomial,
+    (c, None) the constant c, and (c, node) the subformula node scaled by c.
+    A is the product of the factors multiplying alpha on the left, top-down,
+    times the edge weights on the path; B the right factors, bottom-up.  Both
+    are balanced fan-in-2 products over the factors (the constant one when
+    there are none).  C is F with alpha set to zero (None when it vanishes);
+    its new gates have the fan-in of the path gates they replace.
     """
     one = field.one()
     ps = one
@@ -428,9 +418,13 @@ def _decompose_along(path: list[tuple[Node, int]], field: Field):
         if isinstance(g, ProdGate):
             a_edges.extend(g.children[:i])
             b_groups.append(list(g.children[i + 1:]))
-    b_edges: list = []
-    for group in reversed(b_groups):
-        b_edges.extend(group)
+    b_edges = [e for group in reversed(b_groups) for e in group]
+
+    def product(scalar: Scalar, edges: list):
+        if not edges:
+            return (scalar, None)
+        c, node = _balance_edges(ProdGate, edges, one)
+        return (field.mul(scalar, c), node)
 
     c_val = None  # zero at alpha itself
     for g, i in reversed(path):
@@ -475,16 +469,7 @@ def _decompose_along(path: list[tuple[Node, int]], field: Field):
                     c_val = node_parts[0]
                 else:
                     c_val = (one, SumGate(tuple(node_parts)))
-    return a_edges, b_edges, c_val, ps
-
-
-def _edges_to_node(edges: list, field: Field) -> tuple[Scalar, Node] | None:
-    """Materialize an ordered factor list as a product edge; None when empty."""
-    if not edges:
-        return None
-    if len(edges) == 1:
-        return edges[0]
-    return (field.one(), ProdGate(tuple(edges)))
+    return product(ps, a_edges), product(one, b_edges), c_val
 
 
 def _pending_to_root(value, field: Field) -> Node | None:
@@ -502,31 +487,19 @@ def bb_decompose(formula: Formula, split: BBSplit | int):
     expand(F) = expand(A) * expand(F_alpha) * expand(B) + expand(C),
     the factors in exactly that order in non-commutative mode.
 
-    Empty products are the constant-one formula; C is None when setting alpha
-    to zero leaves nothing.  The path scalar is folded into A.
+    These are the parts depth_reduce_bb recurses on.  Empty products are the
+    constant-one formula; C is None when setting alpha to zero leaves
+    nothing.  The path scalar is folded into A.  On a binarized input every
+    part is fan-in 2: A and B are balanced products of their factors.
     """
     field = formula.field
     gate_id = split.gate_id if isinstance(split, BBSplit) else split
     nodes = ir.gates_preorder(formula)
     if not 0 <= gate_id < len(nodes):
         raise ValueError(f"gate id {gate_id} out of range")
-    alpha = nodes[gate_id]
-    path = _path_to(formula.root, alpha)
-    a_edges, b_edges, c_val, ps = _decompose_along(path, field)
-
-    def materialize(edges: list, pending: Scalar) -> Formula:
-        made = _edges_to_node(list(edges), field)
-        if made is None:
-            root: Node = OneLeaf() if field.is_one(pending) else SumGate(((pending, OneLeaf()),))
-            return formula.with_root(root)
-        c, node = made
-        return formula.with_root(scale_node(field.mul(pending, c), node, field))
-
-    a = materialize(a_edges, ps)
-    b = materialize(b_edges, field.one())
-    c_root = _pending_to_root(c_val, field)
-    c = formula.with_root(c_root) if c_root is not None else None
-    return a, b, c
+    parts = _decompose_along(_path_to(formula.root, nodes[gate_id]), field)
+    roots = [_pending_to_root(part, field) for part in parts]
+    return tuple(None if r is None else formula.with_root(r) for r in roots)
 
 
 def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1, 2)) -> Formula:
@@ -539,11 +512,14 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
     Homogeneity, monotonicity, mode, and the syntactic degree bound are
     preserved.
 
-    Leaf counts are computed once per pass for the gates of the binarized
-    input.  A recursion level counts only the gates that decompositions
-    built (the A, B and C parts, and what lies below them down to input
-    gates), and drops that map before it recurses, so the pass holds counts
-    for the input plus one level's new gates, not for every level.
+    The input is binarized once.  The parts A, B and C are then fan-in 2 by
+    construction (their subtrees come from the binarized input or from
+    earlier parts), so the recursion runs on them as built.  Leaf counts are
+    computed once per pass for the gates of the binarized input.  A
+    recursion level counts only the gates that decompositions built (the
+    parts, and what lies below them down to input gates), and drops that
+    map before it recurses, so the pass holds counts for the input plus one
+    level's new gates, not for every level.
     """
     eps = Fraction(epsilon)
     k = bb_branch_param(eps)
@@ -562,36 +538,21 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
         del counts  # do not hold one level's map while recursing
         if not is_gate(alpha) or len(alpha.children) != 2:
             raise InternalInvariantError("split walk must end on a fan-in-2 gate")
-        a_edges, b_edges, c_val, ps = _decompose_along(path, field)
+        (sa, a), (sb, b), c_val = _decompose_along(path, field)
 
         (cb, beta), (cg, gamma) = alpha.children
-        core: Node = _gate(alpha, ((cb, (yield beta)), (cg, (yield gamma))))
-
-        def reduce_part(edges: list):
-            made = _edges_to_node(edges, field)
-            if made is None:
-                return None
-            c, sub = made
-            c2, sub2 = _binarize_node(sub, field)
-            return (field.mul(c, c2), (yield sub2))
-
-        left = yield from reduce_part(a_edges)
-        right = yield from reduce_part(b_edges)
-        sc = ps
-        body = core
-        if left is not None:
-            sc = field.mul(sc, left[0])
-            body = ProdGate(((one, left[1]), (one, body)))
-        if right is not None:
-            sc = field.mul(sc, right[0])
-            body = ProdGate(((one, body), (one, right[1])))
+        body: Node = _gate(alpha, ((cb, (yield beta)), (cg, (yield gamma))))
+        if a is not None:
+            body = ProdGate(((one, (yield a)), (one, body)))
+        if b is not None:
+            body = ProdGate(((one, body), (one, (yield b))))
+        sc = field.mul(sa, sb)
         if c_val is None:
             return scale_node(sc, body, field)
         cv, cn = c_val
         if cn is None:
             return SumGate(((sc, body), (cv, OneLeaf())))
-        cc, c_bin = _binarize_node(cn, field)
-        return SumGate(((sc, body), (field.mul(cv, cc), (yield c_bin))))
+        return SumGate(((sc, body), (cv, (yield cn))))
 
     return formula.with_root(run_recursive(reduce_node, start.root))
 
@@ -1171,19 +1132,18 @@ def _floor_ratio_log(eps: Fraction, s: int, d: int) -> int:
     return j
 
 
-def pipeline_inhom(formula: Formula, budget: int | None = None) -> Formula:
+def pipeline_inhom(formula: Formula) -> Formula:
     """Depth O(log d) for a possibly inhomogeneous formula computing a
     homogeneous polynomial: binarize, split-reduce, take the degree-d
     component, potential-reduce, collapse.
 
-    The input is checked semantically (by expansion, within budget): all
-    monomials must share one degree d >= 1.
+    The input is checked semantically (by expansion, within
+    poly.DEFAULT_EXPANSION_BUDGET): all monomials must share one degree
+    d >= 1.
     """
     from . import poly
 
-    table = poly.expand(
-        formula, budget=budget if budget is not None else poly.DEFAULT_EXPANSION_BUDGET
-    )
+    table = poly.expand(formula, budget=poly.DEFAULT_EXPANSION_BUDGET)
     degrees = table.degrees_present()
     if not degrees:
         raise ValueError("formula computes the zero polynomial")

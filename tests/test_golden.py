@@ -2,8 +2,11 @@
 
 The passes are deterministic, so a change that keeps their behaviour keeps
 these digests byte for byte; a digest that moves means some output changed.
-The comb(8001) digests live in test_transforms.test_deep_comb_all_passes,
-which already builds those outputs.
+Every pass with a registry name runs through transforms.run_pass, so the
+pinned outputs also pass its contracts; collapse and homogenize have no
+registry name and are called directly.  The comb(8001) digests live in
+test_transforms.test_deep_comb_all_passes, which already builds those
+outputs.
 """
 
 from __future__ import annotations
@@ -19,26 +22,25 @@ from lowdepth.hardpoly import HardParams, gen_hard
 from conftest import digest
 
 
-def _main(f):
-    fb = tr.binarize(f)
-    m = ir.metrics(fb)
-    return tr.depth_reduce_main(fb, tr.auto_delta(m.size, m.syn_degree, m.sum_depth))
-
-
 def _homogenize(f):
     fb = tr.binarize(f)
     return tr.homogenize(fb, ir.syn_degree(fb))
 
 
+def _run(name, params=None):
+    """The pass as the registry dispatches it, contract checks included."""
+    return lambda f: tr.run_pass(f, name, params or {})[0]
+
+
 PASSES = {
-    "bb_half": lambda f: tr.depth_reduce_bb(f, Fraction(1, 2)),
-    "bb_one": lambda f: tr.depth_reduce_bb(f, 1),
-    "main": _main,
-    "product_fanin_2": tr.product_fanin_2,
+    "bb_half": _run("bb", {"epsilon": Fraction(1, 2)}),
+    "bb_one": _run("bb", {"epsilon": 1}),
+    "main": _run("main"),
+    "product_fanin_2": _run("prodfanin2"),
     "homogenize": _homogenize,
-    "homogeneous": tr.depth_reduce_homogeneous,
-    "nearlinear": tr.depth_reduce_nearlinear,
-    "pipeline": tr.pipeline_inhom,
+    "homogeneous": _run("homogeneous"),
+    "nearlinear": _run("nearlinear"),
+    "pipeline": _run("pipeline"),
     "collapse": tr.collapse,
 }
 

@@ -175,25 +175,31 @@ def test_decompose_noncommutative_order():
     assert lhs == rhs
 
 
-def _check_decompose_identity(f, k):
-    split = tr.bb_find_split(f, k)
-    a, b, c = tr.bb_decompose(f, split)
-    alpha = ir.gates_preorder(f)[split.gate_id]
-    prod = poly.expand(a).mul(poly.expand(f.with_root(alpha))).mul(poly.expand(b))
+def _check_decompose_identity(fb, k):
+    # fb is binarized: the parts are the ones depth_reduce_bb recurses on,
+    # fan-in 2 as built, so binarize leaves their text unchanged
+    split = tr.bb_find_split(fb, k)
+    a, b, c = tr.bb_decompose(fb, split)
+    alpha = ir.gates_preorder(fb)[split.gate_id]
+    prod = poly.expand(a).mul(poly.expand(fb.with_root(alpha))).mul(poly.expand(b))
     rhs = prod.add(poly.expand(c)) if c is not None else prod
-    assert poly.expand(f) == rhs
+    assert poly.expand(fb) == rhs
     s = split.size_total
-    for part in (a, b):
+    for part in (a, b, c):
+        if part is None:
+            continue
         assert ir.size(part) <= max(1, 2 * s // k)
-    if c is not None:
-        assert ir.size(c) <= max(1, 2 * s // k)
+        assert ir.max_fanin(part) <= 2
+        assert sexpr.serialize(tr.binarize(part)) == sexpr.serialize(part)
 
 
 def test_decompose_identity_on_corpus(corpus_both):
-    for f in corpus_both:
-        fb = tr.binarize(f)
-        if ir.size(fb) > 16:
-            _check_decompose_identity(fb, 16)
+    inputs = [tr.binarize(f) for f in corpus_both]
+    inputs += [gen_comb(64), gen_comb(257), tr.binarize(gen_hard(HardParams(k=3, r=3)))]
+    for fb in inputs:
+        for k in (4, 16):
+            if ir.size(fb) > k:
+                _check_decompose_identity(fb, k)
 
 
 def test_find_split_uniqueness_matches_walk(corpus_both):
@@ -297,6 +303,22 @@ def test_bb_comb_leaf_counting_linear(monkeypatch):
     assert visits[0] == input_gates  # the binarized input, counted first
     # distinct = the input's gates plus every gate a decomposition built
     assert sum(visits) <= 2 * len(distinct)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2), 1])
+def test_bb_walks_node_attribute_once(monkeypatch, eps):
+    # the input is binarized once; the parts are fan-in 2 as built, so no
+    # level re-binarizes them
+    walks = []
+    node_attribute = ir.node_attribute
+
+    def counting(root, fn):
+        walks.append(root)
+        return node_attribute(root, fn)
+
+    monkeypatch.setattr(ir, "node_attribute", counting)
+    tr.depth_reduce_bb(gen_comb(2001), eps)
+    assert len(walks) == 1
 
 
 def test_bb_monotone_and_mode_preserved(corpus_both):
