@@ -83,6 +83,40 @@ def test_syntax_errors_positioned():
     assert err is not None and err.position is not None
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # only space, tab, CR and LF end an atom; other whitespace is part of it
+        ("(+ x1\x0bx2 x3)", "bad variable 'x1\\x0bx2' (at position 3)", 3),
+        ("(+ x1\xa0x2 x3)", "bad variable 'x1\\xa0x2' (at position 3)", 3),
+        ("(+ (scale 2/0 x1) x2)", "bad rational scalar '2/0': Fraction(2, 0)", None),
+        # the same bad scalar twice in one text: its first use fails
+        ("(+ (scale 1/0 x1) (scale 1/0 x2))", "bad rational scalar '1/0': Fraction(1, 0)", None),
+        ("field: Fp:7\n(+ (scale 2.5 x1) (scale 2.5 x2))", "bad field element '2.5'", None),
+        ("(+ x1 x2))", "unmatched ) (at position 9)", 9),
+        (")", "unmatched ) (at position 0)", 0),
+        ("(+ x1 (* x2 x3)", "unterminated gate (at position 1)", 1),
+        ("(+ x1 (", "unterminated gate (at position 6)", 6),
+    ],
+)
+def test_syntax_error_message_and_position(text, message, position):
+    # parsed twice: a failed scalar must fail again, not come back from a cache
+    for _ in range(2):
+        with pytest.raises(FormulaSyntaxError) as info:
+            sexpr.parse(text)
+        assert str(info.value) == message
+        assert info.value.position == position
+
+
+def test_repeated_scalar_text_parses_to_equal_scalars():
+    for header, c in (("", "2/3"), ("field: Fp:7\n", "3")):
+        f = sexpr.parse(header + f"(+ (scale {c} x1) (* (scale {c} x2) x3) (scale 5 x4))")
+        (c1, _), (_, prod), (c3, _) = f.root.children
+        c2 = prod.children[0][0]
+        assert c1 == c2 and c1 != c3 and type(c1) is type(c2) is type(c3)
+        assert sexpr.parse(sexpr.serialize(f)) == f
+
+
 def test_hard_formula_roundtrip():
     f = gen_hard(HardParams(k=2, r=2))
     assert sexpr.parse(sexpr.serialize(f)) == f
