@@ -3,6 +3,12 @@
 Every asserted bound uses exact integer arithmetic; only bench's reference
 curves and fitted constants are floats.  A scalar is a Fraction (over Q) or a
 plain int in [0, p) (over Fp); a formula carries one field, never mixed.
+
+Rationals.one() is one shared Fraction(1), which the parser puts on every
+elided edge weight.  mul returns the other operand when either operand is that
+object, and is_one tests identity first, so the passes skip multiplying by
+the unit weight without a test on its value.  The scalar types are unchanged:
+the shared one is a Fraction like any other scalar over Q.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ Scalar = Union[Fraction, int]
 
 #: Default prime for identity testing: the Mersenne prime 2^61 - 1.
 MERSENNE61 = 2**61 - 1
+
+_ONE = Fraction(1)  # Rationals.one(): the identity mul and is_one test first
 
 
 class Rationals:
@@ -31,12 +39,16 @@ class Rationals:
         return Fraction(0)
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
+        if a is _ONE:
+            return b
+        if b is _ONE:
+            return a
         return a * b
 
     def neg(self, a: Fraction) -> Fraction:
@@ -46,7 +58,7 @@ class Rationals:
         return a == 0
 
     def is_one(self, a: Fraction) -> bool:
-        return a == 1
+        return a is _ONE or a == 1
 
     def is_positive(self, a: Fraction) -> bool:
         return a > 0

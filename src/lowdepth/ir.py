@@ -16,13 +16,17 @@ Conventions fixed across the toolkit:
   semantically significant.
 
 Traversals that can meet very deep trees (combs) are iterative; nothing in
-this module recurses on tree structure.
+this module recurses on tree structure.  They share one kernel, postorder,
+which returns the distinct nodes as a list (children before parents) from one
+loop that dispatches on the node's exact type; node_attribute and
+metrics_map loop over that list.  GateMetrics is a named tuple: one per node,
+built without a dataclass constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import (
     BudgetExceeded,
@@ -99,27 +103,37 @@ def is_gate(node: Node) -> bool:
 # Iterative traversals
 # ---------------------------------------------------------------------------
 
-def iter_postorder(root: Node) -> Iterator[Node]:
-    """Yield each distinct node object once, children before parents.
+def postorder(root: Node) -> list[Node]:
+    """Each distinct node object once, children before parents.
 
     Distinctness is by object identity, so shared subtrees (which may occur
-    transiently inside passes) are visited a single time.
+    transiently inside passes) are visited a single time.  Among siblings the
+    first child comes first.  Callers loop over the list and drop it, so it
+    lives no longer than one walk.
     """
+    out: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    stack: list = [root]  # a node to enter, or a 1-tuple: a gate to emit
+    emit, push, mark = out.append, stack.append, seen.add
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if is_gate(node):
-            for _, child in reversed(node.children):
-                if id(child) not in seen:
-                    stack.append((child, False))
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:
+            emit(node[0])
+        elif id(node) not in seen:
+            mark(id(node))
+            if kind is SumGate or kind is ProdGate:
+                push((node,))
+                for _, child in reversed(node.children):
+                    push(child)
+            else:
+                emit(node)
+    return out
+
+
+def iter_postorder(root: Node) -> Iterator[Node]:
+    """Iterator over postorder(root)."""
+    return iter(postorder(root))
 
 
 def node_attribute(root: Node, fn: Callable[[Node, list], object]) -> dict[int, object]:
@@ -130,12 +144,12 @@ def node_attribute(root: Node, fn: Callable[[Node, list], object]) -> dict[int, 
     alive (keys are object ids).
     """
     memo: dict[int, object] = {}
-    for node in iter_postorder(root):
-        if is_gate(node):
-            vals = [memo[id(child)] for _, child in node.children]
+    for node in postorder(root):
+        kind = type(node)
+        if kind is SumGate or kind is ProdGate:
+            memo[id(node)] = fn(node, [memo[id(child)] for _, child in node.children])
         else:
-            vals = []
-        memo[id(node)] = fn(node, vals)
+            memo[id(node)] = fn(node, [])
     return memo
 
 
@@ -192,7 +206,7 @@ def tree_materialize(root: Node) -> Node:
 def variables(formula: Formula) -> set[int]:
     """The set of variable ids appearing on the leaves."""
     out: set[int] = set()
-    for node in iter_postorder(formula.root):
+    for node in postorder(formula.root):
         if isinstance(node, VarLeaf):
             out.add(node.var)
     return out
@@ -243,8 +257,7 @@ def validate(formula: Formula) -> None:
 # Metrics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GateMetrics:
+class GateMetrics(NamedTuple):
     """Per-gate structural measurements."""
 
     size: int
@@ -254,26 +267,27 @@ class GateMetrics:
     syn_degree: int
 
 
-def _metrics_of(node: Node, vals: list) -> GateMetrics:
-    if isinstance(node, VarLeaf):
-        return GateMetrics(1, 0, 0, 0, 1)
-    if isinstance(node, OneLeaf):
-        return GateMetrics(1, 0, 0, 0, 0)
-    size = sum(v.size for v in vals)
-    depth = 1 + max(v.depth for v in vals)
-    is_sum = isinstance(node, SumGate)
-    sum_depth = (1 if is_sum else 0) + max(v.sum_depth for v in vals)
-    product_depth = (0 if is_sum else 1) + max(v.product_depth for v in vals)
-    if is_sum:
-        syn_degree = max(v.syn_degree for v in vals)
-    else:
-        syn_degree = sum(v.syn_degree for v in vals)
-    return GateMetrics(size, depth, sum_depth, product_depth, syn_degree)
+_VAR_METRICS = GateMetrics(1, 0, 0, 0, 1)
+_ONE_METRICS = GateMetrics(1, 0, 0, 0, 0)
 
 
 def metrics_map(root: Node) -> dict[int, GateMetrics]:
     """Intrinsic metrics for every node, keyed by id(node)."""
-    return node_attribute(root, _metrics_of)  # type: ignore[return-value]
+    memo: dict[int, GateMetrics] = {}
+    for node in postorder(root):
+        kind = type(node)
+        if kind is VarLeaf:
+            memo[id(node)] = _VAR_METRICS
+        elif kind is OneLeaf:
+            memo[id(node)] = _ONE_METRICS
+        else:
+            sizes, depths, sums, prods, degrees = zip(*[memo[id(ch)] for _, ch in node.children])
+            if kind is SumGate:
+                m = GateMetrics(sum(sizes), 1 + max(depths), 1 + max(sums), max(prods), max(degrees))
+            else:
+                m = GateMetrics(sum(sizes), 1 + max(depths), max(sums), 1 + max(prods), sum(degrees))
+            memo[id(node)] = m
+    return memo
 
 
 def metrics(formula: Formula) -> GateMetrics:
@@ -304,7 +318,7 @@ def syn_degree(formula: Formula) -> int:
 
 def max_fanin(formula: Formula) -> int:
     worst = 0
-    for node in iter_postorder(formula.root):
+    for node in postorder(formula.root):
         if is_gate(node):
             worst = max(worst, len(node.children))
     return worst
@@ -318,7 +332,7 @@ def is_homogeneous(formula: Formula) -> bool:
     """True iff the children of every sum gate share one syntactic degree."""
     memo = metrics_map(formula.root)
     keep_metrics(formula, memo)
-    for node in iter_postorder(formula.root):
+    for node in postorder(formula.root):
         if isinstance(node, SumGate):
             degrees = {memo[id(ch)].syn_degree for _, ch in node.children}
             if len(degrees) > 1:
@@ -328,7 +342,7 @@ def is_homogeneous(formula: Formula) -> bool:
 
 def is_skew(formula: Formula) -> bool:
     """True iff every product gate has at most one non-leaf child."""
-    for node in iter_postorder(formula.root):
+    for node in postorder(formula.root):
         if isinstance(node, ProdGate):
             non_trivial = sum(1 for _, ch in node.children if not is_leaf(ch))
             if non_trivial > 1:
@@ -343,7 +357,7 @@ def is_monotone_syntactic(formula: Formula) -> bool:
     """
     if not formula.field.ordered:
         raise FieldUnordered("syntactic monotonicity needs an ordered field")
-    for node in iter_postorder(formula.root):
+    for node in postorder(formula.root):
         if is_gate(node):
             for scalar, _ in node.children:
                 if not formula.field.is_positive(scalar):

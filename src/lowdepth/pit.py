@@ -107,7 +107,7 @@ def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
 def _shape(root: ir.Node) -> tuple[list[ir.Node], int, int, set[int]]:
     """Postorder of the distinct nodes, syntactic degree, size and variables,
     from one traversal."""
-    order = list(ir.iter_postorder(root))
+    order = ir.postorder(root)
     degree: dict[int, int] = {}
     size: dict[int, int] = {}
     vs: set[int] = set()

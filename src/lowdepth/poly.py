@@ -258,7 +258,7 @@ def _expand(formula: ir.Formula, budget: int | None, sizes: dict[int, int] | Non
     """
     comm, f = formula.commutative, formula.field
     p = f.p if isinstance(f, PrimeField) else None
-    order = list(ir.iter_postorder(formula.root))
+    order = ir.postorder(formula.root)
     uses = Counter(id(child) for node in order if ir.is_gate(node) for _, child in node.children)
     tables: dict[int, dict] = {}
     for node in order:

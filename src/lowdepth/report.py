@@ -10,13 +10,7 @@ from .ir import GateMetrics
 
 
 def metrics_dict(m: GateMetrics) -> dict:
-    return {
-        "size": m.size,
-        "depth": m.depth,
-        "sum_depth": m.sum_depth,
-        "product_depth": m.product_depth,
-        "syn_degree": m.syn_degree,
-    }
+    return m._asdict()
 
 
 def _jsonable(value):

@@ -24,8 +24,10 @@ without recursion issues.
 
 from __future__ import annotations
 
+import re
+
 from .errors import FormulaSyntaxError
-from .fields import QQ, Field, field_from_name
+from .fields import QQ, Field, Scalar, field_from_name
 from .ir import Formula, OneLeaf, ProdGate, SumGate, VarLeaf, validate
 
 
@@ -38,28 +40,14 @@ def cantor_pair(i: int, j: int) -> int:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_ATOM_END = set(" \t\r\n()")
+# a parenthesis, or an atom: a run of anything but space, tab, CR, LF and
+# parentheses (other whitespace, such as a vertical tab, is part of an atom)
+_TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
 
 
 def _tokenize(text: str, start: int) -> list[tuple[str, int]]:
     """Split the expression part into ('(', ')', atom) tokens with positions."""
-    tokens: list[tuple[str, int]] = []
-    i, n = start, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c in "()":
-            tokens.append((c, i))
-            i += 1
-            continue
-        j = i
-        while j < n and text[j] not in _ATOM_END:
-            j += 1
-        tokens.append((text[i:j], i))
-        i = j
-    return tokens
+    return [(m.group(), m.start()) for m in _TOKEN.finditer(text, start)]
 
 
 def _parse_var(atom: str, pos: int) -> VarLeaf:
@@ -106,6 +94,7 @@ def parse(text: str) -> Formula:
         raise FormulaSyntaxError("empty formula", offset)
 
     one = field.one()
+    scalars: dict[str, Scalar] = {}  # scalar text -> its value, parsed once per call
     # Each frame is [op, position, items]; items are (scalar, node) edges.
     frames: list[list] = []
     done: list[tuple] = []  # completed (scalar, node) at top level
@@ -139,7 +128,9 @@ def parse(text: str) -> Formula:
                 sc_text, sc_pos = tokens[idx + 2]
                 if sc_text in ("(", ")"):
                     raise FormulaSyntaxError("scale needs a scalar", sc_pos)
-                scalar = field.parse(sc_text)
+                scalar = scalars.get(sc_text)
+                if scalar is None:
+                    scalar = scalars[sc_text] = field.parse(sc_text)
                 frames.append(["scale", hpos, [], scalar])
                 idx += 3
                 continue

@@ -571,11 +571,12 @@ class FrontierSet:
 
 
 def _phi_map(metrics: dict[int, ir.GateMetrics], delta: int) -> dict[int, int]:
-    """Potential of every node of degree >= 1, from its ir.metrics_map."""
+    """Potential of every node of degree >= 1, from its ir.metrics_map, as an
+    int: phi1 + phi2 of _potential_of, without building a Potential."""
     return {
-        nid: _potential_of(m.syn_degree, m.sum_depth, delta).phi
-        for nid, m in metrics.items()
-        if m.syn_degree >= 1
+        nid: ceil_log2(degree) + ceil_div(sum_depth, delta)
+        for nid, (_, _, sum_depth, _, degree) in metrics.items()
+        if degree >= 1
     }
 
 
@@ -741,7 +742,7 @@ def skew_to_sigma_pi(g: Formula) -> Formula:
     if not ir.is_skew(g):
         raise NotSkew("input has a product gate with two non-leaf children")
     seen_vars: set[int] = set()
-    for node in ir.iter_postorder(root):
+    for node in ir.postorder(root):
         if isinstance(node, VarLeaf):
             if node.var in seen_vars:
                 raise DuplicateLeafVariable(f"variable x{node.var} labels two leaves")
@@ -806,18 +807,14 @@ def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tupl
     del metrics
 
     def reduce_node(node: Node):
-        if is_leaf(node):
-            return node
-        if id(node) not in phi:
-            return node  # degree-0 gate; only legal at the output
-        phi_root = phi[id(node)]
-        if phi_root == 0:
-            return node
+        if not phi.get(id(node)):
+            return node  # a leaf, a gate of potential 0, or a degree-0 output gate
         frontier = _frontier_nodes(node, delta, phi)
         frontier_ids = {id(n) for n in frontier}
         reduced: dict[int, Node | None] = {}
         for n in frontier:
-            reduced[id(n)] = yield n
+            # a member of potential 0 or none reduces to itself: no generator
+            reduced[id(n)] = (yield n) if phi.get(id(n)) else n
 
         def classify(n: Node) -> int:
             if id(n) in frontier_ids:
@@ -1057,7 +1054,7 @@ def product_fanin_2(formula: Formula) -> Formula:
 
     scalar, out_root = ir.node_attribute(formula.root, go)[id(formula.root)]  # type: ignore[misc]
     out = formula.with_root(scale_node(scalar, out_root, field))
-    for node in ir.iter_postorder(out.root):
+    for node in ir.postorder(out.root):
         if isinstance(node, ProdGate) and len(node.children) != 2:
             raise InternalInvariantError("product gate with fan-in != 2 in output")
     if ir.metrics(out).size > m_in.size:

@@ -194,3 +194,86 @@ def test_copy_tree_structural_equality(corpus_both):
         positions = [n for n, _ in ir.iter_preorder_positions(out)]
         assert len({id(n) for n in positions}) == len(positions)
         assert not old_ids & {id(n) for n in positions}
+
+
+# ---------------------------------------------------------------------------
+# traversal kernel
+# ---------------------------------------------------------------------------
+
+def _reference_postorder(root):
+    """The generator ir.postorder replaced: distinct nodes, children first."""
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        if ir.is_gate(node):
+            for _, child in reversed(node.children):
+                if id(child) not in seen:
+                    stack.append((child, False))
+
+
+def _reference_metrics(node, vals):
+    """The per-node fold metrics_map replaced, as a plain tuple."""
+    if isinstance(node, VarLeaf):
+        return (1, 0, 0, 0, 1)
+    if isinstance(node, OneLeaf):
+        return (1, 0, 0, 0, 0)
+    is_sum = isinstance(node, SumGate)
+    return (
+        sum(v[0] for v in vals),
+        1 + max(v[1] for v in vals),
+        (1 if is_sum else 0) + max(v[2] for v in vals),
+        (0 if is_sum else 1) + max(v[3] for v in vals),
+        max(v[4] for v in vals) if is_sum else sum(v[4] for v in vals),
+    )
+
+
+def _kernel_inputs(corpus_both):
+    from lowdepth.bench import gen_comb
+    from lowdepth.transforms import binarize
+
+    shared = ProdGate(((ONE, VarLeaf(0)), (Fraction(3), SumGate(((ONE, VarLeaf(1)), (ONE, OneLeaf()))))))
+    leaf = VarLeaf(2)
+    dag = SumGate(((ONE, shared), (Fraction(2), ProdGate(((ONE, shared), (ONE, leaf)))), (ONE, leaf)))
+    return [f.root for f in corpus_both] + [binarize(gen_comb(8001)).root, dag]
+
+
+def test_postorder_matches_reference_generator(corpus_both):
+    for root in _kernel_inputs(corpus_both):
+        order = ir.postorder(root)
+        assert [id(n) for n in order] == [id(n) for n in _reference_postorder(root)]
+        assert [id(n) for n in ir.iter_postorder(root)] == [id(n) for n in order]
+        assert order[-1] is root
+
+
+def test_metrics_map_matches_reference_fold(corpus_both):
+    for root in _kernel_inputs(corpus_both):
+        ref = {}
+        for node in _reference_postorder(root):
+            kids = [ref[id(ch)] for _, ch in node.children] if ir.is_gate(node) else []
+            ref[id(node)] = _reference_metrics(node, kids)
+        got = ir.metrics_map(root)
+        assert got == ref
+        assert all(type(m) is ir.GateMetrics for m in got.values())
+
+
+def test_gate_metrics_fields_equality_and_report():
+    from lowdepth.report import metrics_dict
+
+    m = ir.GateMetrics(size=7, depth=3, sum_depth=2, product_depth=1, syn_degree=4)
+    assert (m.size, m.depth, m.sum_depth, m.product_depth, m.syn_degree) == (7, 3, 2, 1, 4)
+    assert m == ir.GateMetrics(7, 3, 2, 1, 4)
+    assert m != ir.GateMetrics(7, 3, 2, 1, 5)
+    assert list(metrics_dict(m).items()) == [
+        ("size", 7), ("depth", 3), ("sum_depth", 2), ("product_depth", 1), ("syn_degree", 4),
+    ]
+    assert ir.metrics(F(SumGate(((ONE, VarLeaf(0)), (ONE, OneLeaf()))))) == ir.GateMetrics(
+        size=2, depth=1, sum_depth=1, product_depth=0, syn_degree=1
+    )

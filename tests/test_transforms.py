@@ -11,6 +11,7 @@ from lowdepth.errors import (
     NotSkew,
     TooSmall,
 )
+from lowdepth.fields import QQ, PrimeField
 from lowdepth.hardpoly import HardParams, gen_hard
 from lowdepth.ir import Formula, OneLeaf, ProdGate, SumGate, VarLeaf
 
@@ -319,6 +320,46 @@ def test_bb_walks_node_attribute_once(monkeypatch, eps):
     monkeypatch.setattr(ir, "node_attribute", counting)
     tr.depth_reduce_bb(gen_comb(2001), eps)
     assert len(walks) == 1
+
+
+def _count_fraction_products(monkeypatch, run) -> int:
+    """Fraction multiplications that run() makes."""
+    calls = []
+    mul, rmul = Fraction.__mul__, Fraction.__rmul__
+
+    def counting(real):
+        def wrapped(a, b):
+            calls.append(1)
+            return real(a, b)
+        return wrapped
+
+    monkeypatch.setattr(Fraction, "__mul__", counting(mul))
+    monkeypatch.setattr(Fraction, "__rmul__", counting(rmul))
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2), 1])
+def test_bb_never_multiplies_by_the_elided_weight(monkeypatch, eps):
+    # every weight of the comb is the shared one, so no product is needed
+    f = gen_comb(2001)
+    assert _count_fraction_products(monkeypatch, lambda: tr.depth_reduce_bb(f, eps)) == 0
+
+
+def test_shape_passes_never_multiply_by_the_elided_weight(monkeypatch):
+    # wide gates, fan-in-1 gates, same-kind nesting and parallel constants,
+    # with every edge weight elided
+    f = sexpr.parse(
+        "(+ (* x1 (+ x2 x3 (* x4 x5 x6)) (* x6 x7)) (+ (+ x8 1 1) (* (+ x9) (+ x1 1)))"
+        " (* (* x2 x3) x4 (+ (+ x5 x6) 1)))"
+    )
+    for run in (tr.binarize, tr.collapse):
+        out = []
+        assert _count_fraction_products(monkeypatch, lambda: out.append(run(f))) == 0
+        assert_equivalent(f, out[0])
 
 
 def test_bb_monotone_and_mode_preserved(corpus_both):
@@ -853,6 +894,42 @@ def test_homogenize_over_prime_field():
         if comp is not None:
             acc = acc.add(poly.expand(comp))
     assert acc == poly.expand(f)
+
+
+def _over_field(f: Formula, field) -> Formula:
+    """f with every edge scalar normalized into field."""
+
+    def rebuild(node, vals):
+        if not ir.is_gate(node):
+            return node
+        edges = tuple((field.normalize(c), v) for (c, _), v in zip(node.children, vals))
+        return type(node)(edges)
+
+    return Formula(ir.node_attribute(f.root, rebuild)[id(f.root)], f.commutative, field)
+
+
+def test_edge_scalars_keep_the_field_type(corpus_both):
+    # mul and is_one test the shared one by identity; every scalar a pass
+    # emits must still be a Fraction over Q, a reduced int over Fp
+    fp = PrimeField()
+    runs = [lambda g, name=name: tr.run_pass(g, name, {})[0] for name in tr.PASSES]
+    runs += [tr.collapse, lambda g: tr.homogenize(tr.binarize(g), ir.syn_degree(g))]
+    for field in (QQ, fp):
+        if field is QQ:
+            ok = lambda c: type(c) is Fraction
+        else:
+            ok = lambda c: type(c) is int and 0 <= c < fp.p
+        for f in corpus_both:
+            g = f if field is QQ else _over_field(f, field)
+            for run in runs:
+                out = run(g)
+                for h in out if isinstance(out, list) else [out]:
+                    if h is None:
+                        continue
+                    assert h.field == field
+                    for node in ir.postorder(h.root):
+                        if ir.is_gate(node):
+                            assert all(ok(c) for c, _ in node.children)
 
 
 def test_deep_comb_all_passes(monkeypatch):
