@@ -239,9 +239,12 @@ def _kernel_inputs(corpus_both):
     from lowdepth.bench import gen_comb
     from lowdepth.transforms import binarize
 
-    shared = ProdGate(((ONE, VarLeaf(0)), (Fraction(3), SumGate(((ONE, VarLeaf(1)), (ONE, OneLeaf()))))))
+    inner = SumGate(((ONE, VarLeaf(1)), (ONE, OneLeaf())))
+    shared = ProdGate(((ONE, VarLeaf(0)), (Fraction(3), inner)))
     leaf = VarLeaf(2)
-    dag = SumGate(((ONE, shared), (Fraction(2), ProdGate(((ONE, shared), (ONE, leaf)))), (ONE, leaf)))
+    dag = SumGate(
+        ((ONE, shared), (Fraction(2), ProdGate(((ONE, shared), (ONE, leaf)))), (ONE, leaf))
+    )
     return [f.root for f in corpus_both] + [binarize(gen_comb(8001)).root, dag]
 
 

@@ -914,11 +914,8 @@ def test_edge_scalars_keep_the_field_type(corpus_both):
     fp = PrimeField()
     runs = [lambda g, name=name: tr.run_pass(g, name, {})[0] for name in tr.PASSES]
     runs += [tr.collapse, lambda g: tr.homogenize(tr.binarize(g), ir.syn_degree(g))]
-    for field in (QQ, fp):
-        if field is QQ:
-            ok = lambda c: type(c) is Fraction
-        else:
-            ok = lambda c: type(c) is int and 0 <= c < fp.p
+    checks = {QQ: lambda c: type(c) is Fraction, fp: lambda c: type(c) is int and 0 <= c < fp.p}
+    for field, ok in checks.items():
         for f in corpus_both:
             g = f if field is QQ else _over_field(f, field)
             for run in runs:
