@@ -283,3 +283,111 @@ def test_expand_budget_matches_gate_by_gate_reference(corpus_comm, corpus_noncom
             _assert_same_table(poly.expand(f, budget=budget), want)
     # both outcomes occur at every budget
     assert all(0 < n < len(inputs) for n in raised.values())
+
+
+# ---------------------------------------------------------------------------
+# edge cases of the monomial encoding
+# ---------------------------------------------------------------------------
+
+def _power(node: ir.Node, e: int) -> ir.ProdGate:
+    """node^e as one product gate whose e children are the same node."""
+    return ir.ProdGate(tuple((1, node) for _ in range(e)))
+
+
+def _assert_matches_reference(f: Formula) -> None:
+    memo = _reference_memo(f, None)
+    _assert_same_table(poly.expand(f, budget=None), memo[id(f.root)])
+    assert poly.gate_monomial_counts(f, budget=None) == {
+        i: memo[id(node)].num_terms() for i, node in enumerate(ir.gates_preorder(f))
+    }
+
+
+@pytest.mark.parametrize("e", [15, 16, 255, 256])
+def test_exponents_at_the_digit_boundary(e):
+    x1, x2 = ir.VarLeaf(1), ir.VarLeaf(2)
+    power = Formula(_power(x1, e))
+    assert poly.expand(power).terms == {((1, e),): Fraction(1)}
+    below, above = Formula(_power(x1, e - 1)), Formula(_power(x1, e + 1))
+    for other in (below, above):
+        assert not poly.equal_expand(power, other)
+        assert not poly.equal_expand(other, power)
+    assert poly.equal_expand(power, Formula(ir.ProdGate(((1, _power(x1, e - 1)), (1, x1)))))
+    # (x1 + x2)^2 * x1^(e-2): every exponent up to e, summed coefficients
+    mixed = Formula(ir.ProdGate((
+        (1, _power(SumGate(((1, x1), (1, x2))), 2)),
+        (1, _power(x1, e - 2)),
+    )))
+    assert poly.expand(mixed).terms == {
+        ((1, e),): Fraction(1),
+        ((1, e - 1), (2, 1)): Fraction(2),
+        ((1, e - 2), (2, 2)): Fraction(1),
+    }
+    for f in (power, mixed, Formula(SumGate(((1, _power(x1, e)), (-1, _power(x2, e)))))):
+        _assert_matches_reference(f)
+
+
+def test_shared_squaring_chain():
+    # one leaf, ten squarings: the single monomial x1^1024 from 11 distinct nodes
+    node = ir.VarLeaf(1)
+    for _ in range(10):
+        node = ir.ProdGate(((1, node), (1, node)))
+    chain = Formula(node)
+    assert ir.syn_degree(chain) == 1024
+    assert poly.expand(chain).terms == {((1, 1024),): Fraction(1)}
+    assert set(poly.gate_monomial_counts(chain).values()) == {1}
+    assert poly.equal_expand(chain, Formula(_power(ir.VarLeaf(1), 1024)))
+    assert not poly.equal_expand(chain, Formula(_power(ir.VarLeaf(1), 1023)))
+    # (x1 + 2 x2) squared ten times would have 1025 terms; keep it to five
+    node = SumGate(((1, ir.VarLeaf(1)), (2, ir.VarLeaf(2))))
+    for _ in range(5):
+        node = ir.ProdGate(((1, node), (1, node)))
+    _assert_matches_reference(Formula(node))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_sparse_and_huge_variable_ids(field):
+    big = ir.FRESH_VAR_BASE
+    paired = sexpr.cantor_pair(10**6, 3)
+    text = (f"field: {field.name}\n"
+            f"(+ (* x{big} x{big + 5} x_1000000_3) (scale 3 (* x0 x{big} x{big})) x_1000000_3 1)")
+    f = sexpr.parse(text)
+    one = field.one()
+    want = {
+        ((paired, 1), (big, 1), (big + 5, 1)): one,
+        ((0, 1), (big, 2)): field.normalize(Fraction(3)),
+        ((paired, 1),): one,
+        (): one,
+    }
+    assert poly.expand(f).terms == want
+    _assert_matches_reference(f)
+    swapped = sexpr.parse(text.replace(f"x{big + 5}", "x7"))
+    assert not poly.equal_expand(f, swapped)
+    nc = sexpr.parse(f"mode: noncommutative\nfield: {field.name}\n(* x{big} x_1000000_3 x{big})")
+    assert poly.expand(nc).terms == {(big, paired, big): one}
+    _assert_matches_reference(nc)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+def test_equal_expand_across_variable_sets_and_degrees(field):
+    def parse(body: str) -> Formula:
+        return sexpr.parse(f"field: {field}\n{body}")
+
+    x1 = parse("x1")
+    padded = parse("(+ x1 (* x2 x2) (scale -1 (* x2 x2)))")
+    # the same polynomial at a syntactic degree that needs a wider digit
+    wide = parse("(+ x1 (* x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3)"
+                 " (scale -1 (* x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3 x3)))")
+    square = parse("(* x1 x1)")
+    padded_square = parse("(+ (* x1 x1) (* x9 x9 x9) (scale -1 (* x9 x9 x9)))")
+    for a, b in ((x1, padded), (x1, wide), (padded, wide), (square, padded_square)):
+        assert poly.equal_expand(a, b) and poly.equal_expand(b, a)
+    unequal = [
+        (x1, parse("(+ x1 (* x2 x2))")),
+        (x1, parse("x2")),
+        (x1, square),
+        (square, parse("(* x1 x1 x1 x1 x1 x1 x1 x1 x1 x1 x1 x1 x1 x1 x1 x1 x1)")),
+        (padded, parse("(+ (scale 2 x1))")),
+        (wide, parse("(+ x1 1)")),
+    ]
+    for a, b in unequal:
+        assert not poly.equal_expand(a, b) and not poly.equal_expand(b, a)
