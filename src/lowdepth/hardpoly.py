@@ -226,20 +226,17 @@ def check_gate_counts(
     Applies to the canonical formula and to any rewritten monotone formula
     for it.  Raises NotComputingH when the polynomial does not match.
     """
-    budget = _budget(budget)
-    table, counts = poly.expand_with_gate_counts(formula, budget=budget)
-    return _gate_count_verdict(formula, p, table, counts, budget)
+    return _expand_against_h(p, formula, budget)[1]
 
 
-def _gate_count_verdict(
-    formula: Formula,
-    p: HardParams,
-    table: poly.PolyTable,
-    counts: dict[int, int],
-    budget: int,
-) -> tuple[bool, dict | None]:
+def _expand_against_h(
+    p: HardParams, formula: Formula, budget: int | None
+) -> tuple[poly.PolyTable, tuple[bool, dict | None]]:
+    """The formula's table and its gate-count verdict, from one expansion of
+    the formula and one of H(k, r), compared in the kernel's encoding."""
     reference = gen_hard(p, commutative=formula.commutative, field=formula.field)
-    if table != poly.expand(reference, budget=budget):
+    table, counts, same = poly.expand_against(formula, reference, _budget(budget))
+    if not same:
         raise NotComputingH(f"formula does not compute the (k={p.k}, r={p.r}) polynomial")
     metrics = ir.metrics_table(formula)
     for gate_id, count in counts.items():
@@ -247,13 +244,13 @@ def _gate_count_verdict(
         if d_gate == 0:
             continue  # constant gates cannot appear in a monotone formula for H
         if count > p.r ** (d_gate - 1):
-            return False, {
+            return table, (False, {
                 "gate_id": gate_id,
                 "count": count,
                 "degree": d_gate,
                 "bound": p.r ** (d_gate - 1),
-            }
-    return True, None
+            })
+    return table, (True, None)
 
 
 def check_formula(
@@ -263,9 +260,8 @@ def check_formula(
 ) -> tuple[poly.PolyTable, tuple[bool, dict | None], tuple[bool, dict | None]]:
     """The formula's table, check_prefix_property and check_gate_counts,
     all from one expansion of the formula."""
-    budget = _budget(budget)
-    table, counts = poly.expand_with_gate_counts(formula, budget=budget)
-    return table, _prefix_verdict(p, table), _gate_count_verdict(formula, p, table, counts, budget)
+    table, gate_verdict = _expand_against_h(p, formula, budget)
+    return table, _prefix_verdict(p, table), gate_verdict
 
 
 def expected_monomials(p: HardParams) -> int:

@@ -8,21 +8,28 @@ checked against, so its result is exact and does not depend on how it is
 computed.
 
 Expansion runs bottom-up on plain dicts.  Inside it a commutative monomial is
-the sorted tuple of its variable ids, one entry per power, so the product of
-two monomials is tuple(sorted(a + b)); a non-commutative one is its word.
-Over Q a coefficient is a plain int until an edge scalar with a denominator
-other than 1 makes it a Fraction (the two mix exactly); over Fp it is an int
-in [0, p).  Only the root table is converted to PolyTable keys and field
-scalars, so the result is the table that composing PolyTable.add, scale and
-mul gate by gate gives: the same keys in the same order, the same
-coefficients, and BudgetExceeded on the same inputs.
+one int, its exponent vector packed into fixed-width digits: each distinct
+variable of the formula has a slot, in sorted-id order, and variable v is
+1 << (b * slot(v)), the constant monomial 0.  The digit width is
+b = max(1, D.bit_length()) for the syntactic degree D of the root, which bounds
+every exponent at every node, so digits never carry and the product of two
+monomials is the int sum ka + kb.  A non-commutative monomial is its word, a
+tuple of variable ids, and a product concatenates.  Over Q a coefficient is a
+plain int until an edge scalar with a denominator other than 1 makes it a
+Fraction (the two mix exactly); over Fp it is an int in [0, p).  Packing is a
+bijection on monomials, so every dict sees the same key equalities in the same
+order.  Only the root table is decoded, to PolyTable keys and field scalars,
+reading its digits from the top down, so the result is the table that
+composing PolyTable.add, scale and mul gate by gate gives: the same keys in
+the same order, the same coefficients, and BudgetExceeded on the same inputs.
+equal_expand and expand_against compare two root tables packed alike and
+decode neither (expand_against then decodes its first table, once).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, ModeMismatch
 from .fields import Field, PrimeField, Scalar
@@ -211,11 +218,12 @@ def _sum(edges: list, p: int | None) -> dict:
     return acc
 
 
-def _product(edges: list, commutative: bool, p: int | None, budget: int | None) -> dict:
+def _product(edges: list, p: int | None, budget: int | None) -> dict:
     """Product of scalar * table over the edges, left to right.
 
     The running product is the outer loop and the next factor the inner one,
-    and the budget is checked after every outer row.
+    and the budget is checked after every outer row.  In either mode the key
+    of a product is ka + kb: packed exponent vectors add, words concatenate.
     """
     s, t = edges[0]
     acc = _scaled(t, s, p)  # the single row of 1 * (s * t)
@@ -228,7 +236,7 @@ def _product(edges: list, commutative: bool, p: int | None, budget: int | None) 
         for ka, ca in acc.items():
             cs = ca * s if p is None else ca * s % p
             for kb, cb in t.items():
-                key = tuple(sorted(ka + kb)) if commutative else ka + kb
+                key = ka + kb
                 if p is None:
                     v = get(key, 0) + cs * cb
                     if v:
@@ -246,26 +254,104 @@ def _product(edges: list, commutative: bool, p: int | None, budget: int | None) 
     return acc
 
 
-def _expand(formula: ir.Formula, budget: int | None, sizes: dict[int, int] | None = None) -> PolyTable:
-    """Root table of the formula, bottom-up over its distinct nodes.
+class Packing(NamedTuple):
+    """How the kernel packs commutative monomials into ints.
 
-    Inside the loop a table is a plain dict from internal keys to internal
-    coefficients (see the module docstring); only the root is converted to
-    PolyTable keys and field scalars.  Each edge scalar is converted once, and
-    a child's table is dropped once its last parent edge has read it.  When
-    sizes is given it receives the number of terms at every node, keyed by
-    id(node).
+    Slot i belongs to variables[i], the variables in sorted-id order, and is
+    the width-bit digit at bit offset shift[variables[i]] = width * i.  Every
+    exponent fits a digit, so digits never carry.
+    """
+
+    width: int
+    variables: list[int]
+    shift: dict[int, int]
+
+
+def _packing(variables: set[int], degree: int, like: Packing | None) -> Packing:
+    """like when it covers the variables and the degree, else one packing
+    over both: the union of the variables, wide enough for either degree."""
+    if like is not None:
+        if degree < 1 << like.width and variables <= like.shift.keys():
+            return like
+        variables = variables | like.shift.keys()
+        degree = max(degree, (1 << like.width) - 1)
+    width = max(1, degree.bit_length())
+    order = sorted(variables)
+    return Packing(width, order, {v: width * slot for slot, v in enumerate(order)})
+
+
+def _decoder(packing: Packing):
+    """The function from a packed key to its sorted (variable, exponent) pairs.
+
+    It reads the digits from the top one down, each found by bit_length.
+    """
+    w, var_of = packing.width, packing.variables
+
+    def decode(key: int) -> CommKey:
+        pairs = []
+        while key:
+            slot = (key.bit_length() - 1) // w
+            at = slot * w
+            e = key >> at
+            pairs.append((var_of[slot], e))
+            key ^= e << at
+        pairs.reverse()
+        return tuple(pairs)
+
+    return decode
+
+
+def _repack(t: dict, old: Packing, new: Packing) -> dict:
+    """The table t, packed by old, repacked by new (which covers old)."""
+    decode, shift = _decoder(old), new.shift
+    return {sum(e << shift[v] for v, e in decode(k)): c for k, c in t.items()}
+
+
+def _expand(
+    formula: ir.Formula,
+    budget: int | None,
+    sizes: dict[int, int] | None = None,
+    like: Packing | None = None,
+) -> tuple[dict, Packing | None]:
+    """Internal root table of the formula, and its packing (None for words).
+
+    The table is bottom-up over the distinct nodes, each a plain dict from
+    internal keys to internal coefficients (see the module docstring).  One
+    loop over the postorder counts each node's parent edges and, for packing,
+    collects the variables and the syntactic degree of the root; in
+    commutative mode the packing is like when that covers them, else one over
+    both.  Each edge scalar is converted once, and a child's table is dropped
+    once its last parent edge has read it.  When sizes is given it receives
+    the number of terms at every node, keyed by id(node).
     """
     comm, f = formula.commutative, formula.field
     p = f.p if isinstance(f, PrimeField) else None
     order = ir.postorder(formula.root)
-    uses = Counter(id(child) for node in order if ir.is_gate(node) for _, child in node.children)
+    uses: dict[int, int] = {}
+    degree: dict[int, int] = {}
+    variables: set[int] = set()
+    for node in order:
+        kind = type(node)
+        if kind is ir.VarLeaf:
+            variables.add(node.var)
+            degree[id(node)] = 1
+        elif kind is ir.OneLeaf:
+            degree[id(node)] = 0
+        else:
+            ds = []
+            for _, child in node.children:
+                key = id(child)
+                uses[key] = uses.get(key, 0) + 1
+                ds.append(degree[key])
+            degree[id(node)] = sum(ds) if kind is ir.ProdGate else max(ds)
+    packing = _packing(variables, degree[id(formula.root)], like) if comm else None
+    del degree
     tables: dict[int, dict] = {}
     for node in order:
         if isinstance(node, ir.VarLeaf):
-            t = {(node.var,): 1}
+            t = {1 << packing.shift[node.var]: 1} if comm else {(node.var,): 1}
         elif isinstance(node, ir.OneLeaf):
-            t = {(): 1}
+            t = {0: 1} if comm else {(): 1}
         else:
             edges = []
             for c, child in node.children:
@@ -277,16 +363,23 @@ def _expand(formula: ir.Formula, budget: int | None, sizes: dict[int, int] | Non
             if isinstance(node, ir.SumGate):
                 t = _sum(edges, p)
             else:
-                t = _product(edges, comm, p, budget)
+                t = _product(edges, p, budget)
             _over_budget(t, budget)
         if sizes is not None:
             sizes[id(node)] = len(t)
         tables[id(node)] = t
-    norm = f.normalize
-    root = tables[id(formula.root)]
-    if comm:
-        return PolyTable(comm, f, {word_to_comm_key(k): norm(c) for k, c in root.items()})
-    return PolyTable(comm, f, {k: norm(c) for k, c in root.items()})
+    return tables[id(formula.root)], packing
+
+
+def _table(formula: ir.Formula, root: dict, packing: Packing | None) -> PolyTable:
+    """The PolyTable of an internal root table: keys decoded, scalars normalized."""
+    norm = formula.field.normalize
+    if packing is None:
+        terms = {k: norm(c) for k, c in root.items()}
+    else:
+        decode = _decoder(packing)
+        terms = {decode(k): norm(c) for k, c in root.items()}
+    return PolyTable(formula.commutative, formula.field, terms)
 
 
 def expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> PolyTable:
@@ -296,7 +389,7 @@ def expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -
     Distributes over the constructors: a sum gate adds scaled child tables, a
     product gate multiplies them in child order.
     """
-    return _expand(formula, budget)
+    return _table(formula, *_expand(formula, budget))
 
 
 def expand_with_gate_counts(
@@ -304,17 +397,55 @@ def expand_with_gate_counts(
 ) -> tuple[PolyTable, dict[int, int]]:
     """expand and gate_monomial_counts from one expansion."""
     sizes: dict[int, int] = {}
-    table = _expand(formula, budget, sizes)
-    return table, {i: sizes[id(node)] for i, node in enumerate(ir.gates_preorder(formula))}
+    table = _table(formula, *_expand(formula, budget, sizes))
+    return table, _gate_sizes(formula, sizes)
 
 
-def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> bool:
-    """Exact table equality of two formulas in the same mode and field."""
+def _gate_sizes(formula: ir.Formula, sizes: dict[int, int]) -> dict[int, int]:
+    return {i: sizes[id(node)] for i, node in enumerate(ir.gates_preorder(formula))}
+
+
+def _check_comparable(a: ir.Formula, b: ir.Formula) -> None:
     if a.commutative != b.commutative:
         raise ModeMismatch("cannot compare formulas in different commutativity modes")
     if a.field != b.field:
         raise ModeMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
-    return expand(a, budget=budget) == expand(b, budget=budget)
+
+
+def _expand_pair(
+    a: ir.Formula, b: ir.Formula, budget: int | None, sizes: dict[int, int] | None = None
+) -> tuple[dict, Packing | None, bool]:
+    """a's internal root table and packing, and whether b has the same polynomial.
+
+    a is expanded first, so b costs nothing when a goes over budget.  b is
+    then expanded in a's packing when that covers b's variables and degree,
+    as it does for a rewrite of a, and nothing is decoded.  Otherwise b gets
+    one packing over both, and a's table is repacked into it.  The root
+    tables are compared in the kernel's encoding.
+    """
+    ta, pa = _expand(a, budget, sizes)
+    tb, pb = _expand(b, budget, None, pa)
+    if pb is not pa:
+        ta, pa = _repack(ta, pa, pb), pb
+    return ta, pa, ta == tb
+
+
+def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> bool:
+    """Exact table equality of two formulas in the same mode and field."""
+    _check_comparable(a, b)
+    return _expand_pair(a, b, budget)[2]
+
+
+def expand_against(
+    formula: ir.Formula, reference: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET
+) -> tuple[PolyTable, dict[int, int], bool]:
+    """expand_with_gate_counts of the formula, and whether the reference has
+    the same polynomial, from one expansion of each; only the formula's table
+    is decoded."""
+    _check_comparable(formula, reference)
+    sizes: dict[int, int] = {}
+    root, packing, same = _expand_pair(formula, reference, budget, sizes)
+    return _table(formula, root, packing), _gate_sizes(formula, sizes), same
 
 
 def parse_tree_sum(formula: ir.Formula, budget: int = DEFAULT_PARSE_TREE_BUDGET) -> PolyTable:

@@ -266,6 +266,40 @@ def test_gate_counts_wrong_polynomial():
         hp.check_gate_counts(hp.gen_hard(hp.HardParams(k=1, r=3)), p)
 
 
+@pytest.mark.parametrize("commutative", [True, False])
+def test_check_formula_decodes_the_formula_table_once(commutative, monkeypatch):
+    p = hp.HardParams(k=2, r=3)
+    fb = tr.binarize(hp.gen_hard(p, commutative=commutative))
+    m = ir.metrics(fb)
+    out = tr.depth_reduce_main(fb, tr.auto_delta(m.size, m.syn_degree, m.sum_depth))
+    want = (poly.expand(out), hp.check_prefix_property(p, out), hp.check_gate_counts(out, p))
+    built, decoded = [], []
+    real_init, real_decoder = poly.PolyTable.__init__, poly._decoder
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def counting_decoder(packing):
+        decode = real_decoder(packing)
+        return lambda key: decoded.append(key) or decode(key)
+
+    monkeypatch.setattr(poly.PolyTable, "__init__", counting_init)
+    monkeypatch.setattr(poly, "_decoder", counting_decoder)
+    got = hp.check_formula(p, out)
+    assert got == want
+    # H(2, 3)'s table is compared packed: only the formula's keys are decoded
+    assert built == [got[0]]
+    assert len(decoded) == (want[0].num_terms() if commutative else 0)
+
+
+def test_check_formula_outside_the_universe():
+    # variables H(1, 2) does not have: the polynomial is not H's
+    f = Formula(ProdGate(((1, VarLeaf(100)), (1, VarLeaf(200)))))
+    with pytest.raises(NotComputingH):
+        hp.check_formula(hp.HardParams(k=1, r=2), f)
+
+
 def test_lower_bound_params():
     p, coverage = hp.lower_bound_params(256, 4)
     assert (p.k, p.r) == (2, 8)

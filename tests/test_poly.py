@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lowdepth import ir, poly, sexpr
+from lowdepth import transforms as tr
 from lowdepth.errors import BudgetExceeded, ModeMismatch
 from lowdepth.fields import PrimeField, QQ
 from lowdepth.hardpoly import HardParams, encode_var, gen_hard
@@ -391,3 +392,29 @@ def test_equal_expand_across_variable_sets_and_degrees(field):
     ]
     for a, b in unequal:
         assert not poly.equal_expand(a, b) and not poly.equal_expand(b, a)
+
+
+def test_equal_expand_compares_in_the_kernel_encoding(corpus_both, monkeypatch):
+    # two corpus formulas, or a formula and a rewrite of it, are compared as
+    # internal tables: no PolyTable is built and no word_to_comm_key called
+    built, words, decoded = [], [], []
+    real_init, real_word = PolyTable.__init__, poly.word_to_comm_key
+    real_decoder = getattr(poly, "_decoder", None)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyTable, "__init__", counting_init)
+    monkeypatch.setattr(poly, "word_to_comm_key", lambda w: words.append(w) or real_word(w))
+    monkeypatch.setattr(poly, "_decoder", lambda p: decoded.append(p) or real_decoder(p),
+                        raising=False)
+    for f in corpus_both:
+        assert poly.equal_expand(f, tr.binarize(f))
+        assert poly.equal_expand(tr.collapse(f), f)
+    # a rewrite keeps the variables and the degree, so nothing is repacked
+    assert (built, words, decoded) == ([], [], [])
+    for i, f in enumerate(corpus_both):
+        neighbour = corpus_both[i + 1 - 2 * (i % 2)]  # same mode: each half has even length
+        assert not poly.equal_expand(f, neighbour)
+    assert built == [] and words == []
