@@ -392,15 +392,6 @@ def expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -
     return _table(formula, *_expand(formula, budget))
 
 
-def expand_with_gate_counts(
-    formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET
-) -> tuple[PolyTable, dict[int, int]]:
-    """expand and gate_monomial_counts from one expansion."""
-    sizes: dict[int, int] = {}
-    table = _table(formula, *_expand(formula, budget, sizes))
-    return table, _gate_sizes(formula, sizes)
-
-
 def _gate_sizes(formula: ir.Formula, sizes: dict[int, int]) -> dict[int, int]:
     return {i: sizes[id(node)] for i, node in enumerate(ir.gates_preorder(formula))}
 
@@ -439,9 +430,9 @@ def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPA
 def expand_against(
     formula: ir.Formula, reference: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET
 ) -> tuple[PolyTable, dict[int, int], bool]:
-    """expand_with_gate_counts of the formula, and whether the reference has
-    the same polynomial, from one expansion of each; only the formula's table
-    is decoded."""
+    """The formula's table and gate_monomial_counts, and whether the reference
+    has the same polynomial, from one expansion of each; only the formula's
+    table is decoded."""
     _check_comparable(formula, reference)
     sizes: dict[int, int] = {}
     root, packing, same = _expand_pair(formula, reference, budget, sizes)
@@ -499,4 +490,6 @@ def gate_monomial_counts(formula: ir.Formula, budget: int | None = DEFAULT_EXPAN
 
     Keys are preorder gate ids (0 is the output gate).
     """
-    return expand_with_gate_counts(formula, budget)[1]
+    sizes: dict[int, int] = {}
+    _expand(formula, budget, sizes)
+    return _gate_sizes(formula, sizes)
