@@ -280,23 +280,49 @@ def _packing(variables: set[int], degree: int, like: Packing | None) -> Packing:
     return Packing(width, order, {v: width * slot for slot, v in enumerate(order)})
 
 
-def _decoder(packing: Packing):
-    """The function from a packed key to its sorted (variable, exponent) pairs.
+def _digit_reader(width: int, var_of: list[int]):
+    """The function from a packed key over the slots of var_of to its sorted
+    (variable, exponent) pairs; it reads the digits from the top one down,
+    each found by bit_length."""
 
-    It reads the digits from the top one down, each found by bit_length.
-    """
-    w, var_of = packing.width, packing.variables
-
-    def decode(key: int) -> CommKey:
+    def read(key: int) -> CommKey:
         pairs = []
         while key:
-            slot = (key.bit_length() - 1) // w
-            at = slot * w
+            slot = (key.bit_length() - 1) // width
+            at = slot * width
             e = key >> at
             pairs.append((var_of[slot], e))
             key ^= e << at
         pairs.reverse()
         return tuple(pairs)
+
+    return read
+
+
+def _decoder(packing: Packing):
+    """The function from a packed key to its sorted (variable, exponent) pairs.
+
+    The low and the high half of the slots are read apart, each distinct half
+    once: the monomials of one table share most of their halves (16,384
+    monomials of H(3, 4) have 256 of each).
+    """
+    half = len(packing.variables) // 2
+    at = half * packing.width
+    mask = (1 << at) - 1
+    read_low = _digit_reader(packing.width, packing.variables[:half])
+    read_high = _digit_reader(packing.width, packing.variables[half:])
+    lows: dict[int, CommKey] = {}
+    highs: dict[int, CommKey] = {}
+
+    def decode(key: int) -> CommKey:
+        low, high = key & mask, key >> at
+        a = lows.get(low)
+        if a is None:
+            a = lows[low] = read_low(low)
+        b = highs.get(high)
+        if b is None:
+            b = highs[high] = read_high(high)
+        return a + b
 
     return decode
 
