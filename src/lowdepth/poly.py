@@ -18,10 +18,12 @@ tuple of variable ids, and a product concatenates.  Over Q a coefficient is a
 plain int until an edge scalar with a denominator other than 1 makes it a
 Fraction (the two mix exactly); over Fp it is an int in [0, p).  Packing is a
 bijection on monomials, so every dict sees the same key equalities in the same
-order.  Only the root table is decoded, to PolyTable keys and field scalars,
-reading its digits from the top down, so the result is the table that
-composing PolyTable.add, scale and mul gate by gate gives: the same keys in
-the same order, the same coefficients, and BudgetExceeded on the same inputs.
+order.  Only the root table is decoded, to PolyTable keys and field scalars:
+a key's low and high halves are read apart, each digit found from the top
+down by bit_length, and each distinct half once.  So the result is the table
+that composing PolyTable.add, scale and mul gate by gate gives: the same keys
+in the same order, the same coefficients, and BudgetExceeded on the same
+inputs.
 equal_expand and expand_against compare two root tables packed alike and
 decode neither (expand_against then decodes its first table, once).
 """
