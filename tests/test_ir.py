@@ -280,3 +280,35 @@ def test_gate_metrics_fields_equality_and_report():
     assert ir.metrics(F(SumGate(((ONE, VarLeaf(0)), (ONE, OneLeaf()))))) == ir.GateMetrics(
         size=2, depth=1, sum_depth=1, product_depth=0, syn_degree=1
     )
+
+
+@pytest.mark.parametrize("text, message", [
+    # preorder: the product under the root is entered before the sibling sum
+    ("(+ (* x1 1) (+ 1 1))", "constant leaf 1 must be the child of a sum gate"),
+    ("(+ (+ 1 1) (* x1 1))",
+     "sum gate over constant leaves only is allowed at the output gate only"),
+    # a gate's edge weights are checked when the gate is entered
+    ("(+ (+ 1 1) (scale 0 x2))", "edge weight 0 is not allowed"),
+    ("(+ (* x1 (+ 1 1)) (* x2 1))",
+     "sum gate over constant leaves only is allowed at the output gate only"),
+])
+def test_validate_reports_first_violation_in_preorder(tmp_path, text, message):
+    path = tmp_path / "two.frm"
+    path.write_text(text + "\n")
+    with pytest.raises(WellFormednessError) as info:
+        sexpr.parse_file(str(path))
+    assert str(info.value) == message
+
+
+def test_validate_checks_a_gate_before_its_children():
+    # the root's zero weight is found before the constant leaf under it
+    bad = F(ProdGate(((ONE, OneLeaf()), (Fraction(0), VarLeaf(0)))))
+    with pytest.raises(WellFormednessError, match="^edge weight 0 is not allowed$"):
+        ir.validate(bad)
+    # an empty gate is found before a zero weight to its right
+    bad = F(SumGate(((ONE, SumGate(())), (Fraction(0), VarLeaf(1)))))
+    with pytest.raises(WellFormednessError, match="^edge weight 0 is not allowed$"):
+        ir.validate(bad)
+    bad = F(SumGate(((ONE, ProdGate(())), (ONE, ProdGate(((ONE, OneLeaf()),))))))
+    with pytest.raises(WellFormednessError, match="^gate with fan-in 0$"):
+        ir.validate(bad)

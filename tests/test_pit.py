@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -203,3 +204,121 @@ def test_shape_matches_metrics_and_variables(corpus_both):
         assert (degree, size, variables) == (m.syn_degree, m.size, ir.variables(f))
         assert order == list(ir.iter_postorder(f.root))
     assert pit._shape(dag.root)[2] == 4  # positions, not distinct nodes
+
+
+@pytest.mark.parametrize("lhs, rhs, seed, trials_run, witness", [
+    ("(+ (* x1 x2 x3) (scale 2 (* x3 x1)))", "(+ (* x1 x3 x2) (scale 2 (* x3 x1)))", 5, 1, {
+        "kind": "superdiagonal",
+        "prime": 2305843009213693951,
+        "trial": 0,
+        "trial_seed": 5000015,
+        "dim": 4,
+        "entry": [0, 3],
+        "lhs": 1072276285462124618,
+        "rhs": 1762648661071138149,
+    }),
+    # x1 x2 = x2 x1 at trials 0 and 1 mod 7
+    ("field: Fp:7\n(* x1 x2)", "field: Fp:7\n(* x2 x1)", 6, 3, {
+        "kind": "superdiagonal",
+        "prime": 7,
+        "trial": 2,
+        "trial_seed": 6000020,
+        "dim": 3,
+        "entry": [0, 2],
+        "lhs": 5,
+        "rhs": 1,
+    }),
+])
+def test_superdiagonal_witness_pinned(lhs, rhs, seed, trials_run, witness):
+    a = sexpr.parse("mode: noncommutative\n" + lhs)
+    b = sexpr.parse("mode: noncommutative\n" + rhs)
+    res = pit_equal(a, b, PITConfig(trials=8, seed=seed))
+    assert res.trials_run == trials_run
+    assert res.witness == witness
+    assert check_witness(a, b, res.witness)
+
+
+def test_scalar_witness_pinned_on_rational_dag():
+    # a non-unit rational edge inside a node that the product reads twice
+    shared = ir.SumGate(((Fraction(1), ir.VarLeaf(1)), (Fraction(3, 5), ir.VarLeaf(2))))
+    root = ir.ProdGate(((Fraction(2, 7), shared), (Fraction(1), shared), (Fraction(1), ir.VarLeaf(3))))
+    copy = ir.tree_materialize(shared)
+    other = ir.ProdGate(((Fraction(2, 7), shared), (Fraction(1), copy), (Fraction(-1), ir.VarLeaf(3))))
+    a, b = ir.Formula(root), ir.Formula(other)
+    res = pit_equal(a, b, PITConfig(trials=8, seed=11))
+    assert res.trials_run == 1
+    assert res.witness == {
+        "kind": "scalar",
+        "prime": 2305843009213693951,
+        "trial": 0,
+        "trial_seed": 11000033,
+        "point": {"1": 1750975959517608049, "2": 795992145707998493, "3": 150483415162753106},
+        "lhs": 963867169415302740,
+        "rhs": 1341975839798391211,
+    }
+    assert check_witness(a, b, res.witness)
+
+
+def _drawn(trial_seed, nvars, per_var, p):
+    """randrange(p) draws of one trial: per_var for each variable in id order."""
+    rng = random.Random(trial_seed)
+    return [[rng.randrange(p) for _ in range(per_var)] for _ in range(nvars)]
+
+
+@pytest.mark.parametrize("p", [7, 97, pit.MERSENNE61])
+def test_points_drawn_like_randrange(p):
+    # over x1 and x2, lhs - rhs = -r_2 and 2 lhs - rhs = r_1, so each witness
+    # shows the draws of its trial; the trials before it drew r_2 = 0
+    header = "" if p == pit.MERSENNE61 else f"field: Fp:{p}\n"
+    for mode in ("", "mode: noncommutative\n"):
+        a = sexpr.parse(mode + header + "(+ x1 x2)")
+        b = sexpr.parse(mode + header + "(+ x1 (scale 2 x2))")
+        for seed in range(12):
+            cfg = PITConfig(trials=6, seed=seed, matrix_dim=None if not mode else 3)
+            expected = None
+            for t in range(cfg.trials):
+                trial_seed = seed * 1_000_003 + t
+                if not mode:
+                    (x1,), (x2,) = _drawn(trial_seed, 2, 1, p)
+                    if x2:
+                        expected = {"kind": "scalar", "point": {"1": x1, "2": x2}}
+                else:
+                    r1, r2 = _drawn(trial_seed, 2, 2, p)
+                    j = next((j for j in range(2) if r2[j]), None)
+                    if j is not None:
+                        expected = {"kind": "superdiagonal", "dim": 3, "entry": [j, j + 1]}
+                        x1, x2 = r1[j], r2[j]
+                if expected is not None:
+                    expected.update(prime=p, trial=t, trial_seed=trial_seed,
+                                    lhs=(x1 + x2) % p, rhs=(x1 + 2 * x2) % p)
+                    break
+            res = pit_equal(a, b, cfg)
+            assert res.witness == expected
+            assert res.trials_run == (cfg.trials if expected is None else expected["trial"] + 1)
+
+
+def test_error_precedence():
+    # 1/17 vanishes mod 17, but the prime floor (2 * 4 * 4 = 32) fails first
+    f = sexpr.parse("(* x1 x2 x3 (+ (scale 1/17 x4)))")
+    with pytest.raises(ValueError) as exc:
+        pit_equal(f, f, PITConfig(trials=1, prime=17))
+    assert str(exc.value) == (
+        "prime 17 below the heuristic floor 2 * degree * size = 32; error bounds would be weak"
+    )
+    # above the floor the vanishing denominator is reported
+    g = sexpr.parse("(+ (scale 1/37 x1) x2)")
+    with pytest.raises(ValueError) as exc:
+        pit_equal(g, g, PITConfig(trials=1, prime=37))
+    assert str(exc.value) == "edge scalar 1/37: denominator 37 vanishes mod 37; choose another prime"
+    # the matrix dimension is checked before any scalar is reduced
+    h = sexpr.parse("mode: noncommutative\n(* x1 x2 (+ (scale 1/37 x3)))")
+    with pytest.raises(ValueError) as exc:
+        pit_equal(h, h, PITConfig(trials=1, prime=37, matrix_dim=2))
+    assert str(exc.value) == "matrix dimension 2 below degree bound 4"
+    # mode and field mismatches come before everything else
+    nc = sexpr.parse("mode: noncommutative\n(* x1 x2 x3 (+ (scale 1/17 x4)))")
+    with pytest.raises(ModeMismatch):
+        pit_equal(f, nc, PITConfig(trials=1, prime=17))
+    fp = sexpr.parse("field: Fp:5\n(* x1 x2 x3 x4)")
+    with pytest.raises(ModeMismatch, match="field mismatch: Q vs Fp:5"):
+        pit_equal(f, fp, PITConfig(trials=1, prime=17))
