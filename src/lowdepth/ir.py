@@ -235,22 +235,27 @@ def validate(formula: Formula) -> None:
     leaves hang off sum gates only, and a sum gate with only constant-leaf
     children appears only at the output.
     """
-    field = formula.field
-    for node, parent in iter_preorder_positions(formula.root):
-        if isinstance(node, OneLeaf):
-            if parent is not None and not isinstance(parent, SumGate):
+    is_zero, one = formula.field.is_zero, formula.field.one()
+    stack: list[tuple[Node, Node | None]] = [(formula.root, None)]  # preorder over positions
+    while stack:
+        node, parent = stack.pop()
+        kind = type(node)
+        if kind is OneLeaf:
+            if parent is not None and type(parent) is not SumGate:
                 raise WellFormednessError("constant leaf 1 must be the child of a sum gate")
-        elif is_gate(node):
-            if not node.children:
+        elif kind is SumGate or kind is ProdGate:
+            children = node.children
+            if not children:
                 raise WellFormednessError("gate with fan-in 0")
-            for scalar, _ in node.children:
-                if field.is_zero(scalar):
+            for scalar, _ in children:
+                if scalar is not one and is_zero(scalar):
                     raise WellFormednessError("edge weight 0 is not allowed")
-            if isinstance(node, SumGate) and parent is not None:
-                if all(isinstance(ch, OneLeaf) for _, ch in node.children):
+            if kind is SumGate and parent is not None:
+                if all(type(ch) is OneLeaf for _, ch in children):
                     raise WellFormednessError(
                         "sum gate over constant leaves only is allowed at the output gate only"
                     )
+            stack.extend([(child, node) for _, child in reversed(children)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ polynomial with each word x_{w_1} ... x_{w_k} sent to prod_t r_{w_t, t-1}.
 That map is injective on words, so a non-zero difference stays a non-zero
 polynomial of degree at most d in the r's.  By Schwartz-Zippel a trial then
 errs with probability at most d/p for syntactic degree d, in both modes.
-
 An "unequal" verdict is certain and carries a witness that can be replayed;
 "equal-probably" reports the per-trial error bound.
 
-All trials run in one bottom-up traversal: a value holds every trial's
-residues, edge scalars are reduced mod p once per formula, and a value is
-dropped as soon as its last parent has used it.
+Each formula is compiled once, in one loop over its postorder, to a flat
+program of node kinds, child positions and parent-use counts; edge scalars are
+interned, so each distinct one is reduced mod p once.  All trials run in one
+pass over the program, and a value is dropped once its last parent has read
+it.  The points are exactly those of random.randrange(p): the same getrandbits
+calls and the same rejection rule, without randrange's per-call overhead.
 
 Rational formulas are reduced mod the configured prime (sound: a mismatch mod
 p separates them over Q too).  Formulas over a prime field are evaluated in
@@ -27,10 +29,11 @@ integers mod a different prime would be meaningless.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from operator import add, mul
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, ModeMismatch
 from .fields import MERSENNE61, PrimeField
@@ -62,35 +65,96 @@ class PITResult:
         return self.verdict == "equal-probably"
 
 
-def _trial_seed(seed: int, trial: int) -> int:
-    return seed * 1_000_003 + trial
+_VAR, _ONE, _SUM, _PROD = range(4)
 
 
-def _residue(fp: PrimeField, c) -> int:
-    try:
-        return fp.normalize(c)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"edge scalar {c}: {exc}; choose another prime") from None
+class Program(NamedTuple):
+    """A formula's distinct nodes in postorder.  code[i] is (kind, arg, slots):
+    a variable's id, or a gate's child positions and its edges' slots in the
+    scalar table (None when every weight is the unit).  uses[i] counts the
+    edges that read node i; size counts positions, a shared node once per use.
+    """
+
+    code: list[tuple]
+    uses: list[int]
+    degree: int
+    size: int
+    variables: set[int]
 
 
-def _add_into(acc: Value, c: int, v: Value) -> None:
-    """acc += c * v, entries left unreduced."""
-    for k, xs in v.items():
-        cur = acc.get(k)
-        if cur is None:
-            acc[k] = xs if c == 1 else [c * x for x in xs]
-        elif c == 1:
-            acc[k] = [a + x for a, x in zip(cur, xs)]
+def _compile(root: ir.Node, table: dict) -> Program:
+    """Flatten root; table interns edge scalars (value -> slot) across the formulas
+    of one test, unreduced, so the checks on the shape come first."""
+    # per position: entry, edges that read it, syntactic degree, size; and the variables
+    code, uses, degree, size, vs = [], [], [], [], set()
+    at: dict[int, int] = {}  # id(node) -> position
+    slot_of: dict[int, int] = {}  # id(scalar) -> slot: each object is hashed once
+    unit = table.setdefault(1, len(table))
+    last, last_slot = None, unit  # runs of one scalar object skip the lookup
+    for i, node in enumerate(ir.postorder(root)):
+        at[id(node)] = i
+        uses.append(0)
+        kind = type(node)
+        if kind is ir.SumGate or kind is ir.ProdGate:
+            is_sum = kind is ir.SumGate
+            kids, slots, deg, sz = [], None, 0, 0
+            for j, (c, child) in enumerate(node.children):
+                k = at[id(child)]
+                kids.append(k)
+                uses[k] += 1
+                sz += size[k]
+                deg = max(deg, degree[k]) if is_sum else deg + degree[k]
+                if c is not last:
+                    last, last_slot = c, slot_of.get(id(c))
+                    if last_slot is None:
+                        last_slot = slot_of[id(c)] = table.setdefault(c, len(table))
+                if last_slot != unit:
+                    slots = slots or [unit] * len(node.children)
+                    slots[j] = last_slot
+            code.append((_SUM if is_sum else _PROD, kids, slots))
+            degree.append(deg)
+            size.append(sz)
         else:
-            acc[k] = [a + c * x for a, x in zip(cur, xs)]
+            is_var = kind is ir.VarLeaf
+            code.append((_VAR, node.var, None) if is_var else (_ONE, None, None))
+            degree.append(int(is_var))
+            size.append(1)
+            if is_var:
+                vs.add(node.var)
+    return Program(code, uses, degree[-1], size[-1], vs)
+
+
+def _residues(table: dict, p: int) -> list[int]:
+    """The interned scalars mod p, in order of first use."""
+    fp, out = PrimeField(p), []
+    for c in table:
+        try:
+            out.append(fp.normalize(c))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"edge scalar {c}: {exc}; choose another prime") from None
+    return out
+
+
+def _columns(seeds: list[int], variables: list[int], per: int, p: int) -> dict[int, list[int]]:
+    """x_v -> per draws of every trial (its coordinate, or r_{v,0..m-2}), draw j of
+    trial t at j * trials + t.  A trial draws variable by variable, exactly as
+    random.Random(seed).randrange(p): getrandbits(p.bit_length()), redrawn while >= p."""
+    k, rows = p.bit_length(), []
+    for seed in seeds:
+        bits, row = random.Random(seed).getrandbits, []
+        for _ in range(per * len(variables)):
+            r = bits(k)
+            while r >= p:
+                r = bits(k)
+            row.append(r)
+        rows.append(row)
+    draws = list(zip(*rows))
+    return {v: list(chain.from_iterable(draws[i * per:(i + 1) * per])) for i, v in enumerate(variables)}
 
 
 def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
-    """Matrix product of two sums of superdiagonals.
-
-    Diagonal k1 times diagonal k2 is diagonal k1 + k2 with c[j] = a[j] *
-    b[j + k1]; diagonals at or beyond m vanish.
-    """
+    """Matrix product of two sums of superdiagonals: diagonal k1 times k2 is
+    diagonal k1 + k2 with c[j] = a[j] * b[j + k1]; those at or beyond m vanish."""
     out: Value = {}
     for k1, xs in a.items():
         off = k1 * trials
@@ -104,92 +168,44 @@ def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
     return out
 
 
-def _shape(root: ir.Node) -> tuple[list[ir.Node], int, int, set[int]]:
-    """Postorder of the distinct nodes, syntactic degree, size and variables,
-    from one traversal."""
-    order = ir.postorder(root)
-    degree: dict[int, int] = {}
-    size: dict[int, int] = {}
-    vs: set[int] = set()
-    for node in order:
-        if isinstance(node, ir.VarLeaf):
-            degree[id(node)], size[id(node)] = 1, 1
-            vs.add(node.var)
-        elif isinstance(node, ir.OneLeaf):
-            degree[id(node)], size[id(node)] = 0, 1
-        else:
-            kids = [id(child) for _, child in node.children]
-            degs = [degree[k] for k in kids]
-            degree[id(node)] = max(degs) if isinstance(node, ir.SumGate) else sum(degs)
-            size[id(node)] = sum(size[k] for k in kids)
-    return order, degree[id(root)], size[id(root)], vs
-
-
-def _evaluate(order: list[ir.Node], leaves: dict[int, Value], m: int, trials: int, p: int) -> Value:
-    """Value of the root (the last node of the postorder) for every trial;
-    leaves maps variable -> value.
-
-    Each edge scalar is reduced once.  A node's value is dropped when its
-    last parent edge has read it, so shared nodes are evaluated once and kept
-    only as long as needed.
-    """
-    fp = PrimeField(p)
-    uses = Counter(id(child) for node in order if ir.is_gate(node) for _, child in node.children)
-    one: Value = {0: [1] * (m * trials)}
-    vals: dict[int, Value] = {}
-    for node in order:
-        if isinstance(node, ir.VarLeaf):
-            vals[id(node)] = leaves[node.var]
+def _run(prog: Program, cols: dict, diag: int, res: list[int], m: int, trials: int, p: int) -> Value:
+    """Value of the root for every trial; x_v is cols[v] on diagonal diag (0
+    for scalars, m = 1) and res holds the residues of the scalar table."""
+    leaves = {v: {diag: xs} for v, xs in cols.items()}
+    one = {0: [1] * (m * trials)}
+    left = prog.uses[:]
+    vals: list = [None] * len(left)
+    for i, (kind, kids, slots) in enumerate(prog.code):
+        if kind == _VAR or kind == _ONE:
+            vals[i] = leaves[kids] if kind == _VAR else one
             continue
-        if isinstance(node, ir.OneLeaf):
-            vals[id(node)] = one
-            continue
-        edges = []
-        for c, child in node.children:
-            key = id(child)
-            edges.append((_residue(fp, c), vals[key]))
-            uses[key] -= 1
-            if not uses[key]:
-                del vals[key]
-        if isinstance(node, ir.SumGate):
+        if not diag and slots is None and len(kids) == 2:
+            # a unit sum is left unreduced: every other gate reduces, so
+            # entries stay below size * p until the root reduces them
+            xs, ys = vals[kids[0]][0], vals[kids[1]][0]
+            val = {0: list(map(add, xs, ys)) if kind == _SUM else [z % p for z in map(mul, xs, ys)]}
+        elif kind == _SUM:
             acc: Value = {}
-            for c, v in edges:
-                _add_into(acc, c, v)
-            val = {k: [x % p for x in xs] for k, xs in acc.items()}
+            for j, k in enumerate(kids):
+                c = 1 if slots is None else res[slots[j]]
+                for d, xs in vals[k].items():
+                    xs = xs if c == 1 else [c * x for x in xs]
+                    acc[d] = xs if d not in acc else list(map(add, acc[d], xs))
+            val = {d: [x % p for x in xs] for d, xs in acc.items()}
         else:
-            coeff, val = edges[0]
-            for c, v in edges[1:]:
-                coeff = coeff * c % p
-                val = _mul(val, v, m, trials, p)
+            val, coeff = vals[kids[0]], 1
+            for k in kids[1:]:
+                val = _mul(val, vals[k], m, trials, p)
+            for s in slots or ():
+                coeff = coeff * res[s] % p
             if coeff != 1:
-                val = {k: [coeff * x % p for x in xs] for k, xs in val.items()}
-        vals[id(node)] = val
-    return vals[id(order[-1])]
-
-
-def _point_for_trial(seed: int, variables: list[int], p: int) -> dict[int, int]:
-    rng = random.Random(seed)
-    return {v: rng.randrange(p) for v in variables}
-
-
-def _scalar_leaves(seeds: list[int], variables: list[int], p: int) -> dict[int, Value]:
-    """x_v -> its coordinate of every trial's point."""
-    cols: dict[int, list[int]] = {v: [] for v in variables}
-    for seed in seeds:
-        for v, x in _point_for_trial(seed, variables, p).items():
-            cols[v].append(x)
-    return {v: {0: xs} for v, xs in cols.items()}
-
-
-def _superdiagonal_leaves(seeds: list[int], variables: list[int], m: int, p: int) -> dict[int, Value]:
-    """x_v -> sum_j r_{v,j} E_{j,j+1}, with fresh r's for every trial."""
-    trials = len(seeds)
-    cols: dict[int, list[int]] = {v: [0] * ((m - 1) * trials) for v in variables}
-    for t, seed in enumerate(seeds):
-        rng = random.Random(seed)
-        for v in variables:
-            cols[v][t::trials] = [rng.randrange(p) for _ in range(m - 1)]  # r_{v,0..m-2}
-    return {v: {1: xs} for v, xs in cols.items()}
+                val = {d: [coeff * x % p for x in xs] for d, xs in val.items()}
+        for k in kids:
+            left[k] -= 1
+            if not left[k]:
+                vals[k] = None
+        vals[i] = val
+    return {d: [x % p for x in xs] for d, xs in vals[-1].items()}
 
 
 def _entry(val: Value, i: int, j: int, trial: int, trials: int) -> int:
@@ -209,55 +225,42 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
     # soundly mod any large p
     native = isinstance(a.field, PrimeField)
     p = a.field.p if native else cfg.prime
-    order_a, deg_a, size_a, vars_a = _shape(a.root)
-    order_b, deg_b, size_b, vars_b = _shape(b.root)
-    d = max(deg_a, deg_b, 1)
+    table: dict = {}
+    prog_a, prog_b = _compile(a.root, table), _compile(b.root, table)
+    d = max(prog_a.degree, prog_b.degree, 1)
+    size = max(prog_a.size, prog_b.size)
     if native:
         if p <= 2 * d:
             raise ValueError(f"field {a.field.name} too small to test degree {d}")
-    elif p <= 2 * d * max(size_a, size_b):
-        raise ValueError(
-            f"prime {p} below the heuristic floor 2 * degree * size = "
-            f"{2 * d * max(size_a, size_b)}; error bounds would be weak"
-        )
-    vs = sorted(vars_a | vars_b)
-    trials = cfg.trials
-    seeds = [_trial_seed(cfg.seed, t) for t in range(trials)]
-    if a.commutative:
-        m = 1
-        leaves = _scalar_leaves(seeds, vs, p)
-    else:
+    elif p <= 2 * d * size:
+        raise ValueError(f"prime {p} below the heuristic floor 2 * degree * size = "
+                         f"{2 * d * size}; error bounds would be weak")
+    m = 1
+    if not a.commutative:
         m = cfg.matrix_dim if cfg.matrix_dim is not None else d + 1
         if m < d + 1:
             raise ValueError(f"matrix dimension {m} below degree bound {d + 1}")
-        leaves = _superdiagonal_leaves(seeds, vs, m, p)
-    va = _evaluate(order_a, leaves, m, trials, p)
-    vb = _evaluate(order_b, leaves, m, trials, p)
+    res = _residues(table, p)
+    vs = sorted(prog_a.variables | prog_b.variables)
+    trials = cfg.trials
+    seeds = [cfg.seed * 1_000_003 + t for t in range(trials)]
+    cols = _columns(seeds, vs, max(m - 1, 1), p)
+    va, vb = (_run(prog, cols, int(m > 1), res, m, trials, p) for prog in (prog_a, prog_b))
     error = Fraction(d, p)
     # the first differing trial, and in it the first differing entry in row-major order
-    first = min(
-        ((idx % trials, idx // trials, idx // trials + k)
-         for k in va.keys() | vb.keys()
-         for idx, (x, y) in enumerate(zip_longest(va.get(k, ()), vb.get(k, ()), fillvalue=0))
-         if x != y),
-        default=None,
-    )
+    first = min(((idx % trials, idx // trials, idx // trials + k) for k in va.keys() | vb.keys()
+                 for idx, (x, y) in enumerate(zip_longest(va.get(k, ()), vb.get(k, ()), fillvalue=0))
+                 if x != y), default=None)
     if first is None:
         return PITResult("equal-probably", trials, error, None)
     t, i, j = first
-    witness = {
-        "kind": "scalar" if a.commutative else "superdiagonal",
-        "prime": p,
-        "trial": t,
-        "trial_seed": seeds[t],
-    }
+    witness = {"kind": "scalar" if a.commutative else "superdiagonal", "prime": p, "trial": t,
+               "trial_seed": seeds[t]}
     if a.commutative:
-        witness["point"] = {str(v): x for v, x in _point_for_trial(seeds[t], vs, p).items()}
+        witness["point"] = {str(v): cols[v][t] for v in vs}
     else:
-        witness["dim"] = m
-        witness["entry"] = [i, j]
-    witness["lhs"] = _entry(va, i, j, t, trials)
-    witness["rhs"] = _entry(vb, i, j, t, trials)
+        witness.update(dim=m, entry=[i, j])
+    witness.update(lhs=_entry(va, i, j, t, trials), rhs=_entry(vb, i, j, t, trials))
     return PITResult("unequal", t + 1, error, witness)
 
 
@@ -285,23 +288,20 @@ def verify(
 
 def check_witness(a: ir.Formula, b: ir.Formula, witness: dict) -> bool:
     """Replay a recorded witness and confirm it still separates the formulas."""
-    p = witness["prime"]
-    order_a, _, _, vars_a = _shape(a.root)
-    order_b, _, _, vars_b = _shape(b.root)
-    vs = sorted(vars_a | vars_b)
-    seeds = [witness["trial_seed"]]
+    p, seeds = witness["prime"], [witness["trial_seed"]]
+    table: dict = {}
+    prog_a, prog_b = _compile(a.root, table), _compile(b.root, table)
+    vs = sorted(prog_a.variables | prog_b.variables)
     if witness["kind"] == "scalar":
-        point = _point_for_trial(seeds[0], vs, p)
-        if {str(v): x for v, x in point.items()} != witness["point"]:
+        diag, m, i, j = 0, 1, 0, 0
+        cols = _columns(seeds, vs, 1, p)
+        if {str(v): xs[0] for v, xs in cols.items()} != witness["point"]:
             return False
-        m, i, j = 1, 0, 0
-        leaves = _scalar_leaves(seeds, vs, p)
     elif witness["kind"] == "superdiagonal":
-        m = witness["dim"]
-        i, j = witness["entry"]
-        leaves = _superdiagonal_leaves(seeds, vs, m, p)
+        diag, m, (i, j) = 1, witness["dim"], witness["entry"]
+        cols = _columns(seeds, vs, m - 1, p)
     else:
         raise ValueError(f"unknown witness kind {witness.get('kind')!r}")
-    va = _entry(_evaluate(order_a, leaves, m, 1, p), i, j, 0, 1)
-    vb = _entry(_evaluate(order_b, leaves, m, 1, p), i, j, 0, 1)
+    res = _residues(table, p)
+    va, vb = (_entry(_run(prog, cols, diag, res, m, 1, p), i, j, 0, 1) for prog in (prog_a, prog_b))
     return va == witness["lhs"] and vb == witness["rhs"] and va != vb

@@ -19,12 +19,15 @@ sugar mapping (i, j) to a single id through the Cantor pairing
 Both header lines are optional on input and default to commutative over Q.
 
 The parser and serializer are iterative, so arbitrarily deep combs round-trip
-without recursion issues.
+without recursion issues.  The tokenizer returns the bare token strings; a
+syntax error finds its character position by tokenizing again up to the
+offending token, so positions cost nothing on text that parses.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import FormulaSyntaxError
 from .fields import QQ, Field, Scalar, field_from_name
@@ -45,12 +48,13 @@ def cantor_pair(i: int, j: int) -> int:
 _TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
 
 
-def _tokenize(text: str, start: int) -> list[tuple[str, int]]:
-    """Split the expression part into ('(', ')', atom) tokens with positions."""
-    return [(m.group(), m.start()) for m in _TOKEN.finditer(text, start)]
+def _position(text: str, start: int, index: int) -> int:
+    """Character position of token number index after start.  The tokenizer
+    keeps no positions, so an error message finds its position again here."""
+    return next(islice(_TOKEN.finditer(text, start), index, None)).start()
 
 
-def _parse_var(atom: str, pos: int) -> VarLeaf:
+def _parse_var(atom: str) -> VarLeaf | None:
     body = atom[1:]
     if body.isdigit():
         return VarLeaf(int(body))
@@ -58,7 +62,7 @@ def _parse_var(atom: str, pos: int) -> VarLeaf:
         parts = body[1:].split("_")
         if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
             return VarLeaf(cantor_pair(int(parts[0]), int(parts[1])))
-    raise FormulaSyntaxError(f"bad variable {atom!r}", pos)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -89,82 +93,81 @@ def parse(text: str) -> Formula:
         else:
             break
 
-    tokens = _tokenize(text, offset)
-    if not tokens:
+    tokens = _TOKEN.findall(text, offset)
+    n = len(tokens)
+    if not n:
         raise FormulaSyntaxError("empty formula", offset)
+
+    def error(message: str, index: int) -> FormulaSyntaxError:
+        return FormulaSyntaxError(message, _position(text, offset, index))
 
     one = field.one()
     scalars: dict[str, Scalar] = {}  # scalar text -> its value, parsed once per call
-    # Each frame is [op, position, items]; items are (scalar, node) edges.
+    # Each frame is [op, index of its head token, items]; items are (scalar,
+    # node) edges, and a scale frame also holds its scalar.
     frames: list[list] = []
     done: list[tuple] = []  # completed (scalar, node) at top level
-
-    def push_value(scalar, node) -> None:
-        if frames:
-            top = frames[-1]
-            if top[0] == "scale":
-                if top[2]:
-                    raise FormulaSyntaxError("scale takes exactly one operand", top[1])
-            top[2].append((scalar, node))
-        else:
-            done.append((scalar, node))
-
     idx = 0
-    while idx < len(tokens):
-        tok, pos = tokens[idx]
+    while idx < n:
+        tok = tokens[idx]
         if tok == "(":
-            if idx + 1 >= len(tokens):
-                raise FormulaSyntaxError("unterminated gate", pos)
-            head, hpos = tokens[idx + 1]
-            if head in ("+", "*"):
-                frames.append([head, hpos, []])
+            if idx + 1 >= n:
+                raise error("unterminated gate", idx)
+            head = tokens[idx + 1]
+            if head == "+" or head == "*":
+                frames.append([head, idx + 1, []])
                 idx += 2
                 continue
-            if head == "scale":
-                if not frames:
-                    raise FormulaSyntaxError("scale must sit directly under a gate", hpos)
-                if idx + 2 >= len(tokens):
-                    raise FormulaSyntaxError("scale needs a scalar", hpos)
-                sc_text, sc_pos = tokens[idx + 2]
-                if sc_text in ("(", ")"):
-                    raise FormulaSyntaxError("scale needs a scalar", sc_pos)
-                scalar = scalars.get(sc_text)
-                if scalar is None:
-                    scalar = scalars[sc_text] = field.parse(sc_text)
-                frames.append(["scale", hpos, [], scalar])
-                idx += 3
-                continue
-            raise FormulaSyntaxError(f"unknown gate head {head!r}", hpos)
+            if head != "scale":
+                raise error(f"unknown gate head {head!r}", idx + 1)
+            if not frames:
+                raise error("scale must sit directly under a gate", idx + 1)
+            if idx + 2 >= n:
+                raise error("scale needs a scalar", idx + 1)
+            sc_text = tokens[idx + 2]
+            if sc_text == "(" or sc_text == ")":
+                raise error("scale needs a scalar", idx + 2)
+            scalar = scalars.get(sc_text)
+            if scalar is None:
+                scalar = scalars[sc_text] = field.parse(sc_text)
+            frames.append(["scale", idx + 1, [], scalar])
+            idx += 3
+            continue
         if tok == ")":
             if not frames:
-                raise FormulaSyntaxError("unmatched )", pos)
+                raise error("unmatched )", idx)
             frame = frames.pop()
-            op, fpos, items = frame[0], frame[1], frame[2]
+            op, items = frame[0], frame[2]
             if op == "scale":
                 if len(items) != 1:
-                    raise FormulaSyntaxError("scale takes exactly one operand", fpos)
-                inner_scalar, node = items[0]
-                if not field.is_one(inner_scalar):
-                    raise FormulaSyntaxError("scale may not nest", fpos)
-                push_value(frame[3], node)
+                    raise error("scale takes exactly one operand", frame[1])
+                if not field.is_one(items[0][0]):
+                    raise error("scale may not nest", frame[1])
+                edge = (frame[3], items[0][1])
+            elif not items:
+                raise error("gate with no children", frame[1])
             else:
-                if not items:
-                    raise FormulaSyntaxError("gate with no children", fpos)
-                gate = SumGate(tuple(items)) if op == "+" else ProdGate(tuple(items))
-                push_value(one, gate)
-            idx += 1
-            continue
-        # atom
-        if tok == "1":
-            push_value(one, OneLeaf())
-        elif tok.startswith("x"):
-            push_value(one, _parse_var(tok, pos))
+                edge = (one, SumGate(tuple(items)) if op == "+" else ProdGate(tuple(items)))
+        elif tok == "1":
+            edge = (one, OneLeaf())
+        elif tok[0] == "x":
+            leaf = _parse_var(tok)
+            if leaf is None:
+                raise error(f"bad variable {tok!r}", idx)
+            edge = (one, leaf)
         else:
-            raise FormulaSyntaxError(f"unexpected token {tok!r}", pos)
+            raise error(f"unexpected token {tok!r}", idx)
         idx += 1
+        if not frames:
+            done.append(edge)
+            continue
+        top = frames[-1]
+        if top[0] == "scale" and top[2]:
+            raise error("scale takes exactly one operand", top[1])
+        top[2].append(edge)
 
     if frames:
-        raise FormulaSyntaxError("unterminated gate", frames[-1][1])
+        raise error("unterminated gate", frames[-1][1])
     if len(done) != 1:
         raise FormulaSyntaxError("expected exactly one top-level expression", 0)
     scalar, root = done[0]

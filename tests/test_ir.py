@@ -291,6 +291,8 @@ def test_gate_metrics_fields_equality_and_report():
     ("(+ (+ 1 1) (scale 0 x2))", "edge weight 0 is not allowed"),
     ("(+ (* x1 (+ 1 1)) (* x2 1))",
      "sum gate over constant leaves only is allowed at the output gate only"),
+    # a child sum is entered before a constant leaf to its right
+    ("(+ (* (+ 1 1) 1))", "sum gate over constant leaves only is allowed at the output gate only"),
 ])
 def test_validate_reports_first_violation_in_preorder(tmp_path, text, message):
     path = tmp_path / "two.frm"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from lowdepth import ir, pit, poly, sexpr
 from lowdepth.errors import ModeMismatch
 from lowdepth.pit import PITConfig, check_witness, pit_equal
@@ -195,15 +196,59 @@ def test_dense_matrix_witness_kind_rejected():
         check_witness(a, b, witness)
 
 
-def test_shape_matches_metrics_and_variables(corpus_both):
+def _dag():
     shared = sexpr.parse("(* x1 x2)").root
-    dag = ir.Formula(ir.SumGate(((Fraction(1), shared), (Fraction(2), shared))))
+    return ir.Formula(ir.SumGate(((Fraction(1), shared), (Fraction(2), shared))))
+
+
+def test_shape_matches_metrics_and_variables(corpus_both):
+    dag = _dag()
     for f in corpus_both[:20] + [dag]:
-        order, degree, size, variables = pit._shape(f.root)
+        prog = pit._compile(f.root, {})
         m = ir.metrics(f)
-        assert (degree, size, variables) == (m.syn_degree, m.size, ir.variables(f))
-        assert order == list(ir.iter_postorder(f.root))
-    assert pit._shape(dag.root)[2] == 4  # positions, not distinct nodes
+        assert (prog.degree, prog.size, prog.variables) == (m.syn_degree, m.size, ir.variables(f))
+        # the program lists the distinct nodes in postorder, each gate
+        # reading its children's positions
+        order = ir.postorder(f.root)
+        at = {id(node): i for i, node in enumerate(order)}
+        assert len(prog.code) == len(order)
+        for node, (kind, arg, _) in zip(order, prog.code):
+            if isinstance(node, ir.VarLeaf):
+                assert (kind, arg) == (pit._VAR, node.var)
+            elif isinstance(node, ir.OneLeaf):
+                assert kind == pit._ONE
+            else:
+                assert kind == (pit._SUM if isinstance(node, ir.SumGate) else pit._PROD)
+                assert list(arg) == [at[id(child)] for _, child in node.children]
+    table: dict = {}
+    prog = pit._compile(dag.root, table)
+    assert prog.size == 4  # positions, not distinct nodes
+    assert prog.uses == [1, 1, 2, 0]
+    # the unit weight takes slot 0 and a gate of unit weights keeps no slots
+    assert table == {1: 0, 2: 1}
+    assert [slots for _, _, slots in prog.code] == [None, None, None, [0, 1]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compiled_values_match_reference(corpus_both, seed):
+    p = pit.MERSENNE61
+    rational = ir.Formula(ir.ProdGate(((Fraction(2, 7), _dag().root), (Fraction(-3, 5), ir.VarLeaf(3)))))
+    for f in corpus_both[:20] + [_dag(), rational]:
+        order, degree, _, variables = reference.shape(f.root)
+        vs = sorted(variables)
+        seeds = [seed * 1_000_003 + t for t in range(4)]
+        table: dict = {}
+        prog = pit._compile(f.root, table)
+        res = pit._residues(table, p)
+        for m in (1, degree + 1):  # scalar mode, then matrix mode
+            if m == 1:
+                leaves = reference.scalar_leaves(seeds, vs, p)
+            else:
+                leaves = reference.superdiagonal_leaves(seeds, vs, m, p)
+            cols = pit._columns(seeds, vs, max(m - 1, 1), p)
+            assert cols == {v: leaf[0 if m == 1 else 1] for v, leaf in leaves.items()}
+            expected = reference.evaluate(order, leaves, m, len(seeds), p)
+            assert pit._run(prog, cols, int(m > 1), res, m, len(seeds), p) == expected
 
 
 @pytest.mark.parametrize("lhs, rhs, seed, trials_run, witness", [
