@@ -14,11 +14,9 @@ An "unequal" verdict is certain and carries a witness that can be replayed;
 "equal-probably" reports the per-trial error bound.
 
 Each formula is compiled once, in one loop over its postorder, to a flat
-program of node kinds, child positions and parent-use counts; edge scalars are
-interned, so each distinct one is reduced mod p once.  All trials run in one
-pass over the program, and a value is dropped once its last parent has read
-it.  The points are exactly those of random.randrange(p): the same getrandbits
-calls and the same rejection rule, without randrange's per-call overhead.
+program (node kinds, child positions, parent-use counts, interned edge scalars
+reduced mod p once); all trials run in one pass over it, and a value is dropped
+once its last parent has read it.  Points are drawn as random.randrange(p) does.
 
 Rational formulas are reduced mod the configured prime (sound: a mismatch mod
 p separates them over Q too).  Formulas over a prime field are evaluated in
@@ -31,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 from operator import add, mul
 from typing import NamedTuple
 
@@ -103,7 +101,10 @@ def _compile(root: ir.Node, table: dict) -> Program:
                 kids.append(k)
                 uses[k] += 1
                 sz += size[k]
-                deg = max(deg, degree[k]) if is_sum else deg + degree[k]
+                if not is_sum:
+                    deg += degree[k]
+                elif degree[k] > deg:
+                    deg = degree[k]
                 if c is not last:
                     last, last_slot = c, slot_of.get(id(c))
                     if last_slot is None:
@@ -111,7 +112,7 @@ def _compile(root: ir.Node, table: dict) -> Program:
                 if last_slot != unit:
                     slots = slots or [unit] * len(node.children)
                     slots[j] = last_slot
-            code.append((_SUM if is_sum else _PROD, kids, slots))
+            code.append((_SUM if is_sum else _PROD, tuple(kids), slots))  # ints only: untracked by gc
             degree.append(deg)
             size.append(sz)
         else:
@@ -136,19 +137,22 @@ def _residues(table: dict, p: int) -> list[int]:
 
 
 def _columns(seeds: list[int], variables: list[int], per: int, p: int) -> dict[int, list[int]]:
-    """x_v -> per draws of every trial (its coordinate, or r_{v,0..m-2}), draw j of
-    trial t at j * trials + t.  A trial draws variable by variable, exactly as
-    random.Random(seed).randrange(p): getrandbits(p.bit_length()), redrawn while >= p."""
-    k, rows = p.bit_length(), []
+    """x_v -> per draws of every trial (its coordinate, or r_{v,0..m-2}), draw j of trial t
+    at j * trials + t; a trial draws variable by variable as Random(seed).randrange(p)."""
+    k, n, rows = p.bit_length(), per * len(variables), []
     for seed in seeds:
-        bits, row = random.Random(seed).getrandbits, []
-        for _ in range(per * len(variables)):
-            r = bits(k)
-            while r >= p:
+        row = list(map(random.Random(seed).getrandbits, repeat(k, n)))
+        if row and max(row) >= p:  # randrange rejects r >= p and draws again
+            bits, row = random.Random(seed).getrandbits, []
+            for _ in range(n):
                 r = bits(k)
-            row.append(r)
+                while r >= p:
+                    r = bits(k)
+                row.append(r)
         rows.append(row)
-    draws = list(zip(*rows))
+    draws = list(zip(*rows)) or [()] * n  # draws[q]: draw q of every trial
+    if per == 1:
+        return dict(zip(variables, map(list, draws)))
     return {v: list(chain.from_iterable(draws[i * per:(i + 1) * per])) for i, v in enumerate(variables)}
 
 
@@ -173,15 +177,14 @@ def _run(prog: Program, cols: dict, diag: int, res: list[int], m: int, trials: i
     for scalars, m = 1) and res holds the residues of the scalar table."""
     leaves = {v: {diag: xs} for v, xs in cols.items()}
     one = {0: [1] * (m * trials)}
-    left = prog.uses[:]
-    vals: list = [None] * len(left)
+    left, vals = prog.uses[:], [None] * len(prog.uses)
     for i, (kind, kids, slots) in enumerate(prog.code):
         if kind == _VAR or kind == _ONE:
             vals[i] = leaves[kids] if kind == _VAR else one
             continue
         if not diag and slots is None and len(kids) == 2:
-            # a unit sum is left unreduced: every other gate reduces, so
-            # entries stay below size * p until the root reduces them
+            # a unit sum is left unreduced; products and weighted sums reduce,
+            # so entries stay below size * p until the root reduces them
             xs, ys = vals[kids[0]][0], vals[kids[1]][0]
             val = {0: list(map(add, xs, ys)) if kind == _SUM else [z % p for z in map(mul, xs, ys)]}
         elif kind == _SUM:
@@ -210,8 +213,7 @@ def _run(prog: Program, cols: dict, diag: int, res: list[int], m: int, trials: i
 
 def _entry(val: Value, i: int, j: int, trial: int, trials: int) -> int:
     """Entry (i, j) of one trial's matrix; zero off the stored diagonals."""
-    diag = val.get(j - i)
-    return 0 if diag is None else diag[i * trials + trial]
+    return val[j - i][i * trials + trial] if j - i in val else 0
 
 
 def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PITResult:
@@ -220,9 +222,8 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
         raise ModeMismatch("cannot compare formulas in different commutativity modes")
     if a.field != b.field:
         raise ModeMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
-    # formulas over a prime field are evaluated in their own field; the
-    # configured prime only applies to rational formulas, whose scalars embed
-    # soundly mod any large p
+    # formulas over a prime field are evaluated in it; the configured prime
+    # applies only to rationals, whose scalars embed soundly mod any large p
     native = isinstance(a.field, PrimeField)
     p = a.field.p if native else cfg.prime
     table: dict = {}
@@ -246,13 +247,12 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
     seeds = [cfg.seed * 1_000_003 + t for t in range(trials)]
     cols = _columns(seeds, vs, max(m - 1, 1), p)
     va, vb = (_run(prog, cols, int(m > 1), res, m, trials, p) for prog in (prog_a, prog_b))
-    error = Fraction(d, p)
     # the first differing trial, and in it the first differing entry in row-major order
     first = min(((idx % trials, idx // trials, idx // trials + k) for k in va.keys() | vb.keys()
                  for idx, (x, y) in enumerate(zip_longest(va.get(k, ()), vb.get(k, ()), fillvalue=0))
                  if x != y), default=None)
     if first is None:
-        return PITResult("equal-probably", trials, error, None)
+        return PITResult("equal-probably", trials, Fraction(d, p), None)
     t, i, j = first
     witness = {"kind": "scalar" if a.commutative else "superdiagonal", "prime": p, "trial": t,
                "trial_seed": seeds[t]}
@@ -261,7 +261,7 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
     else:
         witness.update(dim=m, entry=[i, j])
     witness.update(lhs=_entry(va, i, j, t, trials), rhs=_entry(vb, i, j, t, trials))
-    return PITResult("unequal", t + 1, error, witness)
+    return PITResult("unequal", t + 1, Fraction(d, p), witness)
 
 
 def verify(

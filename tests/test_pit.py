@@ -367,3 +367,15 @@ def test_error_precedence():
     fp = sexpr.parse("field: Fp:5\n(* x1 x2 x3 x4)")
     with pytest.raises(ModeMismatch, match="field mismatch: Q vs Fp:5"):
         pit_equal(f, fp, PITConfig(trials=1, prime=17))
+
+
+@pytest.mark.parametrize("header", ["", "mode: noncommutative\n"])
+def test_zero_trials_and_constant_formulas(header):
+    a = sexpr.parse(header + "(+ x1 (* x2 x3))")
+    b = sexpr.parse(header + "(+ x1 (* x3 x2) x4)")
+    res = pit_equal(a, b, PITConfig(trials=0))
+    assert (res.verdict, res.trials_run, res.witness) == ("equal-probably", 0, None)
+    # no variables: the constants differ in every trial, at entry (0, 0)
+    res = pit_equal(sexpr.parse(header + "(+ 1 1)"), sexpr.parse(header + "(+ 1)"), PITConfig(trials=2))
+    assert (res.trials_run, res.witness["lhs"], res.witness["rhs"]) == (1, 2, 1)
+    assert res.witness.get("point", {}) == {} and res.witness.get("entry", [0, 0]) == [0, 0]
