@@ -29,7 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat, zip_longest
+from itertools import chain, zip_longest
+from math import prod
 from operator import add, mul
 from typing import NamedTuple
 
@@ -67,13 +68,14 @@ _VAR, _ONE, _SUM, _PROD = range(4)
 
 
 class Program(NamedTuple):
-    """A formula's distinct nodes in postorder.  code[i] is (kind, arg, slots):
-    a variable's id, or a gate's child positions and its edges' slots in the
-    scalar table (None when every weight is the unit).  uses[i] counts the
-    edges that read node i; size counts positions, a shared node once per use.
-    """
+    """A formula's distinct nodes in postorder, as parallel lists: args[i] is a
+    variable's id or a gate's child positions, slots[i] its edges' slots in the
+    scalar table (None when all weights are the unit), uses[i] the edges that
+    read node i.  size counts positions, a shared node once per use."""
 
-    code: list[tuple]
+    kinds: list[int]
+    args: list
+    slots: list
     uses: list[int]
     degree: int
     size: int
@@ -83,12 +85,12 @@ class Program(NamedTuple):
 def _compile(root: ir.Node, table: dict) -> Program:
     """Flatten root; table interns edge scalars (value -> slot) across the formulas
     of one test, unreduced, so the checks on the shape come first."""
-    # per position: entry, edges that read it, syntactic degree, size; and the variables
-    code, uses, degree, size, vs = [], [], [], [], set()
+    # one entry per node, and no object per node beyond a gate's child tuple,
+    # which holds ints only and so leaves the garbage collector's lists
+    kinds, args, weights, uses, degree, size, vs = [], [], [], [], [], [], set()
     at: dict[int, int] = {}  # id(node) -> position
     slot_of: dict[int, int] = {}  # id(scalar) -> slot: each object is hashed once
     unit = table.setdefault(1, len(table))
-    last, last_slot = None, unit  # runs of one scalar object skip the lookup
     for i, node in enumerate(ir.postorder(root)):
         at[id(node)] = i
         uses.append(0)
@@ -105,24 +107,27 @@ def _compile(root: ir.Node, table: dict) -> Program:
                     deg += degree[k]
                 elif degree[k] > deg:
                     deg = degree[k]
-                if c is not last:
-                    last, last_slot = c, slot_of.get(id(c))
-                    if last_slot is None:
-                        last_slot = slot_of[id(c)] = table.setdefault(c, len(table))
-                if last_slot != unit:
+                s = slot_of.get(id(c))
+                if s is None:
+                    s = slot_of[id(c)] = table.setdefault(c, len(table))
+                if s != unit:
                     slots = slots or [unit] * len(node.children)
-                    slots[j] = last_slot
-            code.append((_SUM if is_sum else _PROD, tuple(kids), slots))  # ints only: untracked by gc
+                    slots[j] = s
+            kinds.append(_SUM if is_sum else _PROD)
+            args.append(tuple(kids))
+            weights.append(slots)
             degree.append(deg)
             size.append(sz)
         else:
             is_var = kind is ir.VarLeaf
-            code.append((_VAR, node.var, None) if is_var else (_ONE, None, None))
+            kinds.append(_VAR if is_var else _ONE)
+            args.append(node.var if is_var else None)
+            weights.append(None)
             degree.append(int(is_var))
             size.append(1)
             if is_var:
                 vs.add(node.var)
-    return Program(code, uses, degree[-1], size[-1], vs)
+    return Program(kinds, args, weights, uses, degree[-1], size[-1], vs)
 
 
 def _residues(table: dict, p: int) -> list[int]:
@@ -141,18 +146,16 @@ def _columns(seeds: list[int], variables: list[int], per: int, p: int) -> dict[i
     at j * trials + t; a trial draws variable by variable as Random(seed).randrange(p)."""
     k, n, rows = p.bit_length(), per * len(variables), []
     for seed in seeds:
-        row = list(map(random.Random(seed).getrandbits, repeat(k, n)))
-        if row and max(row) >= p:  # randrange rejects r >= p and draws again
-            bits, row = random.Random(seed).getrandbits, []
-            for _ in range(n):
+        bits, row = random.Random(seed).getrandbits, []
+        for _ in range(n):
+            r = bits(k)
+            while r >= p:  # randrange's rejection rule
                 r = bits(k)
-                while r >= p:
-                    r = bits(k)
-                row.append(r)
+            row.append(r)
         rows.append(row)
     draws = list(zip(*rows)) or [()] * n  # draws[q]: draw q of every trial
     if per == 1:
-        return dict(zip(variables, map(list, draws)))
+        return dict(zip(variables, draws))
     return {v: list(chain.from_iterable(draws[i * per:(i + 1) * per])) for i, v in enumerate(variables)}
 
 
@@ -166,21 +169,20 @@ def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
             k = k1 + k2
             if k >= m:
                 continue
-            prod = [x * y % p for x, y in zip(xs, ys[off:] if off else ys)]
+            part = [x * y % p for x, y in zip(xs, ys[off:] if off else ys)]
             cur = out.get(k)
-            out[k] = prod if cur is None else [(x + y) % p for x, y in zip(cur, prod)]
+            out[k] = part if cur is None else [(x + y) % p for x, y in zip(cur, part)]
     return out
 
 
 def _run(prog: Program, cols: dict, diag: int, res: list[int], m: int, trials: int, p: int) -> Value:
     """Value of the root for every trial; x_v is cols[v] on diagonal diag (0
     for scalars, m = 1) and res holds the residues of the scalar table."""
-    leaves = {v: {diag: xs} for v, xs in cols.items()}
     one = {0: [1] * (m * trials)}
     left, vals = prog.uses[:], [None] * len(prog.uses)
-    for i, (kind, kids, slots) in enumerate(prog.code):
+    for i, (kind, kids, slots) in enumerate(zip(prog.kinds, prog.args, prog.slots)):
         if kind == _VAR or kind == _ONE:
-            vals[i] = leaves[kids] if kind == _VAR else one
+            vals[i] = {diag: cols[kids]} if kind == _VAR else one
             continue
         if not diag and slots is None and len(kids) == 2:
             # a unit sum is left unreduced; products and weighted sums reduce,
@@ -196,11 +198,9 @@ def _run(prog: Program, cols: dict, diag: int, res: list[int], m: int, trials: i
                     acc[d] = xs if d not in acc else list(map(add, acc[d], xs))
             val = {d: [x % p for x in xs] for d, xs in acc.items()}
         else:
-            val, coeff = vals[kids[0]], 1
+            val, coeff = vals[kids[0]], prod([res[s] for s in slots or ()]) % p
             for k in kids[1:]:
                 val = _mul(val, vals[k], m, trials, p)
-            for s in slots or ():
-                coeff = coeff * res[s] % p
             if coeff != 1:
                 val = {d: [coeff * x % p for x in xs] for d, xs in val.items()}
         for k in kids:

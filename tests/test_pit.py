@@ -211,8 +211,8 @@ def test_shape_matches_metrics_and_variables(corpus_both):
         # reading its children's positions
         order = ir.postorder(f.root)
         at = {id(node): i for i, node in enumerate(order)}
-        assert len(prog.code) == len(order)
-        for node, (kind, arg, _) in zip(order, prog.code):
+        assert len(prog.kinds) == len(prog.args) == len(prog.slots) == len(order)
+        for node, kind, arg in zip(order, prog.kinds, prog.args):
             if isinstance(node, ir.VarLeaf):
                 assert (kind, arg) == (pit._VAR, node.var)
             elif isinstance(node, ir.OneLeaf):
@@ -226,7 +226,7 @@ def test_shape_matches_metrics_and_variables(corpus_both):
     assert prog.uses == [1, 1, 2, 0]
     # the unit weight takes slot 0 and a gate of unit weights keeps no slots
     assert table == {1: 0, 2: 1}
-    assert [slots for _, _, slots in prog.code] == [None, None, None, [0, 1]]
+    assert prog.slots == [None, None, None, [0, 1]]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -246,7 +246,7 @@ def test_compiled_values_match_reference(corpus_both, seed):
             else:
                 leaves = reference.superdiagonal_leaves(seeds, vs, m, p)
             cols = pit._columns(seeds, vs, max(m - 1, 1), p)
-            assert cols == {v: leaf[0 if m == 1 else 1] for v, leaf in leaves.items()}
+            assert {v: list(xs) for v, xs in cols.items()} == {v: leaf[0 if m == 1 else 1] for v, leaf in leaves.items()}
             expected = reference.evaluate(order, leaves, m, len(seeds), p)
             assert pit._run(prog, cols, int(m > 1), res, m, len(seeds), p) == expected
 
