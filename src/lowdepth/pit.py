@@ -141,7 +141,7 @@ def _residues(table: dict, p: int) -> list[int]:
     return out
 
 
-def _columns(seeds: list[int], variables: list[int], per: int, p: int) -> dict[int, list[int]]:
+def _columns(seeds: list[int], variables: list[int], per: int, p: int) -> dict:
     """x_v -> per draws of every trial (its coordinate, or r_{v,0..m-2}), draw j of trial t
     at j * trials + t; a trial draws variable by variable as Random(seed).randrange(p)."""
     k, n, rows = p.bit_length(), per * len(variables), []
