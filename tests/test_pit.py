@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from lowdepth import ir, pit, poly, sexpr
+from lowdepth.bench import gen_comb
 from lowdepth.errors import ModeMismatch
 from lowdepth.pit import PITConfig, check_witness, pit_equal
 
@@ -233,7 +234,9 @@ def test_shape_matches_metrics_and_variables(corpus_both):
 def test_compiled_values_match_reference(corpus_both, seed):
     p = pit.MERSENNE61
     rational = ir.Formula(ir.ProdGate(((Fraction(2, 7), _dag().root), (Fraction(-3, 5), ir.VarLeaf(3)))))
-    for f in corpus_both[:20] + [_dag(), rational]:
+    # a comb is all fan-in-2 gates of unit weight, the scalar mode's fast case
+    extra = [_dag(), rational, gen_comb(41), sexpr.parse("(* (+ x1 1) (+ x2 x3 x1) x1)")]
+    for f in corpus_both[:20] + extra:
         order, degree, _, variables = reference.shape(f.root)
         vs = sorted(variables)
         seeds = [seed * 1_000_003 + t for t in range(4)]
@@ -246,9 +249,10 @@ def test_compiled_values_match_reference(corpus_both, seed):
             else:
                 leaves = reference.superdiagonal_leaves(seeds, vs, m, p)
             cols = pit._columns(seeds, vs, max(m - 1, 1), p)
-            assert {v: list(xs) for v, xs in cols.items()} == {v: leaf[0 if m == 1 else 1] for v, leaf in leaves.items()}
+            diag = 0 if m == 1 else 1
+            assert {v: list(xs) for v, xs in cols.items()} == {v: leaf[diag] for v, leaf in leaves.items()}
             expected = reference.evaluate(order, leaves, m, len(seeds), p)
-            assert pit._run(prog, cols, int(m > 1), res, m, len(seeds), p) == expected
+            assert pit._run(prog, cols, diag, res, m, len(seeds), p) == expected
 
 
 @pytest.mark.parametrize("lhs, rhs, seed, trials_run, witness", [
