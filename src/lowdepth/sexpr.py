@@ -19,7 +19,7 @@ sugar mapping (i, j) to a single id through the Cantor pairing
 Both header lines are optional on input and default to commutative over Q.
 
 The parser and serializer are iterative, so arbitrarily deep combs round-trip
-without recursion issues.  The tokenizer returns the bare token strings; a
+at the default recursion limit.  The tokenizer returns the bare token strings; a
 syntax error finds its character position by tokenizing again up to the
 offending token, so positions cost nothing on text that parses.
 """
