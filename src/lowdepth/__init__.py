@@ -47,7 +47,6 @@ from .sexpr import parse, parse_file, serialize, write_file
 from .transforms import (
     BBSplit,
     FrontierSet,
-    Potential,
     auto_delta,
     bb_branch_param,
     bb_decompose,

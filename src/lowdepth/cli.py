@@ -8,7 +8,8 @@ formula wins stdout and reports move to stderr).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.  The default prime for Fp and identity testing comes from the
-LOWDEPTH_PRIME environment variable; flags override it.
+LOWDEPTH_PRIME environment variable, read when a command needs it; flags
+override it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import os
 import sys
 import time
 
-from .errors import BudgetExceeded, FormulaSyntaxError, LowdepthError, WellFormednessError
+from .errors import (BudgetExceeded, FormulaSyntaxError, LowdepthError, ParamOutOfRange,
+                     UniverseTooLarge, WellFormednessError)
 from .fields import MERSENNE61, QQ, field_from_name
 from . import bench, hardpoly, ir, pit, poly, sexpr, transforms
 from .report import Report, metrics_dict
@@ -29,9 +31,26 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _default_prime() -> int:
-    env = os.environ.get("LOWDEPTH_PRIME")
+def _prime(args) -> int:
+    """--prime when given, else LOWDEPTH_PRIME, else 2^61 - 1."""
+    if getattr(args, "prime", None) is not None:
+        return args.prime
+    env = os.environ.get("LOWDEPTH_PRIME", "").strip()
+    if env and not env.isdecimal():
+        raise ValueError(f"LOWDEPTH_PRIME={env!r} is not a natural number")
     return int(env) if env else MERSENNE61
+
+
+def _at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _emit(args, report: Report) -> None:
@@ -110,7 +129,7 @@ def cmd_reduce(args) -> int:
 
     verdict, method, witness = "skipped", "none", None
     if not args.no_verify:
-        cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
+        cfg = pit.PITConfig(trials=args.trials, prime=_prime(args), seed=args.seed)
         verdict, method, witness = pit.verify(f, out, "auto", args.budget, cfg)
     rep = Report(
         pass_name=f"reduce/{args.method}" if args.cmd == "reduce" else args.cmd,
@@ -155,7 +174,7 @@ def cmd_homogenize(args) -> int:
 
 def cmd_gen_hard(args) -> int:
     p = hardpoly.HardParams(k=args.k, r=args.r)
-    field = field_from_name(args.field, _default_prime()) if args.field else QQ
+    field = field_from_name(args.field, _prime(args)) if args.field else QQ
     f = hardpoly.gen_hard(p, commutative=not args.noncommutative, field=field)
     rep = Report(
         pass_name="gen-hard",
@@ -202,7 +221,7 @@ def cmd_check_hard(args) -> int:
 def cmd_verify_equal(args) -> int:
     a = sexpr.parse_file(args.lhs)
     b = sexpr.parse_file(args.rhs)
-    cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
+    cfg = pit.PITConfig(trials=args.trials, prime=_prime(args), seed=args.seed)
     verdict, method, witness = pit.verify(a, b, args.method, args.budget, cfg)
     rep = Report(
         pass_name="verify-equal",
@@ -286,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=poly.DEFAULT_EXPANSION_BUDGET)
+        p.add_argument("--budget", type=_at_least(0), default=poly.DEFAULT_EXPANSION_BUDGET)
 
     p = sub.add_parser("stats", help="structural metrics of a formula")
     p.add_argument("formula")
@@ -300,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="exact expansion")
     p.add_argument("formula")
-    p.add_argument("--max-terms", type=int, default=64, help="cap on printed terms")
+    p.add_argument("--max-terms", type=_at_least(0), default=64, help="cap on printed terms")
     add_budget(p)
     p.set_defaults(fn=cmd_expand)
 
@@ -313,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="auto")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--prime", type=int, default=_default_prime())
+    p.add_argument("--trials", type=_at_least(1), default=20)
+    p.add_argument("--prime", type=int, default=None, help="default: LOWDEPTH_PRIME or 2^61 - 1")
     p.add_argument("-o", "--out")
     add_budget(p)
     p.set_defaults(fn=cmd_reduce)
@@ -351,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rhs")
     p.add_argument("--method", default="auto", choices=["expand", "pit", "auto"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--prime", type=int, default=_default_prime())
+    p.add_argument("--trials", type=_at_least(1), default=20)
+    p.add_argument("--prime", type=int, default=None, help="default: LOWDEPTH_PRIME or 2^61 - 1")
     add_budget(p)
     p.set_defaults(fn=cmd_verify_equal)
 
@@ -371,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--epsilon", default="auto")
     p.add_argument("--delta", default="auto")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.add_argument("--verify", default="expand", choices=["expand", "pit", "none"])
     p.add_argument("--noncommutative", action="store_true")
     p.add_argument("--csv", default=None)
@@ -391,7 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormulaSyntaxError, WellFormednessError, FileNotFoundError, ValueError) as exc:
+    except (FormulaSyntaxError, WellFormednessError, FileNotFoundError, ValueError,
+            ParamOutOfRange, UniverseTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LowdepthError as exc:

@@ -144,6 +144,27 @@ class PrimeField:
         return hash(("Fp", self.p))
 
 
+#: Miller-Rabin on these bases decides primality exactly below _PRIME_LIMIT
+#: (Sorenson and Webster, Math. Comp. 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below _PRIME_LIMIT: a composite
+    modulus has zero divisors, which void the d/p error bound of PIT."""
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"modulus {p} is too large to be proved prime (limit {_PRIME_LIMIT})")
+    if p < 2 or any(p % b == 0 and p != b for b in _PRIME_BASES):
+        raise ValueError(f"modulus {p} is not a prime")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for b in _PRIME_BASES if p > _PRIME_BASES[-1] else ():
+        xs = [pow(b, d << i, p) for i in range(s)]  # b^d, then squared s - 1 times
+        if xs[0] != 1 and p - 1 not in xs:
+            raise ValueError(f"modulus {p} is not a prime")
+
+
 Field = Union[Rationals, PrimeField]
 
 #: Shared default instance of Q.
@@ -151,16 +172,18 @@ QQ = Rationals()
 
 
 def field_from_name(name: str, default_prime: int = MERSENNE61) -> Field:
-    """Parse a field spec: "Q", "Fp" (default prime), or "Fp:<prime>"."""
+    """Parse a field spec: "Q", "Fp" (default prime), or "Fp:<prime>" for a prime."""
     name = name.strip()
     if name == "Q":
         return QQ
-    if name == "Fp":
-        return PrimeField(default_prime)
-    if name.startswith("Fp:"):
+    if name == "Fp" or name.startswith("Fp:"):
         try:
-            p = int(name[3:])
+            p = default_prime if name == "Fp" else int(name[3:])
         except ValueError:
             raise FormulaSyntaxError(f"bad prime in field spec {name!r}") from None
+        try:
+            _require_prime(p)
+        except ValueError as exc:
+            raise FormulaSyntaxError(f"bad prime in field spec {name!r}: {exc}") from None
         return PrimeField(p)
     raise FormulaSyntaxError(f"unknown field {name!r} (expected Q or Fp:<prime>)")

@@ -20,7 +20,8 @@ this module recurses on tree structure.  They share one kernel, postorder,
 which returns the distinct nodes as a list (children before parents) from one
 loop that dispatches on the node's exact type; node_attribute and
 metrics_map loop over that list.  GateMetrics is a named tuple: one per node,
-built without a dataclass constructor.
+built without a dataclass constructor.  compile_program flattens a formula to
+the Program that both oracles read: exact expansion and identity testing.
 """
 
 from __future__ import annotations
@@ -131,11 +132,6 @@ def postorder(root: Node) -> list[Node]:
     return out
 
 
-def iter_postorder(root: Node) -> Iterator[Node]:
-    """Iterator over postorder(root)."""
-    return iter(postorder(root))
-
-
 def node_attribute(root: Node, fn: Callable[[Node, list], object]) -> dict[int, object]:
     """Compute fn(node, child_values) bottom-up; returns a map keyed by id(node).
 
@@ -151,6 +147,80 @@ def node_attribute(root: Node, fn: Callable[[Node, list], object]) -> dict[int, 
         else:
             memo[id(node)] = fn(node, [])
     return memo
+
+
+_VAR, _ONE, _SUM, _PROD = range(4)  # the node kinds of a Program
+
+
+class Program(NamedTuple):
+    """A formula's distinct nodes in postorder, as parallel lists: args[i] is a
+    variable's id or a gate's child positions, slots[i] its edges' positions in
+    the scalar list (None when all weights are the unit), uses[i] the edges that
+    read node i.  size counts positions, a shared node once per use."""
+
+    kinds: list[int]
+    args: list
+    slots: list
+    uses: list[int]
+    degree: int
+    size: int
+    variables: set[int]
+
+
+def compile_program(root: Node, scalars: list) -> Program:
+    """Flatten root in one loop over its postorder.
+
+    Each distinct edge-scalar object is appended to scalars once, interned by
+    identity, not by value; slot 0 is the unit 1 (put there when scalars is
+    empty) and takes every weight equal to 1.  The checks on the shape and the
+    reduction of the scalars are the caller's.
+    """
+    # one entry per node, and no object per node beyond a gate's child tuple,
+    # which holds ints only and so leaves the garbage collector's lists
+    kinds, args, weights, uses, degree, size, vs = [], [], [], [], [], [], set()
+    at: dict[int, int] = {}  # id(node) -> position
+    slot_of: dict[int, int] = {}  # id(scalar) -> slot
+    if not scalars:
+        scalars.append(1)
+    for i, node in enumerate(postorder(root)):
+        at[id(node)] = i
+        uses.append(0)
+        kind = type(node)
+        if kind is SumGate or kind is ProdGate:
+            is_sum = kind is SumGate
+            kids, slots, deg, sz = [], None, 0, 0
+            for j, (c, child) in enumerate(node.children):
+                k = at[id(child)]
+                kids.append(k)
+                uses[k] += 1
+                sz += size[k]
+                if not is_sum:
+                    deg += degree[k]
+                elif degree[k] > deg:
+                    deg = degree[k]
+                s = slot_of.get(id(c))
+                if s is None:
+                    s = slot_of[id(c)] = 0 if c == 1 else len(scalars)
+                    if s:
+                        scalars.append(c)
+                if s:
+                    slots = slots or [0] * len(node.children)
+                    slots[j] = s
+            kinds.append(_SUM if is_sum else _PROD)
+            args.append(tuple(kids))
+            weights.append(slots)
+            degree.append(deg)
+            size.append(sz)
+        else:
+            is_var = kind is VarLeaf
+            kinds.append(_VAR if is_var else _ONE)
+            args.append(node.var if is_var else None)
+            weights.append(None)
+            degree.append(int(is_var))
+            size.append(1)
+            if is_var:
+                vs.add(node.var)
+    return Program(kinds, args, weights, uses, degree[-1], size[-1], vs)
 
 
 def iter_preorder_positions(root: Node) -> Iterator[tuple[Node, Node | None]]:

@@ -13,9 +13,10 @@ errs with probability at most d/p for syntactic degree d, in both modes.
 An "unequal" verdict is certain and carries a witness that can be replayed;
 "equal-probably" reports the per-trial error bound.
 
-Each formula is compiled once, in one loop over its postorder, to a flat
-program (node kinds, child positions, parent-use counts, interned edge scalars
-reduced mod p once); all trials run in one pass over it, and a value is dropped
+Each formula is compiled once to the flat program that exact expansion also
+reads (ir.compile_program: node kinds, child positions, parent-use counts,
+edge scalars interned by identity); each equal scalar value is reduced mod p
+once.  All trials run in one pass over the program, and a value is dropped
 once its last parent has read it.  Points are drawn as random.randrange(p) does.
 
 Rational formulas are reduced mod the configured prime (sound: a mismatch mod
@@ -32,11 +33,11 @@ from fractions import Fraction
 from itertools import chain, zip_longest
 from math import prod
 from operator import add, mul
-from typing import NamedTuple
 
-from .errors import BudgetExceeded, ModeMismatch
-from .fields import MERSENNE61, PrimeField
+from .errors import BudgetExceeded
+from .fields import MERSENNE61, PrimeField, _require_prime
 from . import ir, poly
+from .ir import _ONE, _SUM, _VAR
 
 #: A value for all trials at once: superdiagonal k -> its entries, position j
 #: of trial t at index j * trials + t.  Scalar mode uses diagonal 0 of a 1 x 1
@@ -51,6 +52,11 @@ class PITConfig:
     matrix_dim: int | None = None  # default: max syntactic degree + 1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError(f"trials must be >= 0, got {self.trials}")
+        _require_prime(self.prime)
+
 
 @dataclass(frozen=True)
 class PITResult:
@@ -64,80 +70,18 @@ class PITResult:
         return self.verdict == "equal-probably"
 
 
-_VAR, _ONE, _SUM, _PROD = range(4)
-
-
-class Program(NamedTuple):
-    """A formula's distinct nodes in postorder, as parallel lists: args[i] is a
-    variable's id or a gate's child positions, slots[i] its edges' slots in the
-    scalar table (None when all weights are the unit), uses[i] the edges that
-    read node i.  size counts positions, a shared node once per use."""
-
-    kinds: list[int]
-    args: list
-    slots: list
-    uses: list[int]
-    degree: int
-    size: int
-    variables: set[int]
-
-
-def _compile(root: ir.Node, table: dict) -> Program:
-    """Flatten root; table interns edge scalars (value -> slot) across the formulas
-    of one test, unreduced, so the checks on the shape come first."""
-    # one entry per node, and no object per node beyond a gate's child tuple,
-    # which holds ints only and so leaves the garbage collector's lists
-    kinds, args, weights, uses, degree, size, vs = [], [], [], [], [], [], set()
-    at: dict[int, int] = {}  # id(node) -> position
-    slot_of: dict[int, int] = {}  # id(scalar) -> slot: each object is hashed once
-    unit = table.setdefault(1, len(table))
-    for i, node in enumerate(ir.postorder(root)):
-        at[id(node)] = i
-        uses.append(0)
-        kind = type(node)
-        if kind is ir.SumGate or kind is ir.ProdGate:
-            is_sum = kind is ir.SumGate
-            kids, slots, deg, sz = [], None, 0, 0
-            for j, (c, child) in enumerate(node.children):
-                k = at[id(child)]
-                kids.append(k)
-                uses[k] += 1
-                sz += size[k]
-                if not is_sum:
-                    deg += degree[k]
-                elif degree[k] > deg:
-                    deg = degree[k]
-                s = slot_of.get(id(c))
-                if s is None:
-                    s = slot_of[id(c)] = table.setdefault(c, len(table))
-                if s != unit:
-                    slots = slots or [unit] * len(node.children)
-                    slots[j] = s
-            kinds.append(_SUM if is_sum else _PROD)
-            args.append(tuple(kids))
-            weights.append(slots)
-            degree.append(deg)
-            size.append(sz)
-        else:
-            is_var = kind is ir.VarLeaf
-            kinds.append(_VAR if is_var else _ONE)
-            args.append(node.var if is_var else None)
-            weights.append(None)
-            degree.append(int(is_var))
-            size.append(1)
-            if is_var:
-                vs.add(node.var)
-    return Program(kinds, args, weights, uses, degree[-1], size[-1], vs)
-
-
-def _residues(table: dict, p: int) -> list[int]:
-    """The interned scalars mod p, in order of first use."""
-    fp, out = PrimeField(p), []
-    for c in table:
-        try:
-            out.append(fp.normalize(c))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"edge scalar {c}: {exc}; choose another prime") from None
+def _residues(scalars: list, p: int) -> list[int]:
+    """The scalars of the compiled programs mod p, in slot order; each equal
+    value is reduced once."""
+    fp, memo, out = PrimeField(p), {}, []
+    for c in scalars:
+        r = memo.get(c)
+        if r is None:
+            try:
+                r = memo[c] = fp.normalize(c)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"edge scalar {c}: {exc}; choose another prime") from None
+        out.append(r)
     return out
 
 
@@ -175,7 +119,7 @@ def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
     return out
 
 
-def _run(prog: Program, cols: dict, diag: int, res: list[int], m: int, trials: int, p: int) -> Value:
+def _run(prog: ir.Program, cols: dict, diag: int, res: list[int], m: int, trials: int, p: int) -> Value:
     """Value of the root for every trial; x_v is cols[v] on diagonal diag (0
     for scalars, m = 1) and res holds the residues of the scalar table."""
     one = {0: [1] * (m * trials)}
@@ -218,16 +162,13 @@ def _entry(val: Value, i: int, j: int, trial: int, trials: int) -> int:
 
 def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PITResult:
     """Randomized equality test; see the module docstring for guarantees."""
-    if a.commutative != b.commutative:
-        raise ModeMismatch("cannot compare formulas in different commutativity modes")
-    if a.field != b.field:
-        raise ModeMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
+    poly._check_comparable(a, b)
     # formulas over a prime field are evaluated in it; the configured prime
     # applies only to rationals, whose scalars embed soundly mod any large p
     native = isinstance(a.field, PrimeField)
     p = a.field.p if native else cfg.prime
-    table: dict = {}
-    prog_a, prog_b = _compile(a.root, table), _compile(b.root, table)
+    scalars: list = []
+    prog_a, prog_b = ir.compile_program(a.root, scalars), ir.compile_program(b.root, scalars)
     d = max(prog_a.degree, prog_b.degree, 1)
     size = max(prog_a.size, prog_b.size)
     if native:
@@ -241,7 +182,7 @@ def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PIT
         m = cfg.matrix_dim if cfg.matrix_dim is not None else d + 1
         if m < d + 1:
             raise ValueError(f"matrix dimension {m} below degree bound {d + 1}")
-    res = _residues(table, p)
+    res = _residues(scalars, p)
     vs = sorted(prog_a.variables | prog_b.variables)
     trials = cfg.trials
     seeds = [cfg.seed * 1_000_003 + t for t in range(trials)]
@@ -287,21 +228,33 @@ def verify(
 
 
 def check_witness(a: ir.Formula, b: ir.Formula, witness: dict) -> bool:
-    """Replay a recorded witness and confirm it still separates the formulas."""
-    p, seeds = witness["prime"], [witness["trial_seed"]]
-    table: dict = {}
-    prog_a, prog_b = _compile(a.root, table), _compile(b.root, table)
+    """Replay a recorded witness and confirm it still separates the formulas.
+
+    Raises ModeMismatch as pit_equal does, and ValueError for a witness that
+    cannot come from this pair: an unknown kind, a kind that does not fit the
+    mode (scalar for commutative formulas, superdiagonal otherwise), or a
+    prime other than that of a prime-field pair.
+    """
+    poly._check_comparable(a, b)
+    kind, p, seeds = witness.get("kind"), witness["prime"], [witness["trial_seed"]]
+    if kind not in ("scalar", "superdiagonal"):
+        raise ValueError(f"unknown witness kind {kind!r}")
+    if (kind == "scalar") != a.commutative:
+        mode = "commutative" if a.commutative else "non-commutative"
+        raise ValueError(f"a {kind} witness does not fit {mode} formulas")
+    if isinstance(a.field, PrimeField) and p != a.field.p:
+        raise ValueError(f"witness prime {p} is not the prime of {a.field.name}")
+    scalars: list = []
+    prog_a, prog_b = ir.compile_program(a.root, scalars), ir.compile_program(b.root, scalars)
     vs = sorted(prog_a.variables | prog_b.variables)
-    if witness["kind"] == "scalar":
+    if kind == "scalar":
         diag, m, i, j = 0, 1, 0, 0
         cols = _columns(seeds, vs, 1, p)
         if {str(v): xs[0] for v, xs in cols.items()} != witness["point"]:
             return False
-    elif witness["kind"] == "superdiagonal":
+    else:
         diag, m, (i, j) = 1, witness["dim"], witness["entry"]
         cols = _columns(seeds, vs, m - 1, p)
-    else:
-        raise ValueError(f"unknown witness kind {witness.get('kind')!r}")
-    res = _residues(table, p)
+    res = _residues(scalars, p)
     va, vb = (_entry(_run(prog, cols, diag, res, m, 1, p), i, j, 0, 1) for prog in (prog_a, prog_b))
     return va == witness["lhs"] and vb == witness["rhs"] and va != vb

@@ -7,7 +7,9 @@ is the constant monomial.  Expansion is the oracle every rewriting pass is
 checked against, so its result is exact and does not depend on how it is
 computed.
 
-Expansion runs bottom-up on plain dicts.  Inside it a commutative monomial is
+Expansion runs on the formula's compiled program (ir.compile_program), the
+one PIT evaluates: bottom-up by program position on plain dicts, each distinct
+edge-scalar object converted once.  Inside it a commutative monomial is
 one int, its exponent vector packed into fixed-width digits: each distinct
 variable of the formula has a slot, in sorted-id order, and variable v is
 1 << (b * slot(v)), the constant monomial 0.  The digit width is
@@ -21,10 +23,11 @@ bijection on monomials, so every dict sees the same key equalities in the same
 order.  Only the root table is decoded, to PolyTable keys and field scalars:
 a key's low and high halves are read apart, each digit found from the top
 down by bit_length, and each distinct half once.  So the result is the table
-that composing PolyTable.add, scale and mul gate by gate gives: the same keys
-in the same order, the same coefficients, and BudgetExceeded on the same
-inputs.
-equal_expand and expand_against compare two root tables packed alike and
+that adding, scaling and multiplying PolyTables gate by gate gives (the tests
+keep those ring operations as the reference): the same keys in the same
+order, the same coefficients, and BudgetExceeded on the same inputs.
+equal_expand and expand_against compile both formulas, pack them alike (the
+union of their variables, the larger degree), compare the two root tables and
 decode neither (expand_against then decodes its first table, once).
 """
 
@@ -36,6 +39,7 @@ from typing import Iterable, NamedTuple
 from .errors import BudgetExceeded, ModeMismatch
 from .fields import Field, PrimeField, Scalar
 from . import ir
+from .ir import _ONE, _SUM, _VAR
 
 #: Default cap on expansion table entries (per table).
 DEFAULT_EXPANSION_BUDGET = 10**6
@@ -67,13 +71,6 @@ def key_total_degree(key: Key, commutative: bool) -> int:
     return len(key)
 
 
-def _mul_comm_keys(a: CommKey, b: CommKey) -> CommKey:
-    counts = dict(a)
-    for v, e in b:
-        counts[v] = counts.get(v, 0) + e
-    return tuple(sorted(counts.items()))
-
-
 @dataclass
 class PolyTable:
     """Sparse exact polynomial; zero coefficients are never stored."""
@@ -82,59 +79,6 @@ class PolyTable:
     field: Field
     terms: dict = dc_field(default_factory=dict)
 
-    # -- constructors -------------------------------------------------------
-    @classmethod
-    def zero(cls, commutative: bool, field: Field) -> "PolyTable":
-        return cls(commutative, field, {})
-
-    @classmethod
-    def const(cls, commutative: bool, field: Field, value: Scalar) -> "PolyTable":
-        if field.is_zero(value):
-            return cls.zero(commutative, field)
-        return cls(commutative, field, {(): value})
-
-    @classmethod
-    def var(cls, commutative: bool, field: Field, v: int) -> "PolyTable":
-        key = ((v, 1),) if commutative else (v,)
-        return cls(commutative, field, {key: field.one()})
-
-    # -- ring operations ----------------------------------------------------
-    def add(self, other: "PolyTable") -> "PolyTable":
-        self._check_compatible(other)
-        f = self.field
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = f.add(out.get(key, f.zero()), coeff)
-            if f.is_zero(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return PolyTable(self.commutative, f, out)
-
-    def scale(self, scalar: Scalar) -> "PolyTable":
-        f = self.field
-        if f.is_zero(scalar):
-            return PolyTable.zero(self.commutative, f)
-        if f.is_one(scalar):
-            return self
-        return PolyTable(self.commutative, f, {k: f.mul(scalar, c) for k, c in self.terms.items()})
-
-    def mul(self, other: "PolyTable", budget: int | None = None) -> "PolyTable":
-        self._check_compatible(other)
-        f = self.field
-        out: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = _mul_comm_keys(ka, kb) if self.commutative else ka + kb
-                acc = f.add(out.get(key, f.zero()), f.mul(ca, cb))
-                if f.is_zero(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-            _over_budget(out, budget)
-        return PolyTable(self.commutative, f, out)
-
-    # -- queries ------------------------------------------------------------
     def support(self) -> frozenset:
         return frozenset(self.terms)
 
@@ -148,12 +92,6 @@ class PolyTable:
 
     def degrees_present(self) -> set[int]:
         return {key_total_degree(k, self.commutative) for k in self.terms}
-
-    def _check_compatible(self, other: "PolyTable") -> None:
-        if self.commutative != other.commutative:
-            raise ModeMismatch("cannot combine commutative and non-commutative tables")
-        if self.field != other.field:
-            raise ModeMismatch(f"field mismatch: {self.field.name} vs {other.field.name}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyTable):
@@ -269,16 +207,13 @@ class Packing(NamedTuple):
     shift: dict[int, int]
 
 
-def _packing(variables: set[int], degree: int, like: Packing | None) -> Packing:
-    """like when it covers the variables and the degree, else one packing
-    over both: the union of the variables, wide enough for either degree."""
-    if like is not None:
-        if degree < 1 << like.width and variables <= like.shift.keys():
-            return like
-        variables = variables | like.shift.keys()
-        degree = max(degree, (1 << like.width) - 1)
-    width = max(1, degree.bit_length())
-    order = sorted(variables)
+def _packing(commutative: bool, *progs: ir.Program) -> Packing | None:
+    """One packing for the compiled formulas: the union of their variables,
+    wide enough for the largest syntactic degree (None for words)."""
+    if not commutative:
+        return None
+    width = max(1, max(prog.degree for prog in progs).bit_length())
+    order = sorted(set().union(*(prog.variables for prog in progs)))
     return Packing(width, order, {v: width * slot for slot, v in enumerate(order)})
 
 
@@ -329,74 +264,62 @@ def _decoder(packing: Packing):
     return decode
 
 
-def _repack(t: dict, old: Packing, new: Packing) -> dict:
-    """The table t, packed by old, repacked by new (which covers old)."""
-    decode, shift = _decoder(old), new.shift
-    return {sum(e << shift[v] for v, e in decode(k)): c for k, c in t.items()}
-
-
-def _expand(
-    formula: ir.Formula,
-    budget: int | None,
-    sizes: dict[int, int] | None = None,
-    like: Packing | None = None,
-) -> tuple[dict, Packing | None]:
-    """Internal root table of the formula, and its packing (None for words).
-
-    The table is bottom-up over the distinct nodes, each a plain dict from
-    internal keys to internal coefficients (see the module docstring).  One
-    loop over the postorder counts each node's parent edges and, for packing,
-    collects the variables and the syntactic degree of the root; in
-    commutative mode the packing is like when that covers them, else one over
-    both.  Each edge scalar is converted once, and a child's table is dropped
-    once its last parent edge has read it.  When sizes is given it receives
-    the number of terms at every node, keyed by id(node).
-    """
-    comm, f = formula.commutative, formula.field
+def _compile(formula: ir.Formula) -> tuple[ir.Program, list, int | None]:
+    """The formula's program, its scalar list as the kernel uses it (each
+    distinct scalar converted once), and p (None over Q)."""
+    f = formula.field
     p = f.p if isinstance(f, PrimeField) else None
-    order = ir.postorder(formula.root)
-    uses: dict[int, int] = {}
-    degree: dict[int, int] = {}
-    variables: set[int] = set()
-    for node in order:
-        kind = type(node)
-        if kind is ir.VarLeaf:
-            variables.add(node.var)
-            degree[id(node)] = 1
-        elif kind is ir.OneLeaf:
-            degree[id(node)] = 0
-        else:
-            ds = []
-            for _, child in node.children:
-                key = id(child)
-                uses[key] = uses.get(key, 0) + 1
-                ds.append(degree[key])
-            degree[id(node)] = sum(ds) if kind is ir.ProdGate else max(ds)
-    packing = _packing(variables, degree[id(formula.root)], like) if comm else None
-    del degree
-    tables: dict[int, dict] = {}
-    for node in order:
-        if isinstance(node, ir.VarLeaf):
-            t = {1 << packing.shift[node.var]: 1} if comm else {(node.var,): 1}
-        elif isinstance(node, ir.OneLeaf):
+    scalars: list = []
+    prog = ir.compile_program(formula.root, scalars)
+    return prog, [_edge_scalar(c, p) for c in scalars], p
+
+
+def _kernel(prog: ir.Program, scalars: list, p: int | None, packing: Packing | None,
+            budget: int | None, sizes: list[int] | None) -> dict:
+    """Internal root table of a compiled formula, packed by packing.
+
+    The tables are built bottom-up by program position, each a plain dict
+    from internal keys to internal coefficients (see the module docstring);
+    a child's table is dropped once its last parent edge has read it.  When
+    sizes is given it receives the number of terms at every position.
+    """
+    comm, unit = packing is not None, scalars[0]
+    left, tables = prog.uses[:], [None] * len(prog.uses)
+    for i, (kind, arg, slots) in enumerate(zip(prog.kinds, prog.args, prog.slots)):
+        if kind == _VAR:
+            t = {1 << packing.shift[arg]: 1} if comm else {(arg,): 1}
+        elif kind == _ONE:
             t = {0: 1} if comm else {(): 1}
         else:
             edges = []
-            for c, child in node.children:
-                key = id(child)
-                edges.append((_edge_scalar(c, p), tables[key]))
-                uses[key] -= 1
-                if not uses[key]:
-                    del tables[key]
-            if isinstance(node, ir.SumGate):
-                t = _sum(edges, p)
-            else:
-                t = _product(edges, p, budget)
+            for j, k in enumerate(arg):
+                edges.append((unit if slots is None else scalars[slots[j]], tables[k]))
+                left[k] -= 1
+                if not left[k]:
+                    tables[k] = None
+            t = _sum(edges, p) if kind == _SUM else _product(edges, p, budget)
             _over_budget(t, budget)
         if sizes is not None:
-            sizes[id(node)] = len(t)
-        tables[id(node)] = t
-    return tables[id(formula.root)], packing
+            sizes.append(len(t))
+        tables[i] = t
+    return tables[-1]
+
+
+def _expand(a: ir.Formula, budget: int | None, sizes: list[int] | None = None,
+            b: ir.Formula | None = None) -> tuple[dict, Packing | None, bool]:
+    """a's internal root table and packing, and whether b, when given, has the
+    same polynomial.
+
+    The formulas are compiled first and packed alike, over the union of their
+    variables at the larger degree.  a is expanded first, so b is compiled but
+    not expanded when a goes over budget.  The root tables are compared in the
+    kernel's encoding, and nothing is decoded.
+    """
+    prog_a, sa, p = _compile(a)
+    prog_b, sb, _ = _compile(b) if b is not None else (prog_a, None, None)
+    packing = _packing(a.commutative, prog_a, prog_b)
+    ta = _kernel(prog_a, sa, p, packing, budget, sizes)
+    return ta, packing, b is not None and ta == _kernel(prog_b, sb, p, packing, budget, None)
 
 
 def _table(formula: ir.Formula, root: dict, packing: Packing | None) -> PolyTable:
@@ -417,11 +340,14 @@ def expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -
     Distributes over the constructors: a sum gate adds scaled child tables, a
     product gate multiplies them in child order.
     """
-    return _table(formula, *_expand(formula, budget))
+    root, packing, _ = _expand(formula, budget)
+    return _table(formula, root, packing)
 
 
-def _gate_sizes(formula: ir.Formula, sizes: dict[int, int]) -> dict[int, int]:
-    return {i: sizes[id(node)] for i, node in enumerate(ir.gates_preorder(formula))}
+def _gate_sizes(formula: ir.Formula, sizes: list[int]) -> dict[int, int]:
+    """Term counts by program position, keyed by preorder gate id instead."""
+    at = {id(node): i for i, node in enumerate(ir.postorder(formula.root))}
+    return {g: sizes[at[id(node)]] for g, node in enumerate(ir.gates_preorder(formula))}
 
 
 def _check_comparable(a: ir.Formula, b: ir.Formula) -> None:
@@ -431,28 +357,10 @@ def _check_comparable(a: ir.Formula, b: ir.Formula) -> None:
         raise ModeMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
 
 
-def _expand_pair(
-    a: ir.Formula, b: ir.Formula, budget: int | None, sizes: dict[int, int] | None = None
-) -> tuple[dict, Packing | None, bool]:
-    """a's internal root table and packing, and whether b has the same polynomial.
-
-    a is expanded first, so b costs nothing when a goes over budget.  b is
-    then expanded in a's packing when that covers b's variables and degree,
-    as it does for a rewrite of a, and nothing is decoded.  Otherwise b gets
-    one packing over both, and a's table is repacked into it.  The root
-    tables are compared in the kernel's encoding.
-    """
-    ta, pa = _expand(a, budget, sizes)
-    tb, pb = _expand(b, budget, None, pa)
-    if pb is not pa:
-        ta, pa = _repack(ta, pa, pb), pb
-    return ta, pa, ta == tb
-
-
 def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> bool:
     """Exact table equality of two formulas in the same mode and field."""
     _check_comparable(a, b)
-    return _expand_pair(a, b, budget)[2]
+    return _expand(a, budget, b=b)[2]
 
 
 def expand_against(
@@ -462,8 +370,8 @@ def expand_against(
     has the same polynomial, from one expansion of each; only the formula's
     table is decoded."""
     _check_comparable(formula, reference)
-    sizes: dict[int, int] = {}
-    root, packing, same = _expand_pair(formula, reference, budget, sizes)
+    sizes: list[int] = []
+    root, packing, same = _expand(formula, budget, sizes, reference)
     return _table(formula, root, packing), _gate_sizes(formula, sizes), same
 
 
@@ -486,22 +394,13 @@ def support_expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_B
 
     With all-positive unit weights no cancellation can occur, so this is the
     set of monomials produced by at least one parse tree, computed without
-    enumerating parse trees.
+    enumerating parse trees.  The kernel runs over Q whatever the field, so
+    no count vanishes mod p.
     """
-    from .fields import QQ
-
-    unit = QQ.one()
-
-    def strip(node: ir.Node, vals: list) -> ir.Node:
-        if isinstance(node, ir.SumGate):
-            return ir.SumGate(tuple((unit, v) for v in vals))
-        if isinstance(node, ir.ProdGate):
-            return ir.ProdGate(tuple((unit, v) for v in vals))
-        return node
-
-    stripped = ir.node_attribute(formula.root, strip)[id(formula.root)]
-    shadow = ir.Formula(stripped, commutative=formula.commutative, field=QQ)  # type: ignore[arg-type]
-    return expand(shadow, budget=budget).support()
+    prog, scalars, _ = _compile(formula)
+    packing = _packing(formula.commutative, prog)
+    root = _kernel(prog, [1] * len(scalars), None, packing, budget, None)
+    return frozenset(root if packing is None else map(_decoder(packing), root))
 
 
 def is_monotone_semantic(formula: ir.Formula, budget: int | None = None) -> bool:
@@ -518,6 +417,6 @@ def gate_monomial_counts(formula: ir.Formula, budget: int | None = DEFAULT_EXPAN
 
     Keys are preorder gate ids (0 is the output gate).
     """
-    sizes: dict[int, int] = {}
+    sizes: list[int] = []
     _expand(formula, budget, sizes)
     return _gate_sizes(formula, sizes)

@@ -15,9 +15,10 @@ The passes:
 * bb_find_split, bb_decompose, depth_reduce_bb
                              split-at-heavy-gate reduction with near-linear size:
                              depth O(log s) at size s^(1+eps)
-* select_frontier, skew_to_sigma_pi, depth_reduce_main
-                             potential-guided reduction: product depth bounded by
-                             ceil(log2 d) + ceil(sum_depth/delta), size by s*d^delta
+* depth_reduce_main          potential-guided reduction: product depth bounded by
+                             ceil(log2 d) + ceil(sum_depth/delta), size by s*d^delta;
+                             one walk per level finds and distributes the frontier
+* select_frontier, skew_to_sigma_pi   the frontier's gate ids; the skew rewrite
 * homogenize                 degree components of a fan-in-2 formula
 * product_fanin_2            rebalance products to fan-in 2 at unchanged leaf count
 * depth_reduce_homogeneous, depth_reduce_nearlinear, pipeline_inhom
@@ -112,27 +113,12 @@ def auto_delta(size: int, degree: int, sum_depth: int = 1) -> int:
     return j
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Potential of a formula: phi1 tracks degree, phi2 sum depth per block."""
-
-    phi1: int
-    phi2: int
-
-    @property
-    def phi(self) -> int:
-        return self.phi1 + self.phi2
-
-
-def potential(formula: Formula, delta: int) -> Potential:
-    m = ir.metrics(formula)
-    return _potential_of(m.syn_degree, m.sum_depth, delta)
-
-
-def _potential_of(degree: int, sum_depth: int, delta: int) -> Potential:
+def _phi(degree: int, sum_depth: int, delta: int) -> int:
+    """The potential ceil(log2 degree) + ceil(sum_depth / delta): the first
+    term tracks the degree, the second the sum depth per block of delta."""
     if degree < 1:
         raise ValueError("potential needs syntactic degree >= 1")
-    return Potential(phi1=ceil_log2(degree), phi2=ceil_div(sum_depth, delta))
+    return ceil_log2(degree) + ceil_div(sum_depth, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -571,36 +557,37 @@ class FrontierSet:
 
 
 def _phi_map(metrics: dict[int, ir.GateMetrics], delta: int) -> dict[int, int]:
-    """Potential of every node of degree >= 1, from its ir.metrics_map, as an
-    int: phi1 + phi2 of _potential_of, without building a Potential."""
+    """_phi of every node of degree >= 1, from its ir.metrics_map."""
     return {
-        nid: ceil_log2(degree) + ceil_div(sum_depth, delta)
+        nid: _phi(degree, sum_depth, delta)
         for nid, (_, _, sum_depth, _, degree) in metrics.items()
         if degree >= 1
     }
 
 
-def _frontier_nodes(root: Node, delta: int, phi: dict[int, int]) -> list[Node]:
+def _below(phi: dict[int, int], phi_root: int):
+    """The frontier test of the region below a node of potential phi_root >= 1:
+    is a (non-constant) node's potential below phi_root?"""
+
+    def is_factor(node: Node) -> bool:
+        p = phi.get(id(node))
+        if p is None:
+            raise InternalInvariantError("potential undefined below the frontier")
+        if p > phi_root:
+            raise InternalInvariantError("potential must not grow downward")
+        return p < phi_root
+
+    return is_factor
+
+
+def _frontier_nodes(root: Node, phi: dict[int, int]) -> list[Node]:
     """Frontier positions; assumes the root's potential is at least 1."""
-    phi_root = phi[id(root)]
-    frontier: list[Node] = []
-    stack: list[Node] = [root]
+    is_factor, frontier, stack = _below(phi, phi[id(root)]), [], [root]
     while stack:
         node = stack.pop()
-        if not is_gate(node):
-            continue
         for _, ch in reversed(node.children):
-            if isinstance(ch, OneLeaf):
-                continue  # stays a constant leaf of the residual comb
-            p = phi.get(id(ch))
-            if p is None:
-                raise InternalInvariantError("potential undefined below the frontier")
-            if p > phi_root:
-                raise InternalInvariantError("potential must not grow downward")
-            if p < phi_root:
-                frontier.append(ch)
-            else:
-                stack.append(ch)
+            if not isinstance(ch, OneLeaf):  # a 1-leaf stays a constant of the residual comb
+                (frontier if is_factor(ch) else stack).append(ch)
     return frontier
 
 
@@ -616,7 +603,7 @@ def select_frontier(formula: Formula, delta: int) -> FrontierSet:
     phi = _phi_map(ir.metrics_map(root), delta)
     if id(root) not in phi or phi[id(root)] == 0:
         return FrontierSet(frozenset(), delta, phi.get(id(root), 0))
-    members = {id(n) for n in _frontier_nodes(root, delta, phi)}
+    members = {id(n) for n in _frontier_nodes(root, phi)}
     ids = frozenset(
         gate_id
         for gate_id, (node, _) in enumerate(ir.iter_preorder_positions(root))
@@ -652,65 +639,51 @@ def frontier_residual(formula: Formula, gate_ids: frozenset[int]) -> Formula:
     return formula.with_root(run_recursive(build, formula.root))
 
 
-_FACTOR, _CONSTANT, _INTERIOR = 0, 1, 2
+def _sigma_pi_terms(root: Node, is_factor, field: Field):
+    """Distribute the comb-shaped region below the gate root into
+    sum-of-products terms, in one walk.
 
-
-def _sigma_pi_terms(root: Node, classify, field: Field, strict_skew: bool):
-    """Distribute a comb-shaped region into sum-of-products terms.
-
-    classify maps a node to factor (region boundary), constant (a 1-leaf), or
-    interior.  Returns merged (coefficient, factor-position-tuple) terms with
-    zero coefficients dropped; the coefficient collects every edge scalar met
-    on the way and factor order follows the tree.  In strict mode a product
-    with two interior children raises NotSkew.
+    Each child is classified once: a 1-leaf is a constant, a node is_factor
+    marks is a factor (the region's boundary), and any other node is interior
+    and distributed in turn.  Returns merged (coefficient,
+    factor-position-tuple) terms with zero coefficients dropped; the
+    coefficient collects every edge scalar met on the way and factor order
+    follows the tree.  A product with two interior children raises NotSkew.
     """
     one = field.one()
-
-    def edge_terms(scalar: Scalar, child: Node, memo) -> list:
-        cls = classify(child)
-        if cls == _FACTOR:
-            return [(scalar, (child,))]
-        if cls == _CONSTANT:
-            return [(scalar, ())]
-        return [(field.mul(scalar, c), fs) for c, fs in memo[id(child)]]
-
-    memo: dict[int, list] = {}
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    seen: set[int] = set()
+    memo: dict[int, list] = {}  # interior gate id -> its terms
+    # a gate to enter, or (gate, its edges) to distribute once its interior
+    # children are done; an edge is its terms, or (scalar, interior child)
+    stack: list = [(root, None)]
     while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            if is_gate(node):
-                for _, ch in node.children:
-                    if classify(ch) == _INTERIOR and id(ch) not in seen:
-                        stack.append((ch, False))
-            continue
-        if not is_gate(node):
-            memo[id(node)] = [(one, (node,))]  # a bare-leaf region
-            continue
-        if isinstance(node, SumGate):
-            out: list = []
+        node, edges = stack.pop()
+        if edges is None:
+            if id(node) in memo:
+                continue  # a shared gate, distributed already
+            edges, interior = [], []
             for c, ch in node.children:
-                out.extend(edge_terms(c, ch, memo))
-            memo[id(node)] = out
-        else:
-            interior_children = sum(
-                1 for _, ch in node.children if classify(ch) == _INTERIOR
-            )
-            if strict_skew and interior_children > 1:
+                if type(ch) is OneLeaf:
+                    edges.append([(c, ())])
+                elif is_factor(ch):
+                    edges.append([(c, (ch,))])
+                else:
+                    edges.append((c, ch))
+                    interior.append(ch)
+            if len(interior) > 1 and type(node) is ProdGate:
                 raise NotSkew("product gate with two non-leaf children")
+            stack.append((node, edges))
+            stack.extend((ch, None) for ch in interior if id(ch) not in memo)
+            continue
+        branches = [
+            e if type(e) is list else [(field.mul(e[0], c), fs) for c, fs in memo[id(e[1])]]
+            for e in edges
+        ]
+        if type(node) is SumGate:
+            memo[id(node)] = [t for branch in branches for t in branch]
+        else:
             acc: list = [(one, ())]
-            for c, ch in node.children:
-                branch = edge_terms(c, ch, memo)
-                acc = [
-                    (field.mul(c0, c1), f0 + f1)
-                    for c0, f0 in acc
-                    for c1, f1 in branch
-                ]
+            for branch in branches:
+                acc = [(field.mul(c0, c1), f0 + f1) for c0, f0 in acc for c1, f1 in branch]
             memo[id(node)] = acc
 
     merged: dict[tuple, list] = {}
@@ -748,14 +721,7 @@ def skew_to_sigma_pi(g: Formula) -> Formula:
                 raise DuplicateLeafVariable(f"variable x{node.var} labels two leaves")
             seen_vars.add(node.var)
 
-    def classify(node: Node) -> int:
-        if isinstance(node, VarLeaf):
-            return _FACTOR
-        if isinstance(node, OneLeaf):
-            return _CONSTANT
-        return _INTERIOR
-
-    terms = _sigma_pi_terms(root, classify, field, strict_skew=True)
+    terms = _sigma_pi_terms(root, lambda node: type(node) is VarLeaf, field)
     delta = ir.metrics(g).sum_depth
     if len(terms) > 2**delta:
         raise InternalInvariantError("term count exceeded 2^sum_depth")
@@ -798,7 +764,7 @@ def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tupl
         delta = auto_delta(m_in.size, m_in.syn_degree, m_in.sum_depth)
     delta = int(delta)
     d = max(m_in.syn_degree, 1)  # a constant input gets the bounds of d = 1
-    bounds = (_potential_of(d, m_in.sum_depth, delta).phi, m_in.size * d**delta)
+    bounds = (_phi(d, m_in.sum_depth, delta), m_in.size * d**delta)
     if m_in.syn_degree == 0:
         return formula, delta, bounds  # constant output gate, already depth <= 1
     # the potential is intrinsic to a subtree, so one global map serves
@@ -809,51 +775,37 @@ def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tupl
     def reduce_node(node: Node):
         if not phi.get(id(node)):
             return node  # a leaf, a gate of potential 0, or a degree-0 output gate
-        frontier = _frontier_nodes(node, delta, phi)
-        frontier_ids = {id(n) for n in frontier}
+        # the region down to the frontier is skew: two interior children of a
+        # product would each need ceil_log2(d_i) >= ceil_log2(d_1 + d_2)
+        terms = _sigma_pi_terms(node, _below(phi, phi[id(node)]), field)
         reduced: dict[int, Node | None] = {}
-        for n in frontier:
-            # a member of potential 0 or none reduces to itself: no generator
-            reduced[id(n)] = (yield n) if phi.get(id(n)) else n
-
-        def classify(n: Node) -> int:
-            if id(n) in frontier_ids:
-                return _FACTOR
-            if isinstance(n, OneLeaf):
-                return _CONSTANT
-            return _INTERIOR
-
-        terms = _sigma_pi_terms(node, classify, field, strict_skew=False)
         used: dict[int, int] = {}
         summands: list = []
         const_acc = field.zero()
         have_const = False
-        for c, fs in terms:
-            coef = c
+        for coef, fs in terms:
             parts: list[Node] = []
-            dead = False
             for f in fs:
+                if id(f) not in reduced:
+                    # a leaf factor (potential 0) reduces to itself: no generator
+                    reduced[id(f)] = (yield f) if phi[id(f)] else f
                 r = reduced[id(f)]
                 if r is None:
-                    dead = True  # a vanished factor kills the term
-                    break
+                    break  # a vanished factor kills the term
                 rc = _as_constant(r, field)
                 if rc is not None:
                     coef = field.mul(coef, rc)
                     continue
                 used[id(f)] = used.get(id(f), 0) + 1
                 parts.append(ir.tree_materialize(r) if used[id(f)] > 1 else r)
-            if dead:
-                continue
-            if not parts:
-                const_acc = field.add(const_acc, coef)
-                have_const = True
-            elif len(parts) == 1:
-                summands.append((coef, parts[0]))
             else:
-                summands.append(
-                    (coef, ProdGate(tuple((field.one(), p) for p in parts)))
-                )
+                if not parts:
+                    const_acc = field.add(const_acc, coef)
+                    have_const = True
+                elif len(parts) == 1:
+                    summands.append((coef, parts[0]))
+                else:
+                    summands.append((coef, ProdGate(tuple((field.one(), p) for p in parts))))
         if have_const and not field.is_zero(const_acc):
             summands.append((const_acc, OneLeaf()))
         if not summands:

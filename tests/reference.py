@@ -1,4 +1,7 @@
-"""Reference evaluator for randomized identity testing.
+"""Reference implementations that the tests compare the package with.
+
+The ring operations on `PolyTable`: the gate-by-gate expansion that the
+packed kernel of `lowdepth.poly` must reproduce key for key, and the ring laws.
 
 The batched evaluator that `lowdepth.pit` used before it compiled formulas to
 a flat program: a postorder walk for the shape, a second one for the values,
@@ -13,8 +16,88 @@ import random
 from collections import Counter
 
 from lowdepth import ir
-from lowdepth.fields import PrimeField
+from lowdepth.errors import BudgetExceeded, ModeMismatch
+from lowdepth.fields import Field, PrimeField, Scalar
 from lowdepth.pit import Value
+from lowdepth.poly import CommKey, PolyTable
+
+
+# ---------------------------------------------------------------------------
+# Ring operations on PolyTable
+# ---------------------------------------------------------------------------
+
+def poly_zero(commutative: bool, field: Field) -> PolyTable:
+    return PolyTable(commutative, field, {})
+
+
+def poly_const(commutative: bool, field: Field, value: Scalar) -> PolyTable:
+    if field.is_zero(value):
+        return poly_zero(commutative, field)
+    return PolyTable(commutative, field, {(): value})
+
+
+def poly_var(commutative: bool, field: Field, v: int) -> PolyTable:
+    key = ((v, 1),) if commutative else (v,)
+    return PolyTable(commutative, field, {key: field.one()})
+
+
+def check_compatible(a: PolyTable, b: PolyTable) -> None:
+    if a.commutative != b.commutative:
+        raise ModeMismatch("cannot combine commutative and non-commutative tables")
+    if a.field != b.field:
+        raise ModeMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
+
+
+def poly_add(a: PolyTable, b: PolyTable) -> PolyTable:
+    check_compatible(a, b)
+    f = a.field
+    out = dict(a.terms)
+    for key, coeff in b.terms.items():
+        acc = f.add(out.get(key, f.zero()), coeff)
+        if f.is_zero(acc):
+            out.pop(key, None)
+        else:
+            out[key] = acc
+    return PolyTable(a.commutative, f, out)
+
+
+def poly_scale(t: PolyTable, scalar: Scalar) -> PolyTable:
+    f = t.field
+    if f.is_zero(scalar):
+        return poly_zero(t.commutative, f)
+    if f.is_one(scalar):
+        return t
+    return PolyTable(t.commutative, f, {k: f.mul(scalar, c) for k, c in t.terms.items()})
+
+
+def mul_comm_keys(a: CommKey, b: CommKey) -> CommKey:
+    counts = dict(a)
+    for v, e in b:
+        counts[v] = counts.get(v, 0) + e
+    return tuple(sorted(counts.items()))
+
+
+def poly_mul(a: PolyTable, b: PolyTable, budget: int | None = None) -> PolyTable:
+    """a * b, the budget checked after every row of a."""
+    check_compatible(a, b)
+    f = a.field
+    out: dict = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key = mul_comm_keys(ka, kb) if a.commutative else ka + kb
+            acc = f.add(out.get(key, f.zero()), f.mul(ca, cb))
+            if f.is_zero(acc):
+                out.pop(key, None)
+            else:
+                out[key] = acc
+        if budget is not None and len(out) > budget:
+            raise BudgetExceeded(f"expansion table grew past {budget} entries")
+    return PolyTable(a.commutative, f, out)
+
+
+# ---------------------------------------------------------------------------
+# Identity testing
+# ---------------------------------------------------------------------------
 
 
 def residue(fp: PrimeField, c) -> int:

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference
+
 from lowdepth import bench, hardpoly as hp, ir, pit, poly, sexpr
 from lowdepth import transforms as tr
 from lowdepth.ir import Formula, ProdGate, SumGate, VarLeaf
@@ -138,7 +140,7 @@ def test_criterion_2_potential_bounds(runs):
         if r.pass_name != "main":
             continue
         d = max(r.m_in.syn_degree, 1)
-        phi = tr._potential_of(d, r.m_in.sum_depth, r.delta).phi
+        phi = tr._phi(d, r.m_in.sum_depth, r.delta)
         if r.m_out.product_depth > phi:
             violations.append((r.entry, "product_depth", r.m_out.product_depth, phi))
         if r.m_out.size > r.m_in.size * d**r.delta:
@@ -189,7 +191,7 @@ def test_criterion_5_skew_terms():
         if not poly.equal_expand(g, out):
             violations.append((checked, "equivalence"))
         non_dup = set()
-        for node in ir.iter_postorder(g.root):
+        for node in ir.postorder(g.root):
             if isinstance(node, SumGate):
                 non_dup.update(ch.var for _, ch in node.children if isinstance(ch, VarLeaf))
             elif isinstance(node, ProdGate):
@@ -232,14 +234,14 @@ def test_criterion_6_homogenize_bound(corpus):
         d = m.syn_degree
         comps = tr.homogenize(fb, d)
         total_size = 0
-        acc = poly.PolyTable.zero(fb.commutative, fb.field)
+        acc = reference.poly_zero(fb.commutative, fb.field)
         for i, comp in enumerate(comps):
             if comp is None:
                 continue
             if not ir.is_homogeneous(comp):
                 violations.append((checked, i, "not homogeneous"))
             total_size += ir.metrics(comp).size
-            acc = acc.add(poly.expand(comp))
+            acc = reference.poly_add(acc, poly.expand(comp))
         if acc != poly.expand(fb):
             violations.append((checked, "sum mismatch"))
         bound = m.size * math.comb(m.product_depth + d + 1, d)
@@ -257,7 +259,7 @@ def test_criterion_7_product_fanin(runs):
     for r in _pass_runs(runs):
         if r.pass_name != "prodfanin2":
             continue
-        for node in ir.iter_postorder(r.out.root):
+        for node in ir.postorder(r.out.root):
             if isinstance(node, ProdGate) and len(node.children) != 2:
                 violations.append((r.entry, "fanin", len(node.children)))
                 break
@@ -314,8 +316,9 @@ def test_criterion_9_split_structure(corpus):
             continue
         a, b, c = tr.bb_decompose(fb, split)
         alpha = ir.gates_preorder(fb)[split.gate_id]
-        prod = poly.expand(a).mul(poly.expand(fb.with_root(alpha))).mul(poly.expand(b))
-        rhs = prod.add(poly.expand(c)) if c is not None else prod
+        prod = reference.poly_mul(reference.poly_mul(poly.expand(a), poly.expand(fb.with_root(alpha))),
+                                  poly.expand(b))
+        rhs = reference.poly_add(prod, poly.expand(c)) if c is not None else prod
         if rhs != poly.expand(fb):
             violations.append((name, "decompose identity"))
         checked += 1

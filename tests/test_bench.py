@@ -50,7 +50,7 @@ def test_random_skew_shape():
         assert ir.is_skew(f)
         assert ir.max_fanin(f) <= 2
         assert ir.metrics(f).sum_depth <= 5
-        leaves = [n.var for n in ir.iter_postorder(f.root) if isinstance(n, VarLeaf)]
+        leaves = [n.var for n in ir.postorder(f.root) if isinstance(n, VarLeaf)]
         assert len(leaves) == len(set(leaves))
 
 

@@ -303,19 +303,20 @@ def test_check_hard(capsys):
 
 
 def _count_expansions(monkeypatch) -> tuple[list, list]:
-    """Record the formula of every expansion and every H reference built."""
+    """Record every formula that poly compiles for expansion, and every H
+    reference built."""
     expanded, references = [], []
-    real_expand, real_gen_hard = poly._expand, hardpoly.gen_hard
+    real_compile, real_gen_hard = poly._compile, hardpoly.gen_hard
 
-    def counting_expand(formula, *args, **kwargs):
+    def counting_compile(formula, *args, **kwargs):
         expanded.append(formula)
-        return real_expand(formula, *args, **kwargs)
+        return real_compile(formula, *args, **kwargs)
 
     def recording_gen_hard(*args, **kwargs):
         references.append(real_gen_hard(*args, **kwargs))
         return references[-1]
 
-    monkeypatch.setattr(poly, "_expand", counting_expand)
+    monkeypatch.setattr(poly, "_compile", counting_compile)
     monkeypatch.setattr(hardpoly, "gen_hard", recording_gen_hard)
     return expanded, references
 
@@ -404,3 +405,48 @@ def test_gen_hard_field_flag(tmp_path, capsys):
     assert code == EXIT_OK
     f = sexpr.parse_file(str(path))
     assert f.field.name == "Fp:97"
+
+
+def test_outside_input_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    f, g = tmp_path / "f.frm", tmp_path / "g.frm"
+    f.write_text("(+ x1 x2)\n")
+    g.write_text("(+ x2 x1)\n")
+    composite = tmp_path / "c.frm"
+    composite.write_text("field: Fp:12\n(+ x1 x2)\n")
+    pit_pair = ("verify-equal", str(f), str(g), "--method", "pit")
+    cases = [
+        pit_pair + ("--trials", "-1"),
+        pit_pair + ("--trials", "0"),
+        ("reduce", str(f), "--method", "main", "--trials", "0"),
+        ("bench", "--family", "comb", "--sizes", "8", "--pass", "bb", "--verify", "pit",
+         "--trials", "0"),
+        ("expand", str(f), "--budget", "-1"),
+        ("expand", str(f), "--max-terms", "-1"),
+        ("verify-equal", str(f), str(g), "--budget", "-1"),
+        ("gen-hard", "--k", "0", "--r", "2"),
+        ("check-hard", "--k", "0", "--r", "2"),
+        ("gen-hard", "--k", "4", "--r", "20"),  # 40^4 variables: UniverseTooLarge
+        ("stats", str(composite)),
+        ("gen-hard", "--k", "1", "--r", "2", "--field", "Fp:12"),
+        pit_pair + ("--prime", "1000000"),
+        ("reduce", str(f), "--method", "main", "--prime", "12"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "Traceback" not in err and not reports(out), argv
+    # the environment is read only by the commands that need a prime
+    for env in ("abc", "12"):
+        monkeypatch.setenv("LOWDEPTH_PRIME", env)
+        assert run_cli(capsys, "stats", str(f))[0] == EXIT_OK
+        assert run_cli(capsys, *pit_pair)[0] == EXIT_USAGE
+        assert run_cli(capsys, "gen-hard", "--k", "1", "--r", "2", "--field", "Fp")[0] == EXIT_USAGE
+        # a flag overrides a bad environment
+        assert run_cli(capsys, *pit_pair, "--prime", "1000003")[0] == EXIT_OK
+    monkeypatch.setenv("LOWDEPTH_PRIME", "101")
+    code, out, _ = run_cli(capsys, "gen-hard", "--k", "1", "--r", "2", "--field", "Fp")
+    assert code == EXIT_OK and "field: Fp:101" in out
+    # the smallest accepted values still run
+    assert run_cli(capsys, *pit_pair, "--trials", "1")[0] == EXIT_OK
+    assert run_cli(capsys, "expand", str(f), "--max-terms", "0")[0] == EXIT_OK
+    assert run_cli(capsys, "expand", str(f), "--budget", "0")[0] == EXIT_BUDGET

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lowdepth.errors import FieldUnordered, FormulaSyntaxError
-from lowdepth.fields import MERSENNE61, PrimeField, QQ, field_from_name
+from lowdepth.fields import MERSENNE61, PrimeField, QQ, _require_prime, field_from_name
 
 
 def test_rationals_roundtrip():
@@ -55,3 +55,31 @@ def test_bad_scalar_parse():
         QQ.parse("1/0")
     with pytest.raises(FormulaSyntaxError):
         QQ.parse("x")
+
+
+def test_modulus_must_be_prime():
+    # exact against trial division on every small modulus
+    for n in range(-3, 5000):
+        prime = n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+        try:
+            _require_prime(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == prime, n
+    # strong pseudoprimes to the bases up to 7, 23 and 37; then primes
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not a prime"):
+            _require_prime(n)
+    for n in (MERSENNE61, 1000003, 2**31 - 1):
+        _require_prime(n)
+    # above the limit the bases do not decide, so even a prime is rejected
+    with pytest.raises(ValueError, match="too large"):
+        _require_prime(2**89 - 1)
+    for spec in ("Fp:12", "Fp:1", "Fp:0", "Fp:-7", "Fp:1000000", f"Fp:{2**89 - 1}"):
+        with pytest.raises(FormulaSyntaxError, match="bad prime"):
+            field_from_name(spec)
+    with pytest.raises(FormulaSyntaxError, match="modulus 12 is not a prime"):
+        field_from_name("Fp", 12)
+    assert field_from_name("Fp:2").p == 2
+    assert PrimeField(6).p == 6  # built directly, as the kernel's zero-divisor cases do

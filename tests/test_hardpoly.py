@@ -82,7 +82,7 @@ def test_gen_hard_predicates():
     assert ir.is_homogeneous(f)
     assert ir.is_set_multilinear(f, hp.sigma_partition(p))
     # distinct variables on the leaves
-    leaves = [n.var for n in ir.iter_postorder(f.root) if isinstance(n, VarLeaf)]
+    leaves = [n.var for n in ir.postorder(f.root) if isinstance(n, VarLeaf)]
     assert len(leaves) == len(set(leaves)) == p.num_vars
 
 

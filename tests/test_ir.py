@@ -190,7 +190,7 @@ def test_copy_tree_structural_equality(corpus_both):
     for root in (corpus_both[0].root, dag):
         out = ir.tree_materialize(root)
         assert out == root
-        old_ids = {id(n) for n in ir.iter_postorder(root)}
+        old_ids = {id(n) for n in ir.postorder(root)}
         positions = [n for n, _ in ir.iter_preorder_positions(out)]
         assert len({id(n) for n in positions}) == len(positions)
         assert not old_ids & {id(n) for n in positions}
@@ -252,7 +252,6 @@ def test_postorder_matches_reference_generator(corpus_both):
     for root in _kernel_inputs(corpus_both):
         order = ir.postorder(root)
         assert [id(n) for n in order] == [id(n) for n in _reference_postorder(root)]
-        assert [id(n) for n in ir.iter_postorder(root)] == [id(n) for n in order]
         assert order[-1] is root
 
 

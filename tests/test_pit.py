@@ -7,6 +7,7 @@ import reference
 from lowdepth import ir, pit, poly, sexpr
 from lowdepth.bench import gen_comb
 from lowdepth.errors import ModeMismatch
+from lowdepth.fields import PrimeField
 from lowdepth.pit import PITConfig, check_witness, pit_equal
 
 
@@ -205,7 +206,7 @@ def _dag():
 def test_shape_matches_metrics_and_variables(corpus_both):
     dag = _dag()
     for f in corpus_both[:20] + [dag]:
-        prog = pit._compile(f.root, {})
+        prog = ir.compile_program(f.root, [])
         m = ir.metrics(f)
         assert (prog.degree, prog.size, prog.variables) == (m.syn_degree, m.size, ir.variables(f))
         # the program lists the distinct nodes in postorder, each gate
@@ -215,18 +216,18 @@ def test_shape_matches_metrics_and_variables(corpus_both):
         assert len(prog.kinds) == len(prog.args) == len(prog.slots) == len(order)
         for node, kind, arg in zip(order, prog.kinds, prog.args):
             if isinstance(node, ir.VarLeaf):
-                assert (kind, arg) == (pit._VAR, node.var)
+                assert (kind, arg) == (ir._VAR, node.var)
             elif isinstance(node, ir.OneLeaf):
-                assert kind == pit._ONE
+                assert kind == ir._ONE
             else:
-                assert kind == (pit._SUM if isinstance(node, ir.SumGate) else pit._PROD)
+                assert kind == (ir._SUM if isinstance(node, ir.SumGate) else ir._PROD)
                 assert list(arg) == [at[id(child)] for _, child in node.children]
-    table: dict = {}
-    prog = pit._compile(dag.root, table)
+    scalars: list = []
+    prog = ir.compile_program(dag.root, scalars)
     assert prog.size == 4  # positions, not distinct nodes
     assert prog.uses == [1, 1, 2, 0]
     # the unit weight takes slot 0 and a gate of unit weights keeps no slots
-    assert table == {1: 0, 2: 1}
+    assert scalars == [1, 2]
     assert prog.slots == [None, None, None, [0, 1]]
 
 
@@ -240,9 +241,9 @@ def test_compiled_values_match_reference(corpus_both, seed):
         order, degree, _, variables = reference.shape(f.root)
         vs = sorted(variables)
         seeds = [seed * 1_000_003 + t for t in range(4)]
-        table: dict = {}
-        prog = pit._compile(f.root, table)
-        res = pit._residues(table, p)
+        scalars: list = []
+        prog = ir.compile_program(f.root, scalars)
+        res = pit._residues(scalars, p)
         for m in (1, degree + 1):  # scalar mode, then matrix mode
             if m == 1:
                 leaves = reference.scalar_leaves(seeds, vs, p)
@@ -373,6 +374,13 @@ def test_error_precedence():
         pit_equal(f, fp, PITConfig(trials=1, prime=17))
 
 
+def test_config_rejects_negative_trials_and_composite_moduli():
+    for bad in ({"trials": -1}, {"prime": 12}, {"prime": 1}, {"prime": 1000000}):
+        with pytest.raises(ValueError):
+            PITConfig(**bad)
+    assert PITConfig(prime=7).prime == 7  # zero trials stay allowed: see below
+
+
 @pytest.mark.parametrize("header", ["", "mode: noncommutative\n"])
 def test_zero_trials_and_constant_formulas(header):
     a = sexpr.parse(header + "(+ x1 (* x2 x3))")
@@ -383,3 +391,33 @@ def test_zero_trials_and_constant_formulas(header):
     res = pit_equal(sexpr.parse(header + "(+ 1 1)"), sexpr.parse(header + "(+ 1)"), PITConfig(trials=2))
     assert (res.trials_run, res.witness["lhs"], res.witness["rhs"]) == (1, 2, 1)
     assert res.witness.get("point", {}) == {} and res.witness.get("entry", [0, 0]) == [0, 0]
+
+
+def test_check_witness_rejects_witnesses_that_do_not_fit_the_pair():
+    # 8 x1 and x1 are equal over Fp:7; a scalar witness taken mod 11 separates them
+    x1 = ir.VarLeaf(1)
+    eight, one = (ir.SumGate(((c, x1),)) for c in (8, 1))
+    res = pit_equal(ir.Formula(eight), ir.Formula(one), PITConfig(trials=1, prime=11))
+    assert res.witness["prime"] == 11
+    assert check_witness(ir.Formula(eight), ir.Formula(one), res.witness)
+    f7 = PrimeField(7)
+    a, b = ir.Formula(eight, field=f7), ir.Formula(one, field=f7)
+    assert pit_equal(a, b, PITConfig(trials=3)).equal
+    with pytest.raises(ValueError, match="witness prime 11 is not the prime of Fp:7"):
+        check_witness(a, b, res.witness)
+    with pytest.raises(ModeMismatch, match="field mismatch: Fp:7 vs Q"):
+        check_witness(a, ir.Formula(one), res.witness)
+    # a superdiagonal witness of x1 x2 != x2 x1 does not apply to commuting variables
+    nc = [sexpr.parse("mode: noncommutative\n" + t) for t in ("(* x1 x2)", "(* x2 x1)")]
+    res = pit_equal(*nc, PITConfig(trials=2))
+    assert res.witness["kind"] == "superdiagonal" and check_witness(*nc, res.witness)
+    comm = [sexpr.parse(t) for t in ("(* x1 x2)", "(* x2 x1)")]
+    assert pit_equal(*comm).equal
+    with pytest.raises(ValueError, match="a superdiagonal witness does not fit commutative formulas"):
+        check_witness(*comm, res.witness)
+    with pytest.raises(ModeMismatch, match="different commutativity modes"):
+        check_witness(nc[0], comm[1], res.witness)
+    # and a scalar witness does not fit non-commutative formulas
+    scalar = pit_equal(sexpr.parse("(* x1 x2)"), sexpr.parse("(* x1 x1)")).witness
+    with pytest.raises(ValueError, match="a scalar witness does not fit non-commutative formulas"):
+        check_witness(*nc, scalar)

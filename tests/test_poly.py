@@ -11,6 +11,9 @@ from lowdepth.hardpoly import HardParams, encode_var, gen_hard
 from lowdepth.ir import Formula, OneLeaf, SumGate
 from lowdepth.poly import PolyTable
 
+import reference
+from reference import poly_add as add, poly_mul as mul, poly_scale as scale
+
 
 def test_expand_hard_k1():
     # hand expansion of the two-monomial instance: x[1,1]x[2,1] + x[1,2]x[2,2]
@@ -112,13 +115,13 @@ def test_polytable_ring_laws(commutative, field):
         a = _random_table(rng, commutative, field)
         b = _random_table(rng, commutative, field)
         c = _random_table(rng, commutative, field)
-        assert a.add(b) == b.add(a)
-        assert a.add(b).add(c) == a.add(b.add(c))
-        assert a.mul(b).mul(c) == a.mul(b.mul(c))
-        assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
-        assert b.add(c).mul(a) == b.mul(a).add(c.mul(a))
+        assert add(a, b) == add(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(add(b, c), a) == add(mul(b, a), mul(c, a))
         if commutative:
-            assert a.mul(b) == b.mul(a)
+            assert mul(a, b) == mul(b, a)
 
 
 def test_expand_distributes_over_constructors(corpus_both):
@@ -128,15 +131,15 @@ def test_expand_distributes_over_constructors(corpus_both):
         if not ir.is_gate(root):
             continue
         whole = poly.expand(f)
-        parts = [poly.expand(f.with_root(ch)).scale(c) for c, ch in root.children]
+        parts = [scale(poly.expand(f.with_root(ch)), c) for c, ch in root.children]
         if isinstance(root, SumGate):
-            acc = PolyTable.zero(f.commutative, f.field)
+            acc = reference.poly_zero(f.commutative, f.field)
             for t in parts:
-                acc = acc.add(t)
+                acc = add(acc, t)
         else:
-            acc = PolyTable.const(f.commutative, f.field, f.field.one())
+            acc = reference.poly_const(f.commutative, f.field, f.field.one())
             for t in parts:
-                acc = acc.mul(t)
+                acc = mul(acc, t)
         assert acc == whole
 
 
@@ -148,30 +151,30 @@ def test_support_expand_monotone_detection():
 
 
 # ---------------------------------------------------------------------------
-# differential test: the expansion kernel against gate-by-gate PolyTable ops
+# differential test: the expansion kernel against the gate-by-gate reference
 # ---------------------------------------------------------------------------
 
 def _reference_memo(formula: Formula, budget: int | None) -> dict:
-    """Per-node tables from PolyTable.add/scale/mul, one gate at a time.
+    """Per-node tables from the reference ring operations, one gate at a time.
 
     The budget is checked after every outer row of a product (inside
-    PolyTable.mul) and at the end of every gate.
+    reference.poly_mul) and at the end of every gate.
     """
     comm, f = formula.commutative, formula.field
 
     def fn(node, vals):
         if isinstance(node, ir.VarLeaf):
-            return PolyTable.var(comm, f, node.var)
+            return reference.poly_var(comm, f, node.var)
         if isinstance(node, OneLeaf):
-            return PolyTable.const(comm, f, f.one())
+            return reference.poly_const(comm, f, f.one())
         if isinstance(node, SumGate):
-            acc = PolyTable.zero(comm, f)
+            acc = reference.poly_zero(comm, f)
             for (c, _), sub in zip(node.children, vals):
-                acc = acc.add(sub.scale(c))
+                acc = add(acc, scale(sub, c))
         else:
-            acc = PolyTable.const(comm, f, f.one())
+            acc = reference.poly_const(comm, f, f.one())
             for (c, _), sub in zip(node.children, vals):
-                acc = acc.mul(sub.scale(c), budget=budget)
+                acc = mul(acc, scale(sub, c), budget=budget)
         if budget is not None and acc.num_terms() > budget:
             raise BudgetExceeded(f"expansion table grew past {budget} entries")
         return acc
@@ -412,9 +415,69 @@ def test_equal_expand_compares_in_the_kernel_encoding(corpus_both, monkeypatch):
     for f in corpus_both:
         assert poly.equal_expand(f, tr.binarize(f))
         assert poly.equal_expand(tr.collapse(f), f)
-    # a rewrite keeps the variables and the degree, so nothing is repacked
+    # both tables are packed alike, so nothing is decoded
     assert (built, words, decoded) == ([], [], [])
     for i, f in enumerate(corpus_both):
         neighbour = corpus_both[i + 1 - 2 * (i % 2)]  # same mode: each half has even length
         assert not poly.equal_expand(f, neighbour)
     assert built == [] and words == []
+
+
+# ---------------------------------------------------------------------------
+# one compiled program per formula
+# ---------------------------------------------------------------------------
+
+def test_each_oracle_compiles_each_formula_once(monkeypatch):
+    from lowdepth import pit
+
+    compiled = []
+    real = ir.compile_program
+
+    def counting(root, scalars):
+        compiled.append(root)
+        return real(root, scalars)
+
+    monkeypatch.setattr(ir, "compile_program", counting)
+    for header in ("", "mode: noncommutative\n", "field: Fp:101\n"):
+        a = sexpr.parse(header + "(+ (* x1 x2) (scale 2 (* x2 x3)))")
+        b = sexpr.parse(header + "(+ (* x1 x2) (scale 3 (* x2 x3)))")
+        calls = [
+            ([a.root], lambda: poly.expand(a)),
+            ([a.root], lambda: poly.gate_monomial_counts(a)),
+            ([a.root], lambda: poly.support_expand(a)),
+            ([a.root, b.root], lambda: poly.equal_expand(a, b)),
+            ([a.root, b.root], lambda: poly.expand_against(a, b)),
+            ([a.root, b.root], lambda: pit.pit_equal(a, b)),
+        ]
+        for roots, call in calls:
+            compiled.clear()
+            call()
+            assert [id(r) for r in compiled] == [id(r) for r in roots]
+        witness = pit.pit_equal(a, b).witness
+        compiled.clear()
+        assert pit.check_witness(a, b, witness)
+        assert [id(r) for r in compiled] == [id(a.root), id(b.root)]
+
+
+def test_gate_counts_on_a_dag_match_its_tree_copy():
+    # the DAG of test_pit.py's test_shared_node_matches_tree_copy
+    shared = sexpr.parse("(+ x1 (* x2 x3))").root
+    dag = ir.ProdGate(((Fraction(2), shared), (Fraction(1), ir.VarLeaf(4)), (Fraction(1), shared)))
+    root = SumGate(((Fraction(1), dag), (Fraction(3), shared)))
+    for commutative in (True, False):
+        a = Formula(root, commutative=commutative)
+        tree = a.with_root(ir.tree_materialize(root))
+        counts = poly.gate_monomial_counts(tree)
+        assert len(counts) == len(ir.gates_preorder(tree)) == 18  # every position
+        assert poly.gate_monomial_counts(a) == counts
+        table, against, same = poly.expand_against(a, tree)
+        assert same and against == counts and table == poly.expand(tree)
+        assert poly.expand_against(tree, a)[1] == counts
+
+
+def test_support_is_taken_over_the_rationals():
+    # 7 x1 vanishes over Fp:7, but its parse trees still reach x1
+    f = sexpr.parse("field: Fp:7\n(+ x1 x1 x1 x1 x1 x1 x1)")
+    assert poly.expand(f).terms == {}
+    assert poly.support_expand(f) == {((1, 1),)}
+    assert not poly.is_monotone_semantic(f)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference
+
 from lowdepth import ir, poly, sexpr
 from lowdepth import transforms as tr
 from lowdepth.bench import gen_comb, gen_random_homogeneous
@@ -172,7 +174,10 @@ def test_decompose_noncommutative_order():
     assert poly.expand(c).terms == {(4,): ONE}
     alpha = ir.gates_preorder(f)[alpha_id]
     lhs = poly.expand(f)
-    rhs = poly.expand(a).mul(poly.expand(f.with_root(alpha))).mul(poly.expand(b)).add(poly.expand(c))
+    rhs = reference.poly_add(
+        reference.poly_mul(reference.poly_mul(poly.expand(a), poly.expand(f.with_root(alpha))), poly.expand(b)),
+        poly.expand(c),
+    )
     assert lhs == rhs
 
 
@@ -182,8 +187,8 @@ def _check_decompose_identity(fb, k):
     split = tr.bb_find_split(fb, k)
     a, b, c = tr.bb_decompose(fb, split)
     alpha = ir.gates_preorder(fb)[split.gate_id]
-    prod = poly.expand(a).mul(poly.expand(fb.with_root(alpha))).mul(poly.expand(b))
-    rhs = prod.add(poly.expand(c)) if c is not None else prod
+    prod = reference.poly_mul(reference.poly_mul(poly.expand(a), poly.expand(fb.with_root(alpha))), poly.expand(b))
+    rhs = reference.poly_add(prod, poly.expand(c)) if c is not None else prod
     assert poly.expand(fb) == rhs
     s = split.size_total
     for part in (a, b, c):
@@ -414,8 +419,12 @@ def test_run_pass_rejects_out_of_range_params():
 
 def test_potential_arithmetic():
     # degree 8 and sum depth 6 at delta = 3 give 3 + 2 = 5
-    assert tr._potential_of(8, 6, 3).phi == 5
-    assert tr._potential_of(1, 0, 1).phi == 0
+    assert tr._phi(8, 6, 3) == 5
+    assert tr._phi(1, 0, 1) == 0
+    # (+ (* x1 x2) (* x3 x4)) at delta = 1: 1 + 1
+    assert tr._phi(2, 1, 1) == 2
+    with pytest.raises(ValueError, match="degree >= 1"):
+        tr._phi(0, 1, 1)
 
 
 def test_select_frontier_zero_potential():
@@ -499,7 +508,7 @@ def test_skew_to_sigma_pi_bounds(skew_corpus):
         assert len(terms) <= 2**delta
         # non-duplicable members: +-leaves and x-leaves with a leaf sibling
         non_dup = set()
-        for node in ir.iter_postorder(g.root):
+        for node in ir.postorder(g.root):
             if isinstance(node, SumGate):
                 non_dup.update(
                     ch.var for _, ch in node.children if isinstance(ch, VarLeaf)
@@ -536,7 +545,7 @@ def test_main_on_hard_instance():
     delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
     out = tr.depth_reduce_main(fb, delta)
     assert_equivalent(f, out)
-    assert ir.metrics(out).product_depth <= tr._potential_of(m.syn_degree, m.sum_depth, delta).phi
+    assert ir.metrics(out).product_depth <= tr._phi(m.syn_degree, m.sum_depth, delta)
 
 
 def test_main_noncommutative_monotone():
@@ -569,7 +578,7 @@ def test_main_corpus_bounds_and_preservation(corpus_both):
         assert tr.depth_reduce_main(fb, "auto") == out
         assert_equivalent(f, out)
         mo = ir.metrics(out)
-        phi = tr._potential_of(max(m.syn_degree, 1), m.sum_depth, delta).phi
+        phi = tr._phi(max(m.syn_degree, 1), m.sum_depth, delta)
         assert mo.product_depth <= phi
         assert mo.size <= m.size * max(m.syn_degree, 1) ** delta
         assert mo.syn_degree <= m.syn_degree
@@ -645,7 +654,7 @@ def test_homogenize_components_sum_to_input(corpus_both):
         m = ir.metrics(fb)
         d = m.syn_degree
         comps = tr.homogenize(fb, d)
-        total = poly.PolyTable.zero(fb.commutative, fb.field)
+        total = reference.poly_zero(fb.commutative, fb.field)
         size_sum = 0
         for i, comp in enumerate(comps):
             if comp is None:
@@ -656,7 +665,7 @@ def test_homogenize_components_sum_to_input(corpus_both):
             if i > 0:
                 assert cm.syn_degree == i
             size_sum += cm.size
-            total = total.add(poly.expand(comp))
+            total = reference.poly_add(total, poly.expand(comp))
         assert total == poly.expand(fb)
         assert size_sum <= m.size * math.comb(m.product_depth + d + 1, d)
 
@@ -702,7 +711,7 @@ def test_fanin2_sum_rooted_and_corpus(corpus_both):
         mo = ir.metrics(out)
         m = ir.metrics(f)
         assert mo.size <= m.size
-        for node in ir.iter_postorder(out.root):
+        for node in ir.postorder(out.root):
             if isinstance(node, ProdGate):
                 assert len(node.children) == 2
         assert ir.is_homogeneous(out)
@@ -854,19 +863,13 @@ def test_select_frontier_corpus_assertions(corpus_both):
         delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
         fs = tr.select_frontier(fb, delta)
         table = ir.metrics_table(fb)
-        phi_root = tr._potential_of(m.syn_degree, m.sum_depth, delta).phi
+        phi_root = tr._phi(m.syn_degree, m.sum_depth, delta)
         assert fs.phi_root == phi_root
         for gid in fs.gate_ids:
             sub = table[gid]
             assert not isinstance(ir.gates_preorder(fb)[gid], OneLeaf)
             if sub.syn_degree >= 1:
-                assert tr._potential_of(sub.syn_degree, sub.sum_depth, delta).phi < phi_root
-
-
-def test_potential_public_wrapper():
-    f = sexpr.parse("(+ (* x1 x2) (* x3 x4))")
-    p = tr.potential(f, 1)
-    assert (p.phi1, p.phi2, p.phi) == (1, 1, 2)
+                assert tr._phi(sub.syn_degree, sub.sum_depth, delta) < phi_root
 
 
 def test_passes_over_prime_field():
@@ -889,10 +892,10 @@ def test_passes_over_prime_field():
 def test_homogenize_over_prime_field():
     f = sexpr.parse("field: Fp:97\n(* (+ x1 1) (+ x2 (scale 96 1)))")
     comps = tr.homogenize(tr.binarize(f), 2)
-    acc = poly.PolyTable.zero(f.commutative, f.field)
+    acc = reference.poly_zero(f.commutative, f.field)
     for comp in comps:
         if comp is not None:
-            acc = acc.add(poly.expand(comp))
+            acc = reference.poly_add(acc, poly.expand(comp))
     assert acc == poly.expand(f)
 
 
