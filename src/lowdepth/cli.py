@@ -21,7 +21,7 @@ import time
 
 from .errors import (BudgetExceeded, FormulaSyntaxError, LowdepthError, ParamOutOfRange,
                      UniverseTooLarge, WellFormednessError)
-from .fields import MERSENNE61, QQ, field_from_name
+from .fields import MERSENNE61, field_from_name
 from . import bench, hardpoly, ir, pit, poly, sexpr, transforms
 from .report import Report, metrics_dict
 
@@ -31,14 +31,16 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _prime(args) -> int:
-    """--prime when given, else LOWDEPTH_PRIME, else 2^61 - 1."""
-    if getattr(args, "prime", None) is not None:
-        return args.prime
-    env = os.environ.get("LOWDEPTH_PRIME", "").strip()
-    if env and not env.isdecimal():
-        raise ValueError(f"LOWDEPTH_PRIME={env!r} is not a natural number")
-    return int(env) if env else MERSENNE61
+def _prime(text: str) -> int:
+    """The argparse type of --prime.  argparse converts the default, "", only
+    for the command being run: LOWDEPTH_PRIME when set, else 2^61 - 1."""
+    name = "--prime"
+    if not text:
+        name, text = "LOWDEPTH_PRIME", os.environ.get("LOWDEPTH_PRIME", "").strip()
+        text = text or str(MERSENNE61)
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{name}={text!r} is not a natural number")
+    return int(text)
 
 
 def _at_least(low: int):
@@ -129,7 +131,7 @@ def cmd_reduce(args) -> int:
 
     verdict, method, witness = "skipped", "none", None
     if not args.no_verify:
-        cfg = pit.PITConfig(trials=args.trials, prime=_prime(args), seed=args.seed)
+        cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
         verdict, method, witness = pit.verify(f, out, "auto", args.budget, cfg)
     rep = Report(
         pass_name=f"reduce/{args.method}" if args.cmd == "reduce" else args.cmd,
@@ -174,7 +176,8 @@ def cmd_homogenize(args) -> int:
 
 def cmd_gen_hard(args) -> int:
     p = hardpoly.HardParams(k=args.k, r=args.r)
-    field = field_from_name(args.field, _prime(args)) if args.field else QQ
+    spec = (args.field or "Q").strip()  # only a bare Fp reads LOWDEPTH_PRIME
+    field = field_from_name(spec, _prime("")) if spec == "Fp" else field_from_name(spec)
     f = hardpoly.gen_hard(p, commutative=not args.noncommutative, field=field)
     rep = Report(
         pass_name="gen-hard",
@@ -221,7 +224,7 @@ def cmd_check_hard(args) -> int:
 def cmd_verify_equal(args) -> int:
     a = sexpr.parse_file(args.lhs)
     b = sexpr.parse_file(args.rhs)
-    cfg = pit.PITConfig(trials=args.trials, prime=_prime(args), seed=args.seed)
+    cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
     verdict, method, witness = pit.verify(a, b, args.method, args.budget, cfg)
     rep = Report(
         pass_name="verify-equal",
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(1), default=20)
-    p.add_argument("--prime", type=int, default=None, help="default: LOWDEPTH_PRIME or 2^61 - 1")
+    p.add_argument("--prime", type=_prime, default="", help="default: LOWDEPTH_PRIME or 2^61 - 1")
     p.add_argument("-o", "--out")
     add_budget(p)
     p.set_defaults(fn=cmd_reduce)
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto", choices=["expand", "pit", "auto"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(1), default=20)
-    p.add_argument("--prime", type=int, default=None, help="default: LOWDEPTH_PRIME or 2^61 - 1")
+    p.add_argument("--prime", type=_prime, default="", help="default: LOWDEPTH_PRIME or 2^61 - 1")
     add_budget(p)
     p.set_defaults(fn=cmd_verify_equal)
 
@@ -411,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, WellFormednessError, FileNotFoundError, ValueError,
-            ParamOutOfRange, UniverseTooLarge) as exc:
+            argparse.ArgumentTypeError, ParamOutOfRange, UniverseTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LowdepthError as exc:

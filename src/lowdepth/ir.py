@@ -275,23 +275,7 @@ def tree_materialize(root: Node) -> Node:
 
 def variables(formula: Formula) -> set[int]:
     """The set of variable ids appearing on the leaves."""
-    out: set[int] = set()
-    for node in postorder(formula.root):
-        if isinstance(node, VarLeaf):
-            out.add(node.var)
-    return out
-
-
-class FreshVars:
-    """Allocator for reserved internal variable ids, disjoint from user ids."""
-
-    def __init__(self, start: int = FRESH_VAR_BASE):
-        self._next = start
-
-    def take(self) -> int:
-        v = self._next
-        self._next += 1
-        return v
+    return {node.var for node in postorder(formula.root) if isinstance(node, VarLeaf)}
 
 
 # ---------------------------------------------------------------------------

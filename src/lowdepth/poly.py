@@ -107,14 +107,6 @@ class PolyTable:
 # Expansion
 # ---------------------------------------------------------------------------
 
-def _edge_scalar(c: Scalar, p: int | None) -> Scalar:
-    """An edge scalar as the kernel uses it: reduced mod p over Fp, a plain
-    int over Q when its denominator is 1."""
-    if p is not None:
-        return c % p
-    return c.numerator if c.denominator == 1 else c
-
-
 def _scaled(t: dict, s: Scalar, p: int | None) -> dict:
     """A new table holding s * t, zero products dropped."""
     if not s:
@@ -266,12 +258,15 @@ def _decoder(packing: Packing):
 
 def _compile(formula: ir.Formula) -> tuple[ir.Program, list, int | None]:
     """The formula's program, its scalar list as the kernel uses it (each
-    distinct scalar converted once), and p (None over Q)."""
+    distinct scalar converted once: reduced mod p over Fp, a plain int over Q
+    when its denominator is 1), and p (None over Q)."""
     f = formula.field
     p = f.p if isinstance(f, PrimeField) else None
     scalars: list = []
     prog = ir.compile_program(formula.root, scalars)
-    return prog, [_edge_scalar(c, p) for c in scalars], p
+    if p is not None:
+        return prog, [c % p for c in scalars], p
+    return prog, [c.numerator if c.denominator == 1 else c for c in scalars], p
 
 
 def _kernel(prog: ir.Program, scalars: list, p: int | None, packing: Packing | None,
@@ -397,7 +392,8 @@ def support_expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_B
     enumerating parse trees.  The kernel runs over Q whatever the field, so
     no count vanishes mod p.
     """
-    prog, scalars, _ = _compile(formula)
+    scalars: list = []
+    prog = ir.compile_program(formula.root, scalars)
     packing = _packing(formula.commutative, prog)
     root = _kernel(prog, [1] * len(scalars), None, packing, budget, None)
     return frozenset(root if packing is None else map(_decoder(packing), root))

@@ -31,6 +31,7 @@ propagate "zero" internally and only fail if the entire input vanishes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -580,17 +581,6 @@ def _below(phi: dict[int, int], phi_root: int):
     return is_factor
 
 
-def _frontier_nodes(root: Node, phi: dict[int, int]) -> list[Node]:
-    """Frontier positions; assumes the root's potential is at least 1."""
-    is_factor, frontier, stack = _below(phi, phi[id(root)]), [], [root]
-    while stack:
-        node = stack.pop()
-        for _, ch in reversed(node.children):
-            if not isinstance(ch, OneLeaf):  # a 1-leaf stays a constant of the residual comb
-                (frontier if is_factor(ch) else stack).append(ch)
-    return frontier
-
-
 def select_frontier(formula: Formula, delta: int) -> FrontierSet:
     """Gate ids (preorder) of the potential frontier.
 
@@ -603,7 +593,12 @@ def select_frontier(formula: Formula, delta: int) -> FrontierSet:
     phi = _phi_map(ir.metrics_map(root), delta)
     if id(root) not in phi or phi[id(root)] == 0:
         return FrontierSet(frozenset(), delta, phi.get(id(root), 0))
-    members = {id(n) for n in _frontier_nodes(root, phi)}
+    is_factor, frontier, stack = _below(phi, phi[id(root)]), [], [root]
+    while stack:
+        for _, ch in reversed(stack.pop().children):
+            if not isinstance(ch, OneLeaf):  # a 1-leaf stays a constant of the residual comb
+                (frontier if is_factor(ch) else stack).append(ch)
+    members = {id(n) for n in frontier}
     ids = frozenset(
         gate_id
         for gate_id, (node, _) in enumerate(ir.iter_preorder_positions(root))
@@ -622,13 +617,13 @@ def frontier_residual(formula: Formula, gate_ids: frozenset[int]) -> Formula:
 
     Fresh variables are numbered in preorder of the replaced positions.
     """
-    fresh = ir.FreshVars()
+    fresh = itertools.count(ir.FRESH_VAR_BASE)
     nodes = ir.gates_preorder(formula)
     replaced = {id(nodes[g]) for g in gate_ids}
 
     def build(node: Node):
         if id(node) in replaced:
-            return VarLeaf(fresh.take())
+            return VarLeaf(next(fresh))
         if not is_gate(node):
             return node
         edges = []
@@ -648,7 +643,7 @@ def _sigma_pi_terms(root: Node, is_factor, field: Field):
     and distributed in turn.  Returns merged (coefficient,
     factor-position-tuple) terms with zero coefficients dropped; the
     coefficient collects every edge scalar met on the way and factor order
-    follows the tree.  A product with two interior children raises NotSkew.
+    follows the tree.
     """
     one = field.one()
     memo: dict[int, list] = {}  # interior gate id -> its terms
@@ -669,8 +664,6 @@ def _sigma_pi_terms(root: Node, is_factor, field: Field):
                 else:
                     edges.append((c, ch))
                     interior.append(ch)
-            if len(interior) > 1 and type(node) is ProdGate:
-                raise NotSkew("product gate with two non-leaf children")
             stack.append((node, edges))
             stack.extend((ch, None) for ch in interior if id(ch) not in memo)
             continue

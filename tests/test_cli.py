@@ -1,7 +1,10 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+import lowdepth
 from lowdepth import bench, cli, hardpoly, ir, poly, sexpr, transforms
 from lowdepth.ir import ProdGate, SumGate, VarLeaf
 from lowdepth.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
@@ -441,8 +444,9 @@ def test_outside_input_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, "stats", str(f))[0] == EXIT_OK
         assert run_cli(capsys, *pit_pair)[0] == EXIT_USAGE
         assert run_cli(capsys, "gen-hard", "--k", "1", "--r", "2", "--field", "Fp")[0] == EXIT_USAGE
-        # a flag overrides a bad environment
+        # a flag or an explicit field prime overrides a bad environment
         assert run_cli(capsys, *pit_pair, "--prime", "1000003")[0] == EXIT_OK
+        assert run_cli(capsys, "gen-hard", "--k", "1", "--r", "2", "--field", "Fp:97")[0] == EXIT_OK
     monkeypatch.setenv("LOWDEPTH_PRIME", "101")
     code, out, _ = run_cli(capsys, "gen-hard", "--k", "1", "--r", "2", "--field", "Fp")
     assert code == EXIT_OK and "field: Fp:101" in out
@@ -450,3 +454,21 @@ def test_outside_input_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *pit_pair, "--trials", "1")[0] == EXIT_OK
     assert run_cli(capsys, "expand", str(f), "--max-terms", "0")[0] == EXIT_OK
     assert run_cli(capsys, "expand", str(f), "--budget", "0")[0] == EXIT_BUDGET
+
+
+def test_benchmark_replay_builds_pit_config_from_parsed_flags(tmp_path, monkeypatch):
+    """perfbench's traced replay hands the parsed --prime straight to PITConfig,
+    so it must parse to the prime with and without the flag."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    replay, workloads = importlib.import_module("replay"), importlib.import_module("workloads")
+    f, g = tmp_path / "f.frm", tmp_path / "g.frm"
+    f.write_text("(+ x1 (* x2 x3))\n")
+    g.write_text("(+ (* x2 x3) x1)\n")
+    for verify in (workloads._WIDE_VERIFY, workloads._DEEP_VERIFY):
+        argv = ["verify-equal", str(f), str(g), *verify, "--budget", "0", "--seed", "0"]
+        assert cli.build_parser().parse_args(argv).prime == cli.MERSENNE61
+        assert replay.replay_verify(lowdepth, replay.Tracer(), argv) == "equal-probably"
+        assert cli.build_parser().parse_args(argv + ["--prime", "101"]).prime == 101
+        monkeypatch.setenv("LOWDEPTH_PRIME", "1000003")
+        assert cli.build_parser().parse_args(argv).prime == 1000003
+        monkeypatch.delenv("LOWDEPTH_PRIME")
