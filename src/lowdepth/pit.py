@@ -15,9 +15,13 @@ An "unequal" verdict is certain and carries a witness that can be replayed;
 
 Each formula is compiled once to the flat program that exact expansion also
 reads (ir.compile_program: node kinds, child positions, parent-use counts,
-edge scalars interned by identity); each equal scalar value is reduced mod p
-once.  All trials run in one pass over the program, and a value is dropped
-once its last parent has read it.  Points are drawn as random.randrange(p) does.
+edge scalars interned by identity); verify compiles a pair once and hands the
+same programs to expansion and, on a fallback, to PIT.  Each equal scalar value
+is reduced mod p once.  All trials run in one pass over the program, and a
+value is dropped once its last parent has read it.  Scalar mode works on plain
+lists of residues, one per trial: a fan-in-2 sum is (c0*x + c1*y) % p and a
+fan-in-2 product c*x*y % p, in one comprehension each.  Points are drawn as
+random.randrange(p) does.
 
 Rational formulas are reduced mod the configured prime (sound: a mismatch mod
 p separates them over Q too).  Formulas over a prime field are evaluated in
@@ -39,9 +43,10 @@ from .fields import MERSENNE61, PrimeField, _require_prime
 from . import ir, poly
 from .ir import _ONE, _SUM, _VAR
 
-#: A value for all trials at once: superdiagonal k -> its entries, position j
-#: of trial t at index j * trials + t.  Scalar mode uses diagonal 0 of a 1 x 1
-#: matrix, so a scalar value is {0: [one residue per trial]}.
+#: A matrix-mode value for all trials at once: superdiagonal k -> its entries,
+#: position j of trial t at index j * trials + t.  Scalar mode computes on
+#: plain residue lists and gives its root as diagonal 0 of a 1 x 1 matrix,
+#: {0: [one residue per trial]}.
 Value = dict[int, list[int]]
 
 
@@ -119,21 +124,61 @@ def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
     return out
 
 
+def _run_scalar(prog: ir.Program, cols: dict, res: list[int], trials: int, p: int) -> list[int]:
+    """Residue of the root at every trial's point; x_v is cols[v] and res holds
+    the residues of the scalar table."""
+    one = [1] * trials
+    left, vals = prog.uses[:], [None] * len(prog.uses)
+    for i, (kind, kids, slots) in enumerate(zip(prog.kinds, prog.args, prog.slots)):
+        if kind == _VAR or kind == _ONE:
+            vals[i] = cols[kids] if kind == _VAR else one
+            continue
+        if len(kids) == 2:
+            # a unit sum is left unreduced; products and weighted sums reduce,
+            # so entries stay below size * p until the root reduces them
+            xs, ys = vals[kids[0]], vals[kids[1]]
+            if slots is None:
+                val = list(map(add, xs, ys)) if kind == _SUM else [z % p for z in map(mul, xs, ys)]
+            elif kind == _SUM:
+                c0, c1 = res[slots[0]], res[slots[1]]
+                val = [(c0 * x + c1 * y) % p for x, y in zip(xs, ys)]
+            else:
+                c = res[slots[0]] * res[slots[1]] % p
+                val = [c * x * y % p for x, y in zip(xs, ys)]
+        elif kind == _SUM:
+            val = None
+            for j, k in enumerate(kids):
+                c, xs = 1 if slots is None else res[slots[j]], vals[k]
+                xs = xs if c == 1 else [c * x for x in xs]
+                val = xs if val is None else list(map(add, val, xs))
+            val = [x % p for x in val]
+        else:
+            val, c = vals[kids[0]], prod([res[s] for s in slots or ()]) % p
+            for k in kids[1:]:
+                val = [z % p for z in map(mul, val, vals[k])]
+            if c != 1:
+                val = [c * x % p for x in val]
+        for k in kids:
+            left[k] -= 1
+            if not left[k]:
+                vals[k] = None
+        vals[i] = val
+    return [x % p for x in vals[-1]]
+
+
 def _run(prog: ir.Program, cols: dict, diag: int, res: list[int], m: int, trials: int, p: int) -> Value:
     """Value of the root for every trial; x_v is cols[v] on diagonal diag (0
-    for scalars, m = 1) and res holds the residues of the scalar table."""
+    for scalars, m = 1, which run on plain residue lists) and res holds the
+    residues of the scalar table."""
+    if not diag:
+        return {0: _run_scalar(prog, cols, res, trials, p)}
     one = {0: [1] * (m * trials)}
     left, vals = prog.uses[:], [None] * len(prog.uses)
     for i, (kind, kids, slots) in enumerate(zip(prog.kinds, prog.args, prog.slots)):
         if kind == _VAR or kind == _ONE:
             vals[i] = {diag: cols[kids]} if kind == _VAR else one
             continue
-        if not diag and slots is None and len(kids) == 2:
-            # a unit sum is left unreduced; products and weighted sums reduce,
-            # so entries stay below size * p until the root reduces them
-            xs, ys = vals[kids[0]][0], vals[kids[1]][0]
-            val = {0: list(map(add, xs, ys)) if kind == _SUM else [z % p for z in map(mul, xs, ys)]}
-        elif kind == _SUM:
+        if kind == _SUM:
             acc: Value = {}
             for j, k in enumerate(kids):
                 c = 1 if slots is None else res[slots[j]]
@@ -163,12 +208,17 @@ def _entry(val: Value, i: int, j: int, trial: int, trials: int) -> int:
 def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PITResult:
     """Randomized equality test; see the module docstring for guarantees."""
     poly._check_comparable(a, b)
+    return _pit(a, *poly._compile(a, b), cfg)
+
+
+def _pit(a: ir.Formula, progs: list[ir.Program], scalars: list, cfg: PITConfig) -> PITResult:
+    """pit_equal on the programs of a and of a formula comparable with it,
+    compiled over the one list scalars."""
     # formulas over a prime field are evaluated in it; the configured prime
     # applies only to rationals, whose scalars embed soundly mod any large p
     native = isinstance(a.field, PrimeField)
     p = a.field.p if native else cfg.prime
-    scalars: list = []
-    prog_a, prog_b = ir.compile_program(a.root, scalars), ir.compile_program(b.root, scalars)
+    prog_a, prog_b = progs
     d = max(prog_a.degree, prog_b.degree, 1)
     size = max(prog_a.size, prog_b.size)
     if native:
@@ -211,19 +261,22 @@ def verify(
     """Decide whether a and b agree; returns (verdict, method used, witness).
 
     "expand" decides exactly ("equal" or "unequal") and lets BudgetExceeded
-    through; "auto" expands and falls back to pit_equal when the expansion
-    goes over budget; "pit" runs pit_equal directly.  Only a PIT "unequal"
+    through; "auto" expands and falls back to PIT when the expansion goes over
+    budget; "pit" runs PIT directly, as pit_equal does.  Each formula is
+    compiled once, and both oracles read those programs.  Only a PIT "unequal"
     carries a witness.
     """
     if method not in ("expand", "auto", "pit"):
         raise ValueError(f"unknown verification method {method!r}")
+    poly._check_comparable(a, b)
+    progs, scalars = poly._compile(a, b)
     if method != "pit":
         try:
-            return ("equal" if poly.equal_expand(a, b, budget) else "unequal"), "expand", None
+            return ("equal" if poly.equal_programs(a, progs, scalars, budget) else "unequal"), "expand", None
         except BudgetExceeded:
             if method == "expand":
                 raise
-    res = pit_equal(a, b, cfg)
+    res = _pit(a, progs, scalars, cfg)
     return res.verdict, "pit", res.witness
 
 
@@ -244,8 +297,7 @@ def check_witness(a: ir.Formula, b: ir.Formula, witness: dict) -> bool:
         raise ValueError(f"a {kind} witness does not fit {mode} formulas")
     if isinstance(a.field, PrimeField) and p != a.field.p:
         raise ValueError(f"witness prime {p} is not the prime of {a.field.name}")
-    scalars: list = []
-    prog_a, prog_b = ir.compile_program(a.root, scalars), ir.compile_program(b.root, scalars)
+    (prog_a, prog_b), scalars = poly._compile(a, b)
     vs = sorted(prog_a.variables | prog_b.variables)
     if kind == "scalar":
         diag, m, i, j = 0, 1, 0, 0

@@ -26,9 +26,11 @@ down by bit_length, and each distinct half once.  So the result is the table
 that adding, scaling and multiplying PolyTables gate by gate gives (the tests
 keep those ring operations as the reference): the same keys in the same
 order, the same coefficients, and BudgetExceeded on the same inputs.
-equal_expand and expand_against compile both formulas, pack them alike (the
-union of their variables, the larger degree), compare the two root tables and
-decode neither (expand_against then decodes its first table, once).
+equal_expand and expand_against compile both formulas over one scalar list,
+pack them alike (the union of their variables, the larger degree), compare the
+two root tables and decode neither (expand_against then decodes its first
+table, once).  equal_programs is that comparison on programs already compiled,
+so pit.verify compiles a pair once for expansion and PIT together.
 """
 
 from __future__ import annotations
@@ -256,17 +258,10 @@ def _decoder(packing: Packing):
     return decode
 
 
-def _compile(formula: ir.Formula) -> tuple[ir.Program, list, int | None]:
-    """The formula's program, its scalar list as the kernel uses it (each
-    distinct scalar converted once: reduced mod p over Fp, a plain int over Q
-    when its denominator is 1), and p (None over Q)."""
-    f = formula.field
-    p = f.p if isinstance(f, PrimeField) else None
+def _compile(*formulas: ir.Formula) -> tuple[list[ir.Program], list]:
+    """The formulas' programs over one shared scalar list."""
     scalars: list = []
-    prog = ir.compile_program(formula.root, scalars)
-    if p is not None:
-        return prog, [c % p for c in scalars], p
-    return prog, [c.numerator if c.denominator == 1 else c for c in scalars], p
+    return [ir.compile_program(f.root, scalars) for f in formulas], scalars
 
 
 def _kernel(prog: ir.Program, scalars: list, p: int | None, packing: Packing | None,
@@ -300,21 +295,27 @@ def _kernel(prog: ir.Program, scalars: list, p: int | None, packing: Packing | N
     return tables[-1]
 
 
-def _expand(a: ir.Formula, budget: int | None, sizes: list[int] | None = None,
-            b: ir.Formula | None = None) -> tuple[dict, Packing | None, bool]:
-    """a's internal root table and packing, and whether b, when given, has the
-    same polynomial.
+def _expand(a: ir.Formula, progs: list[ir.Program], scalars: list, budget: int | None,
+            sizes: list[int] | None = None) -> tuple[dict, Packing | None, bool]:
+    """The internal root table and packing of progs[0], a's program, and
+    whether progs[1], when given, has the same polynomial.
 
-    The formulas are compiled first and packed alike, over the union of their
-    variables at the larger degree.  a is expanded first, so b is compiled but
-    not expanded when a goes over budget.  The root tables are compared in the
-    kernel's encoding, and nothing is decoded.
+    The programs share scalars and are packed alike, over the union of their
+    variables at the larger degree.  Each distinct scalar is converted once:
+    reduced mod p over Fp, a plain int over Q when its denominator is 1.
+    progs[0] is expanded first, so progs[1] is not expanded when it goes over
+    budget.  The root tables are compared in the kernel's encoding, and
+    nothing is decoded.
     """
-    prog_a, sa, p = _compile(a)
-    prog_b, sb, _ = _compile(b) if b is not None else (prog_a, None, None)
-    packing = _packing(a.commutative, prog_a, prog_b)
-    ta = _kernel(prog_a, sa, p, packing, budget, sizes)
-    return ta, packing, b is not None and ta == _kernel(prog_b, sb, p, packing, budget, None)
+    f = a.field
+    p = f.p if isinstance(f, PrimeField) else None
+    if p is not None:
+        scalars = [c % p for c in scalars]
+    else:
+        scalars = [c.numerator if c.denominator == 1 else c for c in scalars]
+    packing = _packing(a.commutative, *progs)
+    ta = _kernel(progs[0], scalars, p, packing, budget, sizes)
+    return ta, packing, len(progs) > 1 and ta == _kernel(progs[1], scalars, p, packing, budget, None)
 
 
 def _table(formula: ir.Formula, root: dict, packing: Packing | None) -> PolyTable:
@@ -335,7 +336,7 @@ def expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -
     Distributes over the constructors: a sum gate adds scaled child tables, a
     product gate multiplies them in child order.
     """
-    root, packing, _ = _expand(formula, budget)
+    root, packing, _ = _expand(formula, *_compile(formula), budget)
     return _table(formula, root, packing)
 
 
@@ -352,10 +353,16 @@ def _check_comparable(a: ir.Formula, b: ir.Formula) -> None:
         raise ModeMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
 
 
+def equal_programs(a: ir.Formula, progs: list[ir.Program], scalars: list, budget: int | None) -> bool:
+    """Exact table equality of two compiled formulas: progs holds the programs
+    of a and of a formula comparable with it, over the one list scalars."""
+    return _expand(a, progs, scalars, budget)[2]
+
+
 def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> bool:
     """Exact table equality of two formulas in the same mode and field."""
     _check_comparable(a, b)
-    return _expand(a, budget, b=b)[2]
+    return equal_programs(a, *_compile(a, b), budget)
 
 
 def expand_against(
@@ -366,7 +373,7 @@ def expand_against(
     table is decoded."""
     _check_comparable(formula, reference)
     sizes: list[int] = []
-    root, packing, same = _expand(formula, budget, sizes, reference)
+    root, packing, same = _expand(formula, *_compile(formula, reference), budget, sizes)
     return _table(formula, root, packing), _gate_sizes(formula, sizes), same
 
 
@@ -392,8 +399,7 @@ def support_expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_B
     enumerating parse trees.  The kernel runs over Q whatever the field, so
     no count vanishes mod p.
     """
-    scalars: list = []
-    prog = ir.compile_program(formula.root, scalars)
+    (prog,), scalars = _compile(formula)
     packing = _packing(formula.commutative, prog)
     root = _kernel(prog, [1] * len(scalars), None, packing, budget, None)
     return frozenset(root if packing is None else map(_decoder(packing), root))
@@ -414,5 +420,5 @@ def gate_monomial_counts(formula: ir.Formula, budget: int | None = DEFAULT_EXPAN
     Keys are preorder gate ids (0 is the output gate).
     """
     sizes: list[int] = []
-    _expand(formula, budget, sizes)
+    _expand(formula, *_compile(formula), budget, sizes)
     return _gate_sizes(formula, sizes)

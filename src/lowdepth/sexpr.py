@@ -19,9 +19,14 @@ sugar mapping (i, j) to a single id through the Cantor pairing
 Both header lines are optional on input and default to commutative over Q.
 
 The parser and serializer are iterative, so arbitrarily deep combs round-trip
-at the default recursion limit.  The tokenizer returns the bare token strings; a
-syntax error finds its character position by tokenizing again up to the
-offending token, so positions cost nothing on text that parses.
+at the default recursion limit.  ir.validate is the one well-formedness check;
+the parser calls it only when it has read something validate could reject (a
+scalar that is zero in the field, a 1 under a product directly or through a
+scale, a sum gate over constants only), so clean text is walked once, and a
+syntax error anywhere still comes before any well-formedness error.  The
+tokenizer returns the bare token strings; a syntax error finds its character
+position by tokenizing again up to the offending token, so positions cost
+nothing on text that parses.
 """
 
 from __future__ import annotations
@@ -103,6 +108,9 @@ def parse(text: str) -> Formula:
 
     one = field.one()
     scalars: dict[str, Scalar] = {}  # scalar text -> its value, parsed once per call
+    # set when the text holds something validate could reject: a zero scalar,
+    # a constant under a product, or a sum gate over constants only
+    suspect = False
     # Each frame is [op, index of its head token, items]; items are (scalar,
     # node) edges, and a scale frame also holds its scalar.
     frames: list[list] = []
@@ -130,6 +138,7 @@ def parse(text: str) -> Formula:
             scalar = scalars.get(sc_text)
             if scalar is None:
                 scalar = scalars[sc_text] = field.parse(sc_text)
+                suspect = suspect or field.is_zero(scalar)
             frames.append(["scale", idx + 1, [], scalar])
             idx += 3
             continue
@@ -146,9 +155,16 @@ def parse(text: str) -> Formula:
                 edge = (frame[3], items[0][1])
             elif not items:
                 raise error("gate with no children", frame[1])
+            elif op == "+":
+                suspect = suspect or type(items[0][1]) is OneLeaf and all(
+                    type(node) is OneLeaf for _, node in items)
+                edge = (one, SumGate(tuple(items)))
             else:
-                edge = (one, SumGate(tuple(items)) if op == "+" else ProdGate(tuple(items)))
+                edge = (one, ProdGate(tuple(items)))
         elif tok == "1":
+            # under a product directly, or through a scale
+            if frames and (frames[-1][0] == "*" or frames[-1][0] == "scale" and frames[-2][0] == "*"):
+                suspect = True
             edge = (one, OneLeaf())
         elif tok[0] == "x":
             leaf = _parse_var(tok)
@@ -174,7 +190,8 @@ def parse(text: str) -> Formula:
     if not field.is_one(scalar):
         raise FormulaSyntaxError("scale must sit directly under a gate", 0)
     formula = Formula(root=root, commutative=commutative, field=field)
-    validate(formula)
+    if suspect:
+        validate(formula)
     return formula
 
 

@@ -311,9 +311,9 @@ def _count_expansions(monkeypatch) -> tuple[list, list]:
     expanded, references = [], []
     real_compile, real_gen_hard = poly._compile, hardpoly.gen_hard
 
-    def counting_compile(formula, *args, **kwargs):
-        expanded.append(formula)
-        return real_compile(formula, *args, **kwargs)
+    def counting_compile(*formulas):
+        expanded.extend(formulas)
+        return real_compile(*formulas)
 
     def recording_gen_hard(*args, **kwargs):
         references.append(real_gen_hard(*args, **kwargs))

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 import reference
-from lowdepth import ir, pit, poly, sexpr
-from lowdepth.bench import gen_comb
-from lowdepth.errors import ModeMismatch
-from lowdepth.fields import PrimeField
+from lowdepth import ir, pit, poly, sexpr, transforms
+from lowdepth.bench import gen_comb, gen_random_homogeneous
+from lowdepth.errors import BudgetExceeded, ModeMismatch
+from lowdepth.fields import QQ, PrimeField
 from lowdepth.pit import PITConfig, check_witness, pit_equal
 
 
@@ -231,13 +231,35 @@ def test_shape_matches_metrics_and_variables(corpus_both):
     assert prog.slots == [None, None, None, [0, 1]]
 
 
+#: Weighted gates of fan-in 2 and 3, with unit and non-unit weights mixed;
+#: over Fp:97 the weights 2/7 and -3/5 become 42 and -3.
+_WEIGHTED = [
+    "(+ (scale 3 x1) x2)",
+    "(+ x1 (scale 2/7 (* x2 x3)))",
+    "(+ (scale 2/7 x1) (scale -3/5 x2))",
+    "(* (scale -3/5 x1) x2)",
+    "(* x1 (scale 2/7 (+ x2 1)))",
+    "(* (scale 2/7 x1) (scale -3/5 (+ x2 1)))",
+    "(+ (scale 2/7 x1) x2 (scale -3/5 (* x1 x3)))",
+    "(+ (scale 4 x1) (scale 2/7 x2) (scale -3/5 x3))",
+    "(* x1 (scale 4 x2) (scale -3/5 x3))",
+    "(* (scale 2/7 x1) (scale 4 x2) (scale -3/5 (+ x3 (scale 6 x1))))",
+    "(+ (* (scale 2 x1) (+ x2 (scale 3 x3))) (scale -1 (* x1 x1 (scale 5 x2))))",
+]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compiled_values_match_reference(corpus_both, seed):
-    p = pit.MERSENNE61
     rational = ir.Formula(ir.ProdGate(((Fraction(2, 7), _dag().root), (Fraction(-3, 5), ir.VarLeaf(3)))))
     # a comb is all fan-in-2 gates of unit weight, the scalar mode's fast case
     extra = [_dag(), rational, gen_comb(41), sexpr.parse("(* (+ x1 1) (+ x2 x3 x1) x1)")]
+    for text in _WEIGHTED:
+        extra.append(sexpr.parse(text))
+        extra.append(sexpr.parse("field: Fp:97\n" + text.replace("2/7", "42").replace("-3/5", "-3")))
+    # the shape of the benchmark's wide input: weights 1..9 on almost every edge
+    extra += [gen_random_homogeneous(10, 16, 500, seed=0, field=field) for field in (QQ, PrimeField(97))]
     for f in corpus_both[:20] + extra:
+        p = f.field.p if isinstance(f.field, PrimeField) else pit.MERSENNE61
         order, degree, _, variables = reference.shape(f.root)
         vs = sorted(variables)
         seeds = [seed * 1_000_003 + t for t in range(4)]
@@ -421,3 +443,30 @@ def test_check_witness_rejects_witnesses_that_do_not_fit_the_pair():
     scalar = pit_equal(sexpr.parse("(* x1 x2)"), sexpr.parse("(* x1 x1)")).witness
     with pytest.raises(ValueError, match="a scalar witness does not fit non-commutative formulas"):
         check_witness(*nc, scalar)
+
+
+def test_wide_shaped_pair_verdicts_pinned():
+    # the benchmark's wide op in small: a homogeneous reduction whose check
+    # goes over the expansion budget, so auto decides by scalar PIT
+    f = gen_random_homogeneous(10, 16, 600, seed=0)
+    out = transforms.depth_reduce_homogeneous(f)
+    with pytest.raises(BudgetExceeded):
+        poly.equal_expand(f, out, 1000)
+    (c, child), *rest = out.root.children
+    doubled = out.with_root(type(out.root)(((2 * c, child), *rest)))
+    cfg = PITConfig(trials=20, seed=7)
+    assert pit.verify(f, out, "auto", 1000, cfg) == ("equal-probably", "pit", None)
+    assert pit_equal(f, out, cfg).trials_run == 20
+    point = [348931329217543998, 1825780902574124075, 1464864499101617251, 1343279262226069011,
+             551294302189064261, 1182213613024026174, 380864503201987935, 1252370724956109752,
+             1501463725549792450, 1404453534879291992]
+    assert pit.verify(f, doubled, "auto", 1000, cfg) == ("unequal", "pit", {
+        "kind": "scalar",
+        "prime": 2305843009213693951,
+        "trial": 0,
+        "trial_seed": 7000021,
+        "point": {str(v): x for v, x in enumerate(point)},
+        "lhs": 2049287421644148973,
+        "rhs": 124563102822051533,
+    })
+    assert pit_equal(f, doubled, cfg).trials_run == 1

@@ -448,6 +448,10 @@ def test_each_oracle_compiles_each_formula_once(monkeypatch):
             ([a.root, b.root], lambda: poly.equal_expand(a, b)),
             ([a.root, b.root], lambda: poly.expand_against(a, b)),
             ([a.root, b.root], lambda: pit.pit_equal(a, b)),
+            ([a.root, b.root], lambda: pit.verify(a, b, "expand", None, pit.PITConfig())),
+            ([a.root, b.root], lambda: pit.verify(a, b, "pit", None, pit.PITConfig())),
+            # budget 0 sends auto to PIT, which reads the programs expansion compiled
+            ([a.root, b.root], lambda: pit.verify(a, b, "auto", 0, pit.PITConfig())),
         ]
         for roots, call in calls:
             compiled.clear()

@@ -22,6 +22,59 @@ def test_parse_one_under_product_rejected():
         sexpr.parse("(* 1 x1)")
 
 
+_ONE_UNDER_PRODUCT = "constant leaf 1 must be the child of a sum gate"
+_CONSTANT_SUM = "sum gate over constant leaves only is allowed at the output gate only"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(+ (scale 0 x1) x2)", "edge weight 0 is not allowed"),
+    ("(* x2 (scale 0/5 x1))", "edge weight 0 is not allowed"),
+    ("field: Fp:7\n(+ (scale 7 x1) x2)", "edge weight 0 is not allowed"),
+    ("(* 1 x1)", _ONE_UNDER_PRODUCT),
+    ("(* x1 (scale 2 1))", _ONE_UNDER_PRODUCT),
+    ("(+ x2 (* x1 (+ x3 1) 1))", _ONE_UNDER_PRODUCT),
+    ("(* x1 (+ 1 1))", _CONSTANT_SUM),
+    ("(+ x1 (+ (scale 2 1) 1))", _CONSTANT_SUM),
+])
+def test_parse_rejects_each_wellformedness_rule(text, message):
+    with pytest.raises(WellFormednessError) as info:
+        sexpr.parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_accepts_a_sum_of_constants_at_the_root():
+    for text in ("(+ 1 1)", "(+ (scale 2 1) 1)", "(+ 1)"):
+        f = sexpr.parse(text)
+        assert isinstance(f.root, SumGate) and sexpr.parse(sexpr.serialize(f)) == f
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(+ (* 1 x1) (- x2))", "unknown gate head '-' (at position 13)"),
+    ("(+ (scale 0 x1) x2", "unterminated gate (at position 1)"),
+    ("(* x1 (+ 1 1)) x2", "expected exactly one top-level expression (at position 0)"),
+])
+def test_syntax_error_after_a_violation_is_reported(text, message):
+    with pytest.raises(FormulaSyntaxError) as info:
+        sexpr.parse(text)
+    assert str(info.value) == message
+
+
+def test_clean_text_is_not_validated(corpus_both, hard_instances, skew_corpus, monkeypatch):
+    calls = []
+    real = sexpr.validate
+    monkeypatch.setattr(sexpr, "validate", lambda f: calls.append(f) or real(f))
+    clean = corpus_both + [f for _, f in hard_instances] + skew_corpus
+    for f in clean:
+        assert sexpr.parse(sexpr.serialize(f)) == f
+    assert calls == []
+    # a constant under a sum, or a product under a scale, raises no suspicion
+    sexpr.parse("(* x1 (+ 1 x2) (scale 3 (* x2 x3)))")
+    assert calls == []
+    # a suspicion is checked, and a root sum of constants passes the check
+    sexpr.parse("(+ 1 1)")
+    assert len(calls) == 1
+
+
 def test_parse_scale():
     f = sexpr.parse("(+ (scale 2/3 x1) x2)")
     root = f.root
