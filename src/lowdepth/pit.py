@@ -272,7 +272,7 @@ def verify(
     progs, scalars = poly._compile(a, b)
     if method != "pit":
         try:
-            return ("equal" if poly.equal_programs(a, progs, scalars, budget) else "unequal"), "expand", None
+            return ("equal" if poly._expand(a, progs, scalars, budget)[2] else "unequal"), "expand", None
         except BudgetExceeded:
             if method == "expand":
                 raise

@@ -29,8 +29,8 @@ order, the same coefficients, and BudgetExceeded on the same inputs.
 equal_expand and expand_against compile both formulas over one scalar list,
 pack them alike (the union of their variables, the larger degree), compare the
 two root tables and decode neither (expand_against then decodes its first
-table, once).  equal_programs is that comparison on programs already compiled,
-so pit.verify compiles a pair once for expansion and PIT together.
+table, once).  pit.verify compiles a pair once and hands the programs to
+_expand and to PIT alike.
 """
 
 from __future__ import annotations
@@ -353,16 +353,10 @@ def _check_comparable(a: ir.Formula, b: ir.Formula) -> None:
         raise ModeMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
 
 
-def equal_programs(a: ir.Formula, progs: list[ir.Program], scalars: list, budget: int | None) -> bool:
-    """Exact table equality of two compiled formulas: progs holds the programs
-    of a and of a formula comparable with it, over the one list scalars."""
-    return _expand(a, progs, scalars, budget)[2]
-
-
 def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> bool:
     """Exact table equality of two formulas in the same mode and field."""
     _check_comparable(a, b)
-    return equal_programs(a, *_compile(a, b), budget)
+    return _expand(a, *_compile(a, b), budget)[2]
 
 
 def expand_against(

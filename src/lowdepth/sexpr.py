@@ -21,12 +21,12 @@ Both header lines are optional on input and default to commutative over Q.
 The parser and serializer are iterative, so arbitrarily deep combs round-trip
 at the default recursion limit.  ir.validate is the one well-formedness check;
 the parser calls it only when it has read something validate could reject (a
-scalar that is zero in the field, a 1 under a product directly or through a
-scale, a sum gate over constants only), so clean text is walked once, and a
-syntax error anywhere still comes before any well-formedness error.  The
-tokenizer returns the bare token strings; a syntax error finds its character
-position by tokenizing again up to the offending token, so positions cost
-nothing on text that parses.
+scalar that is zero in the field, a product gate with a constant child, a sum
+gate over constants only; each gate is checked on its children when it
+closes), so clean text is walked once, and a syntax error anywhere still comes
+before any well-formedness error.  The tokenizer returns the bare token
+strings; a syntax error finds its character position by tokenizing again up to
+the offending token, so positions cost nothing on text that parses.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ def parse(text: str) -> Formula:
 
     one = field.one()
     scalars: dict[str, Scalar] = {}  # scalar text -> its value, parsed once per call
-    # set when the text holds something validate could reject: a zero scalar,
-    # a constant under a product, or a sum gate over constants only
+    # set when the text may break a rule of ir.validate: a zero scalar, a
+    # product gate with a constant child, or a sum gate over constants only;
+    # each gate's children are checked when it closes
     suspect = False
     # Each frame is [op, index of its head token, items]; items are (scalar,
     # node) edges, and a scale frame also holds its scalar.
@@ -160,11 +161,9 @@ def parse(text: str) -> Formula:
                     type(node) is OneLeaf for _, node in items)
                 edge = (one, SumGate(tuple(items)))
             else:
+                suspect = suspect or any(type(node) is OneLeaf for _, node in items)
                 edge = (one, ProdGate(tuple(items)))
         elif tok == "1":
-            # under a product directly, or through a scale
-            if frames and (frames[-1][0] == "*" or frames[-1][0] == "scale" and frames[-2][0] == "*"):
-                suspect = True
             edge = (one, OneLeaf())
         elif tok[0] == "x":
             leaf = _parse_var(tok)

@@ -32,6 +32,8 @@ _CONSTANT_SUM = "sum gate over constant leaves only is allowed at the output gat
     ("field: Fp:7\n(+ (scale 7 x1) x2)", "edge weight 0 is not allowed"),
     ("(* 1 x1)", _ONE_UNDER_PRODUCT),
     ("(* x1 (scale 2 1))", _ONE_UNDER_PRODUCT),
+    ("(* x1 (scale 2 (scale 1 1)))", _ONE_UNDER_PRODUCT),
+    ("(* x1 (scale 1 (scale 1 1)))", _ONE_UNDER_PRODUCT),
     ("(+ x2 (* x1 (+ x3 1) 1))", _ONE_UNDER_PRODUCT),
     ("(* x1 (+ 1 1))", _CONSTANT_SUM),
     ("(+ x1 (+ (scale 2 1) 1))", _CONSTANT_SUM),
@@ -73,6 +75,44 @@ def test_clean_text_is_not_validated(corpus_both, hard_instances, skew_corpus, m
     # a suspicion is checked, and a root sum of constants passes the check
     sexpr.parse("(+ 1 1)")
     assert len(calls) == 1
+
+
+def _random_text(rng: random.Random, depth: int) -> str:
+    """Small formula text that often breaks a well-formedness rule: constants
+    anywhere, zero and unit scalars, and chains of scales."""
+    if depth == 0 or rng.random() < 0.3:
+        expr = rng.choice(["1", "x1", "x2"])
+    else:
+        op = rng.choice("+*")
+        expr = f"({op} " + " ".join(_random_text(rng, depth - 1) for _ in range(rng.randint(1, 3))) + ")"
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        expr = f"(scale {rng.choice(['1', '1', '2', '0', '7'])} {expr})"
+    return expr
+
+
+def test_parse_rejects_exactly_what_validate_rejects(monkeypatch):
+    # the parser validates only on suspicion; it must suspect every violation
+    rng = random.Random(13)
+    skip = lambda f: None
+    for _ in range(2000):
+        text = rng.choice(["", "field: Fp:7\n"]) + "(+ x3 " + _random_text(rng, 3) + ")"
+        with monkeypatch.context() as m:
+            m.setattr(sexpr, "validate", skip)
+            try:
+                raw = sexpr.parse(text)
+            except FormulaSyntaxError:
+                continue
+        try:
+            ir.validate(raw)
+            expected = None
+        except WellFormednessError as e:
+            expected = str(e)
+        try:
+            sexpr.parse(text)
+            got = None
+        except WellFormednessError as e:
+            got = str(e)
+        assert got == expected, text
 
 
 def test_parse_scale():
