@@ -18,7 +18,6 @@ from .errors import (
     NotSemanticallyHomogeneous,
     NotSkew,
     ParamOutOfRange,
-    TooSmall,
     UniverseTooLarge,
     WellFormednessError,
 )
@@ -45,12 +44,8 @@ from .poly import PolyTable, equal_expand, expand, gate_monomial_counts
 from .pit import PITConfig, PITResult, check_witness, pit_equal
 from .sexpr import parse, parse_file, serialize, write_file
 from .transforms import (
-    BBSplit,
-    FrontierSet,
     auto_delta,
     bb_branch_param,
-    bb_decompose,
-    bb_find_split,
     binarize,
     collapse,
     depth_reduce_bb,
@@ -60,7 +55,6 @@ from .transforms import (
     homogenize,
     pipeline_inhom,
     product_fanin_2,
-    select_frontier,
     skew_to_sigma_pi,
 )
 from .hardpoly import (

@@ -222,7 +222,6 @@ class Experiment:
     seed: int = 0
     repetitions: int = 1
     verify: str = "expand"  # expand | pit | none
-    expansion_budget: int = poly.DEFAULT_EXPANSION_BUDGET
     pit_trials: int = 20
 
 
@@ -247,7 +246,7 @@ def _verify(formula: Formula, out: Formula, e: Experiment, seed: int) -> bool:
     if e.verify == "none":
         return True
     cfg = pit.PITConfig(trials=e.pit_trials, seed=seed)
-    verdict, _, _ = pit.verify(formula, out, e.verify, e.expansion_budget, cfg)
+    verdict, _, _ = pit.verify(formula, out, e.verify, poly.DEFAULT_EXPANSION_BUDGET, cfg)
     return verdict != "unequal"
 
 

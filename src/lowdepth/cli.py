@@ -19,8 +19,8 @@ import os
 import sys
 import time
 
-from .errors import (BudgetExceeded, FormulaSyntaxError, LowdepthError, ParamOutOfRange,
-                     UniverseTooLarge, WellFormednessError)
+from .errors import (BudgetExceeded, FormulaSyntaxError, LowdepthError, ModeMismatch,
+                     ParamOutOfRange, UniverseTooLarge, WellFormednessError)
 from .fields import MERSENNE61, field_from_name
 from . import bench, hardpoly, ir, pit, poly, sexpr, transforms
 from .report import Report, metrics_dict
@@ -414,7 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, WellFormednessError, FileNotFoundError, ValueError,
-            argparse.ArgumentTypeError, ParamOutOfRange, UniverseTooLarge) as exc:
+            argparse.ArgumentTypeError, ModeMismatch, ParamOutOfRange,
+            UniverseTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LowdepthError as exc:

@@ -43,10 +43,6 @@ class DuplicateLeafVariable(LowdepthError):
     """A skew rewrite requires distinct variables on the leaves."""
 
 
-class TooSmall(LowdepthError):
-    """The formula is at most the branch parameter; callers use the base case."""
-
-
 class NotSemanticallyHomogeneous(LowdepthError):
     """The expanded polynomial mixes degrees, so no single component covers it."""
 

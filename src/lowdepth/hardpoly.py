@@ -32,7 +32,7 @@ from .fields import QQ, Field
 from . import ir, poly
 from .ir import Formula, Node, ProdGate, SumGate, VarLeaf
 
-#: Refuse to build instances with more variables than this.
+#: gen_hard refuses to build instances with more variables than this.
 DEFAULT_UNIVERSE_BOUND = 10**6
 
 
@@ -108,11 +108,10 @@ def gen_hard(
     p: HardParams,
     commutative: bool = True,
     field: Field = QQ,
-    universe_bound: int = DEFAULT_UNIVERSE_BOUND,
 ) -> Formula:
     """The canonical monotone formula: size (2r)^k, depth 2k, degree 2^k."""
-    if p.num_vars > universe_bound:
-        raise UniverseTooLarge(f"{p.num_vars} variables exceed the bound {universe_bound}")
+    if p.num_vars > DEFAULT_UNIVERSE_BOUND:
+        raise UniverseTooLarge(f"{p.num_vars} variables exceed the bound {DEFAULT_UNIVERSE_BOUND}")
     root = _build(p, (), (), field.one())
     return Formula(root=root, commutative=commutative, field=field)
 

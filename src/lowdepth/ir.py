@@ -75,11 +75,6 @@ class ProdGate:
 Node = Union[VarLeaf, OneLeaf, SumGate, ProdGate]
 Edge = tuple[Scalar, Node]
 
-#: Variable ids at or above this value are reserved for internal bookkeeping
-#: (frontier placeholders, split variables) and never appear in user input.
-FRESH_VAR_BASE = 1 << 40
-
-
 @dataclass(frozen=True)
 class Formula:
     """A rooted formula plus its evaluation context (mode and field)."""

@@ -95,15 +95,6 @@ class PolyTable:
     def degrees_present(self) -> set[int]:
         return {key_total_degree(k, self.commutative) for k in self.terms}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyTable):
-            return NotImplemented
-        return (
-            self.commutative == other.commutative
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
 
 # ---------------------------------------------------------------------------
 # Expansion

@@ -6,19 +6,17 @@ and the commutativity mode whenever it claims to.  Inputs are never mutated;
 outputs may share subtrees with the input.  depth_reduce_bb's outputs may also
 hold one node object at two positions (a product sibling on the split path
 lands in both the A and the C part); their serialized bytes are those of the
-tree, but bb_decompose and frontier_residual expect true trees, which parsing
-the serialized form or ir.tree_materialize gives.
+tree.
 
 The passes:
 
 * binarize / collapse        shape normalization (fan-in 2 / strict +,* alternation)
-* bb_find_split, bb_decompose, depth_reduce_bb
-                             split-at-heavy-gate reduction with near-linear size:
+* depth_reduce_bb            split-at-heavy-gate reduction with near-linear size:
                              depth O(log s) at size s^(1+eps)
 * depth_reduce_main          potential-guided reduction: product depth bounded by
                              ceil(log2 d) + ceil(sum_depth/delta), size by s*d^delta;
                              one walk per level finds and distributes the frontier
-* select_frontier, skew_to_sigma_pi   the frontier's gate ids; the skew rewrite
+* skew_to_sigma_pi           the skew rewrite to a sum of products
 * homogenize                 degree components of a fan-in-2 formula
 * product_fanin_2            rebalance products to fan-in 2 at unchanged leaf count
 * depth_reduce_homogeneous, depth_reduce_nearlinear, pipeline_inhom
@@ -31,9 +29,7 @@ propagate "zero" internally and only fail if the entire input vanishes.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -41,7 +37,6 @@ from .errors import (
     InternalInvariantError,
     NotSemanticallyHomogeneous,
     NotSkew,
-    TooSmall,
 )
 from .fields import Field, Scalar
 from .util import ceil_div, ceil_log2, run_recursive
@@ -301,37 +296,9 @@ def collapse(formula: Formula) -> Formula:
 # Split-at-heavy-gate machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BBSplit:
-    """The unique split gate: subtree size >= s - s/k, both children below."""
-
-    gate_id: int
-    size_total: int
-    size_alpha: int
-    k: int
-
-
 def _satisfies_split(sz: int, s: int, k: int) -> bool:
     # size >= s - s/k, exactly:  k*size >= (k-1)*s
     return k * sz >= (k - 1) * s
-
-
-def bb_find_split(formula: Formula, k: int) -> BBSplit:
-    """Walk from the root to the split gate, as depth_reduce_bb does.
-
-    Raises TooSmall when size <= k (callers use the base case); a gate with
-    two children above the threshold is IR corruption.
-    """
-    if k < 4:
-        raise ValueError(f"branch parameter k must be >= 4, got {k}")
-    root = formula.root
-    counts = _leaf_counts(root, {})
-    s = _leaves(root, counts, {})
-    if s <= k:
-        raise TooSmall(f"size {s} <= k = {k}")
-    _, alpha = _walk_split(root, counts, {}, s, k)
-    gate_id = next(i for i, (node, _) in enumerate(ir.iter_preorder_positions(root)) if node is alpha)
-    return BBSplit(gate_id=gate_id, size_total=s, size_alpha=counts[id(alpha)], k=k)
 
 
 def _walk_split(
@@ -358,31 +325,6 @@ def _walk_split(
             return path, cur
         path.append((cur, big[0]))
         cur = cur.children[big[0]][1]
-
-
-def _path_to(root: Node, target: Node) -> list[tuple[Node, int]]:
-    """(gate, child-index) path from root to target, target excluded."""
-    parent: dict[int, tuple[Node, int]] = {}
-    stack = [root]
-    found = root is target
-    while stack:
-        node = stack.pop()
-        if node is target:
-            found = True
-        if is_gate(node):
-            for i, (_, ch) in enumerate(node.children):
-                parent[id(ch)] = (node, i)
-                stack.append(ch)
-    if not found and id(target) not in parent:
-        raise InternalInvariantError("target gate not found in formula")
-    path: list[tuple[Node, int]] = []
-    cur = target
-    while cur is not root:
-        g, i = parent[id(cur)]
-        path.append((g, i))
-        cur = g
-    path.reverse()
-    return path
 
 
 def _decompose_along(path: list[tuple[Node, int]], field: Field):
@@ -459,36 +401,6 @@ def _decompose_along(path: list[tuple[Node, int]], field: Field):
     return product(ps, a_edges), product(one, b_edges), c_val
 
 
-def _pending_to_root(value, field: Field) -> Node | None:
-    """Materialize a pending value as a standalone formula root."""
-    if value is None:
-        return None
-    scalar, node = value
-    if node is None:
-        return SumGate(((scalar, OneLeaf()),))
-    return scale_node(scalar, node, field)
-
-
-def bb_decompose(formula: Formula, split: BBSplit | int):
-    """Decompose at a gate: returns (A, B, C) with
-    expand(F) = expand(A) * expand(F_alpha) * expand(B) + expand(C),
-    the factors in exactly that order in non-commutative mode.
-
-    These are the parts depth_reduce_bb recurses on.  Empty products are the
-    constant-one formula; C is None when setting alpha to zero leaves
-    nothing.  The path scalar is folded into A.  On a binarized input every
-    part is fan-in 2: A and B are balanced products of their factors.
-    """
-    field = formula.field
-    gate_id = split.gate_id if isinstance(split, BBSplit) else split
-    nodes = ir.gates_preorder(formula)
-    if not 0 <= gate_id < len(nodes):
-        raise ValueError(f"gate id {gate_id} out of range")
-    parts = _decompose_along(_path_to(formula.root, nodes[gate_id]), field)
-    roots = [_pending_to_root(part, field) for part in parts]
-    return tuple(None if r is None else formula.with_root(r) for r in roots)
-
-
 def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1, 2)) -> Formula:
     """Depth O(log s) at size about s^(1+eps), fan-in 2 throughout.
 
@@ -548,15 +460,6 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
 # Potential-guided reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrontierSet:
-    """Maximal gates where the potential strictly drops below the root's."""
-
-    gate_ids: frozenset[int]
-    delta: int
-    phi_root: int
-
-
 def _phi_map(metrics: dict[int, ir.GateMetrics], delta: int) -> dict[int, int]:
     """_phi of every node of degree >= 1, from its ir.metrics_map."""
     return {
@@ -579,59 +482,6 @@ def _below(phi: dict[int, int], phi_root: int):
         return p < phi_root
 
     return is_factor
-
-
-def select_frontier(formula: Formula, delta: int) -> FrontierSet:
-    """Gate ids (preorder) of the potential frontier.
-
-    Asserts what makes the frontier useful: replacing the members by fresh
-    leaves must leave a skew formula of sum depth at most delta.
-    """
-    if delta < 1:
-        raise ValueError(f"delta must be >= 1, got {delta}")
-    root = formula.root
-    phi = _phi_map(ir.metrics_map(root), delta)
-    if id(root) not in phi or phi[id(root)] == 0:
-        return FrontierSet(frozenset(), delta, phi.get(id(root), 0))
-    is_factor, frontier, stack = _below(phi, phi[id(root)]), [], [root]
-    while stack:
-        for _, ch in reversed(stack.pop().children):
-            if not isinstance(ch, OneLeaf):  # a 1-leaf stays a constant of the residual comb
-                (frontier if is_factor(ch) else stack).append(ch)
-    members = {id(n) for n in frontier}
-    ids = frozenset(
-        gate_id
-        for gate_id, (node, _) in enumerate(ir.iter_preorder_positions(root))
-        if id(node) in members
-    )
-    residual = frontier_residual(formula, ids)
-    if not ir.is_skew(residual):
-        raise InternalInvariantError("frontier residual is not skew")
-    if ir.metrics(residual).sum_depth > delta:
-        raise InternalInvariantError("frontier residual exceeds sum depth delta")
-    return FrontierSet(gate_ids=ids, delta=delta, phi_root=phi[id(root)])
-
-
-def frontier_residual(formula: Formula, gate_ids: frozenset[int]) -> Formula:
-    """The formula with the given gates replaced by fresh placeholder leaves.
-
-    Fresh variables are numbered in preorder of the replaced positions.
-    """
-    fresh = itertools.count(ir.FRESH_VAR_BASE)
-    nodes = ir.gates_preorder(formula)
-    replaced = {id(nodes[g]) for g in gate_ids}
-
-    def build(node: Node):
-        if id(node) in replaced:
-            return VarLeaf(next(fresh))
-        if not is_gate(node):
-            return node
-        edges = []
-        for c, ch in node.children:
-            edges.append((c, (yield ch)))
-        return _gate(node, tuple(edges))
-
-    return formula.with_root(run_recursive(build, formula.root))
 
 
 def _sigma_pi_terms(root: Node, is_factor, field: Field):

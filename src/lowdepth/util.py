@@ -1,9 +1,9 @@
 """Small shared helpers.
 
 run_recursive evaluates a recursive function written as a generator on an
-explicit stack, so passes that recurse once per subproblem (the split and
-potential reductions, the frontier residual) handle trees of any depth on the
-caller's thread, at the interpreter's default recursion limit.
+explicit stack, so the passes that recurse once per subproblem (the split and
+potential reductions) handle trees of any depth on the caller's thread, at
+the interpreter's default recursion limit.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import reference
+import views
 
 from lowdepth import bench, hardpoly as hp, ir, pit, poly, sexpr
 from lowdepth import transforms as tr
@@ -309,13 +310,12 @@ def test_criterion_9_split_structure(corpus):
         fb = tr.binarize(f)
         if ir.size(fb) <= k:
             continue
-        try:
-            split = tr.bb_find_split(fb, k)  # the pass's walk; raises on two heavy children
+        try:  # the pass's walk; it raises on two heavy children
+            _, alpha, _, _, path = views.split(fb, k)
         except Exception as exc:  # noqa: BLE001
             violations.append((name, f"find_split: {exc}"))
             continue
-        a, b, c = tr.bb_decompose(fb, split)
-        alpha = ir.gates_preorder(fb)[split.gate_id]
+        a, b, c = views.parts(fb, path)
         prod = reference.poly_mul(reference.poly_mul(poly.expand(a), poly.expand(fb.with_root(alpha))),
                                   poly.expand(b))
         rhs = reference.poly_add(prod, poly.expand(c)) if c is not None else prod

@@ -296,6 +296,21 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "stats", "/nonexistent/file.frm")[0] == EXIT_USAGE
 
 
+def test_verify_equal_mode_or_field_mismatch_is_usage_error(tmp_path, capsys):
+    # exit 1 means a failed verification; two incomparable files are a usage error
+    files = {}
+    for name, header in (("c", ""), ("nc", "mode: noncommutative\n"), ("f7", "field: Fp:7\n")):
+        files[name] = tmp_path / f"{name}.frm"
+        files[name].write_text(header + "(+ x1 (* x2 x3))\n")
+    cases = (("nc", "c", "error: cannot compare formulas in different commutativity modes\n"),
+             ("c", "f7", "error: field mismatch: Q vs Fp:7\n"))
+    for lhs, rhs, message in cases:
+        for method in ("expand", "auto", "pit"):
+            code, out, err = run_cli(capsys, "verify-equal", str(files[lhs]), str(files[rhs]),
+                                     "--method", method)
+            assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
 def test_check_hard(capsys):
     code, out, _ = run_cli(capsys, "check-hard", "--k", "2", "--r", "2")
     assert code == EXIT_OK

@@ -88,7 +88,7 @@ def test_gen_hard_predicates():
 
 def test_gen_hard_universe_bound():
     with pytest.raises(UniverseTooLarge):
-        hp.gen_hard(hp.HardParams(k=3, r=3), universe_bound=100)
+        hp.gen_hard(hp.HardParams(k=10, r=2))  # 4^10 = 1,048,576 variables
 
 
 def test_subpolynomial_empty_prefix_is_whole():

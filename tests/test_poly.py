@@ -350,7 +350,7 @@ def test_shared_squaring_chain():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
 def test_sparse_and_huge_variable_ids(field):
-    big = ir.FRESH_VAR_BASE
+    big = 1 << 40
     paired = sexpr.cantor_pair(10**6, 3)
     text = (f"field: {field.name}\n"
             f"(+ (* x{big} x{big + 5} x_1000000_3) (scale 3 (* x0 x{big} x{big})) x_1000000_3 1)")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import reference
+import views
 
 from lowdepth import ir, poly, sexpr
 from lowdepth import transforms as tr
@@ -11,7 +12,6 @@ from lowdepth.errors import (
     DuplicateLeafVariable,
     NotSemanticallyHomogeneous,
     NotSkew,
-    TooSmall,
 )
 from lowdepth.fields import QQ, PrimeField
 from lowdepth.hardpoly import HardParams, gen_hard
@@ -113,11 +113,11 @@ def test_collapse_depth_bound(corpus_both):
 
 def test_find_split_left_comb():
     f = gen_comb(8)
-    split = tr.bb_find_split(f, 4)
+    gate_id, _, _, size_alpha, _ = views.split(f, 4)
     # subtree size >= 6, both children below 6: the gate two steps down
-    assert split.size_alpha == 6
+    assert size_alpha == 6
     sizes = {i: m.size for i, m in ir.metrics_table(f).items()}
-    assert sizes[split.gate_id] == 6
+    assert sizes[gate_id] == 6
 
 
 def test_find_split_balanced_root():
@@ -128,22 +128,17 @@ def test_find_split_balanced_root():
         for i in (0, 4)
     ]
     f = Formula(SumGate(((ONE, quads[0]), (ONE, quads[1]))))
-    split = tr.bb_find_split(f, 4)
-    assert split.gate_id == 0  # only the root reaches size 6
+    assert views.split(f, 4)[0] == 0  # only the root reaches size 6
 
 
 def test_find_split_too_small():
-    with pytest.raises(TooSmall):
-        tr.bb_find_split(gen_comb(4), 4)
+    assert views.split(gen_comb(4), 4) is None
 
 
 def test_decompose_single_product():
     # F = x1 * alpha with alpha the right child
     f = sexpr.parse("(* x1 (+ x2 x3))")
-    alpha_id = next(
-        i for i, n in enumerate(ir.gates_preorder(f)) if isinstance(n, SumGate)
-    )
-    a, b, c = tr.bb_decompose(f, alpha_id)
+    a, b, c = views.parts(f, [(f.root, 1)])
     assert poly.expand(a).terms == {((1, 1),): ONE}
     assert poly.expand(b).terms == {(): ONE}  # empty product is the one formula
     assert c is None
@@ -152,10 +147,7 @@ def test_decompose_single_product():
 def test_decompose_sum_sibling():
     # F = alpha + x3
     f = sexpr.parse("(+ (* x1 x2) x3)")
-    alpha_id = next(
-        i for i, n in enumerate(ir.gates_preorder(f)) if isinstance(n, ProdGate)
-    )
-    a, b, c = tr.bb_decompose(f, alpha_id)
+    a, b, c = views.parts(f, [(f.root, 0)])
     assert poly.expand(a).terms == {(): ONE}
     assert poly.expand(b).terms == {(): ONE}
     assert c is not None and poly.expand(c).terms == {((3, 1),): ONE}
@@ -163,16 +155,12 @@ def test_decompose_sum_sibling():
 
 def test_decompose_noncommutative_order():
     f = sexpr.parse("mode: noncommutative\n(+ (* x1 (+ x5 x6) x2) x4)")
-    alpha_id = next(
-        i for i, n in enumerate(ir.gates_preorder(f))
-        if isinstance(n, SumGate) and len(n.children) == 2
-        and all(isinstance(ch, VarLeaf) for _, ch in n.children)
-    )
-    a, b, c = tr.bb_decompose(f, alpha_id)
+    prod = f.root.children[0][1]
+    alpha = prod.children[1][1]  # (+ x5 x6)
+    a, b, c = views.parts(f, [(f.root, 0), (prod, 1)])
     assert poly.expand(a).terms == {(1,): ONE}
     assert poly.expand(b).terms == {(2,): ONE}
     assert poly.expand(c).terms == {(4,): ONE}
-    alpha = ir.gates_preorder(f)[alpha_id]
     lhs = poly.expand(f)
     rhs = reference.poly_add(
         reference.poly_mul(reference.poly_mul(poly.expand(a), poly.expand(f.with_root(alpha))), poly.expand(b)),
@@ -184,13 +172,11 @@ def test_decompose_noncommutative_order():
 def _check_decompose_identity(fb, k):
     # fb is binarized: the parts are the ones depth_reduce_bb recurses on,
     # fan-in 2 as built, so binarize leaves their text unchanged
-    split = tr.bb_find_split(fb, k)
-    a, b, c = tr.bb_decompose(fb, split)
-    alpha = ir.gates_preorder(fb)[split.gate_id]
+    _, alpha, s, _, path = views.split(fb, k)
+    a, b, c = views.parts(fb, path)
     prod = reference.poly_mul(reference.poly_mul(poly.expand(a), poly.expand(fb.with_root(alpha))), poly.expand(b))
     rhs = reference.poly_add(prod, poly.expand(c)) if c is not None else prod
     assert poly.expand(fb) == rhs
-    s = split.size_total
     for part in (a, b, c):
         if part is None:
             continue
@@ -217,8 +203,7 @@ def test_find_split_uniqueness_matches_walk(corpus_both):
             s = table[0].size
             for k in (4, 16):
                 if s <= k:
-                    with pytest.raises(TooSmall):
-                        tr.bb_find_split(g, k)
+                    assert views.split(g, k) is None
                     continue
                 heavy = lambda sz: k * sz >= (k - 1) * s
                 hits = [
@@ -227,9 +212,9 @@ def test_find_split_uniqueness_matches_walk(corpus_both):
                     if ir.is_gate(node) and heavy(table[i].size)
                     and not any(heavy(sizes[id(ch)].size) for _, ch in node.children)
                 ]
-                split = tr.bb_find_split(g, k)
-                assert hits == [(split.gate_id, split.size_alpha)]
-                assert split.size_total == s
+                gate_id, _, total, size_alpha, _ = views.split(g, k)
+                assert hits == [(gate_id, size_alpha)]
+                assert total == s
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +413,20 @@ def test_potential_arithmetic():
 
 
 def test_select_frontier_zero_potential():
-    f = Formula(VarLeaf(0))
-    fs = tr.select_frontier(f, 2)
-    assert fs.gate_ids == frozenset()
+    ids, phi_root = views.frontier(Formula(VarLeaf(0)), 2)
+    assert (ids, phi_root) == (frozenset(), 0)
 
 
 def test_select_frontier_low_degree_product_child():
     # product with child degrees (4, 2): the low half loses a phi1 level and
     # lands on the frontier, so the residual top region is skew
     f = sexpr.parse("(* (* (* x1 x2) (* x3 x4)) (* x5 x6))")
-    fs = tr.select_frontier(f, 5)
+    ids, _ = views.frontier(f, 5)
     table = ir.metrics_table(f)
-    member_degrees = sorted(table[g].syn_degree for g in fs.gate_ids)
+    member_degrees = sorted(table[g].syn_degree for g in ids)
     assert 2 in member_degrees  # the degree-2 sibling dropped out of the region
-    assert all(table[g].syn_degree <= table[0].syn_degree // 2 + 1 for g in fs.gate_ids)
-    residual = tr.frontier_residual(f, fs.gate_ids)
+    assert all(table[g].syn_degree <= table[0].syn_degree // 2 + 1 for g in ids)
+    residual = views.residual(f, ids)
     assert ir.is_skew(residual)
 
 
@@ -455,11 +439,11 @@ def test_select_frontier_sum_chain_cut():
     f = Formula(node)
     m = ir.metrics(f)
     assert m.sum_depth == 2 * delta
-    fs = tr.select_frontier(f, delta)
+    ids, phi_root = views.frontier(f, delta)
     table = ir.metrics_table(f)
-    depths = {table[g].sum_depth for g in fs.gate_ids if table[g].sum_depth > 0}
+    depths = {table[g].sum_depth for g in ids if table[g].sum_depth > 0}
     assert depths == {delta}  # frontier gates carry sum depth exactly delta
-    assert fs.phi_root == 2
+    assert phi_root == 2
 
 
 def test_skew_to_sigma_pi_comb():
@@ -854,18 +838,18 @@ def test_auto_delta():
 
 
 def test_select_frontier_corpus_assertions(corpus_both):
-    # the public operation asserts skewness and the sum-depth cap internally
+    # views.frontier asserts skewness and the sum-depth cap of the residual
     for f in corpus_both[:12]:
         fb = tr.binarize(f)
         m = ir.metrics(fb)
         if m.syn_degree == 0:
             continue
         delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
-        fs = tr.select_frontier(fb, delta)
+        ids, phi = views.frontier(fb, delta)
         table = ir.metrics_table(fb)
         phi_root = tr._phi(m.syn_degree, m.sum_depth, delta)
-        assert fs.phi_root == phi_root
-        for gid in fs.gate_ids:
+        assert phi == phi_root
+        for gid in ids:
             sub = table[gid]
             assert not isinstance(ir.gates_preorder(fb)[gid], OneLeaf)
             if sub.syn_degree >= 1:
@@ -965,13 +949,13 @@ def test_deep_comb_all_passes(monkeypatch):
         for i in range(7999, -1, -1):
             node = SumGate(((ONE, VarLeaf(i)), (ONE, node)))
         comps = tr.homogenize(Formula(node), 1)
-        fs = tr.select_frontier(fb, delta)
-        assert (len(fs.gate_ids), fs.phi_root) == (4, 2012)
+        ids, phi_root = views.frontier(fb, delta)
+        assert (len(ids), phi_root) == (4, 2012)
         # nested ids: the leaf x0 and the middle gate take the fresh
         # variables in preorder; the deepest gate lies inside the middle one
         nodes = ir.gates_preorder(fb)
         gates = [i for i, n in enumerate(nodes) if ir.is_gate(n)]
-        residual = tr.frontier_residual(fb, frozenset({1, gates[len(gates) // 2], gates[-1]}))
+        residual = views.residual(fb, frozenset({1, gates[len(gates) // 2], gates[-1]}))
         assert ir.metrics(residual).depth == 4000
         cfg = PITConfig(trials=2, seed=0)
         for out in (pf, bb, bb_half, main):
@@ -995,9 +979,9 @@ def test_decompose_at_root():
          (ONE, ProdGate(((ONE, leaves[i + 2]), (ONE, leaves[i + 3])))))
     )
     f = Formula(SumGate(((ONE, half(0)), (ONE, half(4)))))
-    split = tr.bb_find_split(f, 4)
-    assert split.gate_id == 0
-    a, b, c = tr.bb_decompose(f, split)
+    gate_id, _, _, _, path = views.split(f, 4)
+    assert gate_id == 0
+    a, b, c = views.parts(f, path)
     assert poly.expand(a).terms == {(): ONE}
     assert poly.expand(b).terms == {(): ONE}
     assert c is None
@@ -1054,9 +1038,9 @@ def test_homogenize_truncated_target():
 def test_select_frontier_with_constant_leaves():
     # constant leaves stay in the residual comb rather than joining the frontier
     f = tr.binarize(sexpr.parse("(+ 1 (* x1 (+ x2 1)) (* x3 x4))"))
-    fs = tr.select_frontier(f, 1)
+    ids, _ = views.frontier(f, 1)
     gates = ir.gates_preorder(f)
-    assert all(not isinstance(gates[g], OneLeaf) for g in fs.gate_ids)
-    residual = tr.frontier_residual(f, fs.gate_ids)
+    assert all(not isinstance(gates[g], OneLeaf) for g in ids)
+    residual = views.residual(f, ids)
     assert ir.is_skew(residual)
     assert ir.metrics(residual).sum_depth <= 1
