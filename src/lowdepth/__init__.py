@@ -12,6 +12,7 @@ from .errors import (
     FieldUnordered,
     FormulaSyntaxError,
     InfeasibleShape,
+    InputError,
     LowdepthError,
     ModeMismatch,
     NotComputingH,

@@ -6,10 +6,10 @@ record per line (or human-readable text with --human); formula output goes to
 the -o/--out file, or to stdout when no report would collide (otherwise the
 formula wins stdout and reports move to stderr).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.  The default prime for Fp and identity testing comes from the
-LOWDEPTH_PRIME environment variable, read when a command needs it; flags
-override it.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an
+errors.InputError, a bad value or an unreadable path), 3 budget exceeded.
+The default prime for Fp and identity testing comes from the LOWDEPTH_PRIME
+environment variable, read when a command needs it; flags override it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import os
 import sys
 import time
 
-from .errors import (BudgetExceeded, FormulaSyntaxError, LowdepthError, ModeMismatch,
-                     ParamOutOfRange, UniverseTooLarge, WellFormednessError)
+from .errors import BudgetExceeded, InputError, LowdepthError
 from .fields import MERSENNE61, field_from_name
 from . import bench, hardpoly, ir, pit, poly, sexpr, transforms
 from .report import Report, metrics_dict
@@ -152,9 +151,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_homogenize(args) -> int:
     f = sexpr.parse_file(args.formula)
-    fb = transforms.binarize(f)
     t0 = time.perf_counter()
-    comps = transforms.homogenize(fb, args.degree)
+    comps = transforms.homogenize(f, args.degree)
     duration = time.perf_counter() - t0
     written = {}
     for i, comp in enumerate(comps):
@@ -242,8 +240,10 @@ def cmd_bench(args) -> int:
         raise ValueError("random-homogeneous needs --sizes and --degrees")
     if args.family == "comb" and not args.sizes:
         raise ValueError("comb needs --sizes")
-    if args.family == "user-file" and not args.file:
-        raise ValueError("user-file needs --file")
+    if args.family == "user-file":
+        if not args.file:
+            raise ValueError("user-file needs --file")
+        sexpr.parse_file(args.file)  # refuse a bad file before any row reads it
     sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else [None]
     degrees = [int(x) for x in args.degrees.split(",")] if args.degrees else [None]
     all_rows: list[bench.FrontierRow] = []
@@ -413,9 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormulaSyntaxError, WellFormednessError, FileNotFoundError, ValueError,
-            argparse.ArgumentTypeError, ModeMismatch, ParamOutOfRange,
-            UniverseTooLarge) as exc:
+    except (InputError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LowdepthError as exc:

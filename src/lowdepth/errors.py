@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 Everything raised on purpose derives from LowdepthError so the CLI can map
-failures to exit codes without enumerating modules.
+failures to exit codes without enumerating modules: an InputError (outside
+input refused) exits 2, BudgetExceeded 3, any other LowdepthError 1.
 """
 
 
@@ -9,7 +10,11 @@ class LowdepthError(Exception):
     """Base class for all toolkit errors."""
 
 
-class FormulaSyntaxError(LowdepthError):
+class InputError(LowdepthError):
+    """Outside input the toolkit refuses (text, parameters, a formula a pass rejects)."""
+
+
+class FormulaSyntaxError(InputError):
     """Malformed formula text; carries a character position when known."""
 
     def __init__(self, message: str, position: int | None = None):
@@ -19,7 +24,7 @@ class FormulaSyntaxError(LowdepthError):
         self.position = position
 
 
-class WellFormednessError(LowdepthError):
+class WellFormednessError(InputError):
     """Structurally invalid formula (bad constant-leaf placement, zero weight, ...)."""
 
 
@@ -27,23 +32,23 @@ class BudgetExceeded(LowdepthError):
     """An expansion or enumeration grew past the configured budget."""
 
 
-class FieldUnordered(LowdepthError):
+class FieldUnordered(InputError):
     """An order-dependent check was requested over a prime field."""
 
 
-class ModeMismatch(LowdepthError):
+class ModeMismatch(InputError):
     """Two formulas disagree on commutativity mode or coefficient field."""
 
 
-class NotSkew(LowdepthError):
+class NotSkew(InputError):
     """Input to a skew-only rewrite has a product gate with two non-leaf children."""
 
 
-class DuplicateLeafVariable(LowdepthError):
+class DuplicateLeafVariable(InputError):
     """A skew rewrite requires distinct variables on the leaves."""
 
 
-class NotSemanticallyHomogeneous(LowdepthError):
+class NotSemanticallyHomogeneous(InputError):
     """The expanded polynomial mixes degrees, so no single component covers it."""
 
 
@@ -51,15 +56,15 @@ class NotComputingH(LowdepthError):
     """A formula handed to the hard-instance checkers computes something else."""
 
 
-class ParamOutOfRange(LowdepthError):
+class ParamOutOfRange(InputError):
     """Hard-instance parameters outside the supported range."""
 
 
-class UniverseTooLarge(LowdepthError):
+class UniverseTooLarge(InputError):
     """The requested variable universe exceeds the configured cap."""
 
 
-class InfeasibleShape(LowdepthError):
+class InfeasibleShape(InputError):
     """Requested random formula shape cannot exist (e.g. degree above size)."""
 
 

@@ -51,9 +51,6 @@ class Rationals:
             return a
         return a * b
 
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
 
@@ -112,9 +109,6 @@ class PrimeField:
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0

@@ -284,9 +284,10 @@ def validate(formula: Formula) -> None:
     leaves hang off sum gates only, and a sum gate with only constant-leaf
     children appears only at the output.
 
-    sexpr.parse calls this only when the text may break one of these rules: it
-    flags each rule on its own (fan-in 0 is a syntax error there), so a rule
-    added here must be flagged there too, or parsed text will skip it.
+    sexpr.parse calls this only when the text has a constant-leaf token 1 or a
+    scalar that is zero in the field (fan-in 0 is a syntax error there), since
+    every rule here involves one of the two.  A rule about anything else must
+    extend that trigger, or parsed text will skip it.
     """
     is_zero, one = formula.field.is_zero, formula.field.one()
     stack: list[tuple[Node, Node | None]] = [(formula.root, None)]  # preorder over positions

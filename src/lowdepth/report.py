@@ -4,23 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .ir import GateMetrics
 
 
 def metrics_dict(m: GateMetrics) -> dict:
     return m._asdict()
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 @dataclass
@@ -37,15 +26,15 @@ class Report:
     def to_json(self) -> str:
         payload = {
             "pass": self.pass_name,
-            "params": _jsonable(self.params),
+            "params": self.params,
             "input": self.input_metrics,
             "output": self.output_metrics,
             "verify": {"method": self.verify_method, "verdict": self.verdict},
             "duration": round(self.duration, 6),
         }
         if self.extra:
-            payload["extra"] = _jsonable(self.extra)
-        return json.dumps(payload, sort_keys=True)
+            payload["extra"] = self.extra
+        return json.dumps(payload, sort_keys=True, default=str)  # a Fraction as "p/q"
 
     def human(self) -> str:
         lines = [f"pass: {self.pass_name}"]

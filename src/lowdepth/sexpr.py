@@ -20,13 +20,12 @@ Both header lines are optional on input and default to commutative over Q.
 
 The parser and serializer are iterative, so arbitrarily deep combs round-trip
 at the default recursion limit.  ir.validate is the one well-formedness check;
-the parser calls it only when it has read something validate could reject (a
-scalar that is zero in the field, a product gate with a constant child, a sum
-gate over constants only; each gate is checked on its children when it
-closes), so clean text is walked once, and a syntax error anywhere still comes
-before any well-formedness error.  The tokenizer returns the bare token
-strings; a syntax error finds its character position by tokenizing again up to
-the offending token, so positions cost nothing on text that parses.
+the parser calls it only when the text has a constant-leaf token 1 or a scalar
+that is zero in the field (every rule of validate involves one of the two), so
+other text is walked once, and a syntax error anywhere still comes before any
+well-formedness error.  The tokenizer returns the bare token strings; a syntax
+error finds its character position by tokenizing again up to the offending
+token, so positions cost nothing on text that parses.
 """
 
 from __future__ import annotations
@@ -108,10 +107,8 @@ def parse(text: str) -> Formula:
 
     one = field.one()
     scalars: dict[str, Scalar] = {}  # scalar text -> its value, parsed once per call
-    # set when the text may break a rule of ir.validate: a zero scalar, a
-    # product gate with a constant child, or a sum gate over constants only;
-    # each gate's children are checked when it closes
-    suspect = False
+    # set when the text may break a rule of ir.validate (see its docstring)
+    suspect = "1" in tokens
     # Each frame is [op, index of its head token, items]; items are (scalar,
     # node) edges, and a scale frame also holds its scalar.
     frames: list[list] = []
@@ -156,13 +153,8 @@ def parse(text: str) -> Formula:
                 edge = (frame[3], items[0][1])
             elif not items:
                 raise error("gate with no children", frame[1])
-            elif op == "+":
-                suspect = suspect or type(items[0][1]) is OneLeaf and all(
-                    type(node) is OneLeaf for _, node in items)
-                edge = (one, SumGate(tuple(items)))
             else:
-                suspect = suspect or any(type(node) is OneLeaf for _, node in items)
-                edge = (one, ProdGate(tuple(items)))
+                edge = (one, (SumGate if op == "+" else ProdGate)(tuple(items)))
         elif tok == "1":
             edge = (one, OneLeaf())
         elif tok[0] == "x":

@@ -17,7 +17,7 @@ The passes:
                              ceil(log2 d) + ceil(sum_depth/delta), size by s*d^delta;
                              one walk per level finds and distributes the frontier
 * skew_to_sigma_pi           the skew rewrite to a sum of products
-* homogenize                 degree components of a fan-in-2 formula
+* homogenize                 degree components of a formula
 * product_fanin_2            rebalance products to fan-in 2 at unchanged leaf count
 * depth_reduce_homogeneous, depth_reduce_nearlinear, pipeline_inhom
                              compositions reaching depth O(log d)
@@ -251,6 +251,15 @@ def binarize(formula: Formula) -> Formula:
 
     scalar, out = ir.node_attribute(formula.root, fn)[id(formula.root)]  # type: ignore[misc]
     return formula.with_root(scale_node(scalar, out, field))
+
+
+def _fanin_2(formula: Formula) -> Formula:
+    """formula itself, with any metrics kept on it, when every gate has fan-in
+    exactly 2; else binarize(formula).  The passes that need fan-in 2 call it."""
+    for node in ir.postorder(formula.root):
+        if is_gate(node) and len(node.children) != 2:
+            return binarize(formula)
+    return formula
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +562,7 @@ def skew_to_sigma_pi(g: Formula) -> Formula:
     field = g.field
     if is_leaf(root):
         return g
-    if ir.max_fanin(g) > 2:
+    if ir.max_fanin(g) > 2:  # binarizing a wide product can make it non-skew
         raise ValueError("skew rewrite needs fan-in 2")
     if not ir.is_skew(g):
         raise NotSkew("input has a product gate with two non-leaf children")
@@ -582,7 +591,8 @@ def skew_to_sigma_pi(g: Formula) -> Formula:
 
 
 def depth_reduce_main(formula: Formula, delta: int | str) -> Formula:
-    """Potential-guided parallelization of a fan-in-2 formula.
+    """Potential-guided parallelization of a formula, binarized first unless
+    every gate has fan-in 2 (the bounds need products of fan-in exactly 2).
 
     Output product depth is at most ceil(log2 d) + ceil(sum_depth/delta) and
     leaf count at most size * d^delta; both are asserted per run, as is that
@@ -598,8 +608,7 @@ def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tupl
     """depth_reduce_main, plus its delta and its (product depth, size) bounds."""
     if delta != "auto" and int(delta) < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-    if ir.max_fanin(formula) > 2:
-        raise ValueError("depth_reduce_main needs a fan-in-2 input; binarize first")
+    formula = _fanin_2(formula)
     field = formula.field
     metrics = ir.metrics_map(formula.root)
     m_in = ir.keep_metrics(formula, metrics)
@@ -682,7 +691,8 @@ def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tupl
 # ---------------------------------------------------------------------------
 
 def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
-    """Degree components 0..target_d of a fan-in-2 formula.
+    """Degree components 0..target_d of a formula, binarized first unless every
+    gate has fan-in 2.
 
     Component i is a homogeneous formula of syntactic degree exactly i, or
     None when no parse tree contributes that degree; the present components
@@ -694,8 +704,7 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
     """
     if target_d < 0:
         raise ValueError("target degree must be >= 0")
-    if ir.max_fanin(formula) > 2:
-        raise ValueError("homogenize needs a fan-in-2 input; binarize first")
+    formula = _fanin_2(formula)
     field = formula.field
     one = field.one()
     m_in = ir.metrics(formula)
@@ -950,7 +959,7 @@ def pipeline_inhom(formula: Formula) -> Formula:
     comp_d = comps[d]
     if comp_d is None:
         raise InternalInvariantError("degree component missing for the output degree")
-    out = collapse(depth_reduce_main(binarize(comp_d), "auto"))
+    out = collapse(depth_reduce_main(comp_d, "auto"))
     if not ir.is_homogeneous(out):
         raise InternalInvariantError("pipeline output is not homogeneous")
     return out
@@ -969,8 +978,7 @@ def run_pass(formula: Formula, name: str, params: dict) -> tuple[Formula, dict, 
     the (product depth, size) bounds its output was checked against.
 
     epsilon None or "auto" means 1/2, delta None or "auto" means auto_delta;
-    the passes reject other values out of range.  main gets its input
-    binarized when a gate is wider than 2."""
+    the passes reject other values out of range."""
     if name in ("bb", "nearlinear"):
         eps = params.get("epsilon")
         eps = Fraction(1, 2) if eps in (None, "auto") else Fraction(eps)
@@ -980,9 +988,8 @@ def run_pass(formula: Formula, name: str, params: dict) -> tuple[Formula, dict, 
         _check_bb(formula, out, eps)
         return out, {"epsilon": eps, "k_bb": bb_branch_param(eps)}, None
     if name == "main":
-        f2 = formula if ir.max_fanin(formula) <= 2 else binarize(formula)
         delta = params.get("delta")
-        out, delta, bounds = _reduce_main(f2, "auto" if delta is None else delta)
+        out, delta, bounds = _reduce_main(formula, "auto" if delta is None else delta)
         return out, {"delta": delta}, bounds
     if name == "homogeneous":
         return depth_reduce_homogeneous(formula), {}, None

@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,78 @@ def test_verify_equal_mode_or_field_mismatch_is_usage_error(tmp_path, capsys):
             code, out, err = run_cli(capsys, "verify-equal", str(files[lhs]), str(files[rhs]),
                                      "--method", method)
             assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
+def test_refused_input_is_a_usage_error(tmp_path, capsys):
+    # input no command accepts: exit 2 with one error line, no report, no traceback
+    mixed = tmp_path / "mixed.frm"
+    mixed.write_text("(+ x1 (* x2 x3))\n")
+    bad = tmp_path / "bad.frm"
+    bad.write_text("(* x1 (scale 2 (scale 1 1)))\n")
+    cases = [
+        (("reduce", str(mixed), "--method", "pipeline"), "error: expansion mixes degrees [1, 2]"),
+        (("stats", str(tmp_path)), "Is a directory"),
+        (("reduce", str(mixed), "--method", "bb", "-o", str(tmp_path)), "Is a directory"),
+        (("bench", "--family", "user-file", "--file", str(tmp_path), "--pass", "bb"),
+         "Is a directory"),
+        (("bench", "--family", "user-file", "--file", str(bad), "--pass", "bb"),
+         "error: constant leaf 1 must be the child of a sum gate"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, argv
+
+
+def test_reduce_main_on_fanin_1_products(tmp_path, capsys):
+    p = tmp_path / "p.frm"
+    for text in ("(* x3)\n", "(* (* x3) x1)\n"):
+        p.write_text(text)
+        code, _, err = run_cli(capsys, "reduce", str(p), "--method", "main")
+        assert code == EXIT_OK
+        assert reports(err)[0]["verify"]["verdict"] == "equal"
+
+
+def _sweep_expr(rng, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["1", "x1", "x2", "x3"])
+    children = []
+    for _ in range(rng.randint(1, 3)):
+        child = _sweep_expr(rng, depth - 1)
+        if rng.random() < 0.25:
+            child = f"(scale {rng.choice(['2', '-1', '1/2', '3', '0'])} {child})"
+        children.append(child)
+    return f"({rng.choice('+*')} " + " ".join(children) + ")"
+
+
+def test_cli_sweep_exit_codes(tmp_path, capsys):
+    # small random formulas through every command: each run ends in a
+    # documented exit code, never a traceback, and a pass never fails its check
+    rng = random.Random(2026)
+    f, out_file, prefix = str(tmp_path / "f.frm"), str(tmp_path / "o.frm"), str(tmp_path / "c")
+    commands = [("reduce", f, "--method", m, "-o", out_file)
+                for m in transforms.PASSES if m != "prodfanin2"] + [
+        ("prodfanin2", f, "-o", out_file), ("homogenize", f, "--degree", "3", "--out-prefix", prefix),
+        ("stats", f), ("expand", f), ("validate", f, "--check-zero-gates"), ("verify-equal", f, f)]
+    # every hand-picked shape runs through every command, a random one through one
+    runs = [(text, commands) for text in ("(* x3)", "(* (* x3) x1)", "(+ x1 (* x2 x3))",
+                                          "(* x1)", "(* x1 (scale 2 (scale 1 1)))", "(+ 1 1)")]
+    for _ in range(1000):
+        text = (rng.choice(["", "mode: noncommutative\n"])
+                + rng.choice(["", "field: Fp:7\n", "field: Fp:97\n"]) + _sweep_expr(rng, 4))
+        runs.append((text, [rng.choice(commands)]))
+    for text, argvs in runs:
+        Path(f).write_text(text + "\n")
+        for argv in argvs:
+            try:
+                code, out, err = run_cli(capsys, *argv)
+            except Exception as exc:  # noqa: BLE001 - report the input that raised
+                pytest.fail(f"{argv[:3]} on {text!r} raised {exc!r}")
+            assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_BUDGET), (text, argv)
+            if code == EXIT_VERIFY_FAILED:
+                assert argv[0] not in ("reduce", "prodfanin2"), (text, argv, err)
+                verdicts = [r["verify"]["verdict"] for r in reports(out)]
+                assert verdicts[-1:] in (["unequal"], ["failed"]), (text, argv, err)
 
 
 def test_check_hard(capsys):

@@ -69,12 +69,15 @@ def test_clean_text_is_not_validated(corpus_both, hard_instances, skew_corpus, m
     for f in clean:
         assert sexpr.parse(sexpr.serialize(f)) == f
     assert calls == []
-    # a constant under a sum, or a product under a scale, raises no suspicion
-    sexpr.parse("(* x1 (+ 1 x2) (scale 3 (* x2 x3)))")
+    # a product under a scale raises no suspicion
+    sexpr.parse("(* x1 (scale 3 (* x2 x3)))")
     assert calls == []
-    # a suspicion is checked, and a root sum of constants passes the check
-    sexpr.parse("(+ 1 1)")
+    # any constant leaf is checked once, and one under a sum passes the check
+    sexpr.parse("(* x1 (+ 1 x2) (scale 3 (* x2 x3)))")
     assert len(calls) == 1
+    # so is a root sum of constants
+    sexpr.parse("(+ 1 1)")
+    assert len(calls) == 2
 
 
 def _random_text(rng: random.Random, depth: int) -> str:

@@ -590,11 +590,31 @@ def test_main_zero_polynomial_input_stays_equivalent():
 
 
 def test_main_requires_fanin_2():
+    # main binarizes a wider input itself: byte for byte the output of its binarized form
     f = sexpr.parse("(+ x1 x2 x3)")
-    with pytest.raises(ValueError):
-        tr.depth_reduce_main(f, 1)
+    for g in (f, gen_random_homogeneous(6, 4, 60, seed=3)):
+        assert ir.max_fanin(g) > 2
+        for delta in (1, "auto"):
+            assert digest([tr.depth_reduce_main(g, delta)]) == digest(
+                [tr.depth_reduce_main(tr.binarize(g), delta)])
     with pytest.raises(ValueError, match="delta must be >= 1"):
         tr.depth_reduce_main(tr.binarize(f), 0)
+
+
+def test_fanin_1_gates_are_binarized_on_demand():
+    # main's potential bound needs products of fan-in exactly 2
+    for text in ("(* x3)", "(* (* x3) x1)", "(+ (* x1 (+ x2)) x3)"):
+        f = sexpr.parse(text)
+        out = tr.depth_reduce_main(f, "auto")
+        assert_equivalent(f, out)
+        assert digest([out]) == digest([tr.depth_reduce_main(tr.binarize(f), "auto")])
+    comps = tr.homogenize(sexpr.parse("(* x1)"), 1)
+    assert comps[0] is None and poly.expand(comps[1]).terms == {((1, 1),): ONE}
+    # a formula with a gate wider than 2 splits like its binarized form
+    for f in (sexpr.parse("(+ x1 (* x2 x3 x4) (* (+ x1 1) (scale 2 x2) (+ x3 1)))"),
+              gen_random_homogeneous(6, 4, 60, seed=3, commutative=False)):
+        assert ir.max_fanin(f) > 2
+        assert digest([tr.homogenize(f, 4)]) == digest([tr.homogenize(tr.binarize(f), 4)])
 
 
 # ---------------------------------------------------------------------------
