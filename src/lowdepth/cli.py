@@ -63,6 +63,16 @@ def _emit(args, report: Report) -> None:
     print(report.human() if args.human else report.to_json(), file=stream)
 
 
+def _refuse_bad_output(path: str | None, prefix: bool = False) -> None:
+    """Raise OSError (exit 2) before any work runs when an output cannot be
+    written: open a file path, creating it but not truncating it, or open the
+    directory an --out-prefix writes into."""
+    if prefix:
+        os.scandir(os.path.dirname(path) or ".").close()
+    elif path:
+        open(path, "a").close()
+
+
 def _write_formula(args, formula) -> None:
     if getattr(args, "out", None):
         sexpr.write_file(args.out, formula)
@@ -123,6 +133,7 @@ def cmd_expand(args) -> int:
 
 def cmd_reduce(args) -> int:
     f = sexpr.parse_file(args.formula)
+    _refuse_bad_output(args.out)
     t0 = time.perf_counter()
     params = {"delta": args.delta, "epsilon": args.epsilon}
     out, params, _ = transforms.run_pass(f, args.method, params)
@@ -151,6 +162,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_homogenize(args) -> int:
     f = sexpr.parse_file(args.formula)
+    _refuse_bad_output(args.out_prefix, prefix=True)
     t0 = time.perf_counter()
     comps = transforms.homogenize(f, args.degree)
     duration = time.perf_counter() - t0
@@ -176,6 +188,7 @@ def cmd_gen_hard(args) -> int:
     p = hardpoly.HardParams(k=args.k, r=args.r)
     spec = (args.field or "Q").strip()  # only a bare Fp reads LOWDEPTH_PRIME
     field = field_from_name(spec, _prime("")) if spec == "Fp" else field_from_name(spec)
+    _refuse_bad_output(args.out)
     f = hardpoly.gen_hard(p, commutative=not args.noncommutative, field=field)
     rep = Report(
         pass_name="gen-hard",
@@ -244,6 +257,7 @@ def cmd_bench(args) -> int:
         if not args.file:
             raise ValueError("user-file needs --file")
         sexpr.parse_file(args.file)  # refuse a bad file before any row reads it
+    _refuse_bad_output(args.csv)
     sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else [None]
     degrees = [int(x) for x in args.degrees.split(",")] if args.degrees else [None]
     all_rows: list[bench.FrontierRow] = []

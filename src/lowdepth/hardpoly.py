@@ -237,9 +237,9 @@ def _expand_against_h(
     table, counts, same = poly.expand_against(formula, reference, _budget(budget))
     if not same:
         raise NotComputingH(f"formula does not compute the (k={p.k}, r={p.r}) polynomial")
-    metrics = ir.metrics_table(formula)
+    gates = ir.gates_preorder(formula)
     for gate_id, count in counts.items():
-        d_gate = metrics[gate_id].syn_degree
+        d_gate = gates[gate_id].syn_degree
         if d_gate == 0:
             continue  # constant gates cannot appear in a monotone formula for H
         if count > p.r ** (d_gate - 1):

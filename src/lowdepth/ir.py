@@ -5,7 +5,9 @@ one; internal gates are sums or products; every edge carries a non-zero field
 scalar.  Values are immutable after construction and every operation here is
 a pure function, so concurrent use is safe.
 
-Conventions fixed across the toolkit:
+Conventions fixed across the toolkit, for the metrics that every node carries
+as attributes from the moment it is built (a gate computes them from its
+children's in O(fan-in), so no walk recomputes them):
 
 * size is the number of leaves;
 * depth counts internal gates on the longest leaf-to-root path (a bare leaf
@@ -16,18 +18,17 @@ Conventions fixed across the toolkit:
   semantically significant.
 
 Traversals that can meet very deep trees (combs) are iterative; nothing in
-this module recurses on tree structure.  They share one kernel, postorder,
-which returns the distinct nodes as a list (children before parents) from one
-loop that dispatches on the node's exact type; node_attribute and
-metrics_map loop over that list.  GateMetrics is a named tuple: one per node,
-built without a dataclass constructor.  compile_program flattens a formula to
-the Program that both oracles read: exact expansion and identity testing.
+this module recurses on tree structure, node ==, hash and repr included.
+The walks share one kernel, postorder, which returns the distinct nodes as a
+list (children before parents) from one loop that dispatches on the node's
+exact type; node_attribute loops over that list.  compile_program flattens a
+formula to the Program that both oracles read: expansion and identity testing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -42,37 +43,116 @@ from .fields import QQ, Field, Scalar
 # Nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarLeaf:
+class Node:
+    """A formula node with its metrics as attributes: size, depth, sum_depth,
+    product_depth and syn_degree.  Nodes refuse assignment, since a changed
+    child would leave its ancestors' metrics stale.  hash reads the type,
+    metrics and variable in O(1), so equal structures hash alike."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b) or a.size != b.size:
+                return False
+            if kind is VarLeaf:
+                if a.var != b.var:
+                    return False
+            elif kind is not OneLeaf:
+                if len(a.children) != len(b.children):
+                    return False
+                for (ca, xa), (cb, xb) in zip(a.children, b.children):
+                    if ca != cb:
+                        return False
+                    stack.append((xa, xb))
+        return True
+
+    def __hash__(self):
+        return hash((type(self), self.size, self.depth, self.syn_degree, getattr(self, "var", None)))
+
+    def __repr__(self):
+        from .sexpr import render  # local import; sexpr builds on this module
+
+        return render(self)
+
+
+class VarLeaf(Node):
     """Leaf labelled with variable x<var>."""
 
-    var: int
+    __slots__ = ("var",)
+    size, depth, sum_depth, product_depth, syn_degree = 1, 0, 0, 0, 1
+
+    def __init__(self, var: int):
+        _set_var(self, var)
 
 
-@dataclass(frozen=True)
-class OneLeaf:
+class OneLeaf(Node):
     """Leaf labelled with the constant 1.
 
     Its parent, when it has one, must be a sum gate; a sum gate whose children
     are all constant leaves is only allowed as the output gate.
     """
 
+    __slots__ = ()
+    size, depth, sum_depth, product_depth, syn_degree = 1, 0, 0, 0, 0
 
-@dataclass(frozen=True)
-class SumGate:
+
+class _Gate(Node):
+    """A gate over (scalar, child) edges; its metrics are set once, here."""
+
+    __slots__ = ("children", "size", "depth", "sum_depth", "product_depth", "syn_degree")
+
+    def __init__(self, children: tuple[Edge, ...]):
+        is_sum = type(self) is SumGate
+        size = depth = sum_depth = product_depth = degree = 0
+        for _, child in children:
+            size += child.size
+            if child.depth > depth:
+                depth = child.depth
+            if child.sum_depth > sum_depth:
+                sum_depth = child.sum_depth
+            if child.product_depth > product_depth:
+                product_depth = child.product_depth
+            if not is_sum:
+                degree += child.syn_degree
+            elif child.syn_degree > degree:
+                degree = child.syn_degree
+        # assignment is refused, so the slots are set through their descriptors
+        _set_children(self, children)
+        _set_size(self, size)
+        _set_depth(self, depth + 1)
+        _set_sum_depth(self, sum_depth + is_sum)
+        _set_product_depth(self, product_depth + (not is_sum))
+        _set_syn_degree(self, degree)
+
+
+class SumGate(_Gate):
     """Weighted sum of children: sum of scalar * child."""
 
-    children: tuple[tuple[Scalar, "Node"], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProdGate:
+class ProdGate(_Gate):
     """Product of scalar * child factors, taken in the given order."""
 
-    children: tuple[tuple[Scalar, "Node"], ...]
+    __slots__ = ()
 
 
-Node = Union[VarLeaf, OneLeaf, SumGate, ProdGate]
+_set_var = VarLeaf.var.__set__
+(_set_children, _set_size, _set_depth, _set_sum_depth, _set_product_depth,
+ _set_syn_degree) = [getattr(_Gate, name).__set__ for name in _Gate.__slots__]
 Edge = tuple[Scalar, Node]
 
 @dataclass(frozen=True)
@@ -151,7 +231,7 @@ class Program(NamedTuple):
     """A formula's distinct nodes in postorder, as parallel lists: args[i] is a
     variable's id or a gate's child positions, slots[i] its edges' positions in
     the scalar list (None when all weights are the unit), uses[i] the edges that
-    read node i.  size counts positions, a shared node once per use."""
+    read node i.  degree and size are the root's."""
 
     kinds: list[int]
     args: list
@@ -172,7 +252,7 @@ def compile_program(root: Node, scalars: list) -> Program:
     """
     # one entry per node, and no object per node beyond a gate's child tuple,
     # which holds ints only and so leaves the garbage collector's lists
-    kinds, args, weights, uses, degree, size, vs = [], [], [], [], [], [], set()
+    kinds, args, weights, uses, vs = [], [], [], [], set()
     at: dict[int, int] = {}  # id(node) -> position
     slot_of: dict[int, int] = {}  # id(scalar) -> slot
     if not scalars:
@@ -183,16 +263,11 @@ def compile_program(root: Node, scalars: list) -> Program:
         kind = type(node)
         if kind is SumGate or kind is ProdGate:
             is_sum = kind is SumGate
-            kids, slots, deg, sz = [], None, 0, 0
+            kids, slots = [], None
             for j, (c, child) in enumerate(node.children):
                 k = at[id(child)]
                 kids.append(k)
                 uses[k] += 1
-                sz += size[k]
-                if not is_sum:
-                    deg += degree[k]
-                elif degree[k] > deg:
-                    deg = degree[k]
                 s = slot_of.get(id(c))
                 if s is None:
                     s = slot_of[id(c)] = 0 if c == 1 else len(scalars)
@@ -204,18 +279,14 @@ def compile_program(root: Node, scalars: list) -> Program:
             kinds.append(_SUM if is_sum else _PROD)
             args.append(tuple(kids))
             weights.append(slots)
-            degree.append(deg)
-            size.append(sz)
         else:
             is_var = kind is VarLeaf
             kinds.append(_VAR if is_var else _ONE)
             args.append(node.var if is_var else None)
             weights.append(None)
-            degree.append(int(is_var))
-            size.append(1)
             if is_var:
                 vs.add(node.var)
-    return Program(kinds, args, weights, uses, degree[-1], size[-1], vs)
+    return Program(kinds, args, weights, uses, root.syn_degree, root.size, vs)
 
 
 def iter_preorder_positions(root: Node) -> Iterator[tuple[Node, Node | None]]:
@@ -317,7 +388,7 @@ def validate(formula: Formula) -> None:
 # ---------------------------------------------------------------------------
 
 class GateMetrics(NamedTuple):
-    """Per-gate structural measurements."""
+    """A node's five metrics as one value, for reports and tables."""
 
     size: int
     depth: int
@@ -326,45 +397,18 @@ class GateMetrics(NamedTuple):
     syn_degree: int
 
 
-_VAR_METRICS = GateMetrics(1, 0, 0, 0, 1)
-_ONE_METRICS = GateMetrics(1, 0, 0, 0, 0)
-
-
-def metrics_map(root: Node) -> dict[int, GateMetrics]:
-    """Intrinsic metrics for every node, keyed by id(node)."""
-    memo: dict[int, GateMetrics] = {}
-    for node in postorder(root):
-        kind = type(node)
-        if kind is VarLeaf:
-            memo[id(node)] = _VAR_METRICS
-        elif kind is OneLeaf:
-            memo[id(node)] = _ONE_METRICS
-        else:
-            sizes, depths, sums, prods, degrees = zip(*[memo[id(ch)] for _, ch in node.children])
-            if kind is SumGate:
-                m = GateMetrics(sum(sizes), 1 + max(depths), 1 + max(sums), max(prods), max(degrees))
-            else:
-                m = GateMetrics(sum(sizes), 1 + max(depths), max(sums), 1 + max(prods), sum(degrees))
-            memo[id(node)] = m
-    return memo
+def _metrics_of(node: Node) -> GateMetrics:
+    return GateMetrics(node.size, node.depth, node.sum_depth, node.product_depth, node.syn_degree)
 
 
 def metrics(formula: Formula) -> GateMetrics:
-    """Metrics of the output gate, kept on the (immutable) formula once known."""
-    m = formula.__dict__.get("_root_metrics")
-    return keep_metrics(formula, metrics_map(formula.root)) if m is None else m
-
-
-def keep_metrics(formula: Formula, memo: dict[int, GateMetrics]) -> GateMetrics:
-    """Keep the root entry of formula's metrics_map on it for metrics; return it."""
-    object.__setattr__(formula, "_root_metrics", memo[id(formula.root)])
-    return memo[id(formula.root)]
+    """Metrics of the output gate."""
+    return _metrics_of(formula.root)
 
 
 def metrics_table(formula: Formula) -> dict[int, GateMetrics]:
     """Per-gate metrics keyed by preorder gate id (0 = output gate)."""
-    memo = metrics_map(formula.root)
-    return {i: memo[id(node)] for i, node in enumerate(gates_preorder(formula))}
+    return {i: _metrics_of(node) for i, node in enumerate(gates_preorder(formula))}
 
 
 def size(formula: Formula) -> int:
@@ -389,11 +433,9 @@ def max_fanin(formula: Formula) -> int:
 
 def is_homogeneous(formula: Formula) -> bool:
     """True iff the children of every sum gate share one syntactic degree."""
-    memo = metrics_map(formula.root)
-    keep_metrics(formula, memo)
     for node in postorder(formula.root):
         if isinstance(node, SumGate):
-            degrees = {memo[id(ch)].syn_degree for _, ch in node.children}
+            degrees = {ch.syn_degree for _, ch in node.children}
             if len(degrees) > 1:
                 return False
     return True

@@ -35,7 +35,7 @@ from itertools import islice
 
 from .errors import FormulaSyntaxError
 from .fields import QQ, Field, Scalar, field_from_name
-from .ir import Formula, OneLeaf, ProdGate, SumGate, VarLeaf, validate
+from .ir import Formula, Node, OneLeaf, ProdGate, SumGate, VarLeaf, validate
 
 
 def cantor_pair(i: int, j: int) -> int:
@@ -192,13 +192,15 @@ def parse(text: str) -> Formula:
 
 def serialize(formula: Formula) -> str:
     """Canonical text form; parse(serialize(F)) is structurally F."""
-    field = formula.field
-    parts: list[str] = [
-        "mode: " + ("commutative" if formula.commutative else "noncommutative") + "\n",
-        f"field: {field.name}\n",
-    ]
+    mode = "commutative" if formula.commutative else "noncommutative"
+    return f"mode: {mode}\nfield: {formula.field.name}\n{render(formula.root, formula.field)}\n"
+
+
+def render(root: Node, field: Field = QQ) -> str:
+    """The s-expression of root, its edge scalars formatted in field."""
+    parts: list[str] = []
     # Work items: raw strings or (scalar, node) edges still to be rendered.
-    stack: list = [(None, formula.root)]
+    stack: list = [(None, root)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -221,7 +223,6 @@ def serialize(formula: Formula) -> str:
                     work.append(" ")
                 work.append(edge)
             stack.extend(reversed(work))
-    parts.append("\n")
     return "".join(parts)
 
 

@@ -121,32 +121,6 @@ def _phi(degree: int, sum_depth: int, delta: int) -> int:
 # Node-level helpers
 # ---------------------------------------------------------------------------
 
-def _leaf_counts(root: Node, known: dict[int, int]) -> dict[int, int]:
-    """Leaf count of every gate below root that known lacks, keyed by id.
-
-    Leaves count 1 and get no entry.  The walk does not enter a gate known
-    has, so it costs the gates known lacks, not the whole subtree.
-    """
-    counts: dict[int, int] = {}
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            counts[id(node)] = sum(_leaves(ch, counts, known) for _, ch in node.children)
-        elif is_gate(node) and id(node) not in known and id(node) not in counts:
-            stack.append((node, True))
-            stack.extend((ch, False) for _, ch in node.children)
-    return counts
-
-
-def _leaves(node: Node, counts: dict[int, int], known: dict[int, int]) -> int:
-    """Leaf count of node: 1 for a leaf, else its entry in counts or known."""
-    if is_leaf(node):
-        return 1
-    n = counts.get(id(node))
-    return known[id(node)] if n is None else n
-
-
 def scale_node(scalar: Scalar, node: Node, field: Field) -> Node:
     """Fold a scalar into a node.
 
@@ -173,10 +147,6 @@ def _as_constant(node: Node, field: Field) -> Scalar | None:
             acc = field.add(acc, c)
         return acc
     return None
-
-
-def _gate(kind_of: Node, edges: tuple) -> Node:
-    return SumGate(edges) if isinstance(kind_of, SumGate) else ProdGate(edges)
 
 
 def _merge_constant_edges(edges: list, field: Field) -> list:
@@ -254,8 +224,8 @@ def binarize(formula: Formula) -> Formula:
 
 
 def _fanin_2(formula: Formula) -> Formula:
-    """formula itself, with any metrics kept on it, when every gate has fan-in
-    exactly 2; else binarize(formula).  The passes that need fan-in 2 call it."""
+    """formula itself when every gate has fan-in exactly 2, else
+    binarize(formula).  The passes that need fan-in 2 call it."""
     for node in ir.postorder(formula.root):
         if is_gate(node) and len(node.children) != 2:
             return binarize(formula)
@@ -295,7 +265,7 @@ def collapse(formula: Formula) -> Formula:
             raise ValueError("formula computes the zero polynomial; cannot collapse")
         if len(edges) == 1 and not isinstance(edges[0][1], OneLeaf):
             return edges[0]
-        return (one, _gate(node, tuple(edges)))
+        return (one, type(node)(tuple(edges)))
 
     scalar, out = ir.node_attribute(formula.root, fn)[id(formula.root)]  # type: ignore[misc]
     return formula.with_root(scale_node(scalar, out, field))
@@ -305,29 +275,19 @@ def collapse(formula: Formula) -> Formula:
 # Split-at-heavy-gate machinery
 # ---------------------------------------------------------------------------
 
-def _satisfies_split(sz: int, s: int, k: int) -> bool:
-    # size >= s - s/k, exactly:  k*size >= (k-1)*s
-    return k * sz >= (k - 1) * s
-
-
-def _walk_split(
-    root: Node, counts: dict[int, int], known: dict[int, int], s: int, k: int
-) -> tuple[list[tuple[Node, int]], Node]:
+def _walk_split(root: Node, s: int, k: int) -> tuple[list[tuple[Node, int]], Node]:
     """The split gate and the path of (gate, child-index) pairs down to it.
 
     Exploits uniqueness: keep descending into the single child that still
     meets the threshold (two such children cannot both fit in s for k > 2,
-    so seeing them means corrupt counts).  The path is empty when the split
+    so seeing them means corrupt sizes).  The path is empty when the split
     gate is the root.
     """
     path: list[tuple[Node, int]] = []
     cur = root
     while True:
-        big = [
-            i
-            for i, (_, ch) in enumerate(cur.children)
-            if _satisfies_split(_leaves(ch, counts, known), s, k)
-        ]
+        # the threshold size >= s - s/k, exactly:  k*size >= (k-1)*s
+        big = [i for i, (_, ch) in enumerate(cur.children) if k * ch.size >= (k - 1) * s]
         if len(big) > 1:
             raise InternalInvariantError("two children above the split threshold")
         if not big:
@@ -422,34 +382,25 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
 
     The input is binarized once.  The parts A, B and C are then fan-in 2 by
     construction (their subtrees come from the binarized input or from
-    earlier parts), so the recursion runs on them as built.  Leaf counts are
-    computed once per pass for the gates of the binarized input.  A
-    recursion level counts only the gates that decompositions built (the
-    parts, and what lies below them down to input gates), and drops that
-    map before it recurses, so the pass holds counts for the input plus one
-    level's new gates, not for every level.
+    earlier parts), so the recursion runs on them as built.  The split reads
+    the leaf count every node carries, so no level counts leaves.
     """
     eps = Fraction(epsilon)
     k = bb_branch_param(eps)
     field = formula.field
     one = field.one()
-    start = binarize(formula)
-    # start lives until the pass returns, so no node built later reuses an id
-    input_counts = _leaf_counts(start.root, {})
 
     def reduce_node(node: Node):
-        counts = _leaf_counts(node, input_counts)
-        s = _leaves(node, counts, input_counts)
+        s = node.size
         if s <= k:
             return node
-        path, alpha = _walk_split(node, counts, input_counts, s, k)
-        del counts  # do not hold one level's map while recursing
+        path, alpha = _walk_split(node, s, k)
         if not is_gate(alpha) or len(alpha.children) != 2:
             raise InternalInvariantError("split walk must end on a fan-in-2 gate")
         (sa, a), (sb, b), c_val = _decompose_along(path, field)
 
         (cb, beta), (cg, gamma) = alpha.children
-        body: Node = _gate(alpha, ((cb, (yield beta)), (cg, (yield gamma))))
+        body: Node = type(alpha)(((cb, (yield beta)), (cg, (yield gamma))))
         if a is not None:
             body = ProdGate(((one, (yield a)), (one, body)))
         if b is not None:
@@ -462,30 +413,27 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
             return SumGate(((sc, body), (cv, OneLeaf())))
         return SumGate(((sc, body), (cv, (yield cn))))
 
-    return formula.with_root(run_recursive(reduce_node, start.root))
+    return formula.with_root(run_recursive(reduce_node, binarize(formula).root))
 
 
 # ---------------------------------------------------------------------------
 # Potential-guided reduction
 # ---------------------------------------------------------------------------
 
-def _phi_map(metrics: dict[int, ir.GateMetrics], delta: int) -> dict[int, int]:
-    """_phi of every node of degree >= 1, from its ir.metrics_map."""
-    return {
-        nid: _phi(degree, sum_depth, delta)
-        for nid, (_, _, sum_depth, _, degree) in metrics.items()
-        if degree >= 1
-    }
+def _potential(node: Node, delta: int) -> int:
+    """_phi of a node from the degree and sum depth it carries; 0 on a
+    constant (degree 0), which has no potential to reduce."""
+    return _phi(node.syn_degree, node.sum_depth, delta) if node.syn_degree else 0
 
 
-def _below(phi: dict[int, int], phi_root: int):
+def _below(phi_root: int, delta: int):
     """The frontier test of the region below a node of potential phi_root >= 1:
     is a (non-constant) node's potential below phi_root?"""
 
     def is_factor(node: Node) -> bool:
-        p = phi.get(id(node))
-        if p is None:
+        if not node.syn_degree:
             raise InternalInvariantError("potential undefined below the frontier")
+        p = _potential(node, delta)
         if p > phi_root:
             raise InternalInvariantError("potential must not grow downward")
         return p < phi_root
@@ -610,8 +558,7 @@ def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tupl
         raise ValueError(f"delta must be >= 1, got {delta}")
     formula = _fanin_2(formula)
     field = formula.field
-    metrics = ir.metrics_map(formula.root)
-    m_in = ir.keep_metrics(formula, metrics)
+    m_in = ir.metrics(formula)
     if delta == "auto":
         delta = auto_delta(m_in.size, m_in.syn_degree, m_in.sum_depth)
     delta = int(delta)
@@ -619,17 +566,14 @@ def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tupl
     bounds = (_phi(d, m_in.sum_depth, delta), m_in.size * d**delta)
     if m_in.syn_degree == 0:
         return formula, delta, bounds  # constant output gate, already depth <= 1
-    # the potential is intrinsic to a subtree, so one global map serves
-    # every recursion level; the metrics are not needed past this point
-    phi = _phi_map(metrics, delta)
-    del metrics
 
     def reduce_node(node: Node):
-        if not phi.get(id(node)):
+        phi = _potential(node, delta)
+        if not phi:
             return node  # a leaf, a gate of potential 0, or a degree-0 output gate
         # the region down to the frontier is skew: two interior children of a
         # product would each need ceil_log2(d_i) >= ceil_log2(d_1 + d_2)
-        terms = _sigma_pi_terms(node, _below(phi, phi[id(node)]), field)
+        terms = _sigma_pi_terms(node, _below(phi, delta), field)
         reduced: dict[int, Node | None] = {}
         used: dict[int, int] = {}
         summands: list = []
@@ -640,7 +584,7 @@ def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tupl
             for f in fs:
                 if id(f) not in reduced:
                     # a leaf factor (potential 0) reduces to itself: no generator
-                    reduced[id(f)] = (yield f) if phi[id(f)] else f
+                    reduced[id(f)] = (yield f) if _potential(f, delta) else f
                 r = reduced[id(f)]
                 if r is None:
                     break  # a vanished factor kills the term
@@ -783,7 +727,7 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
     for i, comp_f in enumerate(components):
         if comp_f is None:
             continue
-        if not ir.is_homogeneous(comp_f):  # this also keeps comp_f's metrics
+        if not ir.is_homogeneous(comp_f):
             raise InternalInvariantError(f"component {i} is not homogeneous")
         m = ir.metrics(comp_f)
         total += m.size
@@ -811,8 +755,6 @@ def product_fanin_2(formula: Formula) -> Formula:
     """
     field = formula.field
     one = field.one()
-    metrics = ir.metrics_map(formula.root)
-    m_in = ir.keep_metrics(formula, metrics)
 
     def go(node: Node, vals: list) -> tuple[Scalar, Node]:
         if is_leaf(node):
@@ -836,7 +778,7 @@ def product_fanin_2(formula: Formula) -> Formula:
             for (c, _), (cm, sub) in edges:
                 out.append((field.mul(c, cm), sub))
             return (one, ProdGate(tuple(out)))
-        degs = [metrics[id(ch)].syn_degree for (_, ch), _ in edges]
+        degs = [ch.syn_degree for (_, ch), _ in edges]
         d = sum(degs)
         prefix = 0
         m = len(edges)
@@ -861,7 +803,7 @@ def product_fanin_2(formula: Formula) -> Formula:
     for node in ir.postorder(out.root):
         if isinstance(node, ProdGate) and len(node.children) != 2:
             raise InternalInvariantError("product gate with fan-in != 2 in output")
-    if ir.metrics(out).size > m_in.size:
+    if out.root.size > formula.root.size:
         raise InternalInvariantError("leaf count grew in product_fanin_2")
     return out
 
@@ -878,8 +820,8 @@ def depth_reduce_homogeneous(formula: Formula) -> Formula:
     """
     d = ir.syn_degree(formula)
     f1 = depth_reduce_bb(formula, Fraction(1, 2))
+    _check_bb(formula, f1, Fraction(1, 2))
     f2 = depth_reduce_main(f1, "auto")
-    _check_bb(formula, f1, Fraction(1, 2))  # main measured f1
     m1 = ir.metrics(f1)
     out = collapse(f2)
     if d >= 1 and ir.metrics(out).size > m1.size * m1.size * max(d, 1):
@@ -903,8 +845,8 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
     if d <= 1:
         # no product structure: split-reduce, then flatten the sums
         f1 = depth_reduce_bb(formula, eps)
-        f2 = depth_reduce_main(f1, "auto")
         _check_bb(formula, f1, eps)
+        f2 = depth_reduce_main(f1, "auto")
         return collapse(f2)
     # branch test d^(4/eps) >= s, exactly: with eps = p/q it is d^(4q) >= s^p
     if d ** (4 * eps.denominator) >= s**eps.numerator:
@@ -912,11 +854,11 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
         _check_bb(formula, out, eps)
         return out
     f1 = depth_reduce_bb(formula, eps / 2)
+    _check_bb(formula, f1, eps / 2)
     delta = _floor_ratio_log(eps, s, d)
     if delta < 2:
         raise InternalInvariantError("branch condition must force delta >= 2")
     f2 = depth_reduce_main(f1, delta)
-    _check_bb(formula, f1, eps / 2)
     return collapse(f2)
 
 
@@ -954,8 +896,8 @@ def pipeline_inhom(formula: Formula) -> Formula:
     if d < 1:
         raise ValueError("pipeline needs degree >= 1; the input is a constant")
     f1 = depth_reduce_bb(formula, Fraction(1, 2))
+    _check_bb(formula, f1, Fraction(1, 2))
     comps = homogenize(f1, d)
-    _check_bb(formula, f1, Fraction(1, 2))  # homogenize measured f1
     comp_d = comps[d]
     if comp_d is None:
         raise InternalInvariantError("degree component missing for the output degree")

@@ -158,8 +158,8 @@ def test_reduce_rejects_bb_output_outside_contract(tmp_path, capsys, monkeypatch
 
 
 def test_metrics_walks_per_reduce(tmp_path, capsys, monkeypatch):
-    # every formula's root metrics are measured once and kept; passes that
-    # build a per-node map keep its root entry instead of walking again
+    # every node carries its metrics, so no pass, check or report walks the
+    # formula to measure it; the walks left build outputs or check shapes
     wide = bench.gen_random_homogeneous(6, 4, 60, seed=3)
     quadratic = bench.gen_random_homogeneous(6, 2, 60, seed=3)
     assert ir.max_fanin(wide) > 2 and 2**4 < ir.size(quadratic)
@@ -168,23 +168,23 @@ def test_metrics_walks_per_reduce(tmp_path, capsys, monkeypatch):
         files[name] = tmp_path / f"{name}.frm"
         sexpr.write_file(str(files[name]), f)
     walks = []
-    real = ir.metrics_map
+    real = ir.postorder
 
     def counting(root):
         walks.append(root)
         return real(root)
 
-    monkeypatch.setattr(ir, "metrics_map", counting)
+    monkeypatch.setattr(ir, "postorder", counting)
     out = str(tmp_path / "o.frm")
     cases = [
-        (["reduce", files["wide"], "--method", "homogeneous"], 4),
-        (["reduce", files["fan2"], "--method", "main"], 2),
-        (["reduce", files["wide"], "--method", "main"], 3),
-        (["reduce", files["wide"], "--method", "nearlinear"], 2),  # bb only
-        (["reduce", files["d2"], "--method", "nearlinear", "--epsilon", "1"], 4),
-        (["reduce", files["wide"], "--method", "pipeline"], 6),
+        (["reduce", files["wide"], "--method", "homogeneous"], 3),
+        (["reduce", files["fan2"], "--method", "main"], 1),
+        (["reduce", files["wide"], "--method", "main"], 2),
+        (["reduce", files["wide"], "--method", "nearlinear"], 1),  # bb only
+        (["reduce", files["d2"], "--method", "nearlinear", "--epsilon", "1"], 3),
+        (["reduce", files["wide"], "--method", "pipeline"], 8),
         (["prodfanin2", files["wide"]], 2),
-        (["reduce", files["wide"], "--method", "bb"], 2),
+        (["reduce", files["wide"], "--method", "bb"], 1),
     ]
     for argv, most in cases:
         walks.clear()
@@ -331,6 +331,33 @@ def test_refused_input_is_a_usage_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, argv
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("bench", "--family", "comb", "--sizes", "64", "--pass", "bb", "--csv", "{dir}"),
+     bench, "run"),
+    (("homogenize", "{src}", "--degree", "2", "--out-prefix", "{dir}/missing/c"),
+     transforms, "homogenize"),
+    (("reduce", "{src}", "--method", "bb", "-o", "{dir}/missing/o.frm"), transforms, "run_pass"),
+    (("prodfanin2", "{src}", "-o", "{dir}"), transforms, "run_pass"),
+    (("gen-hard", "--k", "2", "--r", "2", "-o", "{dir}/missing/g.frm"), hardpoly, "gen_hard"),
+], ids=["bench-csv", "homogenize", "reduce", "prodfanin2", "gen-hard"])
+def test_bad_output_path_is_refused_before_the_pass(tmp_path, capsys, monkeypatch, argv, module, name):
+    # an output that cannot be written exits 2 before any work runs
+    src = tmp_path / "in.frm"
+    src.write_text("(* (+ x1 1) (+ x2 x3))\n")
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    argv = [a.format(src=src, dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reduce_main_on_fanin_1_products(tmp_path, capsys):

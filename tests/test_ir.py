@@ -66,6 +66,38 @@ def test_metrics_roundtrip_invariant(corpus_both):
         assert ir.metrics(sexpr.parse(sexpr.serialize(f))) == ir.metrics(f)
 
 
+def test_deep_formulas_compare_hash_and_print():
+    # comb(8001) and an 8,001-leaf sum chain, at the default recursion limit
+    import sys
+    import time
+
+    from lowdepth.bench import gen_comb
+
+    chain = VarLeaf(8000)
+    for i in range(7999, -1, -1):
+        chain = SumGate(((ONE, VarLeaf(i)), (ONE, chain)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for f in (gen_comb(8001), F(chain)):
+            text = sexpr.serialize(f)
+            g = sexpr.parse(text)
+            last = text.rindex("x")  # the deepest leaf gets another variable
+            other = sexpr.parse(text[:last] + "x99999" + text[last:].lstrip("x0123456789"))
+            for check in (
+                lambda: f == g and f.root == g.root,
+                lambda: hash(f) == hash(g) and hash(f.root) == hash(g.root),
+                lambda: repr(f.root) == text.splitlines()[-1] and repr(f).startswith("Formula("),
+                lambda: f != other and f.root != other.root,
+                lambda: len({f.root, g.root}) == 1,
+            ):
+                start = time.perf_counter()
+                assert check()
+                assert time.perf_counter() - start < 10
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
@@ -220,7 +252,7 @@ def _reference_postorder(root):
 
 
 def _reference_metrics(node, vals):
-    """The per-node fold metrics_map replaced, as a plain tuple."""
+    """An independent per-node fold of the five metrics, as a plain tuple."""
     if isinstance(node, VarLeaf):
         return (1, 0, 0, 0, 1)
     if isinstance(node, OneLeaf):
@@ -255,15 +287,26 @@ def test_postorder_matches_reference_generator(corpus_both):
         assert order[-1] is root
 
 
-def test_metrics_map_matches_reference_fold(corpus_both):
+def test_stored_metrics_match_reference_fold(corpus_both):
+    # every node carries its metrics from construction, the shared DAG included
     for root in _kernel_inputs(corpus_both):
         ref = {}
         for node in _reference_postorder(root):
             kids = [ref[id(ch)] for _, ch in node.children] if ir.is_gate(node) else []
             ref[id(node)] = _reference_metrics(node, kids)
-        got = ir.metrics_map(root)
-        assert got == ref
-        assert all(type(m) is ir.GateMetrics for m in got.values())
+            got = (node.size, node.depth, node.sum_depth, node.product_depth, node.syn_degree)
+            assert got == ref[id(node)]
+
+
+@pytest.mark.parametrize("node, name", [
+    (SumGate(((ONE, VarLeaf(1)),)), "children"),
+    (VarLeaf(1), "var"),
+    (ProdGate(((ONE, VarLeaf(1)), (ONE, VarLeaf(2)))), "size"),
+])
+def test_nodes_refuse_assignment(node, name):
+    # a changed child would leave its ancestors' stored metrics stale
+    with pytest.raises(AttributeError):
+        setattr(node, name, getattr(node, name))
 
 
 def test_gate_metrics_fields_equality_and_report():

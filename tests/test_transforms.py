@@ -199,7 +199,6 @@ def test_find_split_uniqueness_matches_walk(corpus_both):
     for f in corpus_both:
         for g in (f, tr.binarize(f)):
             table = ir.metrics_table(g)
-            sizes = ir.metrics_map(g.root)
             s = table[0].size
             for k in (4, 16):
                 if s <= k:
@@ -210,7 +209,7 @@ def test_find_split_uniqueness_matches_walk(corpus_both):
                     (i, table[i].size)
                     for i, node in enumerate(ir.gates_preorder(g))
                     if ir.is_gate(node) and heavy(table[i].size)
-                    and not any(heavy(sizes[id(ch)].size) for _, ch in node.children)
+                    and not any(heavy(ch.size) for _, ch in node.children)
                 ]
                 gate_id, _, total, size_alpha, _ = views.split(g, k)
                 assert hits == [(gate_id, size_alpha)]
@@ -271,29 +270,6 @@ def test_bb_comb_memory_linear():
     finally:
         tracemalloc.stop()
     assert peak - input_bytes <= 2 * input_bytes
-
-
-def test_bb_comb_leaf_counting_linear(monkeypatch):
-    # counting every level's whole subtree visits about k*s gates on a comb;
-    # counting the input once and each level's new gates visits each gate
-    # about once
-    kept, visits, distinct = [], [], set()
-    leaf_counts = tr._leaf_counts
-
-    def counting(root, known):
-        counts = leaf_counts(root, known)
-        kept.append(root)  # keeps every counted gate alive, so ids stay distinct
-        visits.append(len(counts))
-        distinct.update(counts)
-        return counts
-
-    monkeypatch.setattr(tr, "_leaf_counts", counting)
-    f = gen_comb(2001)
-    tr.depth_reduce_bb(f, Fraction(1, 2))
-    input_gates = sum(1 for n in ir.gates_preorder(tr.binarize(f)) if ir.is_gate(n))
-    assert visits[0] == input_gates  # the binarized input, counted first
-    # distinct = the input's gates plus every gate a decomposition built
-    assert sum(visits) <= 2 * len(distinct)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 2), 1])

@@ -1,7 +1,7 @@
 """The decisions of the bb and main passes, read back for tests.
 
-Each view calls the functions the pass itself runs: bb's leaf counts, split
-walk and part builder, and main's potential map and frontier test.  Gates
+Each view calls the functions the pass itself runs: bb's split walk and part
+builder, and main's potential and frontier test.  Gates
 are named by preorder id (the index in ir.gates_preorder), so the formula
 must be a true tree, as parsing or ir.tree_materialize gives.
 """
@@ -23,13 +23,12 @@ def split(f: Formula, k: int):
 
     The walk raises InternalInvariantError on a gate with two heavy children.
     """
-    counts = tr._leaf_counts(f.root, {})
-    s = tr._leaves(f.root, counts, {})
+    s = f.root.size
     if s <= k:
         return None
-    path, alpha = tr._walk_split(f.root, counts, {}, s, k)
+    path, alpha = tr._walk_split(f.root, s, k)
     gate_id = next(i for i, node in enumerate(ir.gates_preorder(f)) if node is alpha)
-    return gate_id, alpha, s, counts[id(alpha)], path
+    return gate_id, alpha, s, alpha.size, path
 
 
 def parts(f: Formula, path):
@@ -60,11 +59,10 @@ def frontier(f: Formula, delta: int):
     Asserts what makes the frontier useful: replacing the members by fresh
     leaves leaves a skew formula of sum depth at most delta.
     """
-    phi = tr._phi_map(ir.metrics_map(f.root), delta)
-    phi_root = phi.get(id(f.root), 0)
+    phi_root = tr._potential(f.root, delta)
     if not phi_root:
         return frozenset(), phi_root
-    is_factor, members, stack = tr._below(phi, phi_root), set(), [f.root]
+    is_factor, members, stack = tr._below(phi_root, delta), set(), [f.root]
     while stack:
         for _, ch in stack.pop().children:
             if isinstance(ch, OneLeaf):
