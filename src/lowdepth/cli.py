@@ -65,12 +65,16 @@ def _emit(args, report: Report) -> None:
 
 def _refuse_bad_output(path: str | None, prefix: bool = False) -> None:
     """Raise OSError (exit 2) before any work runs when an output cannot be
-    written: open a file path, creating it but not truncating it, or open the
+    written: open a file path without truncating it, removing it again when
+    the check created it (so a failed pass leaves no file behind), or open the
     directory an --out-prefix writes into."""
     if prefix:
         os.scandir(os.path.dirname(path) or ".").close()
     elif path:
+        created = not os.path.exists(path)
         open(path, "a").close()
+        if created:
+            os.remove(path)
 
 
 def _write_formula(args, formula) -> None:

@@ -442,58 +442,53 @@ def _below(phi_root: int, delta: int):
 
 
 def _sigma_pi_terms(root: Node, is_factor, field: Field):
-    """Distribute the comb-shaped region below the gate root into
-    sum-of-products terms, in one walk.
+    """Distribute the skew region below the gate root into sum-of-products
+    terms, in one walk from the root.
 
     Each child is classified once: a 1-leaf is a constant, a node is_factor
-    marks is a factor (the region's boundary), and any other node is interior
-    and distributed in turn.  Returns merged (coefficient,
-    factor-position-tuple) terms with zero coefficients dropped; the
-    coefficient collects every edge scalar met on the way and factor order
-    follows the tree.
+    marks is a factor (the region's boundary), and any other node is interior.
+    A path carries its coefficient (every edge scalar met on the way) and the
+    factors met to its left and to its right.  A sum forks the path into its
+    children, in order; a product multiplies in its edge scalars, adds its
+    factors to the left or right and goes on into its one interior child, or
+    ends the path when it has none.  The region is skew, so a second interior
+    child breaks an invariant.  Returns merged (coefficient, factor tuple)
+    terms with zero coefficients dropped, factors in the order of the tree.
     """
-    one = field.one()
-    memo: dict[int, list] = {}  # interior gate id -> its terms
-    # a gate to enter, or (gate, its edges) to distribute once its interior
-    # children are done; an edge is its terms, or (scalar, interior child)
-    stack: list = [(root, None)]
-    while stack:
-        node, edges = stack.pop()
-        if edges is None:
-            if id(node) in memo:
-                continue  # a shared gate, distributed already
-            edges, interior = [], []
-            for c, ch in node.children:
-                if type(ch) is OneLeaf:
-                    edges.append([(c, ())])
-                elif is_factor(ch):
-                    edges.append([(c, (ch,))])
-                else:
-                    edges.append((c, ch))
-                    interior.append(ch)
-            stack.append((node, edges))
-            stack.extend((ch, None) for ch in interior if id(ch) not in memo)
-            continue
-        branches = [
-            e if type(e) is list else [(field.mul(e[0], c), fs) for c, fs in memo[id(e[1])]]
-            for e in edges
-        ]
-        if type(node) is SumGate:
-            memo[id(node)] = [t for branch in branches for t in branch]
-        else:
-            acc: list = [(one, ())]
-            for branch in branches:
-                acc = [(field.mul(c0, c1), f0 + f1) for c0, f0 in acc for c1, f1 in branch]
-            memo[id(node)] = acc
-
     merged: dict[tuple, list] = {}
-    for c, fs in memo[id(root)]:
-        key = tuple(id(f) for f in fs)
-        slot = merged.get(key)
-        if slot is None:
-            merged[key] = [c, fs]
+    # (coefficient, left factors, right factors, interior node or None once
+    # the path has ended)
+    stack: list = [(field.one(), (), (), root)]
+    while stack:
+        coef, left, right, node = stack.pop()
+        if node is None:
+            fs = left + right
+            key = tuple(id(f) for f in fs)
+            if key in merged:
+                merged[key][0] = field.add(merged[key][0], coef)
+            else:
+                merged[key] = [coef, fs]
+        elif type(node) is SumGate:
+            for c, ch in reversed(node.children):  # popped in tree order
+                if type(ch) is OneLeaf:
+                    stack.append((field.mul(coef, c), left, right, None))
+                elif is_factor(ch):
+                    stack.append((field.mul(coef, c), left + (ch,), right, None))
+                else:
+                    stack.append((field.mul(coef, c), left, right, ch))
         else:
-            slot[0] = field.add(slot[0], c)
+            before, after, inner = [], [], None
+            for c, ch in node.children:
+                coef = field.mul(coef, c)
+                if type(ch) is OneLeaf:
+                    continue
+                if is_factor(ch):
+                    (before if inner is None else after).append(ch)
+                elif inner is None:
+                    inner = ch
+                else:
+                    raise InternalInvariantError("a product with two interior children")
+            stack.append((coef, left + tuple(before), tuple(after) + right, inner))
     return [(c, fs) for c, fs in merged.values() if not field.is_zero(c)]
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from lowdepth import ir, poly, sexpr
 from lowdepth.bench import gen_random_homogeneous, gen_random_skew
 from lowdepth.hardpoly import HardParams, gen_hard
+from lowdepth.ir import SumGate, VarLeaf
 from lowdepth.transforms import binarize
 
 #: cap on parse trees so the expansion oracle stays fast
@@ -62,6 +64,14 @@ def hard_instances():
 def skew_corpus():
     return [gen_random_skew(rng_sd, seed=7000 + i, commutative=(i % 2 == 0))
             for i, rng_sd in enumerate([d for d in (0, 1, 2, 3, 4, 5, 6, 7, 8) for _ in range(4)])]
+
+
+def sum_chain(n: int) -> ir.Formula:
+    """The right-nested sum x0 + (x1 + (... + x(n-1))): n leaves, depth n - 1."""
+    node = VarLeaf(n - 1)
+    for i in range(n - 2, -1, -1):
+        node = SumGate(((Fraction(1), VarLeaf(i)), (Fraction(1), node)))
+    return ir.Formula(node)
 
 
 def assert_equivalent(a, b, budget: int = 10**6) -> None:

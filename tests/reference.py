@@ -8,6 +8,11 @@ a flat program: a postorder walk for the shape, a second one for the values,
 each edge scalar reduced where it is read, and the points drawn with
 `random.Random(seed).randrange(p)`.  Tests compare the compiled program with it
 value for value.
+
+The bottom-up distribution that `lowdepth.transforms` used to rewrite a skew
+region as a sum of products: one term list per interior gate, which each
+parent copies and rescales.  Tests compare the top-down walk with it term for
+term.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import random
 from collections import Counter
 
 from lowdepth import ir
+from lowdepth.ir import OneLeaf, SumGate
 from lowdepth.errors import BudgetExceeded, ModeMismatch
 from lowdepth.fields import Field, PrimeField, Scalar
 from lowdepth.pit import Value
@@ -211,3 +217,60 @@ def superdiagonal_leaves(seeds: list[int], variables: list[int], m: int, p: int)
         for v in variables:
             cols[v][t::trials] = [rng.randrange(p) for _ in range(m - 1)]
     return {v: {1: xs} for v, xs in cols.items()}
+
+
+# ---------------------------------------------------------------------------
+# Bottom-up distribution of a skew region
+# ---------------------------------------------------------------------------
+
+def sigma_pi_terms(root: ir.Node, is_factor, field: Field) -> list:
+    """The (coefficient, factor tuple) terms of the region below the gate
+    root, merged by factor identity with zero coefficients dropped.
+
+    Each child is classified once: a 1-leaf is a constant, a node is_factor
+    marks is a factor, and any other node is interior and distributed in turn;
+    a product takes the cross product of its children's term lists.
+    """
+    one = field.one()
+    memo: dict[int, list] = {}  # interior gate id -> its terms
+    # a gate to enter, or (gate, its edges) to distribute once its interior
+    # children are done; an edge is its terms, or (scalar, interior child)
+    stack: list = [(root, None)]
+    while stack:
+        node, edges = stack.pop()
+        if edges is None:
+            if id(node) in memo:
+                continue  # a shared gate, distributed already
+            edges, interior = [], []
+            for c, ch in node.children:
+                if type(ch) is OneLeaf:
+                    edges.append([(c, ())])
+                elif is_factor(ch):
+                    edges.append([(c, (ch,))])
+                else:
+                    edges.append((c, ch))
+                    interior.append(ch)
+            stack.append((node, edges))
+            stack.extend((ch, None) for ch in interior if id(ch) not in memo)
+            continue
+        branches = [
+            e if type(e) is list else [(field.mul(e[0], c), fs) for c, fs in memo[id(e[1])]]
+            for e in edges
+        ]
+        if type(node) is SumGate:
+            memo[id(node)] = [t for branch in branches for t in branch]
+        else:
+            acc: list = [(one, ())]
+            for branch in branches:
+                acc = [(field.mul(c0, c1), f0 + f1) for c0, f0 in acc for c1, f1 in branch]
+            memo[id(node)] = acc
+
+    merged: dict[tuple, list] = {}
+    for c, fs in memo[id(root)]:
+        key = tuple(id(f) for f in fs)
+        slot = merged.get(key)
+        if slot is None:
+            merged[key] = [c, fs]
+        else:
+            slot[0] = field.add(slot[0], c)
+    return [(c, fs) for c, fs in merged.values() if not field.is_zero(c)]

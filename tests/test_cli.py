@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 import lowdepth
-from lowdepth import bench, cli, hardpoly, ir, poly, sexpr, transforms
+from lowdepth import bench, cli, hardpoly, ir, pit, poly, sexpr, transforms
 from lowdepth.ir import ProdGate, SumGate, VarLeaf
 from lowdepth.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
+
+from conftest import sum_chain
 
 
 def run_cli(capsys, *argv):
@@ -360,6 +362,20 @@ def test_bad_output_path_is_refused_before_the_pass(tmp_path, capsys, monkeypatc
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_failed_pass_leaves_no_output_file(tmp_path, capsys):
+    # the output check must not leave its probe file behind when the pass
+    # then fails, nor touch a file that was there before
+    src, out = tmp_path / "comb.frm", tmp_path / "new.frm"
+    sexpr.write_file(str(src), bench.gen_comb(300))
+    argv = ("reduce", str(src), "--method", "pipeline", "-o", str(out))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and "mixes degrees" in err
+    assert not out.exists()
+    out.write_text("(+ x1 x2)\n")
+    assert run_cli(capsys, *argv)[0] == EXIT_USAGE
+    assert out.read_text() == "(+ x1 x2)\n"
+
+
 def test_reduce_main_on_fanin_1_products(tmp_path, capsys):
     p = tmp_path / "p.frm"
     for text in ("(* x3)\n", "(* (* x3) x1)\n"):
@@ -409,6 +425,70 @@ def test_cli_sweep_exit_codes(tmp_path, capsys):
                 assert argv[0] not in ("reduce", "prodfanin2"), (text, argv, err)
                 verdicts = [r["verify"]["verdict"] for r in reports(out)]
                 assert verdicts[-1:] in (["unequal"], ["failed"]), (text, argv, err)
+
+
+@pytest.fixture(scope="module")
+def deep_inputs(tmp_path_factory):
+    """comb(8001) and the 8,001-leaf sum chain, as formulas and as files."""
+    out = {}
+    for name, f in (("comb", bench.gen_comb(8001)), ("chain", sum_chain(8001))):
+        path = tmp_path_factory.mktemp("deep") / f"{name}.frm"
+        sexpr.write_file(str(path), f)
+        out[name] = (f, str(path))
+    return out
+
+
+DEEP_CLI = [
+    ("stats",), ("validate",), ("prodfanin2", "-o", "{out}"),
+    ("homogenize", "--degree", "2", "--out-prefix", "{out}c"),
+    ("verify-equal", "{src}", "--method", "pit"),
+] + [("reduce", "--method", m, "--no-verify", "-o", "{out}")
+     for m in ("bb", "main", "nearlinear", "homogeneous")]
+
+DEEP_LIBRARY = {
+    "binarize": transforms.binarize,
+    "product_fanin_2": transforms.product_fanin_2,
+    "depth_reduce_bb": transforms.depth_reduce_bb,
+    "depth_reduce_main": lambda f: transforms.depth_reduce_main(f, "auto"),
+    "depth_reduce_nearlinear": transforms.depth_reduce_nearlinear,
+    "depth_reduce_homogeneous": transforms.depth_reduce_homogeneous,
+    "homogenize": lambda f: transforms.homogenize(f, 2),
+    "pit_equal": lambda f: pit.pit_equal(f, f),
+    "collapse": transforms.collapse,
+    "skew_to_sigma_pi": transforms.skew_to_sigma_pi,
+}
+
+# collapse on the chain and skew_to_sigma_pi on comb take longer than 10 s;
+# ROADMAP.md item 3 names every row left out of the sweep, with its reason
+DEEP_ROWS = [(shape, "cli", argv) for shape in ("comb", "chain") for argv in DEEP_CLI] + [
+    (shape, "lib", name) for shape in ("comb", "chain") for name in DEEP_LIBRARY
+    if (shape, name) not in (("chain", "collapse"), ("comb", "skew_to_sigma_pi"))]
+
+
+@pytest.mark.parametrize("shape, kind, row", DEEP_ROWS,
+                         ids=[f"{s}-{' '.join(a for a in r if '{' not in a) if k == 'cli' else r}"
+                              for s, k, r in DEEP_ROWS])
+def test_deep_sweep(deep_inputs, tmp_path, capsys, shape, kind, row):
+    # depth 8000 at the interpreter's default recursion limit: every row ends
+    # in a documented exit code, with no traceback, within 10 s
+    import sys
+    import time
+
+    f, src = deep_inputs[shape]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        start = time.perf_counter()
+        if kind == "cli":
+            argv = [row[0], src] + [a.format(src=src, out=tmp_path / "o") for a in row[1:]]
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_BUDGET), err
+            assert "Traceback" not in err
+        else:
+            DEEP_LIBRARY[row](f)
+        assert time.perf_counter() - start < 10
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_check_hard(capsys):

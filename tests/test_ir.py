@@ -8,6 +8,8 @@ from lowdepth.fields import PrimeField, QQ
 from lowdepth.hardpoly import HardParams, gen_hard, sigma_partition
 from lowdepth.ir import Formula, OneLeaf, ProdGate, SumGate, VarLeaf
 
+from conftest import sum_chain
+
 ONE = Fraction(1)
 
 
@@ -73,13 +75,10 @@ def test_deep_formulas_compare_hash_and_print():
 
     from lowdepth.bench import gen_comb
 
-    chain = VarLeaf(8000)
-    for i in range(7999, -1, -1):
-        chain = SumGate(((ONE, VarLeaf(i)), (ONE, chain)))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for f in (gen_comb(8001), F(chain)):
+        for f in (gen_comb(8001), sum_chain(8001)):
             text = sexpr.serialize(f)
             g = sexpr.parse(text)
             last = text.rindex("x")  # the deepest leaf gets another variable

@@ -10,14 +10,15 @@ from lowdepth import transforms as tr
 from lowdepth.bench import gen_comb, gen_random_homogeneous
 from lowdepth.errors import (
     DuplicateLeafVariable,
+    InternalInvariantError,
     NotSemanticallyHomogeneous,
     NotSkew,
 )
-from lowdepth.fields import QQ, PrimeField
+from lowdepth.fields import QQ, PrimeField, Rationals
 from lowdepth.hardpoly import HardParams, gen_hard
 from lowdepth.ir import Formula, OneLeaf, ProdGate, SumGate, VarLeaf
 
-from conftest import assert_equivalent, digest
+from conftest import assert_equivalent, digest, sum_chain
 
 ONE = Fraction(1)
 
@@ -254,10 +255,9 @@ def test_bb_comb64():
 
 
 def test_bb_comb_memory_linear():
-    # the pass holds leaf counts for the input's gates, computed once, plus
-    # one level's map for the gates decompositions built, which it drops
-    # before recursing: holding a whole-subtree map per level costs about 8x
-    # the input on a comb, while the output alone is about 1.3x
+    # every node carries its leaf count, so the pass keeps no per-gate map:
+    # beyond the input it holds only its output (about 1x the input here,
+    # by tracemalloc) and the pending recursion
     import tracemalloc
 
     tracemalloc.start()
@@ -492,6 +492,53 @@ def test_skew_to_sigma_pi_bounds(skew_corpus):
             assert counts.get(v, 0) == 1, f"non-duplicable x{v} occurs {counts.get(v, 0)} times"
         for v, c in counts.items():
             assert c <= 2**delta
+
+
+def _term_identity(terms) -> list:
+    """Terms by coefficient (type and value) and factor objects, in order."""
+    return [(type(c), c, tuple(id(f) for f in fs)) for c, fs in terms]
+
+
+def test_sigma_pi_walk_matches_bottom_up_reference(corpus_both, skew_corpus):
+    # main's frontier regions below every gate of potential >= 1, and the
+    # skew corpus: the top-down walk returns the reference's terms, with the
+    # same factor objects in the same order
+    regions = []
+    for f in corpus_both:
+        fb = tr.binarize(f)
+        m = ir.metrics(fb)
+        for delta in (1, 2, tr.auto_delta(m.size, m.syn_degree, m.sum_depth)):
+            for node in ir.postorder(fb.root):
+                phi = tr._potential(node, delta)
+                if phi >= 1:
+                    regions.append((node, tr._below(phi, delta), fb.field))
+    is_var = lambda node: type(node) is VarLeaf
+    regions += [(g.root, is_var, g.field) for g in skew_corpus if ir.is_gate(g.root)]
+    for root, is_factor, field in regions:
+        expected = reference.sigma_pi_terms(root, is_factor, field)
+        assert _term_identity(tr._sigma_pi_terms(root, is_factor, field)) == _term_identity(expected)
+
+
+def test_sigma_pi_walk_refuses_two_interior_children():
+    f = sexpr.parse("(+ x5 (* (+ x1 x2) (+ x3 x4)))")
+    with pytest.raises(InternalInvariantError):
+        tr._sigma_pi_terms(f.root, lambda node: type(node) is VarLeaf, f.field)
+
+
+def test_main_on_sum_chain_makes_linear_multiplications(monkeypatch):
+    # one region holds the whole chain at delta auto; the walk multiplies once
+    # per edge, where a term list per gate made about n^2/2 multiplications
+    n = 2001
+    calls = []
+    mul = Rationals.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Rationals, "mul", counting)
+    tr.depth_reduce_main(sum_chain(n), "auto")
+    assert len(calls) <= 4 * n
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +987,7 @@ def test_deep_comb_all_passes(monkeypatch):
         m = ir.metrics(fb)
         delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
         main = tr.depth_reduce_main(fb, delta)
-        # a right-nested sum chain of 8001 leaves
-        node = VarLeaf(8000)
-        for i in range(7999, -1, -1):
-            node = SumGate(((ONE, VarLeaf(i)), (ONE, node)))
-        comps = tr.homogenize(Formula(node), 1)
+        comps = tr.homogenize(sum_chain(8001), 1)
         ids, phi_root = views.frontier(fb, delta)
         assert (len(ids), phi_root) == (4, 2012)
         # nested ids: the leaf x0 and the middle gate take the fresh
