@@ -31,13 +31,9 @@ from .ir import (
     SumGate,
     VarLeaf,
     count_parse_trees,
-    enumerate_parse_trees,
     is_homogeneous,
-    is_monotone,
-    is_set_multilinear,
     is_skew,
     metrics,
-    metrics_table,
     validate,
     variables,
 )
@@ -65,8 +61,6 @@ from .hardpoly import (
     decode_var,
     encode_var,
     gen_hard,
-    lower_bound_params,
-    subpolynomial,
 )
 
 __version__ = "0.1.0"

@@ -237,10 +237,13 @@ def cmd_check_hard(args) -> int:
 
 
 def cmd_verify_equal(args) -> int:
-    a = sexpr.parse_file(args.lhs)
-    b = sexpr.parse_file(args.rhs)
+    scalars: list = []
+    a = sexpr.parse_program_file(args.lhs, scalars)
+    b = sexpr.parse_program_file(args.rhs, scalars)
     cfg = pit.PITConfig(trials=args.trials, prime=args.prime, seed=args.seed)
-    verdict, method, witness = pit.verify(a, b, args.method, args.budget, cfg)
+    poly._check_comparable(a, b)
+    verdict, method, witness = pit.verify_programs(
+        [a.program, b.program], scalars, a.commutative, a.field, args.method, args.budget, cfg)
     rep = Report(
         pass_name="verify-equal",
         params={"method": method},

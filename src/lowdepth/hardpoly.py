@@ -25,7 +25,6 @@ id = sigma_value * r^k + tau_value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotComputingH, ParamOutOfRange, UniverseTooLarge
 from .fields import QQ, Field
@@ -114,38 +113,6 @@ def gen_hard(
         raise UniverseTooLarge(f"{p.num_vars} variables exceed the bound {DEFAULT_UNIVERSE_BOUND}")
     root = _build(p, (), (), field.one())
     return Formula(root=root, commutative=commutative, field=field)
-
-
-def subpolynomial(
-    p: HardParams,
-    u: tuple[int, ...],
-    v: tuple[int, ...],
-    commutative: bool = True,
-    field: Field = QQ,
-) -> Formula:
-    """The subformula computing H[u, v]; the interleaved address
-    v1 u1 ... vl ul walks sum then product children from the output gate.
-
-    Up to renaming of variables this is the (k - l, r) instance.
-    """
-    if len(u) != len(v):
-        raise ValueError("u and v must have equal length")
-    if len(u) > p.k:
-        raise ValueError(f"prefix longer than k = {p.k}")
-    for s in u:
-        if s not in (1, 2):
-            raise ValueError("u letters must be 1 or 2")
-    for t in v:
-        if not 1 <= t <= p.r:
-            raise ValueError(f"v letters must be in 1..{p.r}")
-    root = _build(p, tuple(u), tuple(v), field.one())
-    return Formula(root=root, commutative=commutative, field=field)
-
-
-def sigma_partition(p: HardParams) -> list[set[int]]:
-    """The variable groups X[sigma], one per sigma in {1,2}^k."""
-    rk = p.r**p.k
-    return [set(range(s_val * rk, (s_val + 1) * rk)) for s_val in range(2**p.k)]
 
 
 def _monomial_vars(key, commutative: bool) -> list[int]:
@@ -265,22 +232,3 @@ def check_formula(
 
 def expected_monomials(p: HardParams) -> int:
     return p.r ** (p.degree - 1)
-
-
-def lower_bound_params(n: int, d: int) -> tuple[HardParams, Fraction]:
-    """Parameters (k, r) = (log2 d, floor(n^(1/k) / 2)) for an n-variable
-    budget and target degree d; returns (params, coverage = variables / n).
-
-    Requires d a power of two with d <= sqrt(n), which keeps r >= 2.
-    """
-    if d < 2 or d & (d - 1) != 0:
-        raise ParamOutOfRange(f"degree {d} must be a power of two, at least 2")
-    if d * d > n:
-        raise ParamOutOfRange(f"degree {d} above sqrt(n) for n = {n}")
-    k = d.bit_length() - 1
-    # largest r with (2r)^k <= n, i.e. r = floor(n^(1/k) / 2), never below 2
-    r = 2
-    while (2 * (r + 1)) ** k <= n:
-        r += 1
-    p = HardParams(k=k, r=r)
-    return p, Fraction(p.num_vars, n)

@@ -22,7 +22,8 @@ this module recurses on tree structure, node ==, hash and repr included.
 The walks share one kernel, postorder, which returns the distinct nodes as a
 list (children before parents) from one loop that dispatches on the node's
 exact type; node_attribute loops over that list.  compile_program flattens a
-formula to the Program that both oracles read: expansion and identity testing.
+formula to the Program that both oracles read: expansion and identity testing;
+sexpr.parse_program reads text straight into it, and builds no node.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import (
-    BudgetExceeded,
-    FieldUnordered,
-    InternalInvariantError,
-    WellFormednessError,
-)
+from .errors import InternalInvariantError, WellFormednessError
 from .fields import QQ, Field, Scalar
 
 
@@ -242,41 +238,51 @@ class Program(NamedTuple):
     variables: set[int]
 
 
-def compile_program(root: Node, scalars: list) -> Program:
-    """Flatten root in one loop over its postorder.
+def interner(scalars: list) -> Callable[[Scalar], int]:
+    """The function from an edge scalar to its slot in scalars.  Each distinct
+    scalar object is appended once, interned by identity, not by value; slot
+    0 is the unit 1 (put there when scalars is empty) and takes every weight
+    equal to 1."""
+    slot_of: dict[int, int] = {}  # id(scalar) -> slot
+    if not scalars:
+        scalars.append(1)
 
-    Each distinct edge-scalar object is appended to scalars once, interned by
-    identity, not by value; slot 0 is the unit 1 (put there when scalars is
-    empty) and takes every weight equal to 1.  The checks on the shape and the
-    reduction of the scalars are the caller's.
+    def slot(c: Scalar) -> int:
+        s = slot_of.get(id(c))
+        if s is None:
+            s = slot_of[id(c)] = 0 if c == 1 else len(scalars)
+            if s:
+                scalars.append(c)
+        return s
+
+    return slot
+
+
+def compile_program(root: Node, scalars: list) -> Program:
+    """Flatten root in one loop over its postorder, its edge scalars interned
+    into scalars (see interner).  The checks on the shape and the reduction
+    of the scalars are the caller's.
     """
     # one entry per node, and no object per node beyond a gate's child tuple,
     # which holds ints only and so leaves the garbage collector's lists
     kinds, args, weights, uses, vs = [], [], [], [], set()
     at: dict[int, int] = {}  # id(node) -> position
-    slot_of: dict[int, int] = {}  # id(scalar) -> slot
-    if not scalars:
-        scalars.append(1)
+    slot = interner(scalars)
     for i, node in enumerate(postorder(root)):
         at[id(node)] = i
         uses.append(0)
         kind = type(node)
         if kind is SumGate or kind is ProdGate:
-            is_sum = kind is SumGate
             kids, slots = [], None
             for j, (c, child) in enumerate(node.children):
                 k = at[id(child)]
                 kids.append(k)
                 uses[k] += 1
-                s = slot_of.get(id(c))
-                if s is None:
-                    s = slot_of[id(c)] = 0 if c == 1 else len(scalars)
-                    if s:
-                        scalars.append(c)
+                s = slot(c)
                 if s:
                     slots = slots or [0] * len(node.children)
                     slots[j] = s
-            kinds.append(_SUM if is_sum else _PROD)
+            kinds.append(_SUM if kind is SumGate else _PROD)
             args.append(tuple(kids))
             weights.append(slots)
         else:
@@ -355,10 +361,10 @@ def validate(formula: Formula) -> None:
     leaves hang off sum gates only, and a sum gate with only constant-leaf
     children appears only at the output.
 
-    sexpr.parse calls this only when the text has a constant-leaf token 1 or a
-    scalar that is zero in the field (fan-in 0 is a syntax error there), since
-    every rule here involves one of the two.  A rule about anything else must
-    extend that trigger, or parsed text will skip it.
+    sexpr.parse and parse_program call this only when the text has a
+    constant-leaf token 1 or a scalar that is zero in the field (fan-in 0 is a
+    syntax error there), since every rule here involves one of the two.  A rule
+    about anything else must extend that trigger, or parsed text will skip it.
     """
     is_zero, one = formula.field.is_zero, formula.field.one()
     stack: list[tuple[Node, Node | None]] = [(formula.root, None)]  # preorder over positions
@@ -397,18 +403,10 @@ class GateMetrics(NamedTuple):
     syn_degree: int
 
 
-def _metrics_of(node: Node) -> GateMetrics:
-    return GateMetrics(node.size, node.depth, node.sum_depth, node.product_depth, node.syn_degree)
-
-
 def metrics(formula: Formula) -> GateMetrics:
     """Metrics of the output gate."""
-    return _metrics_of(formula.root)
-
-
-def metrics_table(formula: Formula) -> dict[int, GateMetrics]:
-    """Per-gate metrics keyed by preorder gate id (0 = output gate)."""
-    return {i: _metrics_of(node) for i, node in enumerate(gates_preorder(formula))}
+    r = formula.root
+    return GateMetrics(r.size, r.depth, r.sum_depth, r.product_depth, r.syn_degree)
 
 
 def size(formula: Formula) -> int:
@@ -451,68 +449,6 @@ def is_skew(formula: Formula) -> bool:
     return True
 
 
-def is_monotone_syntactic(formula: Formula) -> bool:
-    """Sufficient sign condition: every edge weight is positive.
-
-    Requires an ordered field; raises FieldUnordered over a prime field.
-    """
-    if not formula.field.ordered:
-        raise FieldUnordered("syntactic monotonicity needs an ordered field")
-    for node in postorder(formula.root):
-        if is_gate(node):
-            for scalar, _ in node.children:
-                if not formula.field.is_positive(scalar):
-                    return False
-    return True
-
-
-def is_monotone(formula: Formula, mode: str = "syntactic", budget: int | None = None) -> bool:
-    """Monotonicity check.
-
-    syntactic: all edge weights positive (sufficient, never exploits
-    cancellation).  semantic: every monomial built by some parse tree keeps a
-    non-zero coefficient in the expanded polynomial.
-    """
-    if mode == "syntactic":
-        return is_monotone_syntactic(formula)
-    if mode == "semantic":
-        from . import poly  # local import; poly builds on this module
-
-        return poly.is_monotone_semantic(formula, budget=budget)
-    raise ValueError(f"unknown monotonicity mode {mode!r}")
-
-
-def is_set_multilinear(formula: Formula, partition: list[set[int]], budget: int | None = None) -> bool:
-    """True iff every expansion monomial takes exactly one variable per part.
-
-    The partition must cover all variables of the formula.
-    """
-    covered = set()
-    for part in partition:
-        covered |= set(part)
-    missing = variables(formula) - covered
-    if missing:
-        raise ValueError(f"partition does not cover variables {sorted(missing)[:5]}")
-    from . import poly
-
-    table = poly.expand(formula, budget=budget)
-    parts = [frozenset(p) for p in partition]
-    for key in table.terms:
-        per_part = [0] * len(parts)
-        for var, exp in poly.key_exponents(key, formula.commutative):
-            hit = False
-            for i, part in enumerate(parts):
-                if var in part:
-                    per_part[i] += exp
-                    hit = True
-                    break
-            if not hit:
-                return False
-        if any(c != 1 for c in per_part):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Parse trees
 # ---------------------------------------------------------------------------
@@ -531,41 +467,3 @@ def count_parse_trees(formula: Formula) -> int:
         return total
 
     return node_attribute(formula.root, fn)[id(formula.root)]  # type: ignore[return-value]
-
-
-def enumerate_parse_trees(formula: Formula, budget: int = 100_000) -> list[tuple[Scalar, tuple[int, ...]]]:
-    """All (coefficient, monomial-word) pairs, one per parse tree.
-
-    A parse tree keeps one child of every sum gate and all children of every
-    product gate; its monomial is the left-to-right word of variable leaves
-    and its coefficient the product of the edge scalars it uses.  Words are
-    returned as tuples of variable ids in formula order; commutative callers
-    canonicalize afterwards.  Entries are not merged, so summing them (after
-    merging equal monomials) reproduces the expanded polynomial.
-    """
-    n = count_parse_trees(formula)
-    if n > budget:
-        raise BudgetExceeded(f"{n} parse trees exceed budget {budget}")
-    field = formula.field
-    one = field.one()
-
-    def lists(node: Node, vals: list) -> list[tuple[Scalar, tuple[int, ...]]]:
-        if isinstance(node, VarLeaf):
-            return [(one, (node.var,))]
-        if isinstance(node, OneLeaf):
-            return [(one, ())]
-        if isinstance(node, SumGate):
-            out: list[tuple[Scalar, tuple[int, ...]]] = []
-            for (scalar, _), sub in zip(node.children, vals):
-                out.extend((field.mul(scalar, c), w) for c, w in sub)
-            return out
-        acc: list[tuple[Scalar, tuple[int, ...]]] = [(one, ())]
-        for (scalar, _), sub in zip(node.children, vals):
-            nxt: list[tuple[Scalar, tuple[int, ...]]] = []
-            for c0, w0 in acc:
-                for c1, w1 in sub:
-                    nxt.append((field.mul(c0, field.mul(scalar, c1)), w0 + w1))
-            acc = nxt
-        return acc
-
-    return node_attribute(formula.root, lists)[id(formula.root)]  # type: ignore[return-value]

@@ -13,14 +13,15 @@ errs with probability at most d/p for syntactic degree d, in both modes.
 An "unequal" verdict is certain and carries a witness that can be replayed;
 "equal-probably" reports the per-trial error bound.
 
-Each formula is compiled once to the flat program that exact expansion also
-reads (ir.compile_program: node kinds, child positions, parent-use counts,
-edge scalars interned by identity); verify compiles a pair once and hands the
-same programs to expansion and, on a fallback, to PIT.  Each equal scalar value
-is reduced mod p once.  All trials run in one pass over the program, and a
-value is dropped once its last parent has read it.  Scalar mode works on plain
-lists of residues, one per trial: a fan-in-2 sum is (c0*x + c1*y) % p and a
-fan-in-2 product c*x*y % p, in one comprehension each.  Points are drawn as
+Both oracles read one flat program per formula (ir.Program: node kinds, child
+positions, parent-use counts, edge scalars interned by identity).  verify
+compiles a pair of formulas once; verify_programs takes programs read straight
+from text (sexpr.parse_program), as verify-equal does, and hands them to
+expansion and, on a fallback, to PIT.  Each equal scalar value is reduced mod
+p once.  All trials run in one pass over the program, and a value is dropped
+once its last parent has read it.  Scalar mode works on plain lists of
+residues, one per trial: a fan-in-2 sum is (c0*x + c1*y) % p and a fan-in-2
+product c*x*y % p, in one comprehension each.  Points are drawn as
 random.randrange(p) does.
 
 Rational formulas are reduced mod the configured prime (sound: a mismatch mod
@@ -39,7 +40,7 @@ from math import prod
 from operator import add, mul
 
 from .errors import BudgetExceeded
-from .fields import MERSENNE61, PrimeField, _require_prime
+from .fields import MERSENNE61, Field, PrimeField, _require_prime
 from . import ir, poly
 from .ir import _ONE, _SUM, _VAR
 
@@ -208,27 +209,28 @@ def _entry(val: Value, i: int, j: int, trial: int, trials: int) -> int:
 def pit_equal(a: ir.Formula, b: ir.Formula, cfg: PITConfig = PITConfig()) -> PITResult:
     """Randomized equality test; see the module docstring for guarantees."""
     poly._check_comparable(a, b)
-    return _pit(a, *poly._compile(a, b), cfg)
+    return _pit(*poly._compile(a, b), a.commutative, a.field, cfg)
 
 
-def _pit(a: ir.Formula, progs: list[ir.Program], scalars: list, cfg: PITConfig) -> PITResult:
-    """pit_equal on the programs of a and of a formula comparable with it,
-    compiled over the one list scalars."""
+def _pit(progs: list[ir.Program], scalars: list, commutative: bool, field: Field,
+         cfg: PITConfig) -> PITResult:
+    """pit_equal on a pair of programs compiled over the one list scalars,
+    read in the given mode and field."""
     # formulas over a prime field are evaluated in it; the configured prime
     # applies only to rationals, whose scalars embed soundly mod any large p
-    native = isinstance(a.field, PrimeField)
-    p = a.field.p if native else cfg.prime
+    native = isinstance(field, PrimeField)
+    p = field.p if native else cfg.prime
     prog_a, prog_b = progs
     d = max(prog_a.degree, prog_b.degree, 1)
     size = max(prog_a.size, prog_b.size)
     if native:
         if p <= 2 * d:
-            raise ValueError(f"field {a.field.name} too small to test degree {d}")
+            raise ValueError(f"field {field.name} too small to test degree {d}")
     elif p <= 2 * d * size:
         raise ValueError(f"prime {p} below the heuristic floor 2 * degree * size = "
                          f"{2 * d * size}; error bounds would be weak")
     m = 1
-    if not a.commutative:
+    if not commutative:
         m = cfg.matrix_dim if cfg.matrix_dim is not None else d + 1
         if m < d + 1:
             raise ValueError(f"matrix dimension {m} below degree bound {d + 1}")
@@ -245,9 +247,9 @@ def _pit(a: ir.Formula, progs: list[ir.Program], scalars: list, cfg: PITConfig) 
     if first is None:
         return PITResult("equal-probably", trials, Fraction(d, p), None)
     t, i, j = first
-    witness = {"kind": "scalar" if a.commutative else "superdiagonal", "prime": p, "trial": t,
+    witness = {"kind": "scalar" if commutative else "superdiagonal", "prime": p, "trial": t,
                "trial_seed": seeds[t]}
-    if a.commutative:
+    if commutative:
         witness["point"] = {str(v): cols[v][t] for v in vs}
     else:
         witness.update(dim=m, entry=[i, j])
@@ -263,20 +265,27 @@ def verify(
     "expand" decides exactly ("equal" or "unequal") and lets BudgetExceeded
     through; "auto" expands and falls back to PIT when the expansion goes over
     budget; "pit" runs PIT directly, as pit_equal does.  Each formula is
-    compiled once, and both oracles read those programs.  Only a PIT "unequal"
-    carries a witness.
+    compiled once, and both oracles read those programs (verify_programs).
+    Only a PIT "unequal" carries a witness.
     """
     if method not in ("expand", "auto", "pit"):
         raise ValueError(f"unknown verification method {method!r}")
     poly._check_comparable(a, b)
-    progs, scalars = poly._compile(a, b)
+    return verify_programs(*poly._compile(a, b), a.commutative, a.field, method, budget, cfg)
+
+
+def verify_programs(progs: list[ir.Program], scalars: list, commutative: bool, field: Field,
+                    method: str, budget: int | None, cfg: PITConfig) -> tuple[str, str, dict | None]:
+    """verify on a comparable pair of programs compiled over the one list
+    scalars, read in the given mode and field."""
     if method != "pit":
         try:
-            return ("equal" if poly._expand(a, progs, scalars, budget)[2] else "unequal"), "expand", None
+            same = poly._expand(progs, scalars, commutative, field, budget)[2]
+            return ("equal" if same else "unequal"), "expand", None
         except BudgetExceeded:
             if method == "expand":
                 raise
-    res = _pit(a, progs, scalars, cfg)
+    res = _pit(progs, scalars, commutative, field, cfg)
     return res.verdict, "pit", res.witness
 
 

@@ -45,8 +45,6 @@ from .ir import _ONE, _SUM, _VAR
 
 #: Default cap on expansion table entries (per table).
 DEFAULT_EXPANSION_BUDGET = 10**6
-#: Default cap on parse-tree enumeration.
-DEFAULT_PARSE_TREE_BUDGET = 10**5
 
 CommKey = tuple[tuple[int, int], ...]
 Word = tuple[int, ...]
@@ -81,16 +79,8 @@ class PolyTable:
     field: Field
     terms: dict = dc_field(default_factory=dict)
 
-    def support(self) -> frozenset:
-        return frozenset(self.terms)
-
     def num_terms(self) -> int:
         return len(self.terms)
-
-    def max_total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(key_total_degree(k, self.commutative) for k in self.terms)
 
     def degrees_present(self) -> set[int]:
         return {key_total_degree(k, self.commutative) for k in self.terms}
@@ -286,10 +276,11 @@ def _kernel(prog: ir.Program, scalars: list, p: int | None, packing: Packing | N
     return tables[-1]
 
 
-def _expand(a: ir.Formula, progs: list[ir.Program], scalars: list, budget: int | None,
-            sizes: list[int] | None = None) -> tuple[dict, Packing | None, bool]:
-    """The internal root table and packing of progs[0], a's program, and
-    whether progs[1], when given, has the same polynomial.
+def _expand(progs: list[ir.Program], scalars: list, commutative: bool, field: Field,
+            budget: int | None, sizes: list[int] | None = None) -> tuple[dict, Packing | None, bool]:
+    """The internal root table and packing of progs[0], and whether progs[1],
+    when given, has the same polynomial; both are read in the given mode and
+    field.
 
     The programs share scalars and are packed alike, over the union of their
     variables at the larger degree.  Each distinct scalar is converted once:
@@ -298,13 +289,12 @@ def _expand(a: ir.Formula, progs: list[ir.Program], scalars: list, budget: int |
     budget.  The root tables are compared in the kernel's encoding, and
     nothing is decoded.
     """
-    f = a.field
-    p = f.p if isinstance(f, PrimeField) else None
+    p = field.p if isinstance(field, PrimeField) else None
     if p is not None:
         scalars = [c % p for c in scalars]
     else:
         scalars = [c.numerator if c.denominator == 1 else c for c in scalars]
-    packing = _packing(a.commutative, *progs)
+    packing = _packing(commutative, *progs)
     ta = _kernel(progs[0], scalars, p, packing, budget, sizes)
     return ta, packing, len(progs) > 1 and ta == _kernel(progs[1], scalars, p, packing, budget, None)
 
@@ -327,7 +317,7 @@ def expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -
     Distributes over the constructors: a sum gate adds scaled child tables, a
     product gate multiplies them in child order.
     """
-    root, packing, _ = _expand(formula, *_compile(formula), budget)
+    root, packing, _ = _expand(*_compile(formula), formula.commutative, formula.field, budget)
     return _table(formula, root, packing)
 
 
@@ -347,7 +337,7 @@ def _check_comparable(a: ir.Formula, b: ir.Formula) -> None:
 def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> bool:
     """Exact table equality of two formulas in the same mode and field."""
     _check_comparable(a, b)
-    return _expand(a, *_compile(a, b), budget)[2]
+    return _expand(*_compile(a, b), a.commutative, a.field, budget)[2]
 
 
 def expand_against(
@@ -358,45 +348,9 @@ def expand_against(
     table is decoded."""
     _check_comparable(formula, reference)
     sizes: list[int] = []
-    root, packing, same = _expand(formula, *_compile(formula, reference), budget, sizes)
+    root, packing, same = _expand(*_compile(formula, reference), formula.commutative, formula.field,
+                                  budget, sizes)
     return _table(formula, root, packing), _gate_sizes(formula, sizes), same
-
-
-def parse_tree_sum(formula: ir.Formula, budget: int = DEFAULT_PARSE_TREE_BUDGET) -> PolyTable:
-    """Sum the per-parse-tree monomials into a table; must agree with expand."""
-    comm, f = formula.commutative, formula.field
-    out: dict = {}
-    for coeff, word in ir.enumerate_parse_trees(formula, budget=budget):
-        key = word_to_comm_key(word) if comm else word
-        acc = f.add(out.get(key, f.zero()), coeff)
-        if f.is_zero(acc):
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return PolyTable(comm, f, out)
-
-
-def support_expand(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> frozenset:
-    """Support of the parse-tree sum with every scalar replaced by 1.
-
-    With all-positive unit weights no cancellation can occur, so this is the
-    set of monomials produced by at least one parse tree, computed without
-    enumerating parse trees.  The kernel runs over Q whatever the field, so
-    no count vanishes mod p.
-    """
-    (prog,), scalars = _compile(formula)
-    packing = _packing(formula.commutative, prog)
-    root = _kernel(prog, [1] * len(scalars), None, packing, budget, None)
-    return frozenset(root if packing is None else map(_decoder(packing), root))
-
-
-def is_monotone_semantic(formula: ir.Formula, budget: int | None = None) -> bool:
-    """True iff every parse-tree monomial survives in the expanded polynomial."""
-    budget = DEFAULT_EXPANSION_BUDGET if budget is None else budget
-    actual = expand(formula, budget=budget).support()
-    possible = support_expand(formula, budget=budget)
-    # actual is always a subset of possible; monotone means nothing cancelled
-    return actual == possible
 
 
 def gate_monomial_counts(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> dict[int, int]:
@@ -405,5 +359,5 @@ def gate_monomial_counts(formula: ir.Formula, budget: int | None = DEFAULT_EXPAN
     Keys are preorder gate ids (0 is the output gate).
     """
     sizes: list[int] = []
-    _expand(formula, *_compile(formula), budget, sizes)
+    _expand(*_compile(formula), formula.commutative, formula.field, budget, sizes)
     return _gate_sizes(formula, sizes)

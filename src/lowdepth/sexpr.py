@@ -19,23 +19,26 @@ sugar mapping (i, j) to a single id through the Cantor pairing
 Both header lines are optional on input and default to commutative over Q.
 
 The parser and serializer are iterative, so arbitrarily deep combs round-trip
-at the default recursion limit.  ir.validate is the one well-formedness check;
-the parser calls it only when the text has a constant-leaf token 1 or a scalar
-that is zero in the field (every rule of validate involves one of the two), so
-other text is walked once, and a syntax error anywhere still comes before any
-well-formedness error.  The tokenizer returns the bare token strings; a syntax
-error finds its character position by tokenizing again up to the offending
-token, so positions cost nothing on text that parses.
+at the default recursion limit.  One frame loop (_body) owns the grammar and
+every syntax error; parse makes nodes from it, and parse_program the flat
+ir.Program that both oracles read, with no node built.  ir.validate is the one
+well-formedness check; the parser calls it only when the text has a token 1 or
+a scalar zero in the field (every rule of validate involves one of the two;
+parse_program then goes through parse), so other text is walked once, and a
+syntax error anywhere still comes before any well-formedness error.  A syntax
+error finds its position by tokenizing again up to the offending token.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import FormulaSyntaxError
 from .fields import QQ, Field, Scalar, field_from_name
-from .ir import Formula, Node, OneLeaf, ProdGate, SumGate, VarLeaf, validate
+from .ir import (_ONE, _PROD, _SUM, _VAR, Formula, Node, OneLeaf, ProdGate, Program, SumGate,
+                 VarLeaf, compile_program, interner, validate)
 
 
 def cantor_pair(i: int, j: int) -> int:
@@ -58,14 +61,14 @@ def _position(text: str, start: int, index: int) -> int:
     return next(islice(_TOKEN.finditer(text, start), index, None)).start()
 
 
-def _parse_var(atom: str) -> VarLeaf | None:
+def _var_id(atom: str) -> int | None:
     body = atom[1:]
     if body.isdigit():
-        return VarLeaf(int(body))
+        return int(body)
     if body.startswith("_"):
         parts = body[1:].split("_")
         if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-            return VarLeaf(cantor_pair(int(parts[0]), int(parts[1])))
+            return cantor_pair(int(parts[0]), int(parts[1]))
     return None
 
 
@@ -73,8 +76,8 @@ def _parse_var(atom: str) -> VarLeaf | None:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse(text: str) -> Formula:
-    """Parse formula text; raises FormulaSyntaxError / WellFormednessError."""
+def _header(text: str) -> tuple[bool, Field, int]:
+    """The mode and field of the header lines, and where the expression starts."""
     commutative = True
     field: Field = QQ
     offset = 0
@@ -96,7 +99,17 @@ def parse(text: str) -> Formula:
             offset += len(line) + 1
         else:
             break
+    return commutative, field, offset
 
+
+def _body(text: str, offset: int, field: Field, var, const, sum_gate, prod_gate) -> tuple[object, bool]:
+    """Read the expression that starts at offset in one frame loop.
+
+    A leaf becomes var(id) or const(), and a gate, when its ")" is read,
+    sum_gate(edges) or prod_gate(edges) over the (scalar, child) edges of what
+    its children became, so in postorder.  Returns what the root became and
+    whether the text is suspect: it has a token 1 or a scalar zero in the field.
+    """
     tokens = _TOKEN.findall(text, offset)
     n = len(tokens)
     if not n:
@@ -109,10 +122,11 @@ def parse(text: str) -> Formula:
     scalars: dict[str, Scalar] = {}  # scalar text -> its value, parsed once per call
     # set when the text may break a rule of ir.validate (see its docstring)
     suspect = "1" in tokens
-    # Each frame is [op, index of its head token, items]; items are (scalar,
-    # node) edges, and a scale frame also holds its scalar.
+    # Each frame is [gate maker, or None for a scale; index of its head token;
+    # items], the items being (scalar, child) edges; a scale frame also holds
+    # its scalar.
     frames: list[list] = []
-    done: list[tuple] = []  # completed (scalar, node) at top level
+    done: list[tuple] = []  # completed (scalar, child) at top level
     idx = 0
     while idx < n:
         tok = tokens[idx]
@@ -121,7 +135,7 @@ def parse(text: str) -> Formula:
                 raise error("unterminated gate", idx)
             head = tokens[idx + 1]
             if head == "+" or head == "*":
-                frames.append([head, idx + 1, []])
+                frames.append([sum_gate if head == "+" else prod_gate, idx + 1, []])
                 idx += 2
                 continue
             if head != "scale":
@@ -137,15 +151,15 @@ def parse(text: str) -> Formula:
             if scalar is None:
                 scalar = scalars[sc_text] = field.parse(sc_text)
                 suspect = suspect or field.is_zero(scalar)
-            frames.append(["scale", idx + 1, [], scalar])
+            frames.append([None, idx + 1, [], scalar])
             idx += 3
             continue
         if tok == ")":
             if not frames:
                 raise error("unmatched )", idx)
             frame = frames.pop()
-            op, items = frame[0], frame[2]
-            if op == "scale":
+            make, items = frame[0], frame[2]
+            if make is None:
                 if len(items) != 1:
                     raise error("scale takes exactly one operand", frame[1])
                 if not field.is_one(items[0][0]):
@@ -154,14 +168,14 @@ def parse(text: str) -> Formula:
             elif not items:
                 raise error("gate with no children", frame[1])
             else:
-                edge = (one, (SumGate if op == "+" else ProdGate)(tuple(items)))
+                edge = (one, make(tuple(items)))
         elif tok == "1":
-            edge = (one, OneLeaf())
+            edge = (one, const())
         elif tok[0] == "x":
-            leaf = _parse_var(tok)
-            if leaf is None:
+            v = _var_id(tok)
+            if v is None:
                 raise error(f"bad variable {tok!r}", idx)
-            edge = (one, leaf)
+            edge = (one, var(v))
         else:
             raise error(f"unexpected token {tok!r}", idx)
         idx += 1
@@ -169,7 +183,7 @@ def parse(text: str) -> Formula:
             done.append(edge)
             continue
         top = frames[-1]
-        if top[0] == "scale" and top[2]:
+        if top[0] is None and top[2]:
             raise error("scale takes exactly one operand", top[1])
         top[2].append(edge)
 
@@ -180,10 +194,69 @@ def parse(text: str) -> Formula:
     scalar, root = done[0]
     if not field.is_one(scalar):
         raise FormulaSyntaxError("scale must sit directly under a gate", 0)
+    return root, suspect
+
+
+def parse(text: str) -> Formula:
+    """Parse formula text; raises FormulaSyntaxError / WellFormednessError."""
+    commutative, field, offset = _header(text)
+    root, suspect = _body(text, offset, field, VarLeaf, OneLeaf, SumGate, ProdGate)
     formula = Formula(root=root, commutative=commutative, field=field)
     if suspect:
         validate(formula)
     return formula
+
+
+class Parsed(NamedTuple):
+    """A formula's program, as both oracles read it, with its mode and field."""
+
+    program: Program
+    commutative: bool
+    field: Field
+
+
+def parse_program(text: str, scalars: list) -> Parsed:
+    """compile_program(parse(text).root, scalars) and the header, read
+    without building a node: the parser meets the nodes in the program's
+    postorder.  Suspect text (see _body) goes through parse and
+    compile_program, so ir.validate stays the one owner of well-formedness.
+    """
+    commutative, field, offset = _header(text)
+    start, slot, one = len(scalars), interner(scalars), field.one()
+    kinds, args, weights, degrees, vs = [], [], [], [], set()
+
+    def add(kind: int, arg, slots: list | None, degree: int) -> int:
+        kinds.append(kind)
+        args.append(arg)
+        weights.append(slots)
+        degrees.append(degree)
+        return len(kinds) - 1
+
+    def gate(kind: int, fold):
+        def make(edges: tuple) -> int:
+            kids, slots = [], None
+            for c, k in edges:
+                kids.append(k)
+                if c is not one and (s := slot(c)):
+                    slots = slots or [0] * len(edges)
+                    slots[len(kids) - 1] = s
+            return add(kind, tuple(kids), slots, fold([degrees[k] for k in kids]))
+
+        return make
+
+    def var(v: int) -> int:
+        vs.add(v)
+        return add(_VAR, v, None, 1)
+
+    _, suspect = _body(text, offset, field, var, lambda: add(_ONE, None, None, 0),
+                       gate(_SUM, max), gate(_PROD, sum))
+    if suspect:
+        del scalars[start:]
+        return Parsed(compile_program(parse(text).root, scalars), commutative, field)
+    uses = [1] * len(kinds)  # text is a tree: one parent edge per node but the root
+    uses[-1] = 0
+    size = len(kinds) - kinds.count(_SUM) - kinds.count(_PROD)
+    return Parsed(Program(kinds, args, weights, uses, degrees[-1], size, vs), commutative, field)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +302,11 @@ def render(root: Node, field: Field = QQ) -> str:
 def parse_file(path: str) -> Formula:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
+
+
+def parse_program_file(path: str, scalars: list) -> Parsed:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_program(fh.read(), scalars)
 
 
 def write_file(path: str, formula: Formula) -> None:

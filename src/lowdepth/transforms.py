@@ -236,39 +236,115 @@ def _fanin_2(formula: Formula) -> Formula:
 # collapse
 # ---------------------------------------------------------------------------
 
+class _Block:
+    """A gate of collapse's output before it is built.  Its parts are (scalar,
+    ref) edges; ref is a leaf, a block of the other kind or one of this kind,
+    whose edges are inlined with the scalar multiplied into all of them (a
+    sum) or the first (a product).  n counts the edges once constants merge,
+    k those that are not constants; a sum's one constant left has value const
+    and sits at the constant part place.  node is the gate once built."""
+
+    __slots__ = ("kind", "parts", "n", "k", "const", "place", "node")
+
+    def __init__(self, *fields):
+        self.kind, self.parts, self.n, self.k, self.const, self.place, self.node = fields
+
+
 def collapse(formula: Formula) -> Formula:
     """Flatten same-kind nesting: no sum feeds a sum, no product a product.
 
     Edge scalars multiply through per field axioms; fan-in-1 gates are
     absorbed.  Output alternates gate kinds, so depth is at most
-    2 * product_depth + 1.  Leaf count never grows.
+    2 * product_depth + 1.  Leaf count never grows.  Each gate becomes a
+    _Block bottom-up, built at once when it has nothing to inline; the others
+    read their edges from their top (_edges), so n nested sums cost O(n).
     """
     field = formula.field
-    one = field.one()
-
-    def fn(node: Node, vals: list) -> tuple[Scalar, Node]:
-        if is_leaf(node):
-            return (one, node)
-        edges = []
-        for (c, _), (cm, sub) in zip(node.children, vals):
-            c2 = field.mul(c, cm)
-            if isinstance(node, SumGate) and isinstance(sub, SumGate):
-                edges.extend((field.mul(c2, cc), g) for cc, g in sub.children)
-            elif isinstance(node, ProdGate) and isinstance(sub, ProdGate):
-                for i, (cc, g) in enumerate(sub.children):
-                    edges.append((field.mul(c2, cc) if i == 0 else cc, g))
+    one, mul = field.one(), field.mul
+    val: dict[int, tuple] = {}  # id(node) -> (scalar, leaf or _Block)
+    for node in ir.postorder(formula.root):
+        kind = type(node)
+        if kind is not SumGate and kind is not ProdGate:
+            val[id(node)] = (one, node)
+            continue
+        parts, consts = [], []  # consts: (value, place) of each constant edge, in order
+        n = k = 0
+        plain = True  # no part to inline, and every part is built
+        for c, child in node.children:
+            m, ref = val[id(child)]
+            part = (c if m is one else mul(c, m), ref)
+            parts.append(part)
+            if type(ref) is not _Block:
+                n, k = n + 1, k + (type(ref) is not OneLeaf)
+                if type(ref) is OneLeaf:
+                    consts.append((part[0], part))
+            elif ref.kind is kind:
+                plain, n, k = False, n + ref.n, k + ref.k
+                if ref.const is not None:
+                    consts.append((mul(part[0], ref.const), ref.place))
             else:
-                edges.append((c2, sub))
-        if isinstance(node, SumGate):
-            edges = _merge_constant_edges(edges, field)
-        if not edges:
+                n, k, plain = n + 1, k + 1, plain and ref.node is not None
+        const = place = None
+        if kind is SumGate and consts:
+            const = consts[0][0]
+            for c, _ in consts[1:]:
+                const = field.add(const, c)
+            if len(consts) > 1 and field.is_zero(const):
+                const = None
+            else:
+                place = consts[0][1]
+            n, plain = k + (const is not None), plain and len(consts) == 1
+        if not n:
             raise ValueError("formula computes the zero polynomial; cannot collapse")
-        if len(edges) == 1 and not isinstance(edges[0][1], OneLeaf):
-            return edges[0]
-        return (one, type(node)(tuple(edges)))
+        b = _Block(kind, parts, n, k, const, place, _gate(kind, parts) if plain else None)
+        val[id(node)] = _absorbed(b, one, mul) if n == 1 and k == 1 else (one, b)
+    scalar, out = val[id(formula.root)]
+    stack: list = [(out, None)] if type(out) is _Block else []
+    while stack:  # build the blocks left, children first
+        b, edges = stack.pop()
+        if edges is not None:
+            b.node = _gate(b.kind, edges)
+        elif b.node is None:
+            edges = _edges(b, one, mul)
+            stack.append((b, edges))
+            stack.extend([(r, None) for _, r in edges if type(r) is _Block])
+    return formula.with_root(scale_node(scalar, out.node if type(out) is _Block else out, field))
 
-    scalar, out = ir.node_attribute(formula.root, fn)[id(formula.root)]  # type: ignore[misc]
-    return formula.with_root(scale_node(scalar, out, field))
+
+def _gate(kind: type, edges: list) -> Node:
+    return kind(tuple([(c, r.node if type(r) is _Block else r) for c, r in edges]))
+
+
+def _absorbed(b: _Block, coef: Scalar, mul) -> tuple[Scalar, Node]:
+    """The one edge, not a constant, that block b is left with, scaled by coef."""
+    while True:
+        for c, ref in b.parts:
+            inlined = type(ref) is _Block and ref.kind is b.kind
+            if (ref.k if inlined else type(ref) is not OneLeaf):
+                break
+        coef = mul(coef, c)
+        if not inlined:
+            return coef, ref
+        b = ref
+
+
+def _edges(b: _Block, one: Scalar, mul) -> list:
+    """The edges of block b, its inlined blocks read from the top with an
+    explicit stack: a sum scales every inlined edge, a product its first."""
+    edges, work, place = [], [(one, part) for part in reversed(b.parts)], b.place
+    while work:
+        f, part = work.pop()
+        c, ref = part
+        if type(ref) is _Block and ref.kind is b.kind:
+            c = mul(f, c)
+            work.extend([(c, p) for p in reversed(ref.parts)] if b.kind is SumGate
+                        else [(one, p) for p in reversed(ref.parts[1:])] + [(c, ref.parts[0])])
+        elif type(ref) is not OneLeaf or b.kind is ProdGate:
+            edges.append((mul(f, c), ref))
+        elif part is place:  # the sum's one constant left
+            edges.append((b.const, ref))
+            place = None
+    return edges
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,27 @@ The bottom-up distribution that `lowdepth.transforms` used to rewrite a skew
 region as a sum of products: one term list per interior gate, which each
 parent copies and rescales.  Tests compare the top-down walk with it term for
 term.
+
+The bottom-up collapse, which copies the edge list of each collapsed child of
+the same kind into its parent.  Tests compare the block-wise collapse with it
+byte for byte.
+
+Predicates and oracles that only the tests use: monotonicity, set-
+multilinearity, parse-tree enumeration and its sum, the unit-weight support,
+and the sub-instances, variable groups and parameters of the hard polynomial.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
-from lowdepth import ir
+from lowdepth import hardpoly, ir, poly
 from lowdepth.ir import OneLeaf, SumGate
-from lowdepth.errors import BudgetExceeded, ModeMismatch
-from lowdepth.fields import Field, PrimeField, Scalar
+from lowdepth.errors import BudgetExceeded, FieldUnordered, ModeMismatch, ParamOutOfRange
+from lowdepth.fields import QQ, Field, PrimeField, Scalar
+from lowdepth.hardpoly import HardParams
 from lowdepth.pit import Value
 from lowdepth.poly import CommKey, PolyTable
 
@@ -274,3 +284,241 @@ def sigma_pi_terms(root: ir.Node, is_factor, field: Field) -> list:
         else:
             slot[0] = field.add(slot[0], c)
     return [(c, fs) for c, fs in merged.values() if not field.is_zero(c)]
+
+
+# ---------------------------------------------------------------------------
+# Bottom-up collapse
+# ---------------------------------------------------------------------------
+
+def collapse(formula: ir.Formula) -> ir.Formula:
+    """collapse as one bottom-up walk: each gate copies, and rescales, the
+    edge list of every collapsed child of its own kind."""
+    from lowdepth.transforms import _merge_constant_edges, scale_node
+
+    field = formula.field
+    one = field.one()
+
+    def fn(node: ir.Node, vals: list) -> tuple:
+        if ir.is_leaf(node):
+            return (one, node)
+        edges = []
+        for (c, _), (cm, sub) in zip(node.children, vals):
+            c2 = field.mul(c, cm)
+            if isinstance(node, SumGate) and isinstance(sub, SumGate):
+                edges.extend((field.mul(c2, cc), g) for cc, g in sub.children)
+            elif isinstance(node, ir.ProdGate) and isinstance(sub, ir.ProdGate):
+                for i, (cc, g) in enumerate(sub.children):
+                    edges.append((field.mul(c2, cc) if i == 0 else cc, g))
+            else:
+                edges.append((c2, sub))
+        if isinstance(node, SumGate):
+            edges = _merge_constant_edges(edges, field)
+        if not edges:
+            raise ValueError("formula computes the zero polynomial; cannot collapse")
+        if len(edges) == 1 and not isinstance(edges[0][1], OneLeaf):
+            return edges[0]
+        return (one, type(node)(tuple(edges)))
+
+    scalar, out = ir.node_attribute(formula.root, fn)[id(formula.root)]
+    return formula.with_root(scale_node(scalar, out, field))
+
+
+# ---------------------------------------------------------------------------
+# Predicates and oracles over parse trees and the hard instances
+# ---------------------------------------------------------------------------
+
+def is_monotone_syntactic(formula: ir.Formula) -> bool:
+    """Sufficient sign condition: every edge weight is positive.
+
+    Requires an ordered field; raises FieldUnordered over a prime field.
+    """
+    if not formula.field.ordered:
+        raise FieldUnordered("syntactic monotonicity needs an ordered field")
+    for node in ir.postorder(formula.root):
+        if ir.is_gate(node):
+            for scalar, _ in node.children:
+                if not formula.field.is_positive(scalar):
+                    return False
+    return True
+
+
+def is_monotone(formula: ir.Formula, mode: str = "syntactic", budget: int | None = None) -> bool:
+    """Monotonicity check.
+
+    syntactic: all edge weights positive (sufficient, never exploits
+    cancellation).  semantic: every monomial built by some parse tree keeps a
+    non-zero coefficient in the expanded polynomial.
+    """
+    if mode == "syntactic":
+        return is_monotone_syntactic(formula)
+    if mode == "semantic":
+        return is_monotone_semantic(formula, budget=budget)
+    raise ValueError(f"unknown monotonicity mode {mode!r}")
+
+
+def is_set_multilinear(formula: ir.Formula, partition: list[set[int]], budget: int | None = None) -> bool:
+    """True iff every expansion monomial takes exactly one variable per part.
+
+    The partition must cover all variables of the formula.
+    """
+    covered = set()
+    for part in partition:
+        covered |= set(part)
+    missing = ir.variables(formula) - covered
+    if missing:
+        raise ValueError(f"partition does not cover variables {sorted(missing)[:5]}")
+    table = poly.expand(formula, budget=budget)
+    parts = [frozenset(p) for p in partition]
+    for key in table.terms:
+        per_part = [0] * len(parts)
+        for var, exp in poly.key_exponents(key, formula.commutative):
+            hit = False
+            for i, part in enumerate(parts):
+                if var in part:
+                    per_part[i] += exp
+                    hit = True
+                    break
+            if not hit:
+                return False
+        if any(c != 1 for c in per_part):
+            return False
+    return True
+
+
+def enumerate_parse_trees(formula: ir.Formula, budget: int = 100_000) -> list[tuple[Scalar, tuple[int, ...]]]:
+    """All (coefficient, monomial-word) pairs, one per parse tree.
+
+    A parse tree keeps one child of every sum gate and all children of every
+    product gate; its monomial is the left-to-right word of variable leaves
+    and its coefficient the product of the edge scalars it uses.  Words are
+    returned as tuples of variable ids in formula order; commutative callers
+    canonicalize afterwards.  Entries are not merged, so summing them (after
+    merging equal monomials) reproduces the expanded polynomial.
+    """
+    n = ir.count_parse_trees(formula)
+    if n > budget:
+        raise BudgetExceeded(f"{n} parse trees exceed budget {budget}")
+    field = formula.field
+    one = field.one()
+
+    def lists(node: ir.Node, vals: list) -> list[tuple[Scalar, tuple[int, ...]]]:
+        if isinstance(node, ir.VarLeaf):
+            return [(one, (node.var,))]
+        if isinstance(node, OneLeaf):
+            return [(one, ())]
+        if isinstance(node, SumGate):
+            out: list[tuple[Scalar, tuple[int, ...]]] = []
+            for (scalar, _), sub in zip(node.children, vals):
+                out.extend((field.mul(scalar, c), w) for c, w in sub)
+            return out
+        acc: list[tuple[Scalar, tuple[int, ...]]] = [(one, ())]
+        for (scalar, _), sub in zip(node.children, vals):
+            nxt: list[tuple[Scalar, tuple[int, ...]]] = []
+            for c0, w0 in acc:
+                for c1, w1 in sub:
+                    nxt.append((field.mul(c0, field.mul(scalar, c1)), w0 + w1))
+            acc = nxt
+        return acc
+
+    return ir.node_attribute(formula.root, lists)[id(formula.root)]
+
+
+def parse_tree_sum(formula: ir.Formula, budget: int = 10**5) -> PolyTable:
+    """Sum the per-parse-tree monomials into a table; must agree with expand."""
+    comm, f = formula.commutative, formula.field
+    out: dict = {}
+    for coeff, word in enumerate_parse_trees(formula, budget=budget):
+        key = poly.word_to_comm_key(word) if comm else word
+        acc = f.add(out.get(key, f.zero()), coeff)
+        if f.is_zero(acc):
+            out.pop(key, None)
+        else:
+            out[key] = acc
+    return PolyTable(comm, f, out)
+
+
+def support_expand(formula: ir.Formula, budget: int | None = poly.DEFAULT_EXPANSION_BUDGET) -> frozenset:
+    """Support of the parse-tree sum with every scalar replaced by 1.
+
+    With all-positive unit weights no cancellation can occur, so this is the
+    set of monomials produced by at least one parse tree, computed without
+    enumerating parse trees.  The kernel runs over Q whatever the field, so
+    no count vanishes mod p.
+    """
+    (prog,), scalars = poly._compile(formula)
+    packing = poly._packing(formula.commutative, prog)
+    root = poly._kernel(prog, [1] * len(scalars), None, packing, budget, None)
+    return frozenset(root if packing is None else map(poly._decoder(packing), root))
+
+
+def is_monotone_semantic(formula: ir.Formula, budget: int | None = None) -> bool:
+    """True iff every parse-tree monomial survives in the expanded polynomial."""
+    budget = poly.DEFAULT_EXPANSION_BUDGET if budget is None else budget
+    actual = frozenset(poly.expand(formula, budget=budget).terms)
+    possible = support_expand(formula, budget=budget)
+    # actual is always a subset of possible; monotone means nothing cancelled
+    return actual == possible
+
+
+def metrics_table(formula: ir.Formula) -> dict[int, ir.GateMetrics]:
+    """Per-gate metrics keyed by preorder gate id (0 = output gate)."""
+    return {i: ir.GateMetrics(node.size, node.depth, node.sum_depth, node.product_depth, node.syn_degree)
+            for i, node in enumerate(ir.gates_preorder(formula))}
+
+
+def max_total_degree(table: PolyTable) -> int:
+    """The largest total degree of a monomial of the table (0 when empty)."""
+    if not table.terms:
+        return 0
+    return max(poly.key_total_degree(k, table.commutative) for k in table.terms)
+
+
+def subpolynomial(
+    p: HardParams,
+    u: tuple[int, ...],
+    v: tuple[int, ...],
+    commutative: bool = True,
+    field: Field = QQ,
+) -> ir.Formula:
+    """The subformula computing H[u, v]; the interleaved address
+    v1 u1 ... vl ul walks sum then product children from the output gate.
+
+    Up to renaming of variables this is the (k - l, r) instance.
+    """
+    if len(u) != len(v):
+        raise ValueError("u and v must have equal length")
+    if len(u) > p.k:
+        raise ValueError(f"prefix longer than k = {p.k}")
+    for s in u:
+        if s not in (1, 2):
+            raise ValueError("u letters must be 1 or 2")
+    for t in v:
+        if not 1 <= t <= p.r:
+            raise ValueError(f"v letters must be in 1..{p.r}")
+    root = hardpoly._build(p, tuple(u), tuple(v), field.one())
+    return ir.Formula(root=root, commutative=commutative, field=field)
+
+
+def sigma_partition(p: HardParams) -> list[set[int]]:
+    """The variable groups X[sigma], one per sigma in {1,2}^k."""
+    rk = p.r**p.k
+    return [set(range(s_val * rk, (s_val + 1) * rk)) for s_val in range(2**p.k)]
+
+
+def lower_bound_params(n: int, d: int) -> tuple[HardParams, Fraction]:
+    """Parameters (k, r) = (log2 d, floor(n^(1/k) / 2)) for an n-variable
+    budget and target degree d; returns (params, coverage = variables / n).
+
+    Requires d a power of two with d <= sqrt(n), which keeps r >= 2.
+    """
+    if d < 2 or d & (d - 1) != 0:
+        raise ParamOutOfRange(f"degree {d} must be a power of two, at least 2")
+    if d * d > n:
+        raise ParamOutOfRange(f"degree {d} above sqrt(n) for n = {n}")
+    k = d.bit_length() - 1
+    # largest r with (2r)^k <= n, i.e. r = floor(n^(1/k) / 2), never below 2
+    r = 2
+    while (2 * (r + 1)) ** k <= n:
+        r += 1
+    p = HardParams(k=k, r=r)
+    return p, Fraction(p.num_vars, n)

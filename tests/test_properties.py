@@ -54,7 +54,7 @@ def test_roundtrip(f):
 @given(formulas)
 def test_parse_tree_sum_matches_expansion(f):
     if ir.count_parse_trees(f) <= 2000:
-        assert poly.parse_tree_sum(f) == poly.expand(f)
+        assert reference.parse_tree_sum(f) == poly.expand(f)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ _ONE_UNDER_PRODUCT = "constant leaf 1 must be the child of a sum gate"
 _CONSTANT_SUM = "sum gate over constant leaves only is allowed at the output gate only"
 
 
-@pytest.mark.parametrize("text, message", [
+_WELLFORMEDNESS = [
     ("(+ (scale 0 x1) x2)", "edge weight 0 is not allowed"),
     ("(* x2 (scale 0/5 x1))", "edge weight 0 is not allowed"),
     ("field: Fp:7\n(+ (scale 7 x1) x2)", "edge weight 0 is not allowed"),
@@ -37,7 +38,10 @@ _CONSTANT_SUM = "sum gate over constant leaves only is allowed at the output gat
     ("(+ x2 (* x1 (+ x3 1) 1))", _ONE_UNDER_PRODUCT),
     ("(* x1 (+ 1 1))", _CONSTANT_SUM),
     ("(+ x1 (+ (scale 2 1) 1))", _CONSTANT_SUM),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", _WELLFORMEDNESS)
 def test_parse_rejects_each_wellformedness_rule(text, message):
     with pytest.raises(WellFormednessError) as info:
         sexpr.parse(text)
@@ -50,11 +54,14 @@ def test_parse_accepts_a_sum_of_constants_at_the_root():
         assert isinstance(f.root, SumGate) and sexpr.parse(sexpr.serialize(f)) == f
 
 
-@pytest.mark.parametrize("text, message", [
+_AFTER_A_VIOLATION = [
     ("(+ (* 1 x1) (- x2))", "unknown gate head '-' (at position 13)"),
     ("(+ (scale 0 x1) x2", "unterminated gate (at position 1)"),
     ("(* x1 (+ 1 1)) x2", "expected exactly one top-level expression (at position 0)"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", _AFTER_A_VIOLATION)
 def test_syntax_error_after_a_violation_is_reported(text, message):
     with pytest.raises(FormulaSyntaxError) as info:
         sexpr.parse(text)
@@ -179,22 +186,22 @@ def test_syntax_errors_positioned():
     assert err is not None and err.position is not None
 
 
-@pytest.mark.parametrize(
-    "text, message, position",
-    [
-        # only space, tab, CR and LF end an atom; other whitespace is part of it
-        ("(+ x1\x0bx2 x3)", "bad variable 'x1\\x0bx2' (at position 3)", 3),
-        ("(+ x1\xa0x2 x3)", "bad variable 'x1\\xa0x2' (at position 3)", 3),
-        ("(+ (scale 2/0 x1) x2)", "bad rational scalar '2/0': Fraction(2, 0)", None),
-        # the same bad scalar twice in one text: its first use fails
-        ("(+ (scale 1/0 x1) (scale 1/0 x2))", "bad rational scalar '1/0': Fraction(1, 0)", None),
-        ("field: Fp:7\n(+ (scale 2.5 x1) (scale 2.5 x2))", "bad field element '2.5'", None),
-        ("(+ x1 x2))", "unmatched ) (at position 9)", 9),
-        (")", "unmatched ) (at position 0)", 0),
-        ("(+ x1 (* x2 x3)", "unterminated gate (at position 1)", 1),
-        ("(+ x1 (", "unterminated gate (at position 6)", 6),
-    ],
-)
+_SYNTAX_ERRORS = [
+    # only space, tab, CR and LF end an atom; other whitespace is part of it
+    ("(+ x1\x0bx2 x3)", "bad variable 'x1\\x0bx2' (at position 3)", 3),
+    ("(+ x1\xa0x2 x3)", "bad variable 'x1\\xa0x2' (at position 3)", 3),
+    ("(+ (scale 2/0 x1) x2)", "bad rational scalar '2/0': Fraction(2, 0)", None),
+    # the same bad scalar twice in one text: its first use fails
+    ("(+ (scale 1/0 x1) (scale 1/0 x2))", "bad rational scalar '1/0': Fraction(1, 0)", None),
+    ("field: Fp:7\n(+ (scale 2.5 x1) (scale 2.5 x2))", "bad field element '2.5'", None),
+    ("(+ x1 x2))", "unmatched ) (at position 9)", 9),
+    (")", "unmatched ) (at position 0)", 0),
+    ("(+ x1 (* x2 x3)", "unterminated gate (at position 1)", 1),
+    ("(+ x1 (", "unterminated gate (at position 6)", 6),
+]
+
+
+@pytest.mark.parametrize("text, message, position", _SYNTAX_ERRORS)
 def test_syntax_error_message_and_position(text, message, position):
     # parsed twice: a failed scalar must fail again, not come back from a cache
     for _ in range(2):
@@ -273,3 +280,73 @@ def test_file_io(tmp_path):
     text = path.read_bytes().decode()
     assert "\r" not in text and text.endswith("\n")
     assert sexpr.parse_file(str(path)) == f
+
+
+# ---------------------------------------------------------------------------
+# parse_program: text straight into the compiled program
+# ---------------------------------------------------------------------------
+
+def _assert_same_program(text: str) -> None:
+    """parse_program(text) is compile_program(parse(text).root, []) field for
+    field, with the same scalar value behind every slot, and the same header."""
+    __tracebackhide__ = True
+    f, expected_scalars, scalars = sexpr.parse(text), [], []
+    expected = ir.compile_program(f.root, expected_scalars)
+    got = sexpr.parse_program(text, scalars)
+    assert (got.commutative, got.field) == (f.commutative, f.field)
+    for name in ("kinds", "args", "slots", "uses", "degree", "size", "variables"):
+        assert getattr(got.program, name) == getattr(expected, name), name
+    assert scalars == expected_scalars
+    assert [type(c) for c in scalars] == [type(c) for c in expected_scalars]
+
+
+def _in_fp(text: str, p: int) -> str:
+    """The text over Fp:p, each rational scalar replaced by its residue."""
+    fp = PrimeField(p)
+    body = text.split("\n")[-2] if text.endswith("\n") else text.split("\n")[-1]
+    mode = "noncommutative" if "mode: noncommutative" in text else "commutative"
+    scaled = re.sub(r"\(scale (\S+) ", lambda m: f"(scale {fp.normalize(Fraction(m.group(1)))} ", body)
+    return f"mode: {mode}\nfield: Fp:{p}\n{scaled}\n"
+
+
+def test_parse_program_matches_compile_program(corpus_both, hard_instances, skew_corpus):
+    from lowdepth.bench import gen_comb
+
+    from conftest import sum_chain
+
+    formulas = corpus_both + [f for _, f in hard_instances] + skew_corpus
+    formulas += [gen_comb(8001), sum_chain(8001)]
+    modes = ("mode: commutative", "mode: noncommutative")
+    for f in formulas:
+        text = sexpr.serialize(f)
+        # both modes, over Q and over a prime field with the scalars' residues
+        for mode in modes:
+            for p in (None, 1_000_003):
+                t = text.replace(modes[1] if mode == modes[0] else modes[0], mode)
+                _assert_same_program(t if p is None else _in_fp(t, p))
+    # repeated and equal scalar texts, unit weights spelled out, x_i_j variables
+    for text in ("(+ (scale 2/3 x1) (* (scale 2/3 x2) (scale 4/6 x3)) (scale 3/3 x_1_2))",
+                 "field: Fp:7\n(+ (scale 3 x1) (* (scale 10 x2) x3) (scale 8 x4) (scale 3 x5))",
+                 "x4", "(* x2)"):
+        _assert_same_program(text)
+
+
+def test_parse_program_compiles_suspect_text(monkeypatch):
+    # a token 1 or a zero scalar: parse (and ir.validate) and compile_program
+    # decide, and the scalars appended before are kept
+    for text in ("(+ x1 1)", "(+ (scale 1 x1) x2)", "field: Fp:7\n(+ (scale 2 1) (scale 3 x2))"):
+        _assert_same_program(text)
+        scalars = ["kept"]
+        compiled = sexpr.parse_program(text, scalars)
+        assert scalars[0] == "kept"
+        assert compiled.program == ir.compile_program(sexpr.parse(text).root, ["kept"])
+
+
+@pytest.mark.parametrize("text", [t for t, *_ in _SYNTAX_ERRORS + _WELLFORMEDNESS + _AFTER_A_VIOLATION])
+def test_parse_program_raises_what_parse_raises(text):
+    with pytest.raises((FormulaSyntaxError, WellFormednessError)) as expected:
+        sexpr.parse(text)
+    with pytest.raises(type(expected.value)) as got:
+        sexpr.parse_program(text, [])
+    assert str(got.value) == str(expected.value)
+    assert getattr(got.value, "position", None) == getattr(expected.value, "position", None)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from lowdepth.errors import (
     InternalInvariantError,
     NotSemanticallyHomogeneous,
     NotSkew,
+    WellFormednessError,
 )
 from lowdepth.fields import QQ, PrimeField, Rationals
 from lowdepth.hardpoly import HardParams, gen_hard
@@ -108,6 +110,54 @@ def test_collapse_depth_bound(corpus_both):
         assert_equivalent(f, out)
 
 
+def _collapse_text(rng, depth: int) -> str:
+    """Small nested text: same-kind chains, fan-in-1 gates and constants whose
+    scalars may cancel."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["x1", "x2", "x3"])
+    op = rng.choice("+*")
+    kids = []
+    for _ in range(rng.randint(1, 3)):
+        kid = "1" if op == "+" and rng.random() < 0.3 else _collapse_text(rng, depth - 1)
+        if rng.random() < 0.4:
+            kid = f"(scale {rng.choice(['2', '-1', '-2', '4'])} {kid})"
+        kids.append(kid)
+    if op == "+" and all(k.endswith(" 1)") or k == "1" for k in kids):
+        kids.append("x4")
+    return f"({op} " + " ".join(kids) + ")"
+
+
+def _collapse_outcome(collapse, f):
+    try:
+        return sexpr.serialize(collapse(f))
+    except ValueError as exc:
+        return repr(exc)
+
+
+def test_collapse_matches_bottom_up_reference(corpus_both, hard_instances, skew_corpus):
+    # byte for byte the bottom-up collapse: same merged constants in the same
+    # places, the same fan-in-1 absorptions, the same zero-polynomial error
+    formulas = corpus_both + [f for _, f in hard_instances] + skew_corpus
+    formulas += [tr.depth_reduce_main(tr.binarize(f), "auto") for f in corpus_both[:10]]
+    for text in ("(* x1 (+ 1 (scale -1 1) (* x2 x3)))", "(+ (+ x1 (scale 2 1)) (scale -2 1) x2)",
+                 "(* x4 (+ (+ x1 (scale 2 1)) (scale -2 1)))", "(+ (+ x1 (scale 2 1)) (scale -2 1))",
+                 "(+ 1 (+ x1 (scale -1 1)) x2 (scale 3 1))", "(* (+ (* x1 x2)) (+ (* (+ (* x3)))))",
+                 "(+ (scale 2 (+ 1 (scale -1 1) x2)) x1)", "(+ 1 (scale -1 1) (+ x1 (scale -1 x1)))"):
+        formulas.append(sexpr.parse(text))
+    # a shared sum, inlined twice into its parent: its constant is merged once
+    shared = SumGate(((ONE, VarLeaf(1)), (Fraction(2), OneLeaf())))
+    formulas.append(Formula(SumGate(((ONE, shared), (Fraction(3), shared)))))
+    rng = random.Random(31)
+    while len(formulas) < 2000:
+        header = rng.choice(["", "field: Fp:3\n", "mode: noncommutative\nfield: Fp:5\n"])
+        try:
+            formulas.append(sexpr.parse(header + _collapse_text(rng, 5)))
+        except WellFormednessError:
+            continue
+    for f in formulas:
+        assert _collapse_outcome(tr.collapse, f) == _collapse_outcome(reference.collapse, f)
+
+
 # ---------------------------------------------------------------------------
 # split gate machinery
 # ---------------------------------------------------------------------------
@@ -117,7 +167,7 @@ def test_find_split_left_comb():
     gate_id, _, _, size_alpha, _ = views.split(f, 4)
     # subtree size >= 6, both children below 6: the gate two steps down
     assert size_alpha == 6
-    sizes = {i: m.size for i, m in ir.metrics_table(f).items()}
+    sizes = {i: m.size for i, m in reference.metrics_table(f).items()}
     assert sizes[gate_id] == 6
 
 
@@ -199,7 +249,7 @@ def test_find_split_uniqueness_matches_walk(corpus_both):
     # reference: scan every gate in preorder for the split predicate
     for f in corpus_both:
         for g in (f, tr.binarize(f)):
-            table = ir.metrics_table(g)
+            table = reference.metrics_table(g)
             s = table[0].size
             for k in (4, 16):
                 if s <= k:
@@ -251,7 +301,7 @@ def test_bb_comb64():
     assert m.depth <= 16 * 6
     assert m.size <= 64**2
     assert m.syn_degree <= ir.syn_degree(f)
-    assert ir.is_monotone(out)
+    assert reference.is_monotone(out)
 
 
 def test_bb_comb_memory_linear():
@@ -334,7 +384,7 @@ def test_bb_monotone_and_mode_preserved(corpus_both):
         assert_equivalent(f, out)
         assert out.commutative == f.commutative
         if f.field.ordered:
-            assert ir.is_monotone(out)
+            assert reference.is_monotone(out)
         assert ir.is_homogeneous(out)
         assert ir.max_fanin(out) <= 2
         assert ir.syn_degree(out) <= ir.syn_degree(f)
@@ -398,7 +448,7 @@ def test_select_frontier_low_degree_product_child():
     # lands on the frontier, so the residual top region is skew
     f = sexpr.parse("(* (* (* x1 x2) (* x3 x4)) (* x5 x6))")
     ids, _ = views.frontier(f, 5)
-    table = ir.metrics_table(f)
+    table = reference.metrics_table(f)
     member_degrees = sorted(table[g].syn_degree for g in ids)
     assert 2 in member_degrees  # the degree-2 sibling dropped out of the region
     assert all(table[g].syn_degree <= table[0].syn_degree // 2 + 1 for g in ids)
@@ -416,7 +466,7 @@ def test_select_frontier_sum_chain_cut():
     m = ir.metrics(f)
     assert m.sum_depth == 2 * delta
     ids, phi_root = views.frontier(f, delta)
-    table = ir.metrics_table(f)
+    table = reference.metrics_table(f)
     depths = {table[g].sum_depth for g in ids if table[g].sum_depth > 0}
     assert depths == {delta}  # frontier gates carry sum depth exactly delta
     assert phi_root == 2
@@ -560,7 +610,7 @@ def test_main_noncommutative_monotone():
     fb = tr.binarize(f)
     out = tr.depth_reduce_main(fb, 2)
     assert_equivalent(f, out)
-    assert ir.is_monotone(out)
+    assert reference.is_monotone(out)
     assert ir.is_homogeneous(out)
     assert not out.commutative
 
@@ -591,7 +641,7 @@ def test_main_corpus_bounds_and_preservation(corpus_both):
         assert mo.syn_degree <= m.syn_degree
         assert ir.is_homogeneous(out)
         if f.field.ordered:
-            assert ir.is_monotone(out)
+            assert reference.is_monotone(out)
         assert out.commutative == f.commutative
         collapsed = tr.collapse(out)
         assert ir.metrics(collapsed).depth <= 2 * mo.product_depth + 1
@@ -743,7 +793,7 @@ def test_fanin2_sum_rooted_and_corpus(corpus_both):
                 assert len(node.children) == 2
         assert ir.is_homogeneous(out)
         if f.field.ordered:
-            assert ir.is_monotone(out)
+            assert reference.is_monotone(out)
         assert mo.depth <= 2 * (m.depth + max(m.syn_degree, 1).bit_length() + 1) + 2
 
 
@@ -806,7 +856,7 @@ def test_nearlinear_corpus(corpus_both):
         out = tr.depth_reduce_nearlinear(f, 1)
         assert_equivalent(f, out)
         if f.field.ordered:
-            assert ir.is_monotone(out)
+            assert reference.is_monotone(out)
         if f.commutative:
             assert pit_equal(f, out, PITConfig(trials=20, seed=i)).equal
 
@@ -889,7 +939,7 @@ def test_select_frontier_corpus_assertions(corpus_both):
             continue
         delta = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
         ids, phi = views.frontier(fb, delta)
-        table = ir.metrics_table(fb)
+        table = reference.metrics_table(fb)
         phi_root = tr._phi(m.syn_degree, m.sum_depth, delta)
         assert phi == phi_root
         for gid in ids:
