@@ -238,10 +238,11 @@ class Program(NamedTuple):
     variables: set[int]
 
 
-def interner(scalars: list) -> Callable[[Scalar], int]:
-    """The function from an edge scalar to its slot in scalars.  Each distinct
-    scalar object is appended once, interned by identity, not by value; slot
-    0 is the unit 1 (put there when scalars is empty) and takes every weight
+def interner(scalars: list) -> tuple[dict[int, int], Callable[[Scalar], int]]:
+    """The function from an edge scalar to its slot in scalars, and the map
+    from id(scalar) to the slot of each scalar met so far.  Each distinct
+    scalar object is appended once, interned by identity, not by value; slot 0
+    is the unit 1 (put there when scalars is empty) and takes every weight
     equal to 1."""
     slot_of: dict[int, int] = {}  # id(scalar) -> slot
     if not scalars:
@@ -255,7 +256,7 @@ def interner(scalars: list) -> Callable[[Scalar], int]:
                 scalars.append(c)
         return s
 
-    return slot
+    return slot_of, slot
 
 
 def compile_program(root: Node, scalars: list) -> Program:
@@ -267,7 +268,7 @@ def compile_program(root: Node, scalars: list) -> Program:
     # which holds ints only and so leaves the garbage collector's lists
     kinds, args, weights, uses, vs = [], [], [], [], set()
     at: dict[int, int] = {}  # id(node) -> position
-    slot = interner(scalars)
+    slot_of, slot = interner(scalars)
     for i, node in enumerate(postorder(root)):
         at[id(node)] = i
         uses.append(0)
@@ -278,7 +279,9 @@ def compile_program(root: Node, scalars: list) -> Program:
                 k = at[id(child)]
                 kids.append(k)
                 uses[k] += 1
-                s = slot(c)
+                s = slot_of.get(id(c))
+                if s is None:
+                    s = slot(c)
                 if s:
                     slots = slots or [0] * len(node.children)
                     slots[j] = s

@@ -222,7 +222,7 @@ def parse_program(text: str, scalars: list) -> Parsed:
     compile_program, so ir.validate stays the one owner of well-formedness.
     """
     commutative, field, offset = _header(text)
-    start, slot, one = len(scalars), interner(scalars), field.one()
+    start, (_, slot), one = len(scalars), interner(scalars), field.one()
     kinds, args, weights, degrees, vs = [], [], [], [], set()
 
     def add(kind: int, arg, slots: list | None, degree: int) -> int:
@@ -244,12 +244,9 @@ def parse_program(text: str, scalars: list) -> Parsed:
 
         return make
 
-    def var(v: int) -> int:
-        vs.add(v)
-        return add(_VAR, v, None, 1)
-
-    _, suspect = _body(text, offset, field, var, lambda: add(_ONE, None, None, 0),
-                       gate(_SUM, max), gate(_PROD, sum))
+    # a variable leaf also records its id in vs
+    _, suspect = _body(text, offset, field, lambda v: vs.add(v) or add(_VAR, v, None, 1),
+                       lambda: add(_ONE, None, None, 0), gate(_SUM, max), gate(_PROD, sum))
     if suspect:
         del scalars[start:]
         return Parsed(compile_program(parse(text).root, scalars), commutative, field)
