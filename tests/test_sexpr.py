@@ -331,7 +331,7 @@ def test_parse_program_matches_compile_program(corpus_both, hard_instances, skew
         _assert_same_program(text)
 
 
-def test_parse_program_compiles_suspect_text(monkeypatch):
+def test_parse_program_compiles_suspect_text():
     # a token 1 or a zero scalar: parse (and ir.validate) and compile_program
     # decide, and the scalars appended before are kept
     for text in ("(+ x1 1)", "(+ (scale 1 x1) x2)", "field: Fp:7\n(+ (scale 2 1) (scale 3 x2))"):
