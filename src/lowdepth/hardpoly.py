@@ -13,9 +13,10 @@ and set-multilinear with respect to the groups X[sigma].
 
 The checkers verify, exhaustively at desk scale: the prefix-alignment
 property of monomials (two variables whose sigma-words agree on exactly
-l < k letters must have tau-words agreeing on at least l+1), and the
-per-gate monomial-count bound r^(d_gate - 1) for any monotone formula
-computing the polynomial.
+l < k letters must have tau-words agreeing on at least l+1), read off the
+expansion kernel's packed root table with one mask of bad partners per
+variable, and the per-gate monomial-count bound r^(d_gate - 1) for any
+monotone formula computing the polynomial.
 
 Variable encoding (stable; test fixtures depend on it): sigma and tau are
 read as mixed-radix numbers with the first letter most significant, and
@@ -25,6 +26,9 @@ id = sigma_value * r^k + tau_value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from itertools import combinations
+from operator import or_
 
 from .errors import NotComputingH, ParamOutOfRange, UniverseTooLarge
 from .fields import QQ, Field
@@ -33,6 +37,9 @@ from .ir import Formula, Node, ProdGate, SumGate, VarLeaf
 
 #: gen_hard refuses to build instances with more variables than this.
 DEFAULT_UNIVERSE_BOUND = 10**6
+
+#: Past this many variables (masks take quadratic memory) pairs are tested one by one.
+_MASKED_VARIABLES = 4096
 
 
 @dataclass(frozen=True)
@@ -143,41 +150,63 @@ def check_prefix_property(
     at least l + 1 letters.  Returns (True, None) or (False, counterexample).
     """
     f = formula if formula is not None else gen_hard(p)
-    return _prefix_verdict(p, poly.expand(f, budget=_budget(budget)))
+    root, packing, _ = poly._expand(*poly._compile(f), f.commutative, f.field, _budget(budget))
+    return _prefix_verdict(p, root, packing)
 
 
 def _budget(budget: int | None) -> int:
     return budget if budget is not None else poly.DEFAULT_EXPANSION_BUDGET
 
 
-def _breaks_alignment(p: HardParams, a: Wordpair, b: Wordpair) -> bool:
-    ell = _lcp(a[0], b[0])
-    return ell < p.k and _lcp(a[1], b[1]) < ell + 1
+def _bad_partners(p: HardParams, words: dict[int, Wordpair], bit: dict[int, int]) -> dict[int, int]:
+    """Per variable v of words, the OR of bit[w] over the w breaking alignment with v:
+    OR_{l<k} S(sigma[:l]) & ~S(sigma[:l+1]) & ~T(tau[:l+1]) for v's words (sigma, tau),
+    S(u) (T(u)) being the OR over the variables whose sigma-word (tau-word) starts with u."""
+    S, T = {}, {}  # prefix -> mask
+    for v, (sigma, tau) in words.items():
+        for ell in range(p.k + 1):
+            S[sigma[:ell]] = S.get(sigma[:ell], 0) | bit[v]
+            T[tau[:ell]] = T.get(tau[:ell], 0) | bit[v]
+    return {v: reduce(or_, [S[sigma[:ell]] & ~S[sigma[:ell + 1]] & ~T[tau[:ell + 1]]
+                            for ell in range(p.k)], 0) for v, (sigma, tau) in words.items()}
 
 
-def _prefix_verdict(p: HardParams, table: poly.PolyTable) -> tuple[bool, dict | None]:
-    decoded_of: dict[int, Wordpair] = {}
-    breaks: dict[tuple[int, int], bool] = {}  # per ordered variable pair, decided once
-    for key in table.terms:
-        variables = _monomial_vars(key, table.commutative)
-        for v in variables:
-            if v not in decoded_of:
-                decoded_of[v] = decode_var(p, v)
-        for i, v_i in enumerate(variables):
-            for v_j in variables[i + 1:]:
-                broken = breaks.get((v_i, v_j))
-                if broken is None:
-                    broken = breaks[v_i, v_j] = _breaks_alignment(
-                        p, decoded_of[v_i], decoded_of[v_j]
-                    )
-                if broken:
-                    (sig_i, tau_i), (sig_j, tau_j) = decoded_of[v_i], decoded_of[v_j]
-                    return False, {
-                        "monomial": key,
-                        "pair": [[list(sig_i), list(tau_i)], [list(sig_j), list(tau_j)]],
-                        "sigma_lcp": _lcp(sig_i, sig_j),
-                        "tau_lcp": _lcp(tau_i, tau_j),
-                    }
+def _prefix_verdict(p: HardParams, root: dict, packing: poly.Packing | None) -> tuple[bool, dict | None]:
+    """check_prefix_property's verdict on poly._expand's root table.  A monomial
+    passes when its support (a packed key itself, as a bit fills a digit; for a
+    word, its letters' bits) ANDed with its variables' masks is 0.  The first
+    that fails is tested pair by pair: its counterexample or ValueError is the first."""
+    variables = sorted({v for word in root for v in word}) if packing is None else packing.variables
+    words = {v: decode_var(p, v) for v in variables if 0 <= v < p.num_vars}
+    partners = lambda vs: reduce(or_, [masks.get(v, -1) for v in vs], 0)  # -1: outside the universe
+    decode = None if packing is None else poly._decoder(packing)
+    if len(variables) > _MASKED_VARIABLES:
+        passes = lambda key: False
+    elif packing is None:
+        bit = {v: 1 << i for i, v in enumerate(variables)}
+        masks = _bad_partners(p, words, bit)
+        passes = lambda key: not reduce(or_, [bit[v] for v in key], 0) & partners(key)
+    else:  # the OR of the masks is taken once per distinct half of a key
+        masks = _bad_partners(p, words, {v: ((1 << packing.width) - 1) << s for v, s in packing.shift.items()})
+        of_key = poly._by_halves(packing, lambda pairs: partners([v for v, _ in pairs]), or_)
+        passes = lambda key: not key & of_key(key)
+    # a pair breaks alignment when sigma-words share l < k letters, tau-words < l + 1
+    broken = cache(lambda v, w: (ell := _lcp(words[v][0], words[w][0])) < p.k
+                   and _lcp(words[v][1], words[w][1]) < ell + 1)
+    for key in root:
+        if passes(key):
+            continue
+        key = key if decode is None else decode(key)
+        variables = _monomial_vars(key, decode is not None)
+        decoded = [words[v] if v in words else decode_var(p, v) for v in variables]
+        for (v, (sig_i, tau_i)), (w, (sig_j, tau_j)) in combinations(zip(variables, decoded), 2):
+            if broken(v, w):
+                return False, {
+                    "monomial": key,
+                    "pair": [[list(sig_i), list(tau_i)], [list(sig_j), list(tau_j)]],
+                    "sigma_lcp": _lcp(sig_i, sig_j),
+                    "tau_lcp": _lcp(tau_i, tau_j),
+                }
     return True, None
 
 
@@ -192,16 +221,16 @@ def check_gate_counts(
     Applies to the canonical formula and to any rewritten monotone formula
     for it.  Raises NotComputingH when the polynomial does not match.
     """
-    return _expand_against_h(p, formula, budget)[1]
+    return _expand_against_h(p, formula, budget)[2]
 
 
 def _expand_against_h(
     p: HardParams, formula: Formula, budget: int | None
-) -> tuple[poly.PolyTable, tuple[bool, dict | None]]:
-    """The formula's table and its gate-count verdict, from one expansion of
-    the formula and one of H(k, r), compared in the kernel's encoding."""
+) -> tuple[dict, poly.Packing | None, tuple[bool, dict | None]]:
+    """The formula's root table and packing and its gate-count verdict, from
+    one expansion of the formula and one of H(k, r), compared packed."""
     reference = gen_hard(p, commutative=formula.commutative, field=formula.field)
-    table, counts, same = poly.expand_against(formula, reference, _budget(budget))
+    root, packing, counts, same = poly.expand_against(formula, reference, _budget(budget))
     if not same:
         raise NotComputingH(f"formula does not compute the (k={p.k}, r={p.r}) polynomial")
     gates = ir.gates_preorder(formula)
@@ -210,24 +239,24 @@ def _expand_against_h(
         if d_gate == 0:
             continue  # constant gates cannot appear in a monotone formula for H
         if count > p.r ** (d_gate - 1):
-            return table, (False, {
+            return root, packing, (False, {
                 "gate_id": gate_id,
                 "count": count,
                 "degree": d_gate,
                 "bound": p.r ** (d_gate - 1),
             })
-    return table, (True, None)
+    return root, packing, (True, None)
 
 
 def check_formula(
     p: HardParams,
     formula: Formula,
     budget: int | None = None,
-) -> tuple[poly.PolyTable, tuple[bool, dict | None], tuple[bool, dict | None]]:
-    """The formula's table, check_prefix_property and check_gate_counts,
-    all from one expansion of the formula."""
-    table, gate_verdict = _expand_against_h(p, formula, budget)
-    return table, _prefix_verdict(p, table), gate_verdict
+) -> tuple[dict, tuple[bool, dict | None], tuple[bool, dict | None]]:
+    """The formula's root table as poly._expand packs it (nothing decoded),
+    check_prefix_property and check_gate_counts, from one expansion of it."""
+    root, packing, gate_verdict = _expand_against_h(p, formula, budget)
+    return root, _prefix_verdict(p, root, packing), gate_verdict
 
 
 def expected_monomials(p: HardParams) -> int:

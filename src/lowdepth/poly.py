@@ -28,14 +28,15 @@ keep those ring operations as the reference): the same keys in the same
 order, the same coefficients, and BudgetExceeded on the same inputs.
 equal_expand and expand_against compile both formulas over one scalar list,
 pack them alike (the union of their variables, the larger degree), compare the
-two root tables and decode neither (expand_against then decodes its first
-table, once).  pit.verify compiles a pair once and hands the programs to
-_expand and to PIT alike.
+two root tables and decode neither (expand_against hands its first one on,
+packed).  pit.verify compiles a pair once and hands the programs to _expand and
+to PIT alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, ModeMismatch
@@ -211,32 +212,33 @@ def _digit_reader(width: int, var_of: list[int]):
     return read
 
 
-def _decoder(packing: Packing):
-    """The function from a packed key to its sorted (variable, exponent) pairs.
-
-    The low and the high half of the slots are read apart, each distinct half
-    once: the monomials of one table share most of their halves (16,384
-    monomials of H(3, 4) have 256 of each).
-    """
+def _by_halves(packing: Packing, of, join):
+    """key -> join(of(low), of(high)), low and high the sorted (variable,
+    exponent) pairs of the key's low and high half of the slots, each distinct
+    half read once: 16,384 monomials of H(3, 4) have 256 halves of each kind."""
     half = len(packing.variables) // 2
     at = half * packing.width
     mask = (1 << at) - 1
     read_low = _digit_reader(packing.width, packing.variables[:half])
     read_high = _digit_reader(packing.width, packing.variables[half:])
-    lows: dict[int, CommKey] = {}
-    highs: dict[int, CommKey] = {}
+    lows, highs = {}, {}
 
-    def decode(key: int) -> CommKey:
+    def at_key(key: int):
         low, high = key & mask, key >> at
         a = lows.get(low)
         if a is None:
-            a = lows[low] = read_low(low)
+            a = lows[low] = of(read_low(low))
         b = highs.get(high)
         if b is None:
-            b = highs[high] = read_high(high)
-        return a + b
+            b = highs[high] = of(read_high(high))
+        return join(a, b)
 
-    return decode
+    return at_key
+
+
+def _decoder(packing: Packing):
+    """The function from a packed key to its sorted (variable, exponent) pairs."""
+    return _by_halves(packing, tuple, add)
 
 
 def _compile(*formulas: ir.Formula) -> tuple[list[ir.Program], list]:
@@ -342,15 +344,15 @@ def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPA
 
 def expand_against(
     formula: ir.Formula, reference: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET
-) -> tuple[PolyTable, dict[int, int], bool]:
-    """The formula's table and gate_monomial_counts, and whether the reference
-    has the same polynomial, from one expansion of each; only the formula's
-    table is decoded."""
+) -> tuple[dict, Packing | None, dict[int, int], bool]:
+    """The formula's root table and packing as _expand gives them, its
+    gate_monomial_counts, and whether the reference has the same polynomial,
+    from one expansion of each."""
     _check_comparable(formula, reference)
     sizes: list[int] = []
     root, packing, same = _expand(*_compile(formula, reference), formula.commutative, formula.field,
                                   budget, sizes)
-    return _table(formula, root, packing), _gate_sizes(formula, sizes), same
+    return root, packing, _gate_sizes(formula, sizes), same
 
 
 def gate_monomial_counts(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> dict[int, int]:

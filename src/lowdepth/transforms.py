@@ -256,8 +256,8 @@ def collapse(formula: Formula) -> Formula:
     Edge scalars multiply through per field axioms; fan-in-1 gates are
     absorbed.  Output alternates gate kinds, so depth is at most
     2 * product_depth + 1.  Leaf count never grows.  Each gate becomes a
-    _Block bottom-up, built at once when it has nothing to inline; the others
-    read their edges from their top (_edges), so n nested sums cost O(n).
+    _Block bottom-up; only the blocks left in the output are built, top-down,
+    each reading its edges from its top (_edges), so n nested sums cost O(n).
     """
     field = formula.field
     one, mul = field.one(), field.mul
@@ -269,7 +269,6 @@ def collapse(formula: Formula) -> Formula:
             continue
         parts, consts = [], []  # consts: (value, place) of each constant edge, in order
         n = k = 0
-        plain = True  # no part to inline, and every part is built
         for c, child in node.children:
             m, ref = val[id(child)]
             part = (c if m is one else mul(c, m), ref)
@@ -279,11 +278,11 @@ def collapse(formula: Formula) -> Formula:
                 if type(ref) is OneLeaf:
                     consts.append((part[0], part))
             elif ref.kind is kind:
-                plain, n, k = False, n + ref.n, k + ref.k
+                n, k = n + ref.n, k + ref.k
                 if ref.const is not None:
                     consts.append((mul(part[0], ref.const), ref.place))
             else:
-                n, k, plain = n + 1, k + 1, plain and ref.node is not None
+                n, k = n + 1, k + 1
         const = place = None
         if kind is SumGate and consts:
             const = consts[0][0]
@@ -293,10 +292,10 @@ def collapse(formula: Formula) -> Formula:
                 const = None
             else:
                 place = consts[0][1]
-            n, plain = k + (const is not None), plain and len(consts) == 1
+            n = k + (const is not None)
         if not n:
             raise ValueError("formula computes the zero polynomial; cannot collapse")
-        b = _Block(kind, parts, n, k, const, place, _gate(kind, parts) if plain else None)
+        b = _Block(kind, parts, n, k, const, place, None)
         val[id(node)] = _absorbed(b, one, mul) if n == 1 and k == 1 else (one, b)
     scalar, out = val[id(formula.root)]
     stack: list = [(out, None)] if type(out) is _Block else []

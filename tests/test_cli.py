@@ -601,6 +601,39 @@ def test_check_hard_expands_target_once(tmp_path, capsys, monkeypatch):
     assert extra["prefix_property"] is True and extra["gate_count_bound"] is True
 
 
+@pytest.mark.parametrize("commutative", [True, False])
+def test_check_hard_decides_from_the_packed_table(tmp_path, capsys, monkeypatch, commutative):
+    # a passing reduced H(2, 3) and H(3, 3): no PolyTable, no decoded key,
+    # and each variable decoded at most once
+    built, decoded, words = [], [], []
+    real_init, real_decoder, real_decode_var = poly.PolyTable.__init__, poly._decoder, hardpoly.decode_var
+
+    def counting_decoder(packing):
+        decode = real_decoder(packing)
+        return lambda key: decoded.append(key) or decode(key)
+
+    for k, r in ((2, 3), (3, 3)):
+        p = hardpoly.HardParams(k=k, r=r)
+        fb = transforms.binarize(hardpoly.gen_hard(p, commutative=commutative))
+        m = ir.metrics(fb)
+        path = tmp_path / f"h{k}{r}.frm"
+        sexpr.write_file(str(path), transforms.depth_reduce_main(
+            fb, transforms.auto_delta(m.size, m.syn_degree, m.sum_depth)))
+        with monkeypatch.context() as patch:
+            patch.setattr(poly.PolyTable, "__init__", lambda *a, **kw: built.append(a) or real_init(*a, **kw))
+            patch.setattr(poly, "_decoder", counting_decoder)
+            patch.setattr(hardpoly, "decode_var", lambda p, v: words.append(v) or real_decode_var(p, v))
+            code, out, _ = run_cli(capsys, "check-hard", "--k", str(k), "--r", str(r),
+                                   "--formula", str(path))
+        assert code == EXIT_OK
+        extra = reports(out)[0]["extra"]
+        assert extra["monomial_count"] == hardpoly.expected_monomials(p)
+        assert extra["unit_coefficients"] and extra["prefix_property"]
+        assert (built, decoded) == ([], [])
+        assert sorted(words) == list(range(p.num_vars))
+        words.clear()
+
+
 def test_check_hard_wrong_formula(tmp_path, capsys, monkeypatch):
     expanded, references = _count_expansions(monkeypatch)
     # the second is H(1, 2) with one monomial doubled: right support, wrong polynomial

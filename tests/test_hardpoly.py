@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import reference
 
 from lowdepth import hardpoly as hp
 from lowdepth import ir, poly, transforms as tr
+from lowdepth.fields import field_from_name
 from lowdepth.errors import NotComputingH, ParamOutOfRange, UniverseTooLarge
 from lowdepth.ir import Formula, ProdGate, SumGate, VarLeaf
 
@@ -242,8 +244,8 @@ def test_prefix_verdict_matches_reference_on_relabelled_leaves(commutative):
                     return VarLeaf(new) if node.var == old else node
                 return type(node)(tuple((c, v) for (c, _), v in zip(node.children, vals)))
 
-            table = poly.expand(f.with_root(ir.node_attribute(f.root, relabel)[id(f.root)]))
-            assert hp._prefix_verdict(p, table) == _prefix_reference(p, table)
+            g = f.with_root(ir.node_attribute(f.root, relabel)[id(f.root)])
+            assert hp.check_prefix_property(p, g) == _prefix_reference(p, poly.expand(g))
 
 
 def test_gate_counts_canonical():
@@ -268,31 +270,63 @@ def test_gate_counts_wrong_polynomial():
         hp.check_gate_counts(hp.gen_hard(hp.HardParams(k=1, r=3)), p)
 
 
+def _relabelled(f, mapping):
+    def relabel(node, vals):
+        if isinstance(node, VarLeaf):
+            return VarLeaf(mapping.get(node.var, node.var))
+        return type(node)(tuple((c, v) for (c, _), v in zip(node.children, vals)))
+
+    return f.with_root(ir.node_attribute(f.root, relabel)[id(f.root)])
+
+
 @pytest.mark.parametrize("commutative", [True, False])
-def test_check_formula_decodes_the_formula_table_once(commutative, monkeypatch):
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+def test_mask_verdict_matches_reference(commutative, field, monkeypatch):
+    # the bad-partner masks decide every monomial; only the first failing one
+    # is tested pair by pair, and a passing table has none tested
+    tested = []
+    real_vars = hp._monomial_vars
+    monkeypatch.setattr(hp, "_monomial_vars", lambda key, comm: tested.append(key) or real_vars(key, comm))
+    h32, h33 = hp.HardParams(k=3, r=2), hp.HardParams(k=3, r=3)
+    cases = [(h32, {old: (old + 1) % h32.num_vars}) for old in range(h32.num_vars)]
+    rng = random.Random(19)
+    for _ in range(20):
+        a, b = rng.sample(range(h33.num_vars), 2)
+        cases.append((h33, {a: b, b: a}))
+    # sigma-siblings whose tau-words differ in the last letter only: the swap
+    # keeps every monomial aligned, though two variables share a sigma-word
+    a, b = hp.encode_var(h33, (1, 1, 1), (1, 1, 1)), hp.encode_var(h33, (1, 1, 2), (1, 1, 2))
+    cases.append((h33, {a: b, b: a}))
+    verdicts = set()
+    for p, mapping in cases:
+        g = _relabelled(hp.gen_hard(p, commutative, field_from_name(field)), mapping)
+        tested.clear()
+        got = hp.check_prefix_property(p, g)
+        assert len(tested) == (0 if got[0] else 1)
+        assert got == _prefix_reference(p, poly.expand(g))
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+def test_prefix_verdict_past_the_mask_bound(commutative, monkeypatch):
+    # above _MASKED_VARIABLES every monomial is tested pair by pair
+    monkeypatch.setattr(hp, "_MASKED_VARIABLES", 0)
     p = hp.HardParams(k=2, r=3)
-    fb = tr.binarize(hp.gen_hard(p, commutative=commutative))
-    m = ir.metrics(fb)
-    out = tr.depth_reduce_main(fb, tr.auto_delta(m.size, m.syn_degree, m.sum_depth))
-    want = (poly.expand(out), hp.check_prefix_property(p, out), hp.check_gate_counts(out, p))
-    built, decoded = [], []
-    real_init, real_decoder = poly.PolyTable.__init__, poly._decoder
+    f = hp.gen_hard(p, commutative)
+    for old in range(0, p.num_vars, 5):
+        g = _relabelled(f, {old: (old + 7) % p.num_vars})
+        assert hp.check_prefix_property(p, g) == _prefix_reference(p, poly.expand(g))
+    assert hp.check_prefix_property(p, f) == (True, None)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
 
-    def counting_decoder(packing):
-        decode = real_decoder(packing)
-        return lambda key: decoded.append(key) or decode(key)
-
-    monkeypatch.setattr(poly.PolyTable, "__init__", counting_init)
-    monkeypatch.setattr(poly, "_decoder", counting_decoder)
-    got = hp.check_formula(p, out)
-    assert got == want
-    # H(2, 3)'s table is compared packed: only the formula's keys are decoded
-    assert built == [got[0]]
-    assert len(decoded) == (want[0].num_terms() if commutative else 0)
+@pytest.mark.parametrize("commutative", [True, False])
+def test_prefix_property_outside_the_universe(commutative):
+    # the pair loop decodes the outside variable and raises decode_var's error
+    p = hp.HardParams(k=2, r=2)
+    g = _relabelled(hp.gen_hard(p, commutative), {5: p.num_vars + 3})
+    with pytest.raises(ValueError, match=r"^variable id 19 outside the \(k=2, r=2\) universe$"):
+        hp.check_prefix_property(p, g)
 
 
 def test_check_formula_outside_the_universe():

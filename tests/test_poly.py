@@ -474,9 +474,9 @@ def test_gate_counts_on_a_dag_match_its_tree_copy():
         counts = poly.gate_monomial_counts(tree)
         assert len(counts) == len(ir.gates_preorder(tree)) == 18  # every position
         assert poly.gate_monomial_counts(a) == counts
-        table, against, same = poly.expand_against(a, tree)
-        assert same and against == counts and table == poly.expand(tree)
-        assert poly.expand_against(tree, a)[1] == counts
+        kernel, packing, against, same = poly.expand_against(a, tree)
+        assert same and against == counts and poly._table(a, kernel, packing) == poly.expand(tree)
+        assert poly.expand_against(tree, a)[2] == counts
 
 
 def test_support_is_taken_over_the_rationals():

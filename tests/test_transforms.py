@@ -158,6 +158,20 @@ def test_collapse_matches_bottom_up_reference(corpus_both, hard_instances, skew_
         assert _collapse_outcome(tr.collapse, f) == _collapse_outcome(reference.collapse, f)
 
 
+def test_collapse_builds_only_the_gates_it_returns(corpus_both, hard_instances, monkeypatch):
+    # a block that a same-kind parent inlines, or that is absorbed as a
+    # fan-in-1 gate, is never built
+    built = []
+    real_gate = tr._gate
+    monkeypatch.setattr(tr, "_gate", lambda kind, edges: built.append(kind) or real_gate(kind, edges))
+    formulas = corpus_both + [f for _, f in hard_instances]
+    formulas += [tr.depth_reduce_homogeneous(f) for f in corpus_both[:6]]
+    for f in formulas:
+        built.clear()
+        out = tr.collapse(f)
+        assert len(built) == sum(ir.is_gate(node) for node in ir.postorder(out.root))
+
+
 # ---------------------------------------------------------------------------
 # split gate machinery
 # ---------------------------------------------------------------------------
