@@ -197,9 +197,9 @@ def _prefix_verdict(p: HardParams, root: dict, packing: poly.Packing | None) -> 
         if passes(key):
             continue
         key = key if decode is None else decode(key)
-        variables = _monomial_vars(key, decode is not None)
-        decoded = [words[v] if v in words else decode_var(p, v) for v in variables]
-        for (v, (sig_i, tau_i)), (w, (sig_j, tau_j)) in combinations(zip(variables, decoded), 2):
+        in_key = _monomial_vars(key, decode is not None)
+        decoded = [words[v] if v in words else decode_var(p, v) for v in in_key]
+        for (v, (sig_i, tau_i)), (w, (sig_j, tau_j)) in combinations(zip(in_key, decoded), 2):
             if broken(v, w):
                 return False, {
                     "monomial": key,
