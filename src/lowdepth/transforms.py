@@ -232,6 +232,16 @@ def _fanin_2(formula: Formula) -> Formula:
     return formula
 
 
+def _bb(formula: Formula, eps: Fraction) -> Formula:
+    """depth_reduce_bb checked against its contract, as _fanin_2 would
+    return it.  bb builds fan-in-2 gates only, so its root alone is read:
+    only a fan-in-1 sum there needs binarize."""
+    out = depth_reduce_bb(formula, eps)
+    _check_bb(formula, out, eps)
+    root = out.root
+    return binarize(out) if is_gate(root) and len(root.children) != 2 else out
+
+
 # ---------------------------------------------------------------------------
 # collapse
 # ---------------------------------------------------------------------------
@@ -622,11 +632,14 @@ def depth_reduce_main(formula: Formula, delta: int | str) -> Formula:
     return _reduce_main(formula, delta)[0]
 
 
-def _reduce_main(formula: Formula, delta: int | str) -> tuple[Formula, int, tuple[int, int]]:
-    """depth_reduce_main, plus its delta and its (product depth, size) bounds."""
+def _reduce_main(formula: Formula, delta: int | str,
+                 fanin_2: bool = False) -> tuple[Formula, int, tuple[int, int]]:
+    """depth_reduce_main, plus its delta and its (product depth, size) bounds;
+    fanin_2 says that every gate of formula has fan-in 2 already."""
     if delta != "auto" and int(delta) < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-    formula = _fanin_2(formula)
+    if not fanin_2:
+        formula = _fanin_2(formula)
     field = formula.field
     m_in = ir.metrics(formula)
     if delta == "auto":
@@ -718,7 +731,11 @@ def homogenize(formula: Formula, target_d: int) -> list[Formula | None]:
     """
     if target_d < 0:
         raise ValueError("target degree must be >= 0")
-    formula = _fanin_2(formula)
+    return _components(_fanin_2(formula), target_d)
+
+
+def _components(formula: Formula, target_d: int) -> list[Formula | None]:
+    """homogenize of a formula whose gates all have fan-in 2."""
     field = formula.field
     one = field.one()
     m_in = ir.metrics(formula)
@@ -889,9 +906,8 @@ def depth_reduce_homogeneous(formula: Formula) -> Formula:
     Size is hard-bounded by (post-split size)^2 * d.
     """
     d = ir.syn_degree(formula)
-    f1 = depth_reduce_bb(formula, Fraction(1, 2))
-    _check_bb(formula, f1, Fraction(1, 2))
-    f2 = depth_reduce_main(f1, "auto")
+    f1 = _bb(formula, Fraction(1, 2))
+    f2 = _reduce_main(f1, "auto", fanin_2=True)[0]
     m1 = ir.metrics(f1)
     out = collapse(f2)
     if d >= 1 and ir.metrics(out).size > m1.size * m1.size * max(d, 1):
@@ -914,22 +930,18 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
     d = ir.syn_degree(formula)
     if d <= 1:
         # no product structure: split-reduce, then flatten the sums
-        f1 = depth_reduce_bb(formula, eps)
-        _check_bb(formula, f1, eps)
-        f2 = depth_reduce_main(f1, "auto")
-        return collapse(f2)
+        f1 = _bb(formula, eps)
+        return collapse(_reduce_main(f1, "auto", fanin_2=True)[0])
     # branch test d^(4/eps) >= s, exactly: with eps = p/q it is d^(4q) >= s^p
     if d ** (4 * eps.denominator) >= s**eps.numerator:
         out = depth_reduce_bb(formula, eps)
         _check_bb(formula, out, eps)
         return out
-    f1 = depth_reduce_bb(formula, eps / 2)
-    _check_bb(formula, f1, eps / 2)
+    f1 = _bb(formula, eps / 2)
     delta = _floor_ratio_log(eps, s, d)
     if delta < 2:
         raise InternalInvariantError("branch condition must force delta >= 2")
-    f2 = depth_reduce_main(f1, delta)
-    return collapse(f2)
+    return collapse(_reduce_main(f1, delta, fanin_2=True)[0])
 
 
 def _floor_ratio_log(eps: Fraction, s: int, d: int) -> int:
@@ -947,17 +959,59 @@ def _floor_ratio_log(eps: Fraction, s: int, d: int) -> int:
 
 def pipeline_inhom(formula: Formula) -> Formula:
     """Depth O(log d) for a possibly inhomogeneous formula computing a
-    homogeneous polynomial: binarize, split-reduce, take the degree-d
-    component, potential-reduce, collapse.
+    homogeneous polynomial: split-reduce, take the degree-d component,
+    potential-reduce, collapse.
 
-    The input is checked semantically (by expansion, within
-    poly.DEFAULT_EXPANSION_BUDGET): all monomials must share one degree
-    d >= 1.
+    All monomials must share one degree d >= 1.  A formula over Q whose sums
+    each have children of one syntactic degree and whose edge scalars are all
+    positive has d = its syntactic degree, read in one walk (_monotone_degree)
+    without expanding.  Any other input (mixed degrees, a scalar <= 0, a
+    field Fp:<q>, a constant) is expanded to learn d, within
+    poly.DEFAULT_EXPANSION_BUDGET.
     """
+    d = _monotone_degree(formula) or _expanded_degree(formula)
+    f1 = _bb(formula, Fraction(1, 2))
+    comp_d = _components(f1, d)[d]
+    if comp_d is None:
+        raise InternalInvariantError("degree component missing for the output degree")
+    out = collapse(depth_reduce_main(comp_d, "auto"))
+    if not ir.is_homogeneous(out):
+        raise InternalInvariantError("pipeline output is not homogeneous")
+    return out
+
+
+def _monotone_degree(formula: Formula) -> int:
+    """The one degree of every monomial, proved from the syntax, or 0 when
+    the proof does not apply.
+
+    When every sum's children share one syntactic degree, every parse tree
+    makes a monomial (a word, without commutativity) of the root's syntactic
+    degree; when every edge scalar is positive, each adds a positive
+    coefficient, so none cancels and the polynomial is non-zero.  Fp:<q> has
+    no order, and a constant (degree 0) is left to the expansion.
+    """
+    if not formula.field.ordered:
+        return 0
+    positive = formula.field.is_positive
+    for node in ir.postorder(formula.root):
+        kind = type(node)
+        if kind is SumGate:
+            d = node.syn_degree
+            for c, ch in node.children:
+                if ch.syn_degree != d or not positive(c):
+                    return 0
+        elif kind is ProdGate:
+            for c, _ in node.children:
+                if not positive(c):
+                    return 0
+    return formula.root.syn_degree
+
+
+def _expanded_degree(formula: Formula) -> int:
+    """The one degree of every monomial, read from the expansion."""
     from . import poly
 
-    table = poly.expand(formula, budget=poly.DEFAULT_EXPANSION_BUDGET)
-    degrees = table.degrees_present()
+    degrees = poly.expand(formula, budget=poly.DEFAULT_EXPANSION_BUDGET).degrees_present()
     if not degrees:
         raise ValueError("formula computes the zero polynomial")
     if len(degrees) > 1:
@@ -965,16 +1019,7 @@ def pipeline_inhom(formula: Formula) -> Formula:
     (d,) = degrees
     if d < 1:
         raise ValueError("pipeline needs degree >= 1; the input is a constant")
-    f1 = depth_reduce_bb(formula, Fraction(1, 2))
-    _check_bb(formula, f1, Fraction(1, 2))
-    comps = homogenize(f1, d)
-    comp_d = comps[d]
-    if comp_d is None:
-        raise InternalInvariantError("degree component missing for the output degree")
-    out = collapse(depth_reduce_main(comp_d, "auto"))
-    if not ir.is_homogeneous(out):
-        raise InternalInvariantError("pipeline output is not homogeneous")
-    return out
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,8 @@ def test_reduce_rejects_bb_output_outside_contract(tmp_path, capsys, monkeypatch
 
 def test_metrics_walks_per_reduce(tmp_path, capsys, monkeypatch):
     # every node carries its metrics, so no pass, check or report walks the
-    # formula to measure it; the walks left build outputs or check shapes
+    # formula to measure it, and no composition walks bb's output to learn
+    # its fan-in; the walks left build outputs or check shapes
     wide = bench.gen_random_homogeneous(6, 4, 60, seed=3)
     quadratic = bench.gen_random_homogeneous(6, 2, 60, seed=3)
     assert ir.max_fanin(wide) > 2 and 2**4 < ir.size(quadratic)
@@ -179,12 +180,12 @@ def test_metrics_walks_per_reduce(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ir, "postorder", counting)
     out = str(tmp_path / "o.frm")
     cases = [
-        (["reduce", files["wide"], "--method", "homogeneous"], 3),
+        (["reduce", files["wide"], "--method", "homogeneous"], 2),
         (["reduce", files["fan2"], "--method", "main"], 1),
         (["reduce", files["wide"], "--method", "main"], 2),
         (["reduce", files["wide"], "--method", "nearlinear"], 1),  # bb only
-        (["reduce", files["d2"], "--method", "nearlinear", "--epsilon", "1"], 3),
-        (["reduce", files["wide"], "--method", "pipeline"], 8),
+        (["reduce", files["d2"], "--method", "nearlinear", "--epsilon", "1"], 2),
+        (["reduce", files["wide"], "--method", "pipeline"], 7),
         (["prodfanin2", files["wide"]], 2),
         (["reduce", files["wide"], "--method", "bb"], 1),
     ]
@@ -443,6 +444,25 @@ def test_failed_pass_leaves_no_output_file(tmp_path, capsys):
     assert out.read_text() == "(+ x1 x2)\n"
 
 
+def test_pipeline_on_the_6264_leaf_formula(tmp_path, capsys):
+    # monotone and homogeneous, so pipeline reads its degree from the syntax;
+    # expanding it to learn the degree gave no answer in 30 s
+    import time
+
+    f = bench.gen_random_homogeneous(10, 16, 10**4, seed=116)
+    assert ir.size(f) == 6264
+    src, out = tmp_path / "f.frm", tmp_path / "o.frm"
+    sexpr.write_file(str(src), f)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "reduce", str(src), "--method", "pipeline", "--no-verify",
+                           "-o", str(out))
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK, err
+    code, stdout, _ = run_cli(capsys, "verify-equal", str(src), str(out), "--method", "pit")
+    assert code == EXIT_OK
+    assert reports(stdout)[0]["verify"]["verdict"] == "equal-probably"
+
+
 def test_reduce_main_on_fanin_1_products(tmp_path, capsys):
     p = tmp_path / "p.frm"
     for text in ("(* x3)\n", "(* (* x3) x1)\n"):
@@ -523,13 +543,16 @@ DEEP_LIBRARY = {
     "pit_equal": lambda f: pit.pit_equal(f, f),
     "collapse": transforms.collapse,
     "skew_to_sigma_pi": transforms.skew_to_sigma_pi,
+    "pipeline_inhom": transforms.pipeline_inhom,
 }
 
-# skew_to_sigma_pi on comb takes longer than 10 s; ROADMAP.md item 3 names
-# every row left out of the sweep, with its reason
+# skew_to_sigma_pi on comb takes longer than 10 s, and comb mixes degrees, so
+# pipeline expands it; ROADMAP.md item 3 names every row left out of the
+# sweep, with its reason
 DEEP_ROWS = [(shape, "cli", argv) for shape in ("comb", "chain") for argv in DEEP_CLI] + [
+    ("chain", "cli", ("reduce", "--method", "pipeline", "--no-verify", "-o", "{out}"))] + [
     (shape, "lib", name) for shape in ("comb", "chain") for name in DEEP_LIBRARY
-    if (shape, name) != ("comb", "skew_to_sigma_pi")]
+    if (shape, name) not in (("comb", "skew_to_sigma_pi"), ("comb", "pipeline_inhom"))]
 
 
 @pytest.mark.parametrize("shape, kind, row", DEEP_ROWS,

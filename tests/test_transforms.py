@@ -352,6 +352,23 @@ def test_bb_walks_node_attribute_once(monkeypatch, eps):
     assert len(walks) == 1
 
 
+def test_bb_output_is_fanin_2_below_its_root(corpus_both, hard_instances):
+    # the compositions read only the root of bb's output (transforms._bb)
+    # where they walked it to learn its fan-in: every gate below the root has
+    # fan-in 2, and _bb returns what _fanin_2 returns, byte for byte
+    texts = ["x1", "(+ (scale 3 x1))", "(+ 1 1)", "(* x1 (scale 2 x2))", "(+ x1 (* x2 x3) 1)",
+             "mode: noncommutative\n(+ (* x2 x1) (scale 1/2 (* x1 x2 x3)) 1)",
+             "field: Fp:7\n(* (+ x1 (scale 6 x2)) (+ x1 x3 x4))"]
+    formulas = ([sexpr.parse(t) for t in texts] + corpus_both + [g for _, g in hard_instances]
+                + [gen_comb(301), sum_chain(301)])
+    for f in formulas:
+        for eps in (Fraction(1, 8), Fraction(1, 2), 1):
+            out = tr.depth_reduce_bb(f, eps)
+            assert all(len(n.children) == 2 for n in ir.postorder(out.root)
+                       if ir.is_gate(n) and n is not out.root)
+            assert sexpr.serialize(tr._bb(f, eps)) == sexpr.serialize(tr._fanin_2(out))
+
+
 def _count_fraction_products(monkeypatch, run) -> int:
     """Fraction multiplications that run() makes."""
     calls = []
@@ -935,6 +952,59 @@ def test_pipeline_mixed_degrees_rejected():
     f = sexpr.parse("(+ x1 (* x2 x3))")
     with pytest.raises(NotSemanticallyHomogeneous):
         tr.pipeline_inhom(f)
+
+
+#: inputs pipeline_inhom still expands to learn their degree, with what the
+#: expansion gives: an exception type and message, or the output's text
+_PIPELINE_EXPANDS = [
+    ("(+ x1 (* x2 x3))", NotSemanticallyHomogeneous, "expansion mixes degrees [1, 2]"),
+    ("comb", NotSemanticallyHomogeneous, f"expansion mixes degrees {list(range(1, 151))}"),
+    ("(+ x1 (scale -1 x1))", ValueError, "formula computes the zero polynomial"),
+    ("(+ 1 (scale 2 1))", ValueError, "pipeline needs degree >= 1; the input is a constant"),
+    ("(+ (* x1 x2) (scale -1 (* x1 x3)))", None,
+     "mode: commutative\nfield: Q\n(+ (* x1 x2) (scale -1 (* x1 x3)))\n"),
+    ("mode: noncommutative\n(+ (* x1 x2) (scale -1 (* x2 x1)) (* x1 x1))", None,
+     "mode: noncommutative\nfield: Q\n(+ (* x1 x2) (scale -1 (* x2 x1)) (* x1 x1))\n"),
+    ("field: Fp:7\n(+ (* x1 x2) (scale 3 (* x2 x3)))", None,
+     "mode: commutative\nfield: Fp:7\n(+ (* x1 x2) (scale 3 (* x2 x3)))\n"),
+]
+
+
+def _counting_expand(monkeypatch) -> list:
+    calls = []
+    real = poly.expand
+    monkeypatch.setattr(poly, "expand", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+    return calls
+
+
+def test_pipeline_reads_the_degree_of_monotone_homogeneous_inputs(monkeypatch):
+    # every sum's children share one syntactic degree and every scalar is
+    # positive: the degree is the root's, and nothing is expanded
+    inputs = [gen_random_homogeneous(8, 8, 2000, seed=i) for i in range(3)] + [
+        gen_hard(HardParams(3, 3)), sum_chain(8001),
+        gen_random_homogeneous(8, 8, 1000, seed=0, commutative=False),
+        gen_hard(HardParams(2, 3), commutative=False), sexpr.parse("(+ (scale 1/2 x3))")]
+    calls = _counting_expand(monkeypatch)
+    for i, f in enumerate(inputs):
+        out = tr.pipeline_inhom(f)
+        assert len(calls) == 0, i
+        assert ir.syn_degree(out) == ir.syn_degree(f)
+
+
+@pytest.mark.parametrize("text, error, expected", _PIPELINE_EXPANDS,
+                         ids=[t.split("\n")[-1] for t, _, _ in _PIPELINE_EXPANDS])
+def test_pipeline_expands_what_the_syntax_leaves_open(monkeypatch, text, error, expected):
+    # mixed degrees, a scalar below zero, a field without order or a constant:
+    # the degree comes from one expansion, with its errors and its output
+    f = gen_comb(300) if text == "comb" else sexpr.parse(text)
+    calls = _counting_expand(monkeypatch)
+    if error is None:
+        assert sexpr.serialize(tr.pipeline_inhom(f)) == expected
+    else:
+        with pytest.raises(error) as info:
+            tr.pipeline_inhom(f)
+        assert type(info.value) is error and str(info.value) == expected
+    assert calls == [f]
 
 
 def test_auto_delta():
