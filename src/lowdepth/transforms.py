@@ -962,14 +962,23 @@ def pipeline_inhom(formula: Formula) -> Formula:
     homogeneous polynomial: split-reduce, take the degree-d component,
     potential-reduce, collapse.
 
-    All monomials must share one degree d >= 1.  A formula over Q whose sums
-    each have children of one syntactic degree and whose edge scalars are all
-    positive has d = its syntactic degree, read in one walk (_monotone_degree)
-    without expanding.  Any other input (mixed degrees, a scalar <= 0, a
-    field Fp:<q>, a constant) is expanded to learn d, within
-    poly.DEFAULT_EXPANSION_BUDGET.
+    All monomials must share one degree d >= 1.  _monotone_degree reads d
+    from the syntax of a monotone formula over Q whose sums are homogeneous;
+    any other input (mixed degrees, a scalar <= 0, a field Fp:<q>, a
+    constant) is expanded to learn d, within poly.DEFAULT_EXPANSION_BUDGET.
     """
-    d = _monotone_degree(formula) or _expanded_degree(formula)
+    d = _monotone_degree(formula)
+    if not d:
+        from . import poly
+
+        degrees = poly.expand(formula, budget=poly.DEFAULT_EXPANSION_BUDGET).degrees_present()
+        if not degrees:
+            raise ValueError("formula computes the zero polynomial")
+        if len(degrees) > 1:
+            raise NotSemanticallyHomogeneous(f"expansion mixes degrees {sorted(degrees)}")
+        (d,) = degrees
+        if d < 1:
+            raise ValueError("pipeline needs degree >= 1; the input is a constant")
     f1 = _bb(formula, Fraction(1, 2))
     comp_d = _components(f1, d)[d]
     if comp_d is None:
@@ -981,14 +990,12 @@ def pipeline_inhom(formula: Formula) -> Formula:
 
 
 def _monotone_degree(formula: Formula) -> int:
-    """The one degree of every monomial, proved from the syntax, or 0 when
-    the proof does not apply.
-
-    When every sum's children share one syntactic degree, every parse tree
-    makes a monomial (a word, without commutativity) of the root's syntactic
-    degree; when every edge scalar is positive, each adds a positive
-    coefficient, so none cancels and the polynomial is non-zero.  Fp:<q> has
-    no order, and a constant (degree 0) is left to the expansion.
+    """The degree of every monomial, proved in one walk, or 0 when the proof
+    does not apply.  When every sum's children share one syntactic degree
+    and every edge scalar is positive, each parse tree adds a positive
+    coefficient to a monomial (a word, without commutativity) of the root's
+    syntactic degree, so none cancels.  Fp:<q> has no order; a constant
+    (degree 0) is left to the expansion.
     """
     if not formula.field.ordered:
         return 0
@@ -1005,21 +1012,6 @@ def _monotone_degree(formula: Formula) -> int:
                 if not positive(c):
                     return 0
     return formula.root.syn_degree
-
-
-def _expanded_degree(formula: Formula) -> int:
-    """The one degree of every monomial, read from the expansion."""
-    from . import poly
-
-    degrees = poly.expand(formula, budget=poly.DEFAULT_EXPANSION_BUDGET).degrees_present()
-    if not degrees:
-        raise ValueError("formula computes the zero polynomial")
-    if len(degrees) > 1:
-        raise NotSemanticallyHomogeneous(f"expansion mixes degrees {sorted(degrees)}")
-    (d,) = degrees
-    if d < 1:
-        raise ValueError("pipeline needs degree >= 1; the input is a constant")
-    return d
 
 
 # ---------------------------------------------------------------------------
