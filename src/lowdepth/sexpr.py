@@ -307,5 +307,8 @@ def parse_program_file(path: str, scalars: list) -> Parsed:
 
 
 def write_file(path: str, formula: Formula) -> None:
+    """Write formula's text to path; a formula that cannot be printed leaves
+    the file as it was."""
+    text = serialize(formula)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(formula))
+        fh.write(text)

@@ -740,75 +740,57 @@ def _components(formula: Formula, target_d: int) -> list[Formula | None]:
     one = field.one()
     m_in = ir.metrics(formula)
 
-    # component values: None (absent), ("s", scalar), or a Node; a node's
-    # attribute is the list of its components 0..target_d
-    def comps(node: Node, vals: list) -> list:
-        return [_comp_raw(node, vals, i) for i in range(target_d + 1)]
-
-    def _comp_raw(node: Node, vals: list, i: int):
-        if isinstance(node, VarLeaf):
-            return node if i == 1 else None
-        if isinstance(node, OneLeaf):
-            return ("s", one) if i == 0 else None
-        if isinstance(node, SumGate):
+    # a node's attribute maps each degree it has, up to target_d and in
+    # ascending order, to its component there: a scalar at degree 0, a node
+    # above; a product convolves only the degrees its children have
+    def comps(node: Node, vals: list) -> dict:
+        kind = type(node)
+        if kind is VarLeaf:
+            return {1: node} if target_d else {}
+        if kind is OneLeaf:
+            return {0: one}
+        parts: dict[int, list] = {}
+        if kind is SumGate:
+            for (c, _), sub in zip(node.children, vals):
+                for i, comp in sub.items():
+                    parts.setdefault(i, []).append((c, comp))
+        else:
+            (cl, _), (cr, _) = node.children
+            coef = field.mul(cl, cr)
+            left, right = vals
+            for j, a in left.items():
+                for k, b in right.items():
+                    if j + k > target_d:
+                        break
+                    if not j and not k:
+                        part = (coef, field.mul(a, b))
+                    elif not j:
+                        part = (field.mul(coef, a), b)
+                    elif not k:
+                        part = (field.mul(coef, b), a)
+                    else:
+                        part = (coef, ProdGate(((one, a), (one, b))))
+                    parts.setdefault(j + k, []).append(part)
+        out = {}
+        for i in sorted(parts):
+            ps = parts[i]
             if i == 0:
                 acc = field.zero()
-                seen = False
-                for (c, _), sub_comps in zip(node.children, vals):
-                    sub = sub_comps[0]
-                    if sub is None:
-                        continue
-                    seen = True
-                    acc = field.add(acc, field.mul(c, sub[1]))
-                if not seen or field.is_zero(acc):
-                    return None
-                return ("s", acc)
-            parts = []
-            for (c, _), sub_comps in zip(node.children, vals):
-                sub = sub_comps[i]
-                if sub is not None:
-                    parts.append((c, sub))
-            return _assemble_sum(parts)
-        (cl, _), (cr, _) = node.children
-        left, right = vals
-        coef = field.mul(cl, cr)
-        if i == 0:
-            a = left[0]
-            b = right[0]
-            if a is None or b is None:
-                return None
-            val = field.mul(coef, field.mul(a[1], b[1]))
-            return None if field.is_zero(val) else ("s", val)
-        parts = []
-        for j in range(i + 1):
-            a = left[j]
-            b = right[i - j]
-            if a is None or b is None:
-                continue
-            if j == 0:
-                parts.append((field.mul(coef, a[1]), b))
-            elif j == i:
-                parts.append((field.mul(coef, b[1]), a))
+                for c, v in ps:
+                    acc = field.add(acc, field.mul(c, v))
+                if not field.is_zero(acc):
+                    out[0] = acc
+            elif len(ps) == 1:
+                out[i] = scale_node(ps[0][0], ps[0][1], field)
             else:
-                parts.append((coef, ProdGate(((one, a), (one, b)))))
-        return _assemble_sum(parts)
+                out[i] = SumGate(tuple(ps))
+        return out
 
-    def _assemble_sum(parts: list):
-        if not parts:
-            return None
-        if len(parts) == 1:
-            c, node = parts[0]
-            return scale_node(c, node, field)
-        return SumGate(tuple(parts))
-
-    components: list[Formula | None] = []
-    for val in ir.node_attribute(formula.root, comps)[id(formula.root)]:  # type: ignore[union-attr]
-        if val is None:
-            components.append(None)
-        elif isinstance(val, tuple):
-            components.append(formula.with_root(SumGate(((val[1], OneLeaf()),))))
-        else:
-            components.append(formula.with_root(ir.tree_materialize(val)))
+    root_comps = ir.node_attribute(formula.root, comps)[id(formula.root)]
+    components: list[Formula | None] = [None] * (target_d + 1)
+    for i, val in root_comps.items():  # type: ignore[union-attr]
+        root = SumGate(((val, OneLeaf()),)) if i == 0 else ir.tree_materialize(val)
+        components[i] = formula.with_root(root)
 
     total = 0
     for i, comp_f in enumerate(components):
@@ -959,16 +941,17 @@ def _floor_ratio_log(eps: Fraction, s: int, d: int) -> int:
 
 def pipeline_inhom(formula: Formula) -> Formula:
     """Depth O(log d) for a possibly inhomogeneous formula computing a
-    homogeneous polynomial: split-reduce, take the degree-d component,
-    potential-reduce, collapse.
+    homogeneous polynomial of degree d >= 1.
 
-    All monomials must share one degree d >= 1.  _monotone_degree reads d
-    from the syntax of a monotone formula over Q whose sums are homogeneous;
-    any other input (mixed degrees, a scalar <= 0, a field Fp:<q>, a
-    constant) is expanded to learn d, within poly.DEFAULT_EXPANSION_BUDGET.
+    A syntactically homogeneous input (every sum's children share one
+    syntactic degree) runs depth_reduce_homogeneous.  A mixed-degree input is
+    split-reduced; its degree-d component is potential-reduced and collapsed.
+    Two kinds of input are expanded, within poly.DEFAULT_EXPANSION_BUDGET: a
+    mixed-degree one, to learn d, and a signed, Fp:<q> or constant one, to
+    refuse the zero polynomial (see _positive).
     """
-    d = _monotone_degree(formula)
-    if not d:
+    homogeneous = ir.is_homogeneous(formula)
+    if not (homogeneous and formula.root.syn_degree and _positive(formula)):
         from . import poly
 
         degrees = poly.expand(formula, budget=poly.DEFAULT_EXPANSION_BUDGET).degrees_present()
@@ -979,39 +962,27 @@ def pipeline_inhom(formula: Formula) -> Formula:
         (d,) = degrees
         if d < 1:
             raise ValueError("pipeline needs degree >= 1; the input is a constant")
-    f1 = _bb(formula, Fraction(1, 2))
-    comp_d = _components(f1, d)[d]
-    if comp_d is None:
-        raise InternalInvariantError("degree component missing for the output degree")
-    out = collapse(depth_reduce_main(comp_d, "auto"))
+    if homogeneous:
+        out = depth_reduce_homogeneous(formula)
+    else:
+        comp_d = _components(_bb(formula, Fraction(1, 2)), d)[d]
+        if comp_d is None:
+            raise InternalInvariantError("degree component missing for the output degree")
+        out = collapse(depth_reduce_main(comp_d, "auto"))
     if not ir.is_homogeneous(out):
         raise InternalInvariantError("pipeline output is not homogeneous")
     return out
 
 
-def _monotone_degree(formula: Formula) -> int:
-    """The degree of every monomial, proved in one walk, or 0 when the proof
-    does not apply.  When every sum's children share one syntactic degree
-    and every edge scalar is positive, each parse tree adds a positive
-    coefficient to a monomial (a word, without commutativity) of the root's
-    syntactic degree, so none cancels.  Fp:<q> has no order; a constant
-    (degree 0) is left to the expansion.
+def _positive(formula: Formula) -> bool:
+    """True when every edge scalar is positive; Fp:<q> has no order.  If the
+    sums are homogeneous too, each parse tree adds a positive coefficient to a
+    monomial (a word, without commutativity) of the root's degree, so none
+    cancels and the polynomial is not zero.
     """
-    if not formula.field.ordered:
-        return 0
-    positive = formula.field.is_positive
-    for node in ir.postorder(formula.root):
-        kind = type(node)
-        if kind is SumGate:
-            d = node.syn_degree
-            for c, ch in node.children:
-                if ch.syn_degree != d or not positive(c):
-                    return 0
-        elif kind is ProdGate:
-            for c, _ in node.children:
-                if not positive(c):
-                    return 0
-    return formula.root.syn_degree
+    field = formula.field
+    return field.ordered and all(field.is_positive(c) for node in ir.postorder(formula.root)
+                                 if is_gate(node) for c, _ in node.children)
 
 
 # ---------------------------------------------------------------------------

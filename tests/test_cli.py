@@ -444,6 +444,20 @@ def test_failed_pass_leaves_no_output_file(tmp_path, capsys):
     assert out.read_text() == "(+ x1 x2)\n"
 
 
+def test_failed_print_keeps_the_output_file(tmp_path, capsys):
+    # the output scalar c^2 has 7,634 digits, more than the interpreter turns
+    # into text by default: the pass runs, its print fails, and the file that
+    # was there before keeps its bytes
+    c = 3**8000
+    src, out = tmp_path / "big.frm", tmp_path / "out.frm"
+    src.write_text(f"(* (scale {c} (+ x1 x2)) (scale {c} (+ x3 x4)))\n")
+    out.write_text("(+ x1 x2)\n")
+    code, _, err = run_cli(capsys, "reduce", str(src), "--method", "main", "--no-verify",
+                           "-o", str(out))
+    assert code == EXIT_USAGE and err.startswith("error: ")
+    assert out.read_text() == "(+ x1 x2)\n"
+
+
 def test_pipeline_on_the_6264_leaf_formula(tmp_path, capsys):
     # monotone and homogeneous, so pipeline reads its degree from the syntax;
     # expanding it to learn the degree gave no answer in 30 s

@@ -785,6 +785,18 @@ def test_homogenize_noncommutative_order():
     assert set(poly.expand(comps[1]).terms) == {(1,), (2,)}
 
 
+def test_homogenize_pins_nodes_of_several_degrees():
+    # the golden test pins homogeneous inputs only; here nodes have several
+    # degrees, and the target is the full degree D and D // 2
+    signed = sexpr.parse("(+ (* (+ x1 (scale -2 1)) (+ (* x2 x3) (scale 1/3 x1) 1) "
+                         "(+ x4 (scale -1 x1))) (scale -3/2 (* x2 x2)) (scale 5 1))")
+    outs = []
+    for f in (gen_comb(301), _interpolated_e2(4), signed):
+        d = ir.syn_degree(f)
+        outs += [tr.homogenize(f, d), tr.homogenize(f, d // 2)]
+    assert digest(outs) == "b8d44b0aaac0bb37256dad91f724260c71b9bb5f4758ea8c48eb6b6f75666460"
+
+
 # ---------------------------------------------------------------------------
 # product_fanin_2
 # ---------------------------------------------------------------------------
@@ -941,11 +953,35 @@ def test_pipeline_interpolated_e2():
     assert ir.syn_degree(out) == 2
 
 
-def test_pipeline_homogeneous_input_matches(corpus_comm):
-    f = corpus_comm[0]
-    out = tr.pipeline_inhom(f)
-    ref = tr.depth_reduce_homogeneous(f)
-    assert poly.equal_expand(out, ref)
+def _reweighted(f: Formula, seed: int, field=QQ) -> Formula:
+    """f with about 20 % of its edge scalars times -3/2, normalized into field
+    (a scalar that field sends to 0 becomes 1)."""
+    rng = random.Random(seed)
+
+    def rebuild(node, vals):
+        if not ir.is_gate(node):
+            return node
+        edges = []
+        for (c, _), v in zip(node.children, vals):
+            c = field.normalize(c * Fraction(-3, 2) if rng.random() < 0.2 else c)
+            edges.append((c if not field.is_zero(c) else field.one(), v))
+        return type(node)(tuple(edges))
+
+    return Formula(ir.node_attribute(f.root, rebuild)[id(f.root)], f.commutative, field)
+
+
+def test_pipeline_homogeneous_input_matches(corpus_both):
+    # on a syntactically homogeneous input pipeline is the homogeneous
+    # composition, byte for byte, signed or over Fp as well
+    inputs = corpus_both + [gen_hard(HardParams(2, 3), commutative=c) for c in (True, False)]
+    for i, shape in enumerate([(4, 2, 50), (5, 4, 200), (6, 3, 300)]):
+        for commutative in (True, False):
+            f = gen_random_homogeneous(*shape, seed=i, commutative=commutative)
+            inputs += [_reweighted(f, i), _reweighted(f, i, PrimeField(7))]
+    for f in inputs:
+        assert ir.is_homogeneous(f)
+        out = sexpr.serialize(tr.pipeline_inhom(f))
+        assert out == sexpr.serialize(tr.depth_reduce_homogeneous(f))
 
 
 def test_pipeline_mixed_degrees_rejected():
@@ -954,8 +990,11 @@ def test_pipeline_mixed_degrees_rejected():
         tr.pipeline_inhom(f)
 
 
-#: inputs pipeline_inhom still expands to learn their degree, with what the
-#: expansion gives: an exception type and message, or the output's text
+#: inputs pipeline_inhom still expands, with what the expansion gives: an
+#: exception type and message, or the output's text.  Mixed degrees expand to
+#: learn d; a homogeneous input with a scalar below zero, over Fp or of degree
+#: 0 expands only to refuse the zero polynomial, then runs the homogeneous
+#: composition
 _PIPELINE_EXPANDS = [
     ("(+ x1 (* x2 x3))", NotSemanticallyHomogeneous, "expansion mixes degrees [1, 2]"),
     ("comb", NotSemanticallyHomogeneous, f"expansion mixes degrees {list(range(1, 151))}"),
@@ -979,7 +1018,8 @@ def _counting_expand(monkeypatch) -> list:
 
 def test_pipeline_reads_the_degree_of_monotone_homogeneous_inputs(monkeypatch):
     # every sum's children share one syntactic degree and every scalar is
-    # positive: the degree is the root's, and nothing is expanded
+    # positive: the polynomial is not zero, so pipeline runs the homogeneous
+    # composition and expands nothing
     inputs = [gen_random_homogeneous(8, 8, 2000, seed=i) for i in range(3)] + [
         gen_hard(HardParams(3, 3)), sum_chain(8001),
         gen_random_homogeneous(8, 8, 1000, seed=0, commutative=False),
@@ -995,7 +1035,7 @@ def test_pipeline_reads_the_degree_of_monotone_homogeneous_inputs(monkeypatch):
                          ids=[t.split("\n")[-1] for t, _, _ in _PIPELINE_EXPANDS])
 def test_pipeline_expands_what_the_syntax_leaves_open(monkeypatch, text, error, expected):
     # mixed degrees, a scalar below zero, a field without order or a constant:
-    # the degree comes from one expansion, with its errors and its output
+    # one expansion decides, with its errors and its output
     f = gen_comb(300) if text == "comb" else sexpr.parse(text)
     calls = _counting_expand(monkeypatch)
     if error is None:
