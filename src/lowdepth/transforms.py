@@ -20,7 +20,11 @@ The passes:
 * homogenize                 degree components of a formula
 * product_fanin_2            rebalance products to fan-in 2 at unchanged leaf count
 * depth_reduce_homogeneous, depth_reduce_nearlinear, pipeline_inhom
-                             compositions reaching depth O(log d)
+                             compositions reaching depth O(log d); pipeline_inhom
+                             runs depth_reduce_homogeneous on a syntactically
+                             homogeneous input and expands only a mixed-degree
+                             input (to learn d) or a signed, Fp or constant one
+                             (to refuse the zero polynomial)
 
 There is no representation for the zero polynomial (edge weights are
 non-zero, there is no zero leaf), so passes that can observe cancellation

@@ -185,7 +185,7 @@ def test_metrics_walks_per_reduce(tmp_path, capsys, monkeypatch):
         (["reduce", files["wide"], "--method", "main"], 2),
         (["reduce", files["wide"], "--method", "nearlinear"], 1),  # bb only
         (["reduce", files["d2"], "--method", "nearlinear", "--epsilon", "1"], 2),
-        (["reduce", files["wide"], "--method", "pipeline"], 7),
+        (["reduce", files["wide"], "--method", "pipeline"], 5),
         (["prodfanin2", files["wide"]], 2),
         (["reduce", files["wide"], "--method", "bb"], 1),
     ]

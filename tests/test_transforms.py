@@ -992,9 +992,9 @@ def test_pipeline_mixed_degrees_rejected():
 
 #: inputs pipeline_inhom still expands, with what the expansion gives: an
 #: exception type and message, or the output's text.  Mixed degrees expand to
-#: learn d; a homogeneous input with a scalar below zero, over Fp or of degree
-#: 0 expands only to refuse the zero polynomial, then runs the homogeneous
-#: composition
+#: learn d; a homogeneous input with a scalar below zero or over Fp expands
+#: only to refuse the zero polynomial, then runs the homogeneous composition;
+#: a constant expands and is refused
 _PIPELINE_EXPANDS = [
     ("(+ x1 (* x2 x3))", NotSemanticallyHomogeneous, "expansion mixes degrees [1, 2]"),
     ("comb", NotSemanticallyHomogeneous, f"expansion mixes degrees {list(range(1, 151))}"),
