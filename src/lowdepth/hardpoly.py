@@ -16,7 +16,10 @@ property of monomials (two variables whose sigma-words agree on exactly
 l < k letters must have tau-words agreeing on at least l+1), read off the
 expansion kernel's packed root table with one mask of bad partners per
 variable, and the per-gate monomial-count bound r^(d_gate - 1) for any
-monotone formula computing the polynomial.
+monotone formula computing the polynomial.  check_gate_counts first compares
+the formula's packed table with H(k, r)'s, so a formula it accepts has H's
+monomials: their count, unit coefficients and prefix alignment follow from
+that one comparison, and check-hard reports them without recomputing them.
 
 Variable encoding (stable; test fixtures depend on it): sigma and tau are
 read as mixed-radix numbers with the first letter most significant, and
@@ -216,21 +219,14 @@ def check_gate_counts(
     budget: int | None = None,
 ) -> tuple[bool, dict | None]:
     """Per-gate monomial-count bound r^(d_gate - 1) for a monotone formula
-    computing the hard polynomial (checked semantically first).
+    computing the hard polynomial.
 
     Applies to the canonical formula and to any rewritten monotone formula
-    for it.  Raises NotComputingH when the polynomial does not match.
+    for it.  One expansion of the formula and one of H(k, r) in its mode and
+    field, compared packed, come first: NotComputingH unless they are equal.
     """
-    return _expand_against_h(p, formula, budget)[2]
-
-
-def _expand_against_h(
-    p: HardParams, formula: Formula, budget: int | None
-) -> tuple[dict, poly.Packing | None, tuple[bool, dict | None]]:
-    """The formula's root table and packing and its gate-count verdict, from
-    one expansion of the formula and one of H(k, r), compared packed."""
     reference = gen_hard(p, commutative=formula.commutative, field=formula.field)
-    root, packing, counts, same = poly.expand_against(formula, reference, _budget(budget))
+    counts, same = poly.expand_against(formula, reference, _budget(budget))
     if not same:
         raise NotComputingH(f"formula does not compute the (k={p.k}, r={p.r}) polynomial")
     gates = ir.gates_preorder(formula)
@@ -239,24 +235,13 @@ def _expand_against_h(
         if d_gate == 0:
             continue  # constant gates cannot appear in a monotone formula for H
         if count > p.r ** (d_gate - 1):
-            return root, packing, (False, {
+            return False, {
                 "gate_id": gate_id,
                 "count": count,
                 "degree": d_gate,
                 "bound": p.r ** (d_gate - 1),
-            })
-    return root, packing, (True, None)
-
-
-def check_formula(
-    p: HardParams,
-    formula: Formula,
-    budget: int | None = None,
-) -> tuple[dict, tuple[bool, dict | None], tuple[bool, dict | None]]:
-    """The formula's root table as poly._expand packs it (nothing decoded),
-    check_prefix_property and check_gate_counts, from one expansion of it."""
-    root, packing, gate_verdict = _expand_against_h(p, formula, budget)
-    return root, _prefix_verdict(p, root, packing), gate_verdict
+            }
+    return True, None
 
 
 def expected_monomials(p: HardParams) -> int:

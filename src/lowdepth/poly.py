@@ -28,9 +28,8 @@ keep those ring operations as the reference): the same keys in the same
 order, the same coefficients, and BudgetExceeded on the same inputs.
 equal_expand and expand_against compile both formulas over one scalar list,
 pack them alike (the union of their variables, the larger degree), compare the
-two root tables and decode neither (expand_against hands its first one on,
-packed).  pit.verify compiles a pair once and hands the programs to _expand and
-to PIT alike.
+two root tables and decode neither.  pit.verify compiles a pair once and
+hands the programs to _expand and to PIT alike.
 """
 
 from __future__ import annotations
@@ -344,15 +343,13 @@ def equal_expand(a: ir.Formula, b: ir.Formula, budget: int | None = DEFAULT_EXPA
 
 def expand_against(
     formula: ir.Formula, reference: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET
-) -> tuple[dict, Packing | None, dict[int, int], bool]:
-    """The formula's root table and packing as _expand gives them, its
-    gate_monomial_counts, and whether the reference has the same polynomial,
-    from one expansion of each."""
+) -> tuple[dict[int, int], bool]:
+    """The formula's gate_monomial_counts, and whether the reference has the
+    same polynomial, from one expansion of each."""
     _check_comparable(formula, reference)
     sizes: list[int] = []
-    root, packing, same = _expand(*_compile(formula, reference), formula.commutative, formula.field,
-                                  budget, sizes)
-    return root, packing, _gate_sizes(formula, sizes), same
+    same = _expand(*_compile(formula, reference), formula.commutative, formula.field, budget, sizes)[2]
+    return _gate_sizes(formula, sizes), same
 
 
 def gate_monomial_counts(formula: ir.Formula, budget: int | None = DEFAULT_EXPANSION_BUDGET) -> dict[int, int]:

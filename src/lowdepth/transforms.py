@@ -90,15 +90,6 @@ def bb_depth_bound(s: int, k: int) -> int:
     return s + 4 * levels
 
 
-def _check_bb(f_in: Formula, f_out: Formula, eps: Fraction) -> None:
-    """bb's contract: depth within bb_depth_bound, syntactic degree unchanged."""
-    m_in, m_out = ir.metrics(f_in), ir.metrics(f_out)
-    if m_out.depth > bb_depth_bound(m_in.size, bb_branch_param(eps)):
-        raise InternalInvariantError(f"bb output depth {m_out.depth} above its bound")
-    if m_out.syn_degree != m_in.syn_degree:
-        raise InternalInvariantError("bb changed the syntactic degree")
-
-
 def auto_delta(size: int, degree: int, sum_depth: int = 1) -> int:
     """delta = ceil(log2 size / log2 degree), exactly in integer arithmetic.
 
@@ -237,11 +228,10 @@ def _fanin_2(formula: Formula) -> Formula:
 
 
 def _bb(formula: Formula, eps: Fraction) -> Formula:
-    """depth_reduce_bb checked against its contract, as _fanin_2 would
-    return it.  bb builds fan-in-2 gates only, so its root alone is read:
-    only a fan-in-1 sum there needs binarize."""
+    """depth_reduce_bb's output as _fanin_2 would return it.  bb builds
+    fan-in-2 gates only, so its root alone is read: only a fan-in-1 sum there
+    needs binarize."""
     out = depth_reduce_bb(formula, eps)
-    _check_bb(formula, out, eps)
     root = out.root
     return binarize(out) if is_gate(root) and len(root.children) != 2 else out
 
@@ -467,7 +457,8 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
     pieces as ((A' x (beta' op gamma')) x B') + C'.  Formulas of size at most
     the branch parameter k = max(4, 2^ceil(4/eps)) are returned unchanged.
     Homogeneity, monotonicity, mode, and the syntactic degree bound are
-    preserved.
+    preserved.  The output is checked against its contract: depth within
+    bb_depth_bound, syntactic degree unchanged (InternalInvariantError).
 
     The input is binarized once.  The parts A, B and C are then fan-in 2 by
     construction (their subtrees come from the binarized input or from
@@ -502,7 +493,12 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
             return SumGate(((sc, body), (cv, OneLeaf())))
         return SumGate(((sc, body), (cv, (yield cn))))
 
-    return formula.with_root(run_recursive(reduce_node, binarize(formula).root))
+    root = run_recursive(reduce_node, binarize(formula).root)
+    if root.depth > bb_depth_bound(formula.root.size, k):
+        raise InternalInvariantError(f"bb output depth {root.depth} above its bound")
+    if root.syn_degree != formula.root.syn_degree:
+        raise InternalInvariantError("bb changed the syntactic degree")
+    return formula.with_root(root)
 
 
 # ---------------------------------------------------------------------------
@@ -920,9 +916,7 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
         return collapse(_reduce_main(f1, "auto", fanin_2=True)[0])
     # branch test d^(4/eps) >= s, exactly: with eps = p/q it is d^(4q) >= s^p
     if d ** (4 * eps.denominator) >= s**eps.numerator:
-        out = depth_reduce_bb(formula, eps)
-        _check_bb(formula, out, eps)
-        return out
+        return depth_reduce_bb(formula, eps)
     f1 = _bb(formula, eps / 2)
     delta = _floor_ratio_log(eps, s, d)
     if delta < 2:
@@ -1008,9 +1002,7 @@ def run_pass(formula: Formula, name: str, params: dict) -> tuple[Formula, dict, 
         eps = Fraction(1, 2) if eps in (None, "auto") else Fraction(eps)
         if name == "nearlinear":
             return depth_reduce_nearlinear(formula, eps), {"epsilon": eps}, None
-        out = depth_reduce_bb(formula, eps)
-        _check_bb(formula, out, eps)
-        return out, {"epsilon": eps, "k_bb": bb_branch_param(eps)}, None
+        return depth_reduce_bb(formula, eps), {"epsilon": eps, "k_bb": bb_branch_param(eps)}, None
     if name == "main":
         delta = params.get("delta")
         out, delta, bounds = _reduce_main(formula, "auto" if delta is None else delta)

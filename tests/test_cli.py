@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -131,26 +132,33 @@ def test_bench_epsilon_out_of_range_fails_rows(capsys):
             assert "epsilon must be in (0, 1]" in r["extra"]["error"]
 
 
+def test_bench_reps_below_one_is_usage_error(capsys):
+    for reps in ("0", "-2"):
+        code, out, err = run_cli(capsys, "bench", "--family", "comb", "--pass", "bb",
+                                 "--sizes", "10", "--reps", reps)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"must be at least 1, got {reps}" in err
+
+
 @pytest.mark.parametrize("fault", ["deeper", "higher-degree"])
 def test_reduce_rejects_bb_output_outside_contract(tmp_path, capsys, monkeypatch, fault):
     f = bench.gen_comb(200)
     src = tmp_path / "in.frm"
     sexpr.write_file(str(src), f)
     bound = transforms.bb_depth_bound(200, transforms.bb_branch_param(1))
-    real = transforms.depth_reduce_bb
+    real, one = transforms.run_recursive, f.field.one()
 
-    def doctored(formula, epsilon):
-        out = real(formula, epsilon)
-        one, root = out.field.one(), out.root
+    def doctored(step, root):  # the root depth_reduce_bb builds, before it checks it
+        root = real(step, root)
         if fault == "deeper":  # fan-in-1 sums, one level past the bound
-            for _ in range(bound + 1 - ir.metrics(out).depth):
+            for _ in range(bound + 1 - root.depth):
                 root = SumGate(((one, root),))
         else:  # times a fresh variable, within the depth bound
+            assert root.depth + 1 <= bound
             root = ProdGate(((one, root), (one, VarLeaf(999))))
-            assert ir.metrics(out).depth + 1 <= bound
-        return out.with_root(root)
+        return root
 
-    monkeypatch.setattr(transforms, "depth_reduce_bb", doctored)
+    monkeypatch.setattr(transforms, "run_recursive", doctored)
     code, _, err = run_cli(
         capsys, "reduce", str(src), "--method", "bb", "--epsilon", "1",
         "-o", str(tmp_path / "o.frm"),
@@ -640,10 +648,11 @@ def test_check_hard_expands_target_once(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("commutative", [True, False])
 def test_check_hard_decides_from_the_packed_table(tmp_path, capsys, monkeypatch, commutative):
-    # a passing reduced H(2, 3) and H(3, 3): no PolyTable, no decoded key,
-    # and each variable decoded at most once
-    built, decoded, words = [], [], []
-    real_init, real_decoder, real_decode_var = poly.PolyTable.__init__, poly._decoder, hardpoly.decode_var
+    # a passing reduced H(2, 3) and H(3, 3): no PolyTable, no decoded key, no
+    # decoded variable and no prefix verdict; the three fields that follow from
+    # the equality with H(k, r) are reported as H's own
+    built, decoded, words, verdicts = [], [], [], []
+    real_init, real_decoder = poly.PolyTable.__init__, poly._decoder
 
     def counting_decoder(packing):
         decode = real_decoder(packing)
@@ -659,16 +668,34 @@ def test_check_hard_decides_from_the_packed_table(tmp_path, capsys, monkeypatch,
         with monkeypatch.context() as patch:
             patch.setattr(poly.PolyTable, "__init__", lambda *a, **kw: built.append(a) or real_init(*a, **kw))
             patch.setattr(poly, "_decoder", counting_decoder)
-            patch.setattr(hardpoly, "decode_var", lambda p, v: words.append(v) or real_decode_var(p, v))
+            patch.setattr(hardpoly, "decode_var", lambda *a: words.append(a))
+            patch.setattr(hardpoly, "_prefix_verdict", lambda *a: verdicts.append(a))
             code, out, _ = run_cli(capsys, "check-hard", "--k", str(k), "--r", str(r),
                                    "--formula", str(path))
         assert code == EXIT_OK
         extra = reports(out)[0]["extra"]
         assert extra["monomial_count"] == hardpoly.expected_monomials(p)
-        assert extra["unit_coefficients"] and extra["prefix_property"]
-        assert (built, decoded) == ([], [])
-        assert sorted(words) == list(range(p.num_vars))
-        words.clear()
+        assert extra["monomial_count_ok"] and extra["unit_coefficients"] and extra["prefix_property"]
+        assert (built, decoded, words, verdicts) == ([], [], [], [])
+
+
+def test_check_hard_reports_a_gate_above_its_bound(tmp_path, capsys):
+    # H(1, 2) + S*S - S*S with S = x0 + x1 + x2 + x3 computes H(1, 2), but the
+    # gate S*S has 10 monomials at degree 2, above r^(2 - 1) = 2
+    path = tmp_path / "h.frm"
+    run_cli(capsys, "gen-hard", "--k", "1", "--r", "2", "-o", str(path))
+    h, s = path.read_text().splitlines()[-1], "(+ x0 x1 x2 x3)"
+    path.write_text(f"(+ {h} (* {s} {s}) (scale -1 (* {s} {s})))\n")
+    code, out, err = run_cli(capsys, "check-hard", "--k", "1", "--r", "2", "--formula", str(path))
+    assert (code, err) == (EXIT_VERIFY_FAILED, "")
+    assert re.sub(r'"duration": [0-9.e-]+, ', "", out) == (
+        '{"extra": {"gate_count_bound": false, "gate_counterexample": {"bound": 2, "count": 10, '
+        '"degree": 2, "gate_id": 8}, "monomial_count": 2, "monomial_count_ok": true, '
+        '"prefix_counterexample": null, "prefix_property": true, "unit_coefficients": true}, '
+        '"input": {"depth": 3, "product_depth": 1, "size": 20, "sum_depth": 2, "syn_degree": 2}, '
+        '"output": {}, "params": {"k": 1, "r": 2}, "pass": "check-hard", '
+        '"verify": {"method": "none", "verdict": "failed"}}\n'
+    )
 
 
 def test_check_hard_wrong_formula(tmp_path, capsys, monkeypatch):

@@ -145,9 +145,17 @@ def test_interleaved_address_reaches_labelled_leaf():
 
 
 def test_prefix_property_desk_scale():
-    for k, r in ((1, 2), (2, 2), (2, 3), (3, 2)):
-        ok, cx = hp.check_prefix_property(hp.HardParams(k=k, r=r))
-        assert ok and cx is None
+    # check-hard reports these three for any formula that computes H(k, r)
+    # without recomputing them: H(k, r) itself must have them
+    for k in (1, 2, 3):
+        for r in (2, 3, 4):
+            p = hp.HardParams(k=k, r=r)
+            for commutative in (True, False):
+                h = hp.gen_hard(p, commutative=commutative)
+                t = poly.expand(h)
+                assert t.num_terms() == hp.expected_monomials(p)
+                assert all(c == ONE for c in t.terms.values())
+                assert hp.check_prefix_property(p, h) == (True, None)
 
 
 def test_prefix_property_mutated_counterexample():
@@ -329,11 +337,11 @@ def test_prefix_property_outside_the_universe(commutative):
         hp.check_prefix_property(p, g)
 
 
-def test_check_formula_outside_the_universe():
+def test_gate_counts_outside_the_universe():
     # variables H(1, 2) does not have: the polynomial is not H's
     f = Formula(ProdGate(((1, VarLeaf(100)), (1, VarLeaf(200)))))
     with pytest.raises(NotComputingH):
-        hp.check_formula(hp.HardParams(k=1, r=2), f)
+        hp.check_gate_counts(f, hp.HardParams(k=1, r=2))
 
 
 def test_lower_bound_params():

@@ -439,6 +439,28 @@ def test_bb_contract_on_corpus(corpus_both):
             assert m_out.syn_degree == m_in.syn_degree
 
 
+def test_bb_checks_its_own_contract(monkeypatch):
+    f = gen_comb(200)
+    depth = ir.metrics(tr.depth_reduce_bb(f, 1)).depth
+    monkeypatch.setattr(tr, "bb_depth_bound", lambda s, k: depth - 1)
+    with pytest.raises(InternalInvariantError, match=f"^bb output depth {depth} above its bound$"):
+        tr.depth_reduce_bb(f, 1)
+    monkeypatch.setattr(tr, "bb_depth_bound", lambda s, k: depth)
+    assert ir.metrics(tr.depth_reduce_bb(f, 1)).depth == depth
+    # every pass that runs bb reaches the check through it, once per bb run
+    monkeypatch.undo()
+    real, sizes = tr.bb_depth_bound, []
+    monkeypatch.setattr(tr, "bb_depth_bound", lambda s, k: sizes.append(s) or real(s, k))
+    chain = sexpr.parse("(+ " + " ".join(f"x{i}" for i in range(40)) + ")")
+    quadratic = gen_random_homogeneous(6, 2, 100, seed=1)
+    for g, name, eps in ((f, "bb", 1), (chain, "nearlinear", 1), (f, "nearlinear", 1),
+                         (quadratic, "nearlinear", 1), (quadratic, "homogeneous", None),
+                         (_interpolated_e2(), "pipeline", None)):
+        sizes.clear()
+        tr.run_pass(g, name, {"epsilon": eps})
+        assert sizes == [g.root.size], name
+
+
 def test_run_pass_rejects_out_of_range_params():
     f = gen_random_homogeneous(4, 4, 40, seed=7)
     for delta in (0, "0"):
