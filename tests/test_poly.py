@@ -475,6 +475,7 @@ def test_gate_counts_on_a_dag_match_its_tree_copy():
         assert len(counts) == len(ir.gates_preorder(tree)) == 18  # every position
         assert poly.gate_monomial_counts(a) == counts
         assert poly.expand_against(a, tree) == (counts, True)
+        assert poly.expand(a) == poly.expand(tree)
         assert poly.expand_against(tree, a) == (counts, True)
 
 

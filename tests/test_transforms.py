@@ -440,16 +440,15 @@ def test_bb_contract_on_corpus(corpus_both):
 
 
 def test_bb_checks_its_own_contract(monkeypatch):
-    f = gen_comb(200)
+    f, real, sizes = gen_comb(200), tr.bb_depth_bound, []
     depth = ir.metrics(tr.depth_reduce_bb(f, 1)).depth
     monkeypatch.setattr(tr, "bb_depth_bound", lambda s, k: depth - 1)
     with pytest.raises(InternalInvariantError, match=f"^bb output depth {depth} above its bound$"):
         tr.depth_reduce_bb(f, 1)
     monkeypatch.setattr(tr, "bb_depth_bound", lambda s, k: depth)
     assert ir.metrics(tr.depth_reduce_bb(f, 1)).depth == depth
-    # every pass that runs bb reaches the check through it, once per bb run
-    monkeypatch.undo()
-    real, sizes = tr.bb_depth_bound, []
+    # every pass that runs bb, nearlinear on each of its three branches, reaches
+    # the check through it, once per bb run
     monkeypatch.setattr(tr, "bb_depth_bound", lambda s, k: sizes.append(s) or real(s, k))
     chain = sexpr.parse("(+ " + " ".join(f"x{i}" for i in range(40)) + ")")
     quadratic = gen_random_homogeneous(6, 2, 100, seed=1)
