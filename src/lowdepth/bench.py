@@ -129,6 +129,7 @@ def gen_random_homogeneous(
         return ProdGate(((weight(), left), (weight(), right))), u1 + u2
 
     root, _ = build(d, s)
+    del build  # a closure that calls itself is a cycle only the cyclic collector frees
     f = Formula(root=root, commutative=commutative, field=field)
     if ir.syn_degree(f) != d or ir.size(f) > s:
         raise InternalInvariantError("generator violated its own shape contract")
@@ -186,7 +187,9 @@ def gen_random_skew(
         return leaf()
 
     fuel = rng.randint(3, max(3, 2**min(sum_depth, 6)))
-    return Formula(root=build(sum_depth, fuel), commutative=commutative, field=field)
+    root = build(sum_depth, fuel)
+    del build  # a closure that calls itself is a cycle only the cyclic collector frees
+    return Formula(root=root, commutative=commutative, field=field)
 
 
 def make_family(family: str, params: dict, seed: int) -> Formula:

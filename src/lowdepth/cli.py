@@ -10,14 +10,21 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (an
 errors.InputError, a bad value or an unreadable path), 3 budget exceeded.
 The default prime for Fp and identity testing comes from the LOWDEPTH_PRIME
 environment variable, read when a command needs it; flags override it.
+
+main builds its argument parser on its first call and reuses it in every later
+call in the process.  It runs a command with the cyclic garbage collector
+paused, since the node graphs the passes build have no reference cycles, and
+gives the caller back the collector state it had.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
+from functools import cache
 
 from .errors import BudgetExceeded, InputError, LowdepthError
 from .fields import MERSENNE61, field_from_name
@@ -209,9 +216,14 @@ def cmd_check_hard(args) -> int:
     p = hardpoly.HardParams(k=args.k, r=args.r)
     target = sexpr.parse_file(args.formula) if args.formula else hardpoly.gen_hard(p)
     t0 = time.perf_counter()
-    # NotComputingH unless the target's table is H(k, r)'s, whose monomials all
-    # have coefficient 1 and are prefix-aligned: only the gate bound can fail
-    ok, gate_cx = hardpoly.check_gate_counts(target, p, budget=args.budget)
+    # the target's table is H(k, r)'s: gen_hard builds H, and check_gate_counts
+    # raises NotComputingH on any other table.  H's monomials all have
+    # coefficient 1 and are prefix-aligned, so only the gate bound can fail
+    if args.formula:
+        ok, gate_cx = hardpoly.check_gate_counts(target, p, budget=args.budget)
+    else:
+        counts = poly.gate_monomial_counts(target, budget=args.budget)
+        ok, gate_cx = hardpoly._gate_verdict(target, p, counts)
     duration = time.perf_counter() - t0
     rep = Report(
         pass_name="check-hard",
@@ -420,12 +432,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process, built by the first."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # the passes build acyclic node graphs that reference counting frees; the
+    # cyclic collector would only rescan them as they grow
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except BudgetExceeded as exc:
@@ -437,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except LowdepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -229,6 +229,12 @@ def check_gate_counts(
     counts, same = poly.expand_against(formula, reference, _budget(budget))
     if not same:
         raise NotComputingH(f"formula does not compute the (k={p.k}, r={p.r}) polynomial")
+    return _gate_verdict(formula, p, counts)
+
+
+def _gate_verdict(formula: Formula, p: HardParams, counts: dict[int, int]) -> tuple[bool, dict | None]:
+    """The bound r^(d_gate - 1) on counts, the monomial counts of formula's
+    gates by preorder gate id: (True, None), or (False, the first gate over it)."""
     gates = ir.gates_preorder(formula)
     for gate_id, count in counts.items():
         d_gate = gates[gate_id].syn_degree

@@ -814,6 +814,38 @@ def _components(formula: Formula, target_d: int) -> list[Formula | None]:
 # Product fan-in 2
 # ---------------------------------------------------------------------------
 
+def _fanin_2_product(edges: list, field: Field, one: Scalar) -> tuple[Scalar, Node]:
+    """(scalar, fan-in-2 product) of edges, ((scalar, input child), value of
+    the child) pairs; a module function, so that its recursion makes no cycle."""
+    if len(edges) == 1:
+        (c, _), (cm, sub) = edges[0]
+        return (field.mul(c, cm), sub)
+    if len(edges) == 2:
+        out = []
+        for (c, _), (cm, sub) in edges:
+            out.append((field.mul(c, cm), sub))
+        return (one, ProdGate(tuple(out)))
+    degs = [ch.syn_degree for (_, ch), _ in edges]
+    d = sum(degs)
+    prefix = 0
+    m = len(edges)
+    for j, dj in enumerate(degs, start=1):
+        prefix += dj
+        if 2 * prefix >= d:
+            m = j
+            break
+    groups = [edges[: m - 1], [edges[m - 1]], edges[m:]]
+    sc = one
+    body: Node | None = None
+    for grp in groups:
+        if not grp:
+            continue
+        c, sub = _fanin_2_product(grp, field, one)
+        sc = field.mul(sc, c)
+        body = sub if body is None else ProdGate(((one, body), (one, sub)))
+    return (sc, body)  # type: ignore[return-value]
+
+
 def product_fanin_2(formula: Formula) -> Formula:
     """Equivalent formula whose product gates all have fan-in 2.
 
@@ -835,37 +867,7 @@ def product_fanin_2(formula: Formula) -> Formula:
             if len(edges) == 1 and not isinstance(edges[0][1], OneLeaf):
                 return edges[0]
             return (one, SumGate(tuple(edges)))
-        return go_prod(list(zip(node.children, vals)))
-
-    # edges are ((scalar, input child), value of the child) pairs
-    def go_prod(edges: list) -> tuple[Scalar, Node]:
-        if len(edges) == 1:
-            (c, _), (cm, sub) = edges[0]
-            return (field.mul(c, cm), sub)
-        if len(edges) == 2:
-            out = []
-            for (c, _), (cm, sub) in edges:
-                out.append((field.mul(c, cm), sub))
-            return (one, ProdGate(tuple(out)))
-        degs = [ch.syn_degree for (_, ch), _ in edges]
-        d = sum(degs)
-        prefix = 0
-        m = len(edges)
-        for j, dj in enumerate(degs, start=1):
-            prefix += dj
-            if 2 * prefix >= d:
-                m = j
-                break
-        groups = [edges[: m - 1], [edges[m - 1]], edges[m:]]
-        sc = one
-        body: Node | None = None
-        for grp in groups:
-            if not grp:
-                continue
-            c, sub = go_prod(grp)
-            sc = field.mul(sc, c)
-            body = sub if body is None else ProdGate(((one, body), (one, sub)))
-        return (sc, body)  # type: ignore[return-value]
+        return _fanin_2_product(list(zip(node.children, vals)), field, one)
 
     scalar, out_root = ir.node_attribute(formula.root, go)[id(formula.root)]  # type: ignore[misc]
     out = formula.with_root(scale_node(scalar, out_root, field))

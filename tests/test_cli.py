@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import random
@@ -713,6 +714,28 @@ def test_check_hard_wrong_formula(tmp_path, capsys, monkeypatch):
         assert len(expanded) == 2 and expanded[1] is references[0]
 
 
+def test_canonical_check_hard_builds_h_once(tmp_path, capsys, monkeypatch):
+    # with no --formula the target is H(k, r) by construction: one build, one
+    # expansion, no comparison
+    expanded, references = _count_expansions(monkeypatch)
+    code, _, _ = run_cli(capsys, "check-hard", "--k", "3", "--r", "3")
+    assert code == EXIT_OK
+    assert len(references) == 1 and expanded == references
+    # and it reports what --formula reports on the same formula, in either mode
+    strip = lambda out: re.sub(r'"duration": [0-9.e-]+, ', "", out)
+    path = tmp_path / "h.frm"
+    for k in (1, 2, 3):
+        for r in (2, 3, 4):
+            canonical = run_cli(capsys, "check-hard", "--k", str(k), "--r", str(r))
+            assert canonical[0] == EXIT_OK
+            for mode in ((), ("--noncommutative",)):
+                run_cli(capsys, "gen-hard", "--k", str(k), "--r", str(r), *mode, "-o", str(path))
+                given = run_cli(capsys, "check-hard", "--k", str(k), "--r", str(r),
+                                "--formula", str(path))
+                assert (given[0], strip(given[1]), given[2]) == (
+                    canonical[0], strip(canonical[1]), canonical[2]), (k, r, mode)
+
+
 def test_bench_csv(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     code, out, _ = run_cli(
@@ -813,6 +836,141 @@ def test_outside_input_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *pit_pair, "--trials", "1")[0] == EXIT_OK
     assert run_cli(capsys, "expand", str(f), "--max-terms", "0")[0] == EXIT_OK
     assert run_cli(capsys, "expand", str(f), "--budget", "0")[0] == EXIT_BUDGET
+
+
+def _exit_corpus(tmp_path) -> list[tuple[int, tuple]]:
+    """(exit code, argv): every subcommand on a success path, and on exits 1,
+    2 and 3 where it has them."""
+    h, a, b, c = (str(tmp_path / f"{n}.frm") for n in "habc")
+    zero, nc, bad = (str(tmp_path / f"{n}.frm") for n in ("zero", "nc", "bad"))
+    missing = str(tmp_path / "missing.frm")
+    sexpr.write_file(h, hardpoly.gen_hard(hardpoly.HardParams(k=2, r=3)))
+    Path(a).write_text("(+ x1 (* x2 x3))\n")
+    Path(b).write_text("(+ (* x3 x2) x1)\n")
+    Path(c).write_text("(+ x1 (* x2 x2))\n")
+    Path(zero).write_text("(+ x1 (+ x2 (scale -1 x2)))\n")
+    Path(nc).write_text("mode: noncommutative\n(+ x1 x2)\n")
+    # H(1, 2) plus S*S minus S*S: computes H(1, 2), but S*S passes its gate bound
+    s = "(+ x0 x1 x2 x3)"
+    Path(bad).write_text(f"(+ (+ (* x0 x2) (* x1 x3)) (* {s} {s}) (scale -1 (* {s} {s})))\n")
+    out = str(tmp_path / "out.frm")
+    return [
+        (EXIT_OK, ("stats", h)),
+        (EXIT_OK, ("--human", "stats", h)),
+        (EXIT_USAGE, ("stats", missing)),
+        (EXIT_OK, ("validate", a, "--check-zero-gates")),
+        (EXIT_VERIFY_FAILED, ("validate", zero, "--check-zero-gates")),
+        (EXIT_USAGE, ("validate", missing)),
+        (EXIT_BUDGET, ("validate", h, "--check-zero-gates", "--budget", "0")),
+        (EXIT_OK, ("expand", h)),
+        (EXIT_USAGE, ("expand", missing)),
+        (EXIT_BUDGET, ("expand", h, "--budget", "1")),
+        *[(EXIT_OK, ("reduce", h, "--method", method, "-o", out))
+          for method in ("bb", "main", "nearlinear", "homogeneous", "pipeline")],
+        (EXIT_OK, ("reduce", h, "--method", "main")),
+        (EXIT_OK, ("reduce", h, "--method", "main", "--budget", "0", "-o", out)),  # PIT fallback
+        (EXIT_USAGE, ("reduce", missing, "--method", "main")),
+        (EXIT_USAGE, ("reduce", h, "--method", "bb", "--epsilon", "2")),
+        (EXIT_OK, ("homogenize", c, "--degree", "2", "--out-prefix", str(tmp_path / "comp"))),
+        (EXIT_USAGE, ("homogenize", missing, "--degree", "2", "--out-prefix", "comp")),
+        (EXIT_OK, ("prodfanin2", h, "-o", out)),
+        (EXIT_USAGE, ("prodfanin2", missing)),
+        (EXIT_OK, ("gen-hard", "--k", "2", "--r", "2")),
+        (EXIT_OK, ("gen-hard", "--k", "1", "--r", "2", "--noncommutative", "-o", out)),
+        (EXIT_USAGE, ("gen-hard", "--k", "1", "--r", "2", "--field", "Fp:12")),
+        (EXIT_OK, ("check-hard", "--k", "2", "--r", "3")),
+        (EXIT_OK, ("check-hard", "--k", "2", "--r", "3", "--formula", h)),
+        (EXIT_VERIFY_FAILED, ("check-hard", "--k", "1", "--r", "2", "--formula", bad)),
+        (EXIT_VERIFY_FAILED, ("check-hard", "--k", "2", "--r", "3", "--formula", a)),
+        (EXIT_USAGE, ("check-hard", "--k", "0", "--r", "2")),
+        (EXIT_BUDGET, ("check-hard", "--k", "2", "--r", "3", "--budget", "1")),
+        (EXIT_OK, ("verify-equal", a, b)),
+        (EXIT_VERIFY_FAILED, ("verify-equal", a, c, "--method", "pit")),
+        (EXIT_VERIFY_FAILED, ("verify-equal", a, c, "--method", "expand")),
+        (EXIT_USAGE, ("verify-equal", a, nc)),
+        (EXIT_BUDGET, ("verify-equal", a, b, "--method", "expand", "--budget", "0")),
+        (EXIT_OK, ("bench", "--family", "comb", "--sizes", "64", "--pass", "bb", "--reps", "2")),
+        *[(EXIT_OK, ("bench", "--family", family, "--sizes", "60", "--degrees", "4",
+                     "--pass", "homogeneous", "--verify", "pit"))
+          for family in ("random-homogeneous", "random-skew")],
+        (EXIT_OK, ("bench", "--family", "hard", "--pass", "main", "--csv", str(tmp_path / "r.csv"))),
+        (EXIT_VERIFY_FAILED, ("bench", "--family", "comb", "--sizes", "8", "--pass", "bb",
+                              "--epsilon", "2")),
+        (EXIT_USAGE, ("bench", "--family", "comb", "--pass", "bb")),
+    ]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    """main pauses the cyclic collector while a command runs, which holds back
+    no memory only if a command leaves no reference cycle behind.  Argparse
+    usage errors are left out: argparse's own error path builds a formatter
+    that is a small cycle (6 objects), and it exits before any command runs."""
+    corpus = _exit_corpus(tmp_path)
+    run_cli(capsys, "stats", corpus[0][1][1])  # the first call in a process builds the parser
+    for code, argv in corpus:
+        gc.collect()
+        assert run_cli(capsys, *argv)[0] == code, argv
+        assert gc.collect() == 0, argv
+    # every subcommand the parser has, and every exit code
+    assert {argv[0] for _, argv in corpus} - {"--human"} == set(
+        cli._shared_parser()._subparsers._group_actions[0].choices)
+    assert {code for code, _ in corpus} == {EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_BUDGET}
+
+
+def test_main_pauses_the_collector_and_gives_back_its_state(tmp_path, capsys, monkeypatch):
+    f, g = tmp_path / "f.frm", tmp_path / "g.frm"
+    f.write_text("(+ x1 (* x2 x3))\n")
+    g.write_text("(+ x1 (* x2 x2))\n")
+    cases = [
+        (EXIT_OK, ("reduce", str(f), "--method", "main")),
+        (EXIT_VERIFY_FAILED, ("verify-equal", str(f), str(g), "--method", "pit")),
+        (EXIT_USAGE, ("reduce", str(f), "--method", "bb", "--epsilon", "2")),
+        (EXIT_BUDGET, ("expand", str(f), "--budget", "0")),
+    ]
+    inside, real_run_pass = [], transforms.run_pass
+
+    def recording_run_pass(*args, **kwargs):
+        inside.append(gc.isenabled())
+        return real_run_pass(*args, **kwargs)
+
+    def failing_run_pass(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    enabled = gc.isenabled()
+    try:
+        for caller_had_it in (True, False):
+            gc.enable() if caller_had_it else gc.disable()
+            monkeypatch.setattr(transforms, "run_pass", recording_run_pass)
+            for code, argv in cases:
+                assert run_cli(capsys, *argv)[0] == code, argv
+                assert gc.isenabled() is caller_had_it, argv
+            monkeypatch.setattr(transforms, "run_pass", failing_run_pass)
+            with pytest.raises(RuntimeError, match="planted"):
+                cli.main(["reduce", str(f), "--method", "main"])
+            assert gc.isenabled() is caller_had_it
+        assert inside == [False, False, False, False]
+    finally:
+        gc.enable() if enabled else gc.disable()
+
+
+def test_main_builds_one_parser_and_reads_the_prime_per_call(tmp_path, capsys, monkeypatch):
+    built, real_build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._shared_parser.cache_clear()
+    f, g = tmp_path / "f.frm", tmp_path / "g.frm"
+    f.write_text("(+ x1 (* x2 x3))\n")
+    g.write_text("(+ x1 (* x2 x2))\n")
+    primes = []
+    for env in ("1000003", None):
+        if env is None:
+            monkeypatch.delenv("LOWDEPTH_PRIME")
+        else:
+            monkeypatch.setenv("LOWDEPTH_PRIME", env)
+        code, out, _ = run_cli(capsys, "verify-equal", str(f), str(g), "--method", "pit")
+        assert code == EXIT_VERIFY_FAILED
+        primes.append(reports(out)[0]["extra"]["witness"]["prime"])
+    assert primes == [1000003, 2**61 - 1]
+    assert len(built) == 1
 
 
 def test_benchmark_replay_builds_pit_config_from_parsed_flags(tmp_path, monkeypatch):
