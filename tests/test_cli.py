@@ -907,10 +907,19 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
     that is a small cycle (6 objects), and it exits before any command runs."""
     corpus = _exit_corpus(tmp_path)
     run_cli(capsys, "stats", corpus[0][1][1])  # the first call in a process builds the parser
-    for code, argv in corpus:
-        gc.collect()
-        assert run_cli(capsys, *argv)[0] == code, argv
-        assert gc.collect() == 0, argv
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.freeze()  # collections then scan only what the commands make, not the whole test session
+    gc.disable()  # and no automatic collection frees a command's cycles before they are counted
+    try:
+        for code, argv in corpus:
+            gc.collect()
+            assert run_cli(capsys, *argv)[0] == code, argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
     # every subcommand the parser has, and every exit code
     assert {argv[0] for _, argv in corpus} - {"--human"} == set(
         cli._shared_parser()._subparsers._group_actions[0].choices)
