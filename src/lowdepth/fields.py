@@ -13,6 +13,7 @@ the shared one is a Fraction like any other scalar over Q.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -24,6 +25,23 @@ Scalar = Union[Fraction, int]
 MERSENNE61 = 2**61 - 1
 
 _ONE = Fraction(1)  # Rationals.one(): the identity mul and is_one test first
+
+#: Characters of a scalar that an error message quotes; a longer scalar is
+#: quoted by that many and its length.
+_QUOTED = 24
+
+
+def _bad_scalar(what: str, text: str, reason: str = "") -> FormulaSyntaxError:
+    """The error for a scalar the field cannot read.  A long one is quoted by
+    its first characters and its length; the reason keeps its first clause,
+    with each run of digits as long as that cut the same way."""
+    if len(text) <= _QUOTED:
+        quoted = repr(text)
+    else:
+        quoted = f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+        reason = re.sub(r"\d{%d,}" % (_QUOTED + 1), lambda m: m[0][:_QUOTED] + "...",
+                        reason.split(":")[0])
+    return FormulaSyntaxError(f"bad {what} {quoted}" + (reason and f": {reason}"))
 
 
 class Rationals:
@@ -64,7 +82,7 @@ class Rationals:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormulaSyntaxError(f"bad rational scalar {text!r}: {exc}") from None
+            raise _bad_scalar("rational scalar", text, str(exc)) from None
 
     def format(self, a: Fraction) -> str:
         # Fraction keeps lowest terms; emit "p/q" or "p".
@@ -123,7 +141,7 @@ class PrimeField:
         try:
             return int(text) % self.p
         except ValueError:
-            raise FormulaSyntaxError(f"bad field element {text!r}") from None
+            raise _bad_scalar("field element", text) from None
 
     def format(self, a: int) -> str:
         return str(a % self.p)

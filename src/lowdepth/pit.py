@@ -16,8 +16,10 @@ An "unequal" verdict is certain and carries a witness that can be replayed;
 Both oracles read one flat program per formula (ir.Program: node kinds, child
 positions, parent-use counts, edge scalars interned by identity).  verify
 compiles a pair of formulas once; verify_programs takes programs read straight
-from text (sexpr.parse_program), as verify-equal does, and hands them to
-expansion and, on a fallback, to PIT.  Each equal scalar value is reduced mod
+from text (sexpr.parse_program), as verify-equal does.  Its "auto" policy
+picks the oracle before running one: it expands when poly.table_bounds shows
+that no table of either program can pass the budget, and otherwise runs PIT on
+the same programs, with nothing expanded.  Each equal scalar value is reduced mod
 p once.  All trials run in one pass over the program, and a value is dropped
 once its last parent has read it.  Scalar mode works on plain lists of
 residues, one per trial: a fan-in-2 sum is (c0*x + c1*y) % p and a fan-in-2
@@ -39,7 +41,6 @@ from itertools import chain, zip_longest
 from math import prod
 from operator import add, mul
 
-from .errors import BudgetExceeded
 from .fields import MERSENNE61, Field, PrimeField, _require_prime
 from . import ir, poly
 from .ir import _ONE, _SUM, _VAR
@@ -263,10 +264,12 @@ def verify(
     """Decide whether a and b agree; returns (verdict, method used, witness).
 
     "expand" decides exactly ("equal" or "unequal") and lets BudgetExceeded
-    through; "auto" expands and falls back to PIT when the expansion goes over
-    budget; "pit" runs PIT directly, as pit_equal does.  Each formula is
-    compiled once, and both oracles read those programs (verify_programs).
-    Only a PIT "unequal" carries a witness.
+    through; "pit" runs PIT directly, as pit_equal does; "auto" expands when
+    the static table bound of both formulas (poly.table_bounds) is at most the
+    budget, so that expansion cannot go over it, and otherwise runs PIT
+    without expanding.  A budget of None always expands.  Each formula is
+    compiled once, and the bound and both oracles read those programs
+    (verify_programs).  Only a PIT "unequal" carries a witness.
     """
     if method not in ("expand", "auto", "pit"):
         raise ValueError(f"unknown verification method {method!r}")
@@ -277,14 +280,16 @@ def verify(
 def verify_programs(progs: list[ir.Program], scalars: list, commutative: bool, field: Field,
                     method: str, budget: int | None, cfg: PITConfig) -> tuple[str, str, dict | None]:
     """verify on a comparable pair of programs compiled over the one list
-    scalars, read in the given mode and field."""
-    if method != "pit":
-        try:
-            same = poly._expand(progs, scalars, commutative, field, budget)[2]
-            return ("equal" if same else "unequal"), "expand", None
-        except BudgetExceeded:
-            if method == "expand":
-                raise
+    scalars, read in the given mode and field.  Under "auto" the bound of a
+    program stops at its first position past the budget, and the second
+    program is not bounded once the first does not fit."""
+    if method == "auto":
+        fits = budget is None or all(poly.table_bounds(prog, commutative, budget)[-1] <= budget
+                                     for prog in progs)
+        method = "expand" if fits else "pit"
+    if method == "expand":
+        same = poly._expand(progs, scalars, commutative, field, budget)[2]
+        return ("equal" if same else "unequal"), "expand", None
     res = _pit(progs, scalars, commutative, field, cfg)
     return res.verdict, "pit", res.witness
 

@@ -30,6 +30,12 @@ equal_expand and expand_against compile both formulas over one scalar list,
 pack them alike (the union of their variables, the larger degree), compare the
 two root tables and decode neither.  pit.verify compiles a pair once and
 hands the programs to _expand and to PIT alike.
+
+table_bounds bounds every table the kernel would build for a program, by one
+integer pass and without expanding: the smaller of the parse trees and the
+monomials of the gate's degree, saturated just past a cap.  A bound at most
+the budget proves that expansion cannot raise BudgetExceeded, so pit.verify's
+"auto" picks its oracle from it.
 """
 
 from __future__ import annotations
@@ -298,6 +304,49 @@ def _expand(progs: list[ir.Program], scalars: list, commutative: bool, field: Fi
     packing = _packing(commutative, *progs)
     ta = _kernel(progs[0], scalars, p, packing, budget, sizes)
     return ta, packing, len(progs) > 1 and ta == _kernel(progs[1], scalars, p, packing, budget, None)
+
+
+def table_bounds(prog: ir.Program, commutative: bool, cap: int) -> list[int]:
+    """An upper bound on the entries of every table expansion builds for
+    prog, by program position, up to the first position whose bound passes
+    cap; integers only, each saturated at cap + 1.
+
+    The bound at a position is the smaller of two counts.  One is its parse
+    trees, taken over the children's bounds: a sum adds them and a product
+    multiplies them.  The other is the monomials of degree at most its
+    syntactic degree D over the program's n variables: C(n + D, D)
+    commutative, n^0 + ... + n^D words otherwise.  A sum's running table and
+    a product's partial rows hold a subset of the gate's monomials, and no
+    more keys than its parse trees.  A gate's bound is at least each child's,
+    so the last entry is the largest: the root's bound, or cap + 1 where the
+    list stops early.  When it is at most the budget, expanding prog cannot
+    raise BudgetExceeded.
+    """
+    top, n = cap + 1, len(prog.variables)
+    mono = [1]  # mono[D]: monomials of degree at most D, until one passes top
+    while mono[-1] <= top and len(mono) <= prog.degree:
+        d = len(mono)
+        mono.append(mono[-1] * (n + d) // d if commutative else mono[-1] + n**d)
+    deg, bound = [], []
+    for kind, arg in zip(prog.kinds, prog.args):
+        if kind == _VAR or kind == _ONE:
+            deg.append(int(kind == _VAR))
+            bound.append(1)
+            continue
+        if kind == _SUM:
+            d = max([deg[k] for k in arg])
+            b = sum([bound[k] for k in arg])
+        else:
+            d, b = sum([deg[k] for k in arg]), 1
+            for k in arg:
+                b *= bound[k]
+                if b > top:
+                    break
+        deg.append(d)
+        bound.append(min(b, top, mono[d] if d < len(mono) else top))
+        if bound[-1] == top:
+            break
+    return bound
 
 
 def _table(formula: ir.Formula, root: dict, packing: Packing | None) -> PolyTable:

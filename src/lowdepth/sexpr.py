@@ -31,6 +31,7 @@ error finds its position by tokenizing again up to the offending token.
 
 from __future__ import annotations
 
+import os
 import re
 from itertools import islice
 from typing import NamedTuple
@@ -307,8 +308,24 @@ def parse_program_file(path: str, scalars: list) -> Parsed:
 
 
 def write_file(path: str, formula: Formula) -> None:
-    """Write formula's text to path; a formula that cannot be printed leaves
-    the file as it was."""
+    """Write formula's text to path, all or nothing: the text goes to a new
+    file beside the target, which then replaces it, so a formula that cannot
+    be printed or a write that fails leaves the target as it was.  A symbolic
+    link is followed, and a target that is not a regular file (a device, a
+    pipe) is written in place."""
     text = serialize(formula)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

@@ -467,6 +467,18 @@ def test_failed_print_keeps_the_output_file(tmp_path, capsys):
     assert out.read_text() == "(+ x1 x2)\n"
 
 
+@pytest.mark.parametrize("header, scalar", [("", "7" * 5071), ("field: Fp:7\n", "7" * 5071),
+                                           ("", "7" * 3000 + "/0"), ("", "7" * 3000 + "z")])
+def test_long_scalar_is_refused_by_its_length(tmp_path, capsys, header, scalar):
+    # the message quotes a prefix and the length, not every digit
+    src = tmp_path / "f.frm"
+    src.write_text(f"{header}(+ (scale {scalar} x1) x2)\n")
+    code, _, err = run_cli(capsys, "stats", str(src))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: bad ") and f"... ({len(scalar)} characters)" in err
+    assert len(err) < 200
+
+
 def test_pipeline_on_the_6264_leaf_formula(tmp_path, capsys):
     # monotone and homogeneous, so pipeline reads its degree from the syntax;
     # expanding it to learn the degree gave no answer in 30 s
@@ -484,6 +496,32 @@ def test_pipeline_on_the_6264_leaf_formula(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "verify-equal", str(src), str(out), "--method", "pit")
     assert code == EXIT_OK
     assert reports(stdout)[0]["verify"]["verdict"] == "equal-probably"
+
+
+@pytest.mark.parametrize("row", ["verify-equal", "reduce-main", "reduce-homogeneous"])
+def test_auto_tests_what_its_bound_refuses_by_pit(tmp_path, capsys, row):
+    # the static bound passes the default budget, so auto runs PIT without
+    # expanding first; expanding up to the budget took more than 20 s here.
+    # The product of two 3,000-variable sums has 9 * 10^6 parse trees and
+    # C(6002, 2) monomials, the 6,264-leaf formula C(26, 16) monomials
+    import time
+
+    xs = [f"x{i}" for i in range(1, 6001)]
+    src, out = tmp_path / "src.frm", tmp_path / "out.frm"
+    if row == "reduce-homogeneous":
+        sexpr.write_file(str(src), bench.gen_random_homogeneous(10, 16, 10**4, seed=116))
+    else:
+        src.write_text(f"(* (+ {' '.join(xs[:3000])}) (+ {' '.join(xs[3000:])}))\n")
+    if row == "verify-equal":
+        out.write_text(f"(* (+ {' '.join(xs[:3000])}) (+ {' '.join(reversed(xs[3000:]))}))\n")
+        argv = ("verify-equal", str(src), str(out))
+    else:
+        argv = ("reduce", str(src), "--method", row[len("reduce-"):], "-o", str(out))
+    start = time.perf_counter()
+    code, stdout, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK, err
+    assert reports(stdout)[0]["verify"] == {"method": "pit", "verdict": "equal-probably"}
 
 
 def test_reduce_main_on_fanin_1_products(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from lowdepth import ir, poly, sexpr
+from lowdepth import ir, pit, poly, sexpr
 from lowdepth import transforms as tr
+from lowdepth.bench import gen_random_homogeneous
 from lowdepth.errors import BudgetExceeded, ModeMismatch
 from lowdepth.fields import PrimeField, QQ
 from lowdepth.hardpoly import HardParams, encode_var, gen_hard
@@ -485,3 +487,71 @@ def test_support_is_taken_over_the_rationals():
     assert poly.expand(f).terms == {}
     assert reference.support_expand(f) == {((1, 1),)}
     assert not reference.is_monotone_semantic(f)
+
+
+# ---------------------------------------------------------------------------
+# the static table bound
+# ---------------------------------------------------------------------------
+
+def _bounds(f: Formula, cap: int) -> list[int]:
+    return poly.table_bounds(ir.compile_program(f.root, []), f.commutative, cap)
+
+
+def test_table_bounds_by_hand():
+    # each sum has 4 parse trees but 3 monomials of degree at most 1 (1, x1,
+    # x2); the product has 9 from its children, against C(2 + 2, 2) = 6
+    # commutative monomials and 1 + 2 + 4 = 7 words of length at most 2
+    text = "(* (+ x1 x2 x1 x2) (+ x1 x2 x1 x2))"
+    assert _bounds(sexpr.parse(text), 100) == [1] * 4 + [3] + [1] * 4 + [3, 6]
+    assert _bounds(sexpr.parse("mode: noncommutative\n" + text), 100) == [1] * 4 + [3] + [1] * 4 + [3, 7]
+    # a sum has the degree of its highest child: 4 parse trees, 3 monomials
+    # (1, x1, x1^2) of degree at most 2
+    assert _bounds(sexpr.parse("(+ x1 x1 x1 (* x1 x1))"), 100)[-1] == 3
+    # the list ends at the first position past the cap, saturated at cap + 1
+    f = sexpr.parse("(+ (* (+ x1 x2) (+ x3 x4)) x5)")
+    assert _bounds(f, 100) == [1, 1, 2, 1, 1, 2, 4, 1, 5]
+    assert _bounds(f, 3) == [1, 1, 2, 1, 1, 2, 4]
+    # auto expands exactly when the bound is at most the budget
+    cfg = pit.PITConfig()
+    assert pit.verify(f, f, "auto", 5, cfg) == ("equal", "expand", None)
+    assert pit.verify(f, f, "auto", 4, cfg) == ("equal-probably", "pit", None)
+
+
+def test_table_bounds_cover_every_gate(corpus_both):
+    # on the corpus and every registry pass's output, in both modes, no gate
+    # has more terms than its bound
+    assert {f.commutative for f in corpus_both} == {True, False}
+    for f in corpus_both:
+        for g in [f] + [tr.run_pass(f, name, {})[0] for name in tr.PASSES]:
+            bounds = _bounds(g, 10**9)
+            at = {id(node): i for i, node in enumerate(ir.postorder(g.root))}
+            assert len(bounds) == len(at)  # no position passed the cap
+            counts = poly.gate_monomial_counts(g, budget=None)
+            for gid, node in enumerate(ir.gates_preorder(g)):
+                assert counts[gid] <= bounds[at[id(node)]]
+
+
+def test_auto_expands_the_exact_pairs():
+    # every pair the exact benchmark checks fits the default budget by the
+    # bound alone: C(16, 8) monomials on e0-e2 and their outputs, r^7 parse
+    # trees on H(3, r)
+    budget, cfg = poly.DEFAULT_EXPANSION_BUDGET, pit.PITConfig()
+    pairs = []
+    for seed in range(3):
+        f = gen_random_homogeneous(8, 8, 2000, seed=seed)
+        pairs += [(f, tr.run_pass(f, m, {})[0], comb(16, 8)) for m in ("main", "nearlinear", "pipeline")]
+    for r in (3, 4):
+        h = gen_hard(HardParams(k=3, r=r))
+        pairs.append((h, tr.depth_reduce_homogeneous(h), r**7))
+    assert [want for *_, want in pairs][-3:] == [12870, 2187, 16384]
+    for f, out, want in pairs:
+        assert _bounds(f, budget)[-1] == _bounds(out, budget)[-1] == want
+        assert pit.verify(f, out, "auto", budget, cfg) == ("equal", "expand", None)
+
+
+def test_table_bound_of_the_6264_leaf_formula():
+    # C(10 + 16, 16) monomials at the root, so auto sends it to PIT at the
+    # default budget without expanding it
+    f = gen_random_homogeneous(10, 16, 10**4, seed=116)
+    assert _bounds(f, 10**7)[-1] == comb(26, 16) == 5_311_735
+    assert _bounds(f, poly.DEFAULT_EXPANSION_BUDGET)[-1] == poly.DEFAULT_EXPANSION_BUDGET + 1

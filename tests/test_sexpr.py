@@ -1,3 +1,5 @@
+import errno
+import os
 import random
 import re
 from fractions import Fraction
@@ -280,6 +282,52 @@ def test_file_io(tmp_path):
     text = path.read_bytes().decode()
     assert "\r" not in text and text.endswith("\n")
     assert sexpr.parse_file(str(path)) == f
+
+
+def test_write_file_is_all_or_nothing(tmp_path, monkeypatch):
+    f, g = sexpr.parse("(+ x1 (scale -2/7 (* x2 x3)))"), sexpr.parse("(* x1 x4)")
+    path = tmp_path / "f.frm"
+    path.write_text("(+ x1 x2)\n")
+    real_open = open
+
+    class HalfWrite:
+        """A file that takes five characters and then finds the disk full."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:5])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sexpr, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        sexpr.write_file(str(path), f)
+    # the target keeps its bytes, and no temporary file is left beside it
+    assert path.read_text() == "(+ x1 x2)\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.frm"]
+    monkeypatch.undo()
+    sexpr.write_file(str(path), f)
+    assert sexpr.parse_file(str(path)) == f
+    assert [p.name for p in tmp_path.iterdir()] == ["f.frm"]
+    # a link is written through, and a device in place, never replaced
+    link = tmp_path / "link.frm"
+    link.symlink_to(path)
+    sexpr.write_file(str(link), g)
+    assert link.is_symlink() and sexpr.parse_file(str(path)) == g
+
+    def refuse(*args):
+        raise AssertionError("a device is not replaced")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    sexpr.write_file(os.devnull, g)
 
 
 # ---------------------------------------------------------------------------
