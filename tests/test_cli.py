@@ -468,7 +468,8 @@ def test_failed_print_keeps_the_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("header, scalar", [("", "7" * 5071), ("field: Fp:7\n", "7" * 5071),
-                                           ("", "7" * 3000 + "/0"), ("", "7" * 3000 + "z")])
+                                           ("", "7" * 3000 + "/0"), ("", "7" * 3000 + "z")],
+                         ids=["rational", "field-element", "zero-denominator", "bad-literal"])
 def test_long_scalar_is_refused_by_its_length(tmp_path, capsys, header, scalar):
     # the message quotes a prefix and the length, not every digit
     src = tmp_path / "f.frm"
