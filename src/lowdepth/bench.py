@@ -8,7 +8,6 @@ records); plotting is out of scope.
 
 from __future__ import annotations
 
-import io
 import math
 import random
 import time
@@ -311,16 +310,12 @@ def _run_one(e: Experiment, seed: int, t0: float) -> FrontierRow:
 
 
 def rows_to_csv(rows: list[FrontierRow]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+    lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        values = [
-            row.s_in, row.d, row.depth_in, row.depth_out, row.product_depth_out,
-            row.size_out, row.phi_delta, row.bound_size, row.bound_depth,
-            int(row.verified), f"{row.duration:.6f}", row.seed,
-        ]
-        buf.write(",".join(str(v) for v in values) + "\n")
-    return buf.getvalue()
+        values = {c: getattr(row, c) for c in CSV_COLUMNS}
+        values["verified"], values["duration"] = int(row.verified), f"{row.duration:.6f}"
+        lines.append(",".join(str(v) for v in values.values()))
+    return "\n".join(lines) + "\n"
 
 
 def fit_constants(rows: list[FrontierRow]) -> dict:

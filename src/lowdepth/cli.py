@@ -321,8 +321,7 @@ def cmd_bench(args) -> int:
     fitted = bench.fit_constants(all_rows)
     _emit(args, Report(pass_name="bench/constants", extra=fitted))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(bench.rows_to_csv(all_rows))
+        sexpr.write_text(args.csv, bench.rows_to_csv(all_rows))
     if any(r.failed or not r.verified for r in all_rows):
         return EXIT_VERIFY_FAILED
     return EXIT_OK

@@ -144,21 +144,18 @@ def _lcp(a: tuple, b: tuple) -> int:
 def check_prefix_property(
     p: HardParams,
     formula: Formula | None = None,
-    budget: int | None = None,
+    budget: int | None = poly.DEFAULT_EXPANSION_BUDGET,
 ) -> tuple[bool, dict | None]:
     """Exhaustively check monomial prefix alignment.
 
     For every monomial and every variable pair in it whose sigma-words share
     a prefix of exactly l < k letters, the tau-words must share a prefix of
     at least l + 1 letters.  Returns (True, None) or (False, counterexample).
+    budget caps the expansion's tables as in poly.expand; None lifts the cap.
     """
     f = formula if formula is not None else gen_hard(p)
-    root, packing, _ = poly._expand(*poly._compile(f), f.commutative, f.field, _budget(budget))
+    root, packing, _ = poly._expand(*poly._compile(f), f.commutative, f.field, budget)
     return _prefix_verdict(p, root, packing)
-
-
-def _budget(budget: int | None) -> int:
-    return budget if budget is not None else poly.DEFAULT_EXPANSION_BUDGET
 
 
 def _bad_partners(p: HardParams, words: dict[int, Wordpair], bit: dict[int, int]) -> dict[int, int]:
@@ -216,7 +213,7 @@ def _prefix_verdict(p: HardParams, root: dict, packing: poly.Packing | None) -> 
 def check_gate_counts(
     formula: Formula,
     p: HardParams,
-    budget: int | None = None,
+    budget: int | None = poly.DEFAULT_EXPANSION_BUDGET,
 ) -> tuple[bool, dict | None]:
     """Per-gate monomial-count bound r^(d_gate - 1) for a monotone formula
     computing the hard polynomial.
@@ -224,9 +221,10 @@ def check_gate_counts(
     Applies to the canonical formula and to any rewritten monotone formula
     for it.  One expansion of the formula and one of H(k, r) in its mode and
     field, compared packed, come first: NotComputingH unless they are equal.
+    budget caps their tables as in poly.expand; None lifts the cap.
     """
     reference = gen_hard(p, commutative=formula.commutative, field=formula.field)
-    counts, same = poly.expand_against(formula, reference, _budget(budget))
+    counts, same = poly.expand_against(formula, reference, budget)
     if not same:
         raise NotComputingH(f"formula does not compute the (k={p.k}, r={p.r}) polynomial")
     return _gate_verdict(formula, p, counts)

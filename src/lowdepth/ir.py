@@ -301,8 +301,8 @@ def compile_program(root: Node, scalars: list) -> Program:
 def iter_preorder_positions(root: Node) -> Iterator[tuple[Node, Node | None]]:
     """Yield (node, parent) in preorder.
 
-    Positions, not unique objects: the caller is expected to hand in a true
-    tree (the public Formula contract), where the two coincide.
+    Positions, not unique objects: a node object at two positions (as pass
+    outputs may hold) is yielded at each, so the walk reads the tree.
     """
     stack: list[tuple[Node, Node | None]] = [(root, None)]
     while stack:

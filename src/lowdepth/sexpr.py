@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 from itertools import islice
 from typing import NamedTuple
 
@@ -308,14 +309,22 @@ def parse_program_file(path: str, scalars: list) -> Parsed:
 
 
 def write_file(path: str, formula: Formula) -> None:
-    """Write formula's text to path, all or nothing: the text goes to a new
-    file beside the target, which then replaces it, so a formula that cannot
-    be printed or a write that fails leaves the target as it was.  A symbolic
-    link is followed, and a target that is not a regular file (a device, a
-    pipe) is written in place."""
-    text = serialize(formula)
+    """Write formula's text to path, all or nothing (see write_text)."""
+    write_text(path, serialize(formula))
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path, all or nothing: the text goes to a new file beside
+    the target, which then replaces it, so a write that fails leaves the
+    target as it was.  The new file takes an existing target's permission
+    bits, and the umask's otherwise.  A symbolic link is followed, and a
+    target that is not a regular file (a device, a pipe) is written in place."""
     path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         return
@@ -323,6 +332,8 @@ def write_file(path: str, formula: Formula) -> None:
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         with fh:
             fh.write(text)
         os.replace(tmp, path)

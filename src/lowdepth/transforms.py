@@ -3,10 +3,11 @@
 Every pass is equivalence-preserving (exact expansion equality, word-for-word
 in non-commutative mode) and preserves homogeneity, syntactic monotonicity,
 and the commutativity mode whenever it claims to.  Inputs are never mutated;
-outputs may share subtrees with the input.  depth_reduce_bb's outputs may also
-hold one node object at two positions (a product sibling on the split path
-lands in both the A and the C part); their serialized bytes are those of the
-tree.
+outputs may share subtrees with the input, and may hold one node object at
+two positions: in depth_reduce_bb's a product sibling on the split path lands
+in both the A and the C part, and in depth_reduce_main's a reduced factor is
+used by every term that multiplies it.  Their bytes and metrics are those of
+the tree.
 
 The passes:
 
@@ -23,8 +24,7 @@ The passes:
                              compositions reaching depth O(log d); pipeline_inhom
                              runs depth_reduce_homogeneous on a syntactically
                              homogeneous input and expands only a mixed-degree
-                             input (to learn d) or a signed, Fp or constant one
-                             (to refuse the zero polynomial)
+                             input, to learn d
 
 There is no representation for the zero polynomial (edge weights are
 non-zero, there is no zero leaf), so passes that can observe cancellation
@@ -225,15 +225,6 @@ def _fanin_2(formula: Formula) -> Formula:
         if is_gate(node) and len(node.children) != 2:
             return binarize(formula)
     return formula
-
-
-def _bb(formula: Formula, eps: Fraction) -> Formula:
-    """depth_reduce_bb's output as _fanin_2 would return it.  bb builds
-    fan-in-2 gates only, so its root alone is read: only a fan-in-1 sum there
-    needs binarize."""
-    out = depth_reduce_bb(formula, eps)
-    root = out.root
-    return binarize(out) if is_gate(root) and len(root.children) != 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +586,7 @@ def skew_to_sigma_pi(g: Formula) -> Formula:
     if not ir.is_skew(g):
         raise NotSkew("input has a product gate with two non-leaf children")
     seen_vars: set[int] = set()
-    for node in ir.postorder(root):
+    for node, _ in ir.iter_preorder_positions(root):  # a shared leaf labels two leaves
         if isinstance(node, VarLeaf):
             if node.var in seen_vars:
                 raise DuplicateLeafVariable(f"variable x{node.var} labels two leaves")
@@ -658,7 +649,6 @@ def _reduce_main(formula: Formula, delta: int | str,
         # product would each need ceil_log2(d_i) >= ceil_log2(d_1 + d_2)
         terms = _sigma_pi_terms(node, _below(phi, delta), field)
         reduced: dict[int, Node | None] = {}
-        used: dict[int, int] = {}
         summands: list = []
         const_acc = field.zero()
         have_const = False
@@ -675,8 +665,7 @@ def _reduce_main(formula: Formula, delta: int | str,
                 if rc is not None:
                     coef = field.mul(coef, rc)
                     continue
-                used[id(f)] = used.get(id(f), 0) + 1
-                parts.append(ir.tree_materialize(r) if used[id(f)] > 1 else r)
+                parts.append(r)
             else:
                 if not parts:
                     const_acc = field.add(const_acc, coef)
@@ -890,7 +879,7 @@ def depth_reduce_homogeneous(formula: Formula) -> Formula:
     Size is hard-bounded by (post-split size)^2 * d.
     """
     d = ir.syn_degree(formula)
-    f1 = _bb(formula, Fraction(1, 2))
+    f1 = depth_reduce_bb(formula, Fraction(1, 2))
     f2 = _reduce_main(f1, "auto", fanin_2=True)[0]
     m1 = ir.metrics(f1)
     out = collapse(f2)
@@ -914,12 +903,12 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
     d = ir.syn_degree(formula)
     if d <= 1:
         # no product structure: split-reduce, then flatten the sums
-        f1 = _bb(formula, eps)
+        f1 = depth_reduce_bb(formula, eps)
         return collapse(_reduce_main(f1, "auto", fanin_2=True)[0])
     # branch test d^(4/eps) >= s, exactly: with eps = p/q it is d^(4q) >= s^p
     if d ** (4 * eps.denominator) >= s**eps.numerator:
         return depth_reduce_bb(formula, eps)
-    f1 = _bb(formula, eps / 2)
+    f1 = depth_reduce_bb(formula, eps / 2)
     delta = _floor_ratio_log(eps, s, d)
     if delta < 2:
         raise InternalInvariantError("branch condition must force delta >= 2")
@@ -944,14 +933,17 @@ def pipeline_inhom(formula: Formula) -> Formula:
     homogeneous polynomial of degree d >= 1.
 
     A syntactically homogeneous input (every sum's children share one
-    syntactic degree) runs depth_reduce_homogeneous.  A mixed-degree input is
-    split-reduced; its degree-d component is potential-reduced and collapsed.
-    Two kinds of input are expanded, within poly.DEFAULT_EXPANSION_BUDGET: a
-    mixed-degree one, to learn d, and a signed, Fp:<q> or constant one, to
-    refuse the zero polynomial (see _positive).
+    syntactic degree) computes a polynomial of degree d = its syntactic
+    degree, or 0, so it runs depth_reduce_homogeneous, and one of degree 0 is
+    refused as a constant.  A mixed-degree input is expanded, within
+    poly.DEFAULT_EXPANSION_BUDGET, to learn d; it is split-reduced, and its
+    degree-d component is potential-reduced and collapsed.
     """
-    homogeneous = ir.is_homogeneous(formula)
-    if not (homogeneous and formula.root.syn_degree and _positive(formula)):
+    if ir.is_homogeneous(formula):
+        if not formula.root.syn_degree:
+            raise ValueError("pipeline needs degree >= 1; the input is a constant")
+        out = depth_reduce_homogeneous(formula)
+    else:
         from . import poly
 
         degrees = poly.expand(formula, budget=poly.DEFAULT_EXPANSION_BUDGET).degrees_present()
@@ -962,27 +954,13 @@ def pipeline_inhom(formula: Formula) -> Formula:
         (d,) = degrees
         if d < 1:
             raise ValueError("pipeline needs degree >= 1; the input is a constant")
-    if homogeneous:
-        out = depth_reduce_homogeneous(formula)
-    else:
-        comp_d = _components(_bb(formula, Fraction(1, 2)), d)[d]
+        comp_d = _components(depth_reduce_bb(formula, Fraction(1, 2)), d)[d]
         if comp_d is None:
             raise InternalInvariantError("degree component missing for the output degree")
         out = collapse(depth_reduce_main(comp_d, "auto"))
     if not ir.is_homogeneous(out):
         raise InternalInvariantError("pipeline output is not homogeneous")
     return out
-
-
-def _positive(formula: Formula) -> bool:
-    """True when every edge scalar is positive; Fp:<q> has no order.  If the
-    sums are homogeneous too, each parse tree adds a positive coefficient to a
-    monomial (a word, without commutativity) of the root's degree, so none
-    cancels and the polynomial is not zero.
-    """
-    field = formula.field
-    return field.ordered and all(field.is_positive(c) for node in ir.postorder(formula.root)
-                                 if is_gate(node) for c, _ in node.children)
 
 
 # ---------------------------------------------------------------------------

@@ -788,6 +788,22 @@ def test_bench_csv(tmp_path, capsys):
     assert any(r["pass"] == "bench/constants" for r in reports(out))
 
 
+def test_bench_csv_is_all_or_nothing(tmp_path, capsys, monkeypatch):
+    # a CSV that cannot be made leaves the old one's bytes
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("s_in,d\n1,2\n")
+
+    def broken(rows):
+        raise ValueError("no rows")
+
+    monkeypatch.setattr(bench, "rows_to_csv", broken)
+    code, _, err = run_cli(capsys, "bench", "--family", "comb", "--sizes", "32", "--pass", "bb",
+                           "--csv", str(csv_path))
+    assert code == EXIT_USAGE and "no rows" in err
+    assert csv_path.read_text() == "s_in,d\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
 def test_human_reports(tmp_path, capsys):
     p = tmp_path / "f.frm"
     p.write_text("(+ x1 x2)\n")

@@ -355,3 +355,11 @@ def test_lower_bound_params():
         reference.lower_bound_params(15, 4)  # d > sqrt(n)
     with pytest.raises(ParamOutOfRange):
         reference.lower_bound_params(1000, 6)  # not a power of two
+
+
+def test_budget_none_means_no_cap(monkeypatch):
+    # as in poly: None lifts the cap, whatever the default budget is
+    monkeypatch.setattr(poly, "DEFAULT_EXPANSION_BUDGET", 1)
+    assert hp.check_prefix_property(hp.HardParams(2, 2), budget=None) == (True, None)
+    f = hp.gen_hard(hp.HardParams(2, 2))
+    assert hp.check_gate_counts(f, hp.HardParams(2, 2), budget=None) == (True, None)

@@ -330,6 +330,22 @@ def test_write_file_is_all_or_nothing(tmp_path, monkeypatch):
     sexpr.write_file(os.devnull, g)
 
 
+def test_write_file_keeps_the_targets_mode(tmp_path):
+    f = sexpr.parse("(+ x1 x2)")
+    path = tmp_path / "out.frm"
+    path.write_text("(* x1 x2)\n")
+    path.chmod(0o600)
+    sexpr.write_file(str(path), f)
+    assert sexpr.parse_file(str(path)) == f
+    assert path.stat().st_mode & 0o7777 == 0o600
+    # a new file gets the mode the umask leaves
+    umask = os.umask(0o022)
+    os.umask(umask)
+    new = tmp_path / "new.frm"
+    sexpr.write_file(str(new), f)
+    assert new.stat().st_mode & 0o7777 == 0o666 & ~umask
+
+
 # ---------------------------------------------------------------------------
 # parse_program: text straight into the compiled program
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -353,9 +354,10 @@ def test_bb_walks_node_attribute_once(monkeypatch, eps):
 
 
 def test_bb_output_is_fanin_2_below_its_root(corpus_both, hard_instances):
-    # the compositions read only the root of bb's output (transforms._bb)
-    # where they walked it to learn its fan-in: every gate below the root has
-    # fan-in 2, and _bb returns what _fanin_2 returns, byte for byte
+    # the compositions hand bb's output to main and homogenize as it is: every
+    # gate below the root has fan-in 2, and a fan-in-1 sum at the root (over a
+    # leaf or a constant) is what binarize leaves, so bb's output serializes
+    # like _fanin_2 of itself
     texts = ["x1", "(+ (scale 3 x1))", "(+ 1 1)", "(* x1 (scale 2 x2))", "(+ x1 (* x2 x3) 1)",
              "mode: noncommutative\n(+ (* x2 x1) (scale 1/2 (* x1 x2 x3)) 1)",
              "field: Fp:7\n(* (+ x1 (scale 6 x2)) (+ x1 x3 x4))"]
@@ -366,7 +368,7 @@ def test_bb_output_is_fanin_2_below_its_root(corpus_both, hard_instances):
             out = tr.depth_reduce_bb(f, eps)
             assert all(len(n.children) == 2 for n in ir.postorder(out.root)
                        if ir.is_gate(n) and n is not out.root)
-            assert sexpr.serialize(tr._bb(f, eps)) == sexpr.serialize(tr._fanin_2(out))
+            assert sexpr.serialize(out) == sexpr.serialize(tr._fanin_2(out))
 
 
 def _count_fraction_products(monkeypatch, run) -> int:
@@ -558,6 +560,16 @@ def test_skew_to_sigma_pi_rejects():
         tr.skew_to_sigma_pi(sexpr.parse("(* (+ x1 x2) (+ x3 x4))"))
     with pytest.raises(DuplicateLeafVariable):
         tr.skew_to_sigma_pi(sexpr.parse("(+ x1 (* x1 x2))"))
+
+
+def test_skew_to_sigma_pi_counts_a_shared_leaf_at_each_position():
+    # one x1 object at two positions labels two leaves, as two parsed ones do
+    x1 = VarLeaf(1)
+    shared = SumGate(((1, ProdGate(((1, x1), (1, VarLeaf(2))))),
+                      (1, ProdGate(((1, x1), (1, VarLeaf(3)))))))
+    for f in (sexpr.parse("(+ (* x1 x2) (* x1 x3))"), Formula(shared)):
+        with pytest.raises(DuplicateLeafVariable):
+            tr.skew_to_sigma_pi(f)
 
 
 def test_skew_to_sigma_pi_bounds(skew_corpus):
@@ -1011,15 +1023,15 @@ def test_pipeline_mixed_degrees_rejected():
         tr.pipeline_inhom(f)
 
 
-#: inputs pipeline_inhom still expands, with what the expansion gives: an
-#: exception type and message, or the output's text.  Mixed degrees expand to
-#: learn d; a homogeneous input with a scalar below zero or over Fp expands
-#: only to refuse the zero polynomial, then runs the homogeneous composition;
-#: a constant expands and is refused
+#: inputs at the edge of what the syntax decides, with what pipeline_inhom
+#: gives: an exception type and message, or the output's text.  Mixed degrees
+#: expand once, to learn d; a homogeneous input with a scalar below zero or
+#: over Fp runs the homogeneous composition, a zero polynomial too, and a
+#: constant is refused, all without expanding
 _PIPELINE_EXPANDS = [
     ("(+ x1 (* x2 x3))", NotSemanticallyHomogeneous, "expansion mixes degrees [1, 2]"),
     ("comb", NotSemanticallyHomogeneous, f"expansion mixes degrees {list(range(1, 151))}"),
-    ("(+ x1 (scale -1 x1))", ValueError, "formula computes the zero polynomial"),
+    ("(+ x1 (scale -1 x1))", None, "mode: commutative\nfield: Q\n(+ x1 (scale -1 x1))\n"),
     ("(+ 1 (scale 2 1))", ValueError, "pipeline needs degree >= 1; the input is a constant"),
     ("(+ (* x1 x2) (scale -1 (* x1 x3)))", None,
      "mode: commutative\nfield: Q\n(+ (* x1 x2) (scale -1 (* x1 x3)))\n"),
@@ -1052,11 +1064,28 @@ def test_pipeline_reads_the_degree_of_monotone_homogeneous_inputs(monkeypatch):
         assert ir.syn_degree(out) == ir.syn_degree(f)
 
 
+def test_pipeline_reduces_signed_noncommutative_inputs_without_expanding(monkeypatch):
+    # a syntactically homogeneous input proves its degree, so a signed one
+    # runs the homogeneous composition at once, where expanding it to refuse
+    # the zero polynomial ran past the expansion budget
+    calls = _counting_expand(monkeypatch)
+    for seed in range(4):
+        f = _reweighted(gen_random_homogeneous(8, 8, 2000, seed=seed, commutative=False), seed)
+        assert any(c < 0 for node in ir.postorder(f.root) if ir.is_gate(node)
+                   for c, _ in node.children)
+        t0 = time.perf_counter()
+        out = tr.pipeline_inhom(f)
+        assert time.perf_counter() - t0 < 1.0, seed
+        assert calls == []
+        assert sexpr.serialize(out) == sexpr.serialize(tr.depth_reduce_homogeneous(f))
+
+
 @pytest.mark.parametrize("text, error, expected", _PIPELINE_EXPANDS,
                          ids=[t.split("\n")[-1] for t, _, _ in _PIPELINE_EXPANDS])
 def test_pipeline_expands_what_the_syntax_leaves_open(monkeypatch, text, error, expected):
-    # mixed degrees, a scalar below zero, a field without order or a constant:
-    # one expansion decides, with its errors and its output
+    # only mixed degrees leave d open: one expansion decides, with its errors;
+    # a scalar below zero, a field without order, a zero polynomial or a
+    # constant is decided by the syntax, with no expansion
     f = gen_comb(300) if text == "comb" else sexpr.parse(text)
     calls = _counting_expand(monkeypatch)
     if error is None:
@@ -1065,7 +1094,19 @@ def test_pipeline_expands_what_the_syntax_leaves_open(monkeypatch, text, error, 
         with pytest.raises(error) as info:
             tr.pipeline_inhom(f)
         assert type(info.value) is error and str(info.value) == expected
-    assert calls == [f]
+    assert calls == ([] if ir.is_homogeneous(f) else [f])
+
+
+def test_main_output_shares_reduced_factors():
+    # a reduced factor goes into every term that multiplies it as one object,
+    # so main's output, and the homogeneous composition's, hold fewer
+    # distinct nodes than their tree copies, with the same bytes
+    f = gen_random_homogeneous(10, 16, 10**4, seed=0)  # the wide shape
+    bb = tr.depth_reduce_bb(f, Fraction(1, 2))
+    for out in (tr.depth_reduce_main(bb, "auto"), tr.depth_reduce_homogeneous(f)):
+        tree = out.with_root(ir.tree_materialize(out.root))
+        assert len(ir.postorder(out.root)) < len(ir.postorder(tree.root))
+        assert sexpr.serialize(out) == sexpr.serialize(tree)
 
 
 def test_auto_delta():
