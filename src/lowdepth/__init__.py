@@ -9,7 +9,6 @@ rationals or a prime field.
 from .errors import (
     BudgetExceeded,
     DuplicateLeafVariable,
-    FieldUnordered,
     FormulaSyntaxError,
     InfeasibleShape,
     InputError,

@@ -32,10 +32,6 @@ class BudgetExceeded(LowdepthError):
     """An expansion or enumeration grew past the configured budget."""
 
 
-class FieldUnordered(InputError):
-    """An order-dependent check was requested over a prime field."""
-
-
 class ModeMismatch(InputError):
     """Two formulas disagree on commutativity mode or coefficient field."""
 

@@ -1,14 +1,14 @@
 """Coefficient fields: arbitrary-precision rationals and integers mod a prime.
 
 Every asserted bound uses exact integer arithmetic; only bench's reference
-curves and fitted constants are floats.  A scalar is a Fraction (over Q) or a
-plain int in [0, p) (over Fp); a formula carries one field, never mixed.
-
-Rationals.one() is one shared Fraction(1), which the parser puts on every
-elided edge weight.  mul returns the other operand when either operand is that
-object, and is_one tests identity first, so the passes skip multiplying by
-the unit weight without a test on its value.  The scalar types are unchanged:
-the shared one is a Fraction like any other scalar over Q.
+curves and fitted constants are floats.  A formula carries one field, never
+mixed.  Over Fp a scalar is a plain int in [0, p).  Over Q each value has one
+form: a plain int when it is integral and a Fraction in lowest terms with a
+denominator above 1 otherwise.  normalize, parse, add and mul return that
+form, so a pass on integral weights multiplies ints only, and str gives the
+same text for both forms (str(n) == str(Fraction(n))).  one() is the int 1,
+which the parser puts on every elided edge weight; CPython keeps a single
+object for it, so a test for the unit by identity also holds.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .errors import FieldUnordered, FormulaSyntaxError
+from .errors import FormulaSyntaxError
 
 Scalar = Union[Fraction, int]
 
 #: Default prime for identity testing: the Mersenne prime 2^61 - 1.
 MERSENNE61 = 2**61 - 1
-
-_ONE = Fraction(1)  # Rationals.one(): the identity mul and is_one test first
 
 #: Characters of a scalar that an error message quotes; a longer scalar is
 #: quoted by that many and its length.
@@ -44,47 +42,46 @@ def _bad_scalar(what: str, text: str, reason: str = "") -> FormulaSyntaxError:
     return FormulaSyntaxError(f"bad {what} {quoted}" + (reason and f": {reason}"))
 
 
-class Rationals:
-    """The field Q. Ordered, so sign-based monotonicity checks are available."""
+def _canonical(q: Fraction) -> Scalar:
+    """q as its one form over Q: its numerator when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
-    ordered = True
+
+class Rationals:
+    """The field Q."""
+
     name = "Q"
 
-    def normalize(self, value) -> Fraction:
-        return Fraction(value)
+    def normalize(self, value) -> Scalar:
+        return value if type(value) is int else _canonical(Fraction(value))
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return _ONE
+    def one(self) -> int:
+        return 1
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
+    def add(self, a: Scalar, b: Scalar) -> Scalar:
+        c = a + b
+        return c if type(c) is int else _canonical(c)
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        if a is _ONE:
-            return b
-        if b is _ONE:
-            return a
-        return a * b
+    def mul(self, a: Scalar, b: Scalar) -> Scalar:
+        c = a * b
+        return c if type(c) is int else _canonical(c)
 
-    def is_zero(self, a: Fraction) -> bool:
+    def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    def is_one(self, a: Fraction) -> bool:
-        return a is _ONE or a == 1
+    def is_one(self, a: Scalar) -> bool:
+        return a == 1
 
-    def is_positive(self, a: Fraction) -> bool:
-        return a > 0
-
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str) -> Scalar:
         try:
-            return Fraction(text)
+            return _canonical(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise _bad_scalar("rational scalar", text, str(exc)) from None
 
-    def format(self, a: Fraction) -> str:
+    def format(self, a: Scalar) -> str:
         # Fraction keeps lowest terms; emit "p/q" or "p".
         return str(a)
 
@@ -99,9 +96,7 @@ class Rationals:
 
 
 class PrimeField:
-    """Integers mod p for a configured prime p. Unordered."""
-
-    ordered = False
+    """Integers mod p for a configured prime p."""
 
     def __init__(self, p: int = MERSENNE61):
         if p < 2:
@@ -133,9 +128,6 @@ class PrimeField:
 
     def is_one(self, a: int) -> bool:
         return a % self.p == 1
-
-    def is_positive(self, a: int) -> bool:
-        raise FieldUnordered(f"{self.name} has no order; use the rationals for sign checks")
 
     def parse(self, text: str) -> int:
         try:

@@ -9,7 +9,7 @@ computed.
 
 Expansion runs on the formula's compiled program (ir.compile_program), the
 one PIT evaluates: bottom-up by program position on plain dicts, each distinct
-edge-scalar object converted once.  Inside it a commutative monomial is
+edge-scalar object reduced once over Fp.  Inside it a commutative monomial is
 one int, its exponent vector packed into fixed-width digits: each distinct
 variable of the formula has a slot, in sorted-id order, and variable v is
 1 << (b * slot(v)), the constant monomial 0.  The digit width is
@@ -18,12 +18,13 @@ every exponent at every node, so digits never carry and the product of two
 monomials is the int sum ka + kb.  A non-commutative monomial is its word, a
 tuple of variable ids, and a product concatenates.  Over Q a coefficient is a
 plain int until an edge scalar with a denominator other than 1 makes it a
-Fraction (the two mix exactly); over Fp it is an int in [0, p).  Packing is a
-bijection on monomials, so every dict sees the same key equalities in the same
-order.  Only the root table is decoded, to PolyTable keys and field scalars:
-a key's low and high halves are read apart, each digit found from the top
-down by bit_length, and each distinct half once.  So the result is the table
-that adding, scaling and multiplying PolyTables gate by gate gives (the tests
+Fraction (the two mix exactly), since the field keeps integral scalars as
+ints; over Fp it is an int in [0, p).  Packing is a bijection on monomials,
+so every dict sees the same key equalities in the same order.  Only the root
+table is decoded, to PolyTable keys and field scalars: a key's low and high
+halves are read apart, each digit found from the top down by bit_length, and
+each distinct half once, and a coefficient takes the field's one form (over
+Q, an int when it is integral).  So the result is the table that adding, scaling and multiplying PolyTables gate by gate gives (the tests
 keep those ring operations as the reference): the same keys in the same
 order, the same coefficients, and BudgetExceeded on the same inputs.
 equal_expand and expand_against compile both formulas over one scalar list,
@@ -290,17 +291,14 @@ def _expand(progs: list[ir.Program], scalars: list, commutative: bool, field: Fi
     field.
 
     The programs share scalars and are packed alike, over the union of their
-    variables at the larger degree.  Each distinct scalar is converted once:
-    reduced mod p over Fp, a plain int over Q when its denominator is 1.
-    progs[0] is expanded first, so progs[1] is not expanded when it goes over
-    budget.  The root tables are compared in the kernel's encoding, and
+    variables at the larger degree.  Over Fp each distinct scalar is reduced
+    mod p once.  progs[0] is expanded first, so progs[1] is not expanded when
+    it goes over budget.  The root tables are compared in the kernel's encoding, and
     nothing is decoded.
     """
     p = field.p if isinstance(field, PrimeField) else None
     if p is not None:
         scalars = [c % p for c in scalars]
-    else:
-        scalars = [c.numerator if c.denominator == 1 else c for c in scalars]
     packing = _packing(commutative, *progs)
     ta = _kernel(progs[0], scalars, p, packing, budget, sizes)
     return ta, packing, len(progs) > 1 and ta == _kernel(progs[1], scalars, p, packing, budget, None)

@@ -13,8 +13,10 @@ Grammar:
     var   := "x" natural | "x_" natural "_" natural
 
 Unit edge weights are elided on output and restored on input, so
-parse(serialize(F)) is structurally F.  The two-index variable form is input
-sugar mapping (i, j) to a single id through the Cantor pairing
+parse(serialize(F)) is structurally F.  A scalar takes its field's one form
+(fields.py): over Q an int when it is integral ("4/2" reads as 2) and a
+Fraction otherwise, over Fp an int in [0, p).  The two-index variable form is
+input sugar mapping (i, j) to a single id through the Cantor pairing
 (i + j) * (i + j + 1) / 2 + j; the serializer always emits plain ids.
 Both header lines are optional on input and default to commutative over Q.
 
@@ -27,6 +29,11 @@ a scalar zero in the field (every rule of validate involves one of the two;
 parse_program then goes through parse), so other text is walked once, and a
 syntax error anywhere still comes before any well-formedness error.  A syntax
 error finds its position by tokenizing again up to the offending token.
+
+The tokenizer spaces out the parentheses and calls str.split() on ASCII text
+that has none of the six ASCII separators of str.split() that the grammar
+lacks, and runs the regex on any other text.  render dispatches on the node's
+exact type and formats each distinct scalar once.
 """
 
 from __future__ import annotations
@@ -55,6 +62,19 @@ def cantor_pair(i: int, j: int) -> int:
 # a parenthesis, or an atom: a run of anything but space, tab, CR, LF and
 # parentheses (other whitespace, such as a vertical tab, is part of an atom)
 _TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
+
+#: The ASCII characters that str.split() separates on but the grammar does not.
+_SPLIT_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _tokens(text: str, start: int) -> list[str]:
+    """_TOKEN.findall(text, start).  On ASCII text without _SPLIT_ONLY
+    characters, str.split() separates on exactly the grammar's whitespace,
+    so spacing out the parentheses and splitting gives the same tokens."""
+    body = text[start:]
+    if body.isascii() and not any(c in body for c in _SPLIT_ONLY):
+        return body.replace("(", " ( ").replace(")", " ) ").split()
+    return _TOKEN.findall(text, start)
 
 
 def _position(text: str, start: int, index: int) -> int:
@@ -112,7 +132,7 @@ def _body(text: str, offset: int, field: Field, var, const, sum_gate, prod_gate)
     its children became, so in postorder.  Returns what the root became and
     whether the text is suspect: it has a token 1 or a scalar zero in the field.
     """
-    tokens = _TOKEN.findall(text, offset)
+    tokens = _tokens(text, offset)
     n = len(tokens)
     if not n:
         raise FormulaSyntaxError("empty formula", offset)
@@ -122,6 +142,7 @@ def _body(text: str, offset: int, field: Field, var, const, sum_gate, prod_gate)
 
     one = field.one()
     scalars: dict[str, Scalar] = {}  # scalar text -> its value, parsed once per call
+    var_ids: dict[str, int] = {}  # variable text -> its id, read once per call
     # set when the text may break a rule of ir.validate (see its docstring)
     suspect = "1" in tokens
     # Each frame is [gate maker, or None for a scale; index of its head token;
@@ -174,9 +195,12 @@ def _body(text: str, offset: int, field: Field, var, const, sum_gate, prod_gate)
         elif tok == "1":
             edge = (one, const())
         elif tok[0] == "x":
-            v = _var_id(tok)
+            v = var_ids.get(tok)
             if v is None:
-                raise error(f"bad variable {tok!r}", idx)
+                v = _var_id(tok)
+                if v is None:
+                    raise error(f"bad variable {tok!r}", idx)
+                var_ids[tok] = v
             edge = (one, var(v))
         else:
             raise error(f"unexpected token {tok!r}", idx)
@@ -271,30 +295,33 @@ def serialize(formula: Formula) -> str:
 def render(root: Node, field: Field = QQ) -> str:
     """The s-expression of root, its edge scalars formatted in field."""
     parts: list[str] = []
+    emit = parts.append
+    heads: dict = {}  # scalar -> "" for the unit, else its "(scale c " text
     # Work items: raw strings or (scalar, node) edges still to be rendered.
-    stack: list = [(None, root)]
+    stack: list = [(field.one(), root)]
+    push = stack.append
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
+        if type(item) is str:
+            emit(item)
             continue
         scalar, node = item
-        wrapped = scalar is not None and not field.is_one(scalar)
-        if wrapped:
-            parts.append(f"(scale {field.format(scalar)} ")
-        if isinstance(node, VarLeaf):
-            parts.append(f"x{node.var}" + (")" if wrapped else ""))
-        elif isinstance(node, OneLeaf):
-            parts.append("1" + (")" if wrapped else ""))
+        head = heads.get(scalar)
+        if head is None:
+            head = heads[scalar] = "" if field.is_one(scalar) else f"(scale {field.format(scalar)} "
+        kind = type(node)
+        if kind is VarLeaf:
+            emit(f"{head}x{node.var})" if head else f"x{node.var}")
+        elif kind is OneLeaf:
+            emit(f"{head}1)" if head else "1")
         else:
-            parts.append("(+ " if isinstance(node, SumGate) else "(* ")
-            stack.append("))" if wrapped else ")")
-            work: list = []
-            for i, edge in enumerate(node.children):
-                if i > 0:
-                    work.append(" ")
-                work.append(edge)
-            stack.extend(reversed(work))
+            emit(head + ("(+ " if kind is SumGate else "(* "))
+            push("))" if head else ")")
+            children = node.children
+            for i in range(len(children) - 1, 0, -1):
+                push(children[i])
+                push(" ")
+            push(children[0])
     return "".join(parts)
 
 

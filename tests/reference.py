@@ -18,8 +18,8 @@ The bottom-up collapse, which copies the edge list of each collapsed child of
 the same kind into its parent.  Tests compare the block-wise collapse with it
 byte for byte.
 
-Predicates and oracles that only the tests use: monotonicity, set-
-multilinearity, parse-tree enumeration and its sum, the unit-weight support,
+Predicates and oracles that only the tests use: the one form of a scalar, the
+order of a field and the sign of a scalar, monotonicity, set-multilinearity, parse-tree enumeration and its sum, the unit-weight support,
 and the sub-instances, variable groups and parameters of the hard polynomial.
 """
 
@@ -31,8 +31,8 @@ from fractions import Fraction
 
 from lowdepth import hardpoly, ir, poly
 from lowdepth.ir import OneLeaf, SumGate
-from lowdepth.errors import BudgetExceeded, FieldUnordered, ModeMismatch, ParamOutOfRange
-from lowdepth.fields import QQ, Field, PrimeField, Scalar
+from lowdepth.errors import BudgetExceeded, InputError, ModeMismatch, ParamOutOfRange
+from lowdepth.fields import QQ, Field, PrimeField, Rationals, Scalar
 from lowdepth.hardpoly import HardParams
 from lowdepth.pit import Value
 from lowdepth.poly import CommKey, PolyTable
@@ -327,17 +327,42 @@ def collapse(formula: ir.Formula) -> ir.Formula:
 # Predicates and oracles over parse trees and the hard instances
 # ---------------------------------------------------------------------------
 
+def is_canonical(field: Field, c) -> bool:
+    """Whether c is a scalar of field in its one form: over Fp an int in
+    [0, p); over Q an int when the value is integral, else a Fraction.  A
+    Fraction with denominator 1, a bool or a float is not."""
+    if isinstance(field, PrimeField):
+        return type(c) is int and 0 <= c < field.p
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class FieldUnordered(InputError):
+    """An order-dependent check was requested over a prime field."""
+
+
+def ordered(field: Field) -> bool:
+    """Whether field is ordered, so that sign checks apply: Q is, Fp is not."""
+    return isinstance(field, Rationals)
+
+
+def is_positive(field: Field, a: Scalar) -> bool:
+    """Whether a > 0 in field; raises FieldUnordered over a prime field."""
+    if not ordered(field):
+        raise FieldUnordered(f"{field.name} has no order; use the rationals for sign checks")
+    return a > 0
+
+
 def is_monotone_syntactic(formula: ir.Formula) -> bool:
     """Sufficient sign condition: every edge weight is positive.
 
     Requires an ordered field; raises FieldUnordered over a prime field.
     """
-    if not formula.field.ordered:
+    if not ordered(formula.field):
         raise FieldUnordered("syntactic monotonicity needs an ordered field")
     for node in ir.postorder(formula.root):
         if ir.is_gate(node):
             for scalar, _ in node.children:
-                if not formula.field.is_positive(scalar):
+                if not is_positive(formula.field, scalar):
                     return False
     return True
 

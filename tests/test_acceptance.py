@@ -167,7 +167,7 @@ def test_criterion_4_preservation(runs):
     for r in _pass_runs(runs):
         if ir.is_homogeneous(r.f_in) and not ir.is_homogeneous(r.out):
             violations.append((r.entry, r.pass_name, "homogeneity"))
-        if r.f_in.field.ordered and reference.is_monotone(r.f_in) and not reference.is_monotone(r.out):
+        if reference.ordered(r.f_in.field) and reference.is_monotone(r.f_in) and not reference.is_monotone(r.out):
             violations.append((r.entry, r.pass_name, "monotonicity"))
         if r.out.commutative != r.f_in.commutative:
             violations.append((r.entry, r.pass_name, "mode"))

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from lowdepth.errors import FieldUnordered, FormulaSyntaxError
+import reference
+
+from lowdepth.errors import FormulaSyntaxError
 from lowdepth.fields import MERSENNE61, PrimeField, QQ, _require_prime, field_from_name
 
 
@@ -17,8 +19,9 @@ def test_rationals_roundtrip():
 def test_rationals_ops():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
-    assert QQ.is_positive(Fraction(1, 7))
-    assert not QQ.is_positive(Fraction(-1, 7))
+    assert reference.is_positive(QQ, Fraction(1, 7))
+    assert not reference.is_positive(QQ, Fraction(-1, 7))
+    assert not reference.is_positive(QQ, 0)
     assert QQ.is_zero(Fraction(0))
     assert QQ.is_one(Fraction(3, 3))
 
@@ -35,8 +38,8 @@ def test_prime_field_ops():
 
 def test_prime_field_unordered():
     fp = PrimeField(7)
-    with pytest.raises(FieldUnordered):
-        fp.is_positive(3)
+    with pytest.raises(reference.FieldUnordered):
+        reference.is_positive(fp, 3)
 
 
 def test_field_from_name():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference
+
 from lowdepth import ir, sexpr
 from lowdepth.errors import FormulaSyntaxError, WellFormednessError
 from lowdepth.fields import PrimeField, QQ
@@ -213,12 +215,41 @@ def test_syntax_error_message_and_position(text, message, position):
         assert info.value.position == position
 
 
+_INSERTED = [chr(i) for i in range(128)] + ["\x85", "\xa0", "\u2000", "\u3000"]
+# {0} is the inserted character: between atoms, beside each parenthesis,
+# inside a scalar, and around the whole expression
+_INSERT_SITES = ["(+ x1{0}x2 x3)", "(+{0}x1 x2)", "({0}+ x1 x2)", "(+ x1 x2{0})",
+                 "(+ x1 (* x2 x3){0}(scale 2 x4))", "(+ (scale{0}2/3 x1) x2)",
+                 "(+ (scale 2{0}/3 x1) x2)", "{0}(+ x1 x2){0}", "(+ x1{0}{0}(* x2 x3))"]
+
+
+def _outcome(text: str):
+    try:
+        return sexpr.serialize(sexpr.parse(text))
+    except (FormulaSyntaxError, WellFormednessError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@pytest.mark.parametrize("ch", _INSERTED, ids=[f"U+{ord(c):04X}" for c in _INSERTED])
+def test_split_tokenizer_matches_the_regex(monkeypatch, ch):
+    # str.split() separates on more whitespace than the grammar; _tokens
+    # must fall back to the regex wherever the two would differ
+    for site in _INSERT_SITES:
+        text = site.format(ch)
+        for start, full in ((0, text), (len("mode: commutative\n"), "mode: commutative\n" + text)):
+            assert sexpr._tokens(full, start) == sexpr._TOKEN.findall(full, start)
+    fast = [_outcome(site.format(ch)) for site in _INSERT_SITES]
+    monkeypatch.setattr(sexpr, "_tokens", lambda text, start: sexpr._TOKEN.findall(text, start))
+    assert fast == [_outcome(site.format(ch)) for site in _INSERT_SITES]
+
+
 def test_repeated_scalar_text_parses_to_equal_scalars():
     for header, c in (("", "2/3"), ("field: Fp:7\n", "3")):
         f = sexpr.parse(header + f"(+ (scale {c} x1) (* (scale {c} x2) x3) (scale 5 x4))")
         (c1, _), (_, prod), (c3, _) = f.root.children
         c2 = prod.children[0][0]
-        assert c1 == c2 and c1 != c3 and type(c1) is type(c2) is type(c3)
+        assert c1 == c2 and c1 != c3
+        assert all(reference.is_canonical(f.field, c) for c in (c1, c2, c3))
         assert sexpr.parse(sexpr.serialize(f)) == f
 
 

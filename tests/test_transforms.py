@@ -391,11 +391,38 @@ def _count_fraction_products(monkeypatch, run) -> int:
     return len(calls)
 
 
+def _count_nonunit_products(monkeypatch, run) -> int:
+    """Rationals.mul calls that run() makes with neither operand equal to 1."""
+    calls = []
+    mul = Rationals.mul
+
+    def counting(self, a, b):
+        if a != 1 and b != 1:
+            calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Rationals, "mul", counting)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+def test_homogeneous_pass_multiplies_no_fraction(monkeypatch):
+    # the wide shape's weights are integers 1..9: the pass multiplies them,
+    # and they stay ints through parsing and every product
+    f = sexpr.parse(sexpr.serialize(gen_random_homogeneous(10, 16, 10**4, seed=0)))
+    run = lambda: tr.run_pass(f, "homogeneous", {})  # noqa: E731
+    assert _count_fraction_products(monkeypatch, run) == 0
+    assert _count_nonunit_products(monkeypatch, run) > 0
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 2), 1])
 def test_bb_never_multiplies_by_the_elided_weight(monkeypatch, eps):
-    # every weight of the comb is the shared one, so no product is needed
+    # every weight of the comb is the unit, so no product is needed
     f = gen_comb(2001)
-    assert _count_fraction_products(monkeypatch, lambda: tr.depth_reduce_bb(f, eps)) == 0
+    assert _count_nonunit_products(monkeypatch, lambda: tr.depth_reduce_bb(f, eps)) == 0
 
 
 def test_shape_passes_never_multiply_by_the_elided_weight(monkeypatch):
@@ -407,7 +434,7 @@ def test_shape_passes_never_multiply_by_the_elided_weight(monkeypatch):
     )
     for run in (tr.binarize, tr.collapse):
         out = []
-        assert _count_fraction_products(monkeypatch, lambda: out.append(run(f))) == 0
+        assert _count_nonunit_products(monkeypatch, lambda: out.append(run(f))) == 0
         assert_equivalent(f, out[0])
 
 
@@ -416,7 +443,7 @@ def test_bb_monotone_and_mode_preserved(corpus_both):
         out = tr.depth_reduce_bb(f, 1)
         assert_equivalent(f, out)
         assert out.commutative == f.commutative
-        if f.field.ordered:
+        if reference.ordered(f.field):
             assert reference.is_monotone(out)
         assert ir.is_homogeneous(out)
         assert ir.max_fanin(out) <= 2
@@ -704,7 +731,7 @@ def test_main_corpus_bounds_and_preservation(corpus_both):
         assert mo.size <= m.size * max(m.syn_degree, 1) ** delta
         assert mo.syn_degree <= m.syn_degree
         assert ir.is_homogeneous(out)
-        if f.field.ordered:
+        if reference.ordered(f.field):
             assert reference.is_monotone(out)
         assert out.commutative == f.commutative
         collapsed = tr.collapse(out)
@@ -868,7 +895,7 @@ def test_fanin2_sum_rooted_and_corpus(corpus_both):
             if isinstance(node, ProdGate):
                 assert len(node.children) == 2
         assert ir.is_homogeneous(out)
-        if f.field.ordered:
+        if reference.ordered(f.field):
             assert reference.is_monotone(out)
         assert mo.depth <= 2 * (m.depth + max(m.syn_degree, 1).bit_length() + 1) + 2
 
@@ -931,7 +958,7 @@ def test_nearlinear_corpus(corpus_both):
     for i, f in enumerate(corpus_both[:10]):
         out = tr.depth_reduce_nearlinear(f, 1)
         assert_equivalent(f, out)
-        if f.field.ordered:
+        if reference.ordered(f.field):
             assert reference.is_monotone(out)
         if f.commutative:
             assert pit_equal(f, out, PITConfig(trials=20, seed=i)).equal
@@ -1175,14 +1202,15 @@ def _over_field(f: Formula, field) -> Formula:
 
 
 def test_edge_scalars_keep_the_field_type(corpus_both):
-    # mul and is_one test the shared one by identity; every scalar a pass
-    # emits must still be a Fraction over Q, a reduced int over Fp
-    fp = PrimeField()
+    # every scalar a pass emits is in its field's one form: over Q an int
+    # when integral, else a Fraction; over Fp a reduced int.  The last input's
+    # weights are fractions whose products are integers.
     runs = [lambda g, name=name: tr.run_pass(g, name, {})[0] for name in tr.PASSES]
     runs += [tr.collapse, lambda g: tr.homogenize(tr.binarize(g), ir.syn_degree(g))]
-    checks = {QQ: lambda c: type(c) is Fraction, fp: lambda c: type(c) is int and 0 <= c < fp.p}
-    for field, ok in checks.items():
-        for f in corpus_both:
+    reciprocal = sexpr.parse("(+ (scale 1/2 (+ (scale 2 (* x1 x2)) (scale 4 (* x2 x3))))"
+                             " (scale 2/3 (* (scale 3/2 x1) (+ (scale 1/3 x3) (scale 3 x2)))))")
+    for field in (QQ, PrimeField()):
+        for f in corpus_both + [reciprocal]:
             g = f if field is QQ else _over_field(f, field)
             for run in runs:
                 out = run(g)
@@ -1192,7 +1220,7 @@ def test_edge_scalars_keep_the_field_type(corpus_both):
                     assert h.field == field
                     for node in ir.postorder(h.root):
                         if ir.is_gate(node):
-                            assert all(ok(c) for c, _ in node.children)
+                            assert all(reference.is_canonical(field, c) for c, _ in node.children)
 
 
 def test_deep_comb_all_passes(monkeypatch):
