@@ -19,8 +19,9 @@ the same kind into its parent.  Tests compare the block-wise collapse with it
 byte for byte.
 
 Predicates and oracles that only the tests use: the one form of a scalar, the
-order of a field and the sign of a scalar, monotonicity, set-multilinearity, parse-tree enumeration and its sum, the unit-weight support,
-and the sub-instances, variable groups and parameters of the hard polynomial.
+order of a field and the sign of a scalar, monotonicity, set-multilinearity,
+parse-tree enumeration and its sum, the unit-weight support, and the
+sub-instances, variable groups and parameters of the hard polynomial.
 """
 
 from __future__ import annotations

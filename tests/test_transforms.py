@@ -413,7 +413,10 @@ def test_homogeneous_pass_multiplies_no_fraction(monkeypatch):
     # the wide shape's weights are integers 1..9: the pass multiplies them,
     # and they stay ints through parsing and every product
     f = sexpr.parse(sexpr.serialize(gen_random_homogeneous(10, 16, 10**4, seed=0)))
-    run = lambda: tr.run_pass(f, "homogeneous", {})  # noqa: E731
+
+    def run():
+        tr.run_pass(f, "homogeneous", {})
+
     assert _count_fraction_products(monkeypatch, run) == 0
     assert _count_nonunit_products(monkeypatch, run) > 0
 
