@@ -8,7 +8,6 @@ rationals or a prime field.
 
 from .errors import (
     BudgetExceeded,
-    DuplicateLeafVariable,
     FormulaSyntaxError,
     InfeasibleShape,
     InputError,
@@ -16,7 +15,6 @@ from .errors import (
     ModeMismatch,
     NotComputingH,
     NotSemanticallyHomogeneous,
-    NotSkew,
     ParamOutOfRange,
     UniverseTooLarge,
     WellFormednessError,
@@ -31,7 +29,6 @@ from .ir import (
     VarLeaf,
     count_parse_trees,
     is_homogeneous,
-    is_skew,
     metrics,
     validate,
     variables,
@@ -51,7 +48,6 @@ from .transforms import (
     homogenize,
     pipeline_inhom,
     product_fanin_2,
-    skew_to_sigma_pi,
 )
 from .hardpoly import (
     HardParams,

@@ -36,14 +36,6 @@ class ModeMismatch(InputError):
     """Two formulas disagree on commutativity mode or coefficient field."""
 
 
-class NotSkew(InputError):
-    """Input to a skew-only rewrite has a product gate with two non-leaf children."""
-
-
-class DuplicateLeafVariable(InputError):
-    """A skew rewrite requires distinct variables on the leaves."""
-
-
 class NotSemanticallyHomogeneous(InputError):
     """The expanded polynomial mixes degrees, so no single component covers it."""
 

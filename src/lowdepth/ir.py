@@ -29,9 +29,9 @@ sexpr.parse_program reads text straight into it, and builds no node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
-from .errors import InternalInvariantError, WellFormednessError
+from .errors import WellFormednessError
 from .fields import QQ, Field, Scalar
 
 
@@ -135,13 +135,20 @@ class _Gate(Node):
 
 
 class SumGate(_Gate):
-    """Weighted sum of children: sum of scalar * child."""
+    """Weighted sum of children: sum of scalar * child.
+
+    Edge scalars are kept as given, so a caller that builds gates in Python
+    passes each in its field's one form, field.normalize(c) (over Q an int
+    when integral), as parse and the passes do."""
 
     __slots__ = ()
 
 
 class ProdGate(_Gate):
-    """Product of scalar * child factors, taken in the given order."""
+    """Product of scalar * child factors, taken in the given order.
+
+    Edge scalars are kept as given, as in SumGate: the caller normalizes
+    them with field.normalize."""
 
     __slots__ = ()
 
@@ -298,54 +305,20 @@ def compile_program(root: Node, scalars: list) -> Program:
     return Program(kinds, args, weights, uses, root.syn_degree, root.size, vs)
 
 
-def iter_preorder_positions(root: Node) -> Iterator[tuple[Node, Node | None]]:
-    """Yield (node, parent) in preorder.
+def gates_preorder(formula: Formula) -> list[Node]:
+    """All nodes of the formula in preorder; index in this list is the gate id.
 
     Positions, not unique objects: a node object at two positions (as pass
-    outputs may hold) is yielded at each, so the walk reads the tree.
-    """
-    stack: list[tuple[Node, Node | None]] = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        yield node, parent
-        if is_gate(node):
-            for _, child in reversed(node.children):
-                stack.append((child, node))
-
-
-def gates_preorder(formula: Formula) -> list[Node]:
-    """All nodes of the formula in preorder; index in this list is the gate id."""
-    return [node for node, _ in iter_preorder_positions(formula.root)]
-
-
-def tree_materialize(root: Node) -> Node:
-    """A fresh true tree equal to root: every position gets its own new node,
-    so internal sharing is expanded.  Post-order over positions with an
-    explicit value stack, so deep trees need no recursion.
+    outputs may hold) is listed at each, so the ids are those of the tree.
     """
     out: list[Node] = []
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    stack = [formula.root]
     while stack:
-        cur, expanded = stack.pop()
-        if not expanded:
-            stack.append((cur, True))
-            if is_gate(cur):
-                for _, child in reversed(cur.children):
-                    stack.append((child, False))
-            continue
-        if isinstance(cur, VarLeaf):
-            out.append(VarLeaf(cur.var))
-        elif isinstance(cur, OneLeaf):
-            out.append(OneLeaf())
-        else:
-            n = len(cur.children)
-            kids = out[len(out) - n:]
-            del out[len(out) - n:]
-            edges = tuple((c, kid) for (c, _), kid in zip(cur.children, kids))
-            out.append(SumGate(edges) if isinstance(cur, SumGate) else ProdGate(edges))
-    if len(out) != 1:
-        raise InternalInvariantError("tree rebuild stack imbalance")
-    return out[0]
+        node = stack.pop()
+        out.append(node)
+        if type(node) is SumGate or type(node) is ProdGate:
+            stack.extend([child for _, child in reversed(node.children)])
+    return out
 
 
 def variables(formula: Formula) -> set[int]:
@@ -438,16 +411,6 @@ def is_homogeneous(formula: Formula) -> bool:
         if isinstance(node, SumGate):
             degrees = {ch.syn_degree for _, ch in node.children}
             if len(degrees) > 1:
-                return False
-    return True
-
-
-def is_skew(formula: Formula) -> bool:
-    """True iff every product gate has at most one non-leaf child."""
-    for node in postorder(formula.root):
-        if isinstance(node, ProdGate):
-            non_trivial = sum(1 for _, ch in node.children if not is_leaf(ch))
-            if non_trivial > 1:
                 return False
     return True
 

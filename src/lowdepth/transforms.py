@@ -5,9 +5,10 @@ in non-commutative mode) and preserves homogeneity, syntactic monotonicity,
 and the commutativity mode whenever it claims to.  Inputs are never mutated;
 outputs may share subtrees with the input, and may hold one node object at
 two positions: in depth_reduce_bb's a product sibling on the split path lands
-in both the A and the C part, and in depth_reduce_main's a reduced factor is
-used by every term that multiplies it.  Their bytes and metrics are those of
-the tree.
+in both the A and the C part, in depth_reduce_main's a reduced factor is used
+by every term that multiplies it, and homogenize's components share the
+component of a node with every product that convolves it.  Their bytes and
+metrics are those of the tree.
 
 The passes:
 
@@ -16,8 +17,8 @@ The passes:
                              depth O(log s) at size s^(1+eps)
 * depth_reduce_main          potential-guided reduction: product depth bounded by
                              ceil(log2 d) + ceil(sum_depth/delta), size by s*d^delta;
-                             one walk per level finds and distributes the frontier
-* skew_to_sigma_pi           the skew rewrite to a sum of products
+                             one walk per level finds the frontier and rewrites
+                             the skew region above it as a sum of products
 * homogenize                 degree components of a formula
 * product_fanin_2            rebalance products to fan-in 2 at unchanged leaf count
 * depth_reduce_homogeneous, depth_reduce_nearlinear, pipeline_inhom
@@ -36,12 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (
-    DuplicateLeafVariable,
-    InternalInvariantError,
-    NotSemanticallyHomogeneous,
-    NotSkew,
-)
+from .errors import InternalInvariantError, NotSemanticallyHomogeneous
 from .fields import Field, Scalar
 from .util import ceil_div, ceil_log2, run_recursive
 from . import ir
@@ -530,28 +526,33 @@ def _sigma_pi_terms(root: Node, is_factor, field: Field):
     ends the path when it has none.  The region is skew, so a second interior
     child breaks an invariant.  Returns merged (coefficient, factor tuple)
     terms with zero coefficients dropped, factors in the order of the tree.
+
+    Paths merge when they end with the factors of one step, the last step that
+    added any (0 before the first): on a tree that is when their factor
+    objects are the same, and a node object at two positions, which the walk
+    reaches by two paths, gives the terms of the tree it unfolds to.
     """
-    merged: dict[tuple, list] = {}
+    merged: dict[int, list] = {}
     # (coefficient, left factors, right factors, interior node or None once
-    # the path has ended)
-    stack: list = [(field.one(), (), (), root)]
+    # the path has ended, the step that last added factors)
+    stack: list = [(field.one(), (), (), root, 0)]
+    steps = 0
     while stack:
-        coef, left, right, node = stack.pop()
+        coef, left, right, node, step = stack.pop()
         if node is None:
-            fs = left + right
-            key = tuple(id(f) for f in fs)
-            if key in merged:
-                merged[key][0] = field.add(merged[key][0], coef)
+            if step in merged:
+                merged[step][0] = field.add(merged[step][0], coef)
             else:
-                merged[key] = [coef, fs]
+                merged[step] = [coef, left + right]
         elif type(node) is SumGate:
             for c, ch in reversed(node.children):  # popped in tree order
                 if type(ch) is OneLeaf:
-                    stack.append((field.mul(coef, c), left, right, None))
+                    stack.append((field.mul(coef, c), left, right, None, step))
                 elif is_factor(ch):
-                    stack.append((field.mul(coef, c), left + (ch,), right, None))
+                    steps += 1
+                    stack.append((field.mul(coef, c), left + (ch,), right, None, steps))
                 else:
-                    stack.append((field.mul(coef, c), left, right, ch))
+                    stack.append((field.mul(coef, c), left, right, ch, step))
         else:
             before, after, inner = [], [], None
             for c, ch in node.children:
@@ -564,49 +565,11 @@ def _sigma_pi_terms(root: Node, is_factor, field: Field):
                     inner = ch
                 else:
                     raise InternalInvariantError("a product with two interior children")
-            stack.append((coef, left + tuple(before), tuple(after) + right, inner))
+            if before or after:
+                steps += 1
+                step = steps
+            stack.append((coef, left + tuple(before), tuple(after) + right, inner, step))
     return [(c, fs) for c, fs in merged.values() if not field.is_zero(c)]
-
-
-def skew_to_sigma_pi(g: Formula) -> Formula:
-    """Rewrite a skew fan-in-2 formula with distinct leaf variables as a
-    depth-2 sum of products computing the same polynomial.
-
-    The output has at most 2^sum_depth product terms; every non-duplicable
-    leaf (a +-leaf, or a x-leaf whose sibling is a leaf) occurs in exactly one
-    term, every other leaf in at most 2^sum_depth.  Factor order inside each
-    term follows the input, so non-commutative values are preserved.
-    """
-    root = g.root
-    field = g.field
-    if is_leaf(root):
-        return g
-    if ir.max_fanin(g) > 2:  # binarizing a wide product can make it non-skew
-        raise ValueError("skew rewrite needs fan-in 2")
-    if not ir.is_skew(g):
-        raise NotSkew("input has a product gate with two non-leaf children")
-    seen_vars: set[int] = set()
-    for node, _ in ir.iter_preorder_positions(root):  # a shared leaf labels two leaves
-        if isinstance(node, VarLeaf):
-            if node.var in seen_vars:
-                raise DuplicateLeafVariable(f"variable x{node.var} labels two leaves")
-            seen_vars.add(node.var)
-
-    terms = _sigma_pi_terms(root, lambda node: type(node) is VarLeaf, field)
-    delta = ir.metrics(g).sum_depth
-    if len(terms) > 2**delta:
-        raise InternalInvariantError("term count exceeded 2^sum_depth")
-    summands: list = []
-    for c, fs in terms:
-        if not fs:
-            summands.append((c, OneLeaf()))
-        elif len(fs) == 1:
-            summands.append((c, VarLeaf(fs[0].var)))
-        else:
-            summands.append(
-                (c, ProdGate(tuple((field.one(), VarLeaf(f.var)) for f in fs)))
-            )
-    return g.with_root(SumGate(tuple(summands)))
 
 
 def depth_reduce_main(formula: Formula, delta: int | str) -> Formula:
@@ -778,8 +741,7 @@ def _components(formula: Formula, target_d: int) -> list[Formula | None]:
     root_comps = ir.node_attribute(formula.root, comps)[id(formula.root)]
     components: list[Formula | None] = [None] * (target_d + 1)
     for i, val in root_comps.items():  # type: ignore[union-attr]
-        root = SumGate(((val, OneLeaf()),)) if i == 0 else ir.tree_materialize(val)
-        components[i] = formula.with_root(root)
+        components[i] = formula.with_root(SumGate(((val, OneLeaf()),)) if i == 0 else val)
 
     total = 0
     for i, comp_f in enumerate(components):

@@ -19,8 +19,9 @@ the same kind into its parent.  Tests compare the block-wise collapse with it
 byte for byte.
 
 Predicates and oracles that only the tests use: the one form of a scalar, the
-order of a field and the sign of a scalar, monotonicity, set-multilinearity,
-parse-tree enumeration and its sum, the unit-weight support, and the
+order of a field and the sign of a scalar, monotonicity, skewness,
+set-multilinearity, parse-tree enumeration and its sum, the unit-weight
+support, the tree copy of a formula that shares subtrees, and the
 sub-instances, variable groups and parameters of the hard polynomial.
 """
 
@@ -31,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 
 from lowdepth import hardpoly, ir, poly
-from lowdepth.ir import OneLeaf, SumGate
+from lowdepth.ir import OneLeaf, ProdGate, SumGate, VarLeaf
 from lowdepth.errors import BudgetExceeded, InputError, ModeMismatch, ParamOutOfRange
 from lowdepth.fields import QQ, Field, PrimeField, Rationals, Scalar
 from lowdepth.hardpoly import HardParams
@@ -484,6 +485,45 @@ def is_monotone_semantic(formula: ir.Formula, budget: int | None = None) -> bool
     possible = support_expand(formula, budget=budget)
     # actual is always a subset of possible; monotone means nothing cancelled
     return actual == possible
+
+
+def is_skew(formula: ir.Formula) -> bool:
+    """True iff every product gate has at most one non-leaf child."""
+    for node in ir.postorder(formula.root):
+        if isinstance(node, ProdGate):
+            non_trivial = sum(1 for _, ch in node.children if not ir.is_leaf(ch))
+            if non_trivial > 1:
+                return False
+    return True
+
+
+def tree_materialize(root: ir.Node) -> ir.Node:
+    """A fresh true tree equal to root: every position gets its own new node,
+    so internal sharing is expanded.  Post-order over positions with an
+    explicit value stack, so deep trees need no recursion.
+    """
+    out: list[ir.Node] = []
+    stack: list[tuple[ir.Node, bool]] = [(root, False)]
+    while stack:
+        cur, expanded = stack.pop()
+        if not expanded:
+            stack.append((cur, True))
+            if ir.is_gate(cur):
+                for _, child in reversed(cur.children):
+                    stack.append((child, False))
+            continue
+        if isinstance(cur, VarLeaf):
+            out.append(VarLeaf(cur.var))
+        elif isinstance(cur, OneLeaf):
+            out.append(OneLeaf())
+        else:
+            n = len(cur.children)
+            kids = out[len(out) - n:]
+            del out[len(out) - n:]
+            edges = tuple((c, kid) for (c, _), kid in zip(cur.children, kids))
+            out.append(SumGate(edges) if isinstance(cur, SumGate) else ProdGate(edges))
+    assert len(out) == 1, "tree rebuild stack imbalance"
+    return out[0]
 
 
 def metrics_table(formula: ir.Formula) -> dict[int, ir.GateMetrics]:

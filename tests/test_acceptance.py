@@ -183,10 +183,8 @@ def test_criterion_5_skew_terms():
     while checked < 100:
         sd = rng.randint(0, 8)
         g = bench.gen_random_skew(sd, seed=9000 + checked, commutative=(checked % 2 == 0))
-        out = tr.skew_to_sigma_pi(g)
+        terms, out = views.sigma_pi(g)  # main's walk, variable leaves as factors
         delta = ir.metrics(g).sum_depth
-        root = out.root
-        terms = root.children if isinstance(root, SumGate) else ((None, root),)
         if len(terms) > 2**delta:
             violations.append((checked, "terms", len(terms), 2**delta))
         if not poly.equal_expand(g, out):
@@ -200,16 +198,9 @@ def test_criterion_5_skew_terms():
                 if all(ir.is_leaf(kid) for kid in kids):
                     non_dup.update(ch.var for ch in kids if isinstance(ch, VarLeaf))
         counts: dict[int, int] = {}
-        for _, term in terms:
-            if isinstance(term, VarLeaf):
-                leaves = [term]
-            elif isinstance(term, ProdGate):
-                leaves = [ch for _, ch in term.children]
-            else:
-                leaves = []
-            for leaf in leaves:
-                if isinstance(leaf, VarLeaf):
-                    counts[leaf.var] = counts.get(leaf.var, 0) + 1
+        for _, fs in terms:
+            for leaf in fs:
+                counts[leaf.var] = counts.get(leaf.var, 0) + 1
         for v in non_dup:
             if counts.get(v, 0) != 1:
                 violations.append((checked, f"x{v} occurs {counts.get(v, 0)}"))

@@ -604,17 +604,15 @@ DEEP_LIBRARY = {
     "homogenize": lambda f: transforms.homogenize(f, 2),
     "pit_equal": lambda f: pit.pit_equal(f, f),
     "collapse": transforms.collapse,
-    "skew_to_sigma_pi": transforms.skew_to_sigma_pi,
     "pipeline_inhom": transforms.pipeline_inhom,
 }
 
-# skew_to_sigma_pi on comb takes longer than 10 s, and comb mixes degrees, so
-# pipeline expands it; ROADMAP.md item 3 names every row left out of the
-# sweep, with its reason
+# comb mixes degrees, so pipeline expands it; ROADMAP.md item 8 names every
+# row left out of the sweep, with its reason
 DEEP_ROWS = [(shape, "cli", argv) for shape in ("comb", "chain") for argv in DEEP_CLI] + [
     ("chain", "cli", ("reduce", "--method", "pipeline", "--no-verify", "-o", "{out}"))] + [
     (shape, "lib", name) for shape in ("comb", "chain") for name in DEEP_LIBRARY
-    if (shape, name) not in (("comb", "skew_to_sigma_pi"), ("comb", "pipeline_inhom"))]
+    if (shape, name) != ("comb", "pipeline_inhom")]
 
 
 @pytest.mark.parametrize("shape, kind, row", DEEP_ROWS,

@@ -116,9 +116,9 @@ def test_is_homogeneous_hard_formula_matches_expansion(hard_instances):
 
 
 def test_is_skew_examples():
-    assert ir.is_skew(sexpr.parse("(+ x1 (* x2 (+ x3 (* x4 x5))))"))
-    assert not ir.is_skew(sexpr.parse("(* (+ x1 x2) (+ x3 x4))"))
-    assert ir.is_skew(F(VarLeaf(3)))
+    assert reference.is_skew(sexpr.parse("(+ x1 (* x2 (+ x3 (* x4 x5))))"))
+    assert not reference.is_skew(sexpr.parse("(* (+ x1 x2) (+ x3 x4))"))
+    assert reference.is_skew(F(VarLeaf(3)))
 
 
 def test_is_monotone_syntactic():
@@ -221,12 +221,14 @@ def test_copy_tree_structural_equality(corpus_both):
     shared = ProdGate(((ONE, VarLeaf(0)), (ONE, VarLeaf(1))))
     dag = SumGate(((ONE, shared), (Fraction(2), shared), (ONE, OneLeaf())))
     for root in (corpus_both[0].root, dag):
-        out = ir.tree_materialize(root)
+        out = reference.tree_materialize(root)
         assert out == root
         old_ids = {id(n) for n in ir.postorder(root)}
-        positions = [n for n, _ in ir.iter_preorder_positions(out)]
+        positions = ir.gates_preorder(F(out))
         assert len({id(n) for n in positions}) == len(positions)
         assert not old_ids & {id(n) for n in positions}
+        # gates_preorder lists a shared node at each of its positions
+        assert ir.gates_preorder(F(root)) == positions
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_shared_node_matches_tree_copy(mode):
     dag = ir.ProdGate(((Fraction(2), shared), (Fraction(1), ir.VarLeaf(4)), (Fraction(1), shared)))
     root = ir.SumGate(((Fraction(1), dag), (Fraction(3), shared)))
     a = ir.Formula(root, commutative=mode == "commutative")
-    tree = a.with_root(ir.tree_materialize(root))
+    tree = a.with_root(reference.tree_materialize(root))
     assert poly.equal_expand(a, tree)
     assert pit_equal(a, tree, PITConfig(trials=4, seed=2)).equal
     other = a.with_root(ir.SumGate(((Fraction(1), dag), (Fraction(4), shared))))
@@ -314,7 +314,7 @@ def test_scalar_witness_pinned_on_rational_dag():
     # a non-unit rational edge inside a node that the product reads twice
     shared = ir.SumGate(((Fraction(1), ir.VarLeaf(1)), (Fraction(3, 5), ir.VarLeaf(2))))
     root = ir.ProdGate(((Fraction(2, 7), shared), (Fraction(1), shared), (Fraction(1), ir.VarLeaf(3))))
-    copy = ir.tree_materialize(shared)
+    copy = reference.tree_materialize(shared)
     other = ir.ProdGate(((Fraction(2, 7), shared), (Fraction(1), copy), (Fraction(-1), ir.VarLeaf(3))))
     a, b = ir.Formula(root), ir.Formula(other)
     res = pit_equal(a, b, PITConfig(trials=8, seed=11))

@@ -469,7 +469,7 @@ def test_gate_counts_on_a_dag_match_its_tree_copy():
     root = SumGate(((Fraction(1), dag), (Fraction(3), shared)))
     for commutative in (True, False):
         a = Formula(root, commutative=commutative)
-        tree = a.with_root(ir.tree_materialize(root))
+        tree = a.with_root(reference.tree_materialize(root))
         counts = poly.gate_monomial_counts(tree)
         assert len(counts) == len(ir.gates_preorder(tree)) == 18  # every position
         assert poly.gate_monomial_counts(a) == counts

@@ -11,10 +11,8 @@ from lowdepth import ir, poly, sexpr
 from lowdepth import transforms as tr
 from lowdepth.bench import gen_comb, gen_random_homogeneous
 from lowdepth.errors import (
-    DuplicateLeafVariable,
     InternalInvariantError,
     NotSemanticallyHomogeneous,
-    NotSkew,
     WellFormednessError,
 )
 from lowdepth.fields import QQ, PrimeField, Rationals
@@ -537,7 +535,7 @@ def test_select_frontier_low_degree_product_child():
     assert 2 in member_degrees  # the degree-2 sibling dropped out of the region
     assert all(table[g].syn_degree <= table[0].syn_degree // 2 + 1 for g in ids)
     residual = views.residual(f, ids)
-    assert ir.is_skew(residual)
+    assert reference.is_skew(residual)
 
 
 def test_select_frontier_sum_chain_cut():
@@ -556,59 +554,39 @@ def test_select_frontier_sum_chain_cut():
     assert phi_root == 2
 
 
+def _term_vars(terms) -> list:
+    """The variable ids of each term's factors, in order."""
+    return [[f.var for f in fs] for _, fs in terms]
+
+
 def test_skew_to_sigma_pi_comb():
     g = sexpr.parse("(+ x1 (* x2 (+ x3 (* x4 x5))))")
-    out = tr.skew_to_sigma_pi(g)
+    terms, out = views.sigma_pi(g)
     assert_equivalent(g, out)
-    m = ir.metrics(out)
-    assert m.depth <= 2
-    root = out.root
-    assert isinstance(root, SumGate) and len(root.children) == 3  # <= 2^2 terms
-    occurrences = {}
-    for _, term in root.children:
-        leaves = [term] if isinstance(term, VarLeaf) else [ch for _, ch in term.children]
-        for leaf in leaves:
-            occurrences[leaf.var] = occurrences.get(leaf.var, 0) + 1
-    assert occurrences == {1: 1, 2: 2, 3: 1, 4: 1, 5: 1}
+    assert len(terms) == 3  # <= 2^2 terms
+    assert _term_vars(terms) == [[1], [2, 3], [2, 4, 5]]
+    assert [c for c, _ in terms] == [1, 1, 1]
 
 
 def test_skew_to_sigma_pi_single_leaf():
     g = Formula(VarLeaf(7))
-    assert tr.skew_to_sigma_pi(g).root == VarLeaf(7)
+    terms, out = views.sigma_pi(g)
+    assert len(terms) == 1 and terms[0][0] == 1 and terms[0][1][0] is g.root
+    assert_equivalent(g, out)
 
 
 def test_skew_to_sigma_pi_single_product():
     g = sexpr.parse("(* x1 x2)")
-    out = tr.skew_to_sigma_pi(g)
-    root = out.root
-    assert isinstance(root, SumGate) and len(root.children) == 1
+    terms, out = views.sigma_pi(g)
+    assert _term_vars(terms) == [[1, 2]]
     assert_equivalent(g, out)
-
-
-def test_skew_to_sigma_pi_rejects():
-    with pytest.raises(NotSkew):
-        tr.skew_to_sigma_pi(sexpr.parse("(* (+ x1 x2) (+ x3 x4))"))
-    with pytest.raises(DuplicateLeafVariable):
-        tr.skew_to_sigma_pi(sexpr.parse("(+ x1 (* x1 x2))"))
-
-
-def test_skew_to_sigma_pi_counts_a_shared_leaf_at_each_position():
-    # one x1 object at two positions labels two leaves, as two parsed ones do
-    x1 = VarLeaf(1)
-    shared = SumGate(((1, ProdGate(((1, x1), (1, VarLeaf(2))))),
-                      (1, ProdGate(((1, x1), (1, VarLeaf(3)))))))
-    for f in (sexpr.parse("(+ (* x1 x2) (* x1 x3))"), Formula(shared)):
-        with pytest.raises(DuplicateLeafVariable):
-            tr.skew_to_sigma_pi(f)
 
 
 def test_skew_to_sigma_pi_bounds(skew_corpus):
     for g in skew_corpus:
-        out = tr.skew_to_sigma_pi(g)
-        assert_equivalent(g, out)
+        terms, out = views.sigma_pi(g)
+        assert_equivalent(g, out)  # both modes: factor order is kept
         delta = ir.metrics(g).sum_depth
-        root = out.root
-        terms = root.children if isinstance(root, SumGate) else ((ONE, root),)
         assert len(terms) <= 2**delta
         # non-duplicable members: +-leaves and x-leaves with a leaf sibling
         non_dup = set()
@@ -622,16 +600,9 @@ def test_skew_to_sigma_pi_bounds(skew_corpus):
                 if all(ir.is_leaf(kid) for kid in kids):
                     non_dup.update(ch.var for ch in kids if isinstance(ch, VarLeaf))
         counts: dict[int, int] = {}
-        for _, term in terms:
-            leaves = (
-                [term]
-                if isinstance(term, VarLeaf)
-                else [ch for _, ch in term.children]
-                if isinstance(term, ProdGate)
-                else []
-            )
-            for leaf in leaves:
-                counts[leaf.var] = counts.get(leaf.var, 0) + 1
+        for vs in _term_vars(terms):
+            for v in vs:
+                counts[v] = counts.get(v, 0) + 1
         for v in non_dup:
             assert counts.get(v, 0) == 1, f"non-duplicable x{v} occurs {counts.get(v, 0)} times"
         for v, c in counts.items():
@@ -858,6 +829,22 @@ def test_homogenize_pins_nodes_of_several_degrees():
         d = ir.syn_degree(f)
         outs += [tr.homogenize(f, d), tr.homogenize(f, d // 2)]
     assert digest(outs) == "b8d44b0aaac0bb37256dad91f724260c71b9bb5f4758ea8c48eb6b6f75666460"
+
+
+def test_homogenize_components_hold_the_input_leaves():
+    # a component is built over the input's own nodes, with no tree copy:
+    # each variable leaf of a present component is a leaf object of the input
+    for f in (gen_comb(301), _interpolated_e2(4), gen_hard(HardParams(2, 3)),
+              gen_random_homogeneous(8, 6, 1000, seed=3, commutative=False)):
+        fb = tr.binarize(f)
+        leaves = {id(n) for n in ir.postorder(fb.root) if type(n) is VarLeaf}
+        present = 0
+        for comp in tr.homogenize(fb, ir.syn_degree(fb)):
+            comp_leaves = comp and {id(n) for n in ir.postorder(comp.root) if type(n) is VarLeaf}
+            if comp_leaves:
+                present += 1
+                assert comp_leaves <= leaves
+        assert present
 
 
 # ---------------------------------------------------------------------------
@@ -1127,6 +1114,70 @@ def test_pipeline_expands_what_the_syntax_leaves_open(monkeypatch, text, error, 
     assert calls == ([] if ir.is_homogeneous(f) else [f])
 
 
+def _text(f: Formula) -> str:
+    return sexpr.serialize(f).splitlines()[-1]
+
+
+def _unit_shared_input() -> Formula:
+    """A mixed-degree formula computing 2*x7, on which bb puts x7 in its A and
+    its C part and the degree-1 component then sums x7 twice, as one object:
+    (* x7 (+ T Z)), where T and Z each compute 1 and Z is heavy enough that bb
+    splits below it."""
+    zs = []
+    for seed in (1, 2):
+        g = _text(gen_random_homogeneous(4, 2, 1500, seed=seed))
+        zs.append(f"(+ (scale 1/2 1) {g} (scale -1 {g}))")
+    return sexpr.parse(f"(* x7 (+ (+ 1 x1 (scale -1 x1)) (+ {zs[0]} {zs[1]})))")
+
+
+def _nested_mixed(seed: int) -> tuple[Formula, int]:
+    """A homogeneous core under 2-5 levels (* y (+ t core)), where t holds a
+    cancelling pair of degree 1 and, at odd levels, a monomial of the core's
+    degree: mixed syntactic degrees, and the polynomial of degree d returned."""
+    rng = random.Random(seed)
+    comm = seed % 2 == 0
+    d = rng.randint(1, 4)
+    text = _text(gen_random_homogeneous(6, d, rng.randint(2000, 6000), seed=seed, commutative=comm))
+    for level in range(rng.randint(2, 5)):
+        x, c = f"x{rng.randint(0, 5)}", rng.choice(["1", "2", "1/2", "3"])
+        t = [f"(scale {c} {x})", f"(scale -{c} {x})"]
+        if level % 2:
+            t.append("(* " + " ".join(f"x{rng.randint(0, 5)}" for _ in range(d)) + ")")
+        inner = "(+ " + " ".join(t) + f" {text})"
+        y = f"x{rng.randint(0, 5)}"
+        text = f"(* {y} {inner})" if rng.random() < 0.5 else f"(* {inner} {y})"
+        d += 1
+    return sexpr.parse(("" if comm else "mode: noncommutative\n") + text), d
+
+
+def test_pipeline_gives_main_on_the_tree_copy_of_its_component():
+    # homogenize hands main its degree-d component with the subtrees it
+    # shares, and main merges terms by the step that added their factors, so
+    # pipeline's bytes are those of main on the component's tree copy
+    inputs = [_nested_mixed(seed) for seed in range(16)] + [(_unit_shared_input(), 1)]
+    shared = 0
+    for f, d in inputs:
+        assert not ir.is_homogeneous(f)
+        comp = tr._components(tr.depth_reduce_bb(f, Fraction(1, 2)), d)[d]
+        tree = comp.with_root(reference.tree_materialize(comp.root))
+        shared += len(ir.postorder(comp.root)) < len(ir.postorder(tree.root))
+        expected = sexpr.serialize(tr.collapse(tr.depth_reduce_main(tree, "auto")))
+        assert sexpr.serialize(tr.pipeline_inhom(f)) == expected
+    assert shared >= 4
+    assert sexpr.serialize(tr.pipeline_inhom(inputs[-1][0])).endswith("(+ x7 x7)\n")
+
+
+def test_main_output_is_that_of_the_tree_its_input_unfolds_to():
+    # a factor object at two positions gives two terms, as two copies do
+    p = ProdGate(((ONE, VarLeaf(1)), (ONE, VarLeaf(2))))
+    for commutative in (True, False):
+        for root in (SumGate(((1, p), (1, p))), SumGate(((1, p), (2, VarLeaf(3)), (-1, p)))):
+            f = Formula(root, commutative)
+            tree = f.with_root(reference.tree_materialize(root))
+            assert (sexpr.serialize(tr.depth_reduce_main(f, "auto"))
+                    == sexpr.serialize(tr.depth_reduce_main(tree, "auto")))
+
+
 def test_main_output_shares_reduced_factors():
     # a reduced factor goes into every term that multiplies it as one object,
     # so main's output, and the homogeneous composition's, hold fewer
@@ -1134,7 +1185,7 @@ def test_main_output_shares_reduced_factors():
     f = gen_random_homogeneous(10, 16, 10**4, seed=0)  # the wide shape
     bb = tr.depth_reduce_bb(f, Fraction(1, 2))
     for out in (tr.depth_reduce_main(bb, "auto"), tr.depth_reduce_homogeneous(f)):
-        tree = out.with_root(ir.tree_materialize(out.root))
+        tree = out.with_root(reference.tree_materialize(out.root))
         assert len(ir.postorder(out.root)) < len(ir.postorder(tree.root))
         assert sexpr.serialize(out) == sexpr.serialize(tree)
 
@@ -1348,5 +1399,5 @@ def test_select_frontier_with_constant_leaves():
     gates = ir.gates_preorder(f)
     assert all(not isinstance(gates[g], OneLeaf) for g in ids)
     residual = views.residual(f, ids)
-    assert ir.is_skew(residual)
+    assert reference.is_skew(residual)
     assert ir.metrics(residual).sum_depth <= 1

@@ -1,16 +1,20 @@
 """The decisions of the bb and main passes, read back for tests.
 
 Each view calls the functions the pass itself runs: bb's split walk and part
-builder, and main's potential and frontier test.  Gates
-are named by preorder id (the index in ir.gates_preorder), so the formula
-must be a true tree, as parsing or ir.tree_materialize gives.
+builder, and main's potential, frontier test and sum-of-products walk.
+Gates are named by
+preorder id (the index in ir.gates_preorder), so the formula must be a true
+tree, as parsing or reference.tree_materialize gives: a node object at two
+positions has two ids.
 """
 
 import itertools
 
+import reference
+
 from lowdepth import ir
 from lowdepth import transforms as tr
-from lowdepth.ir import Formula, OneLeaf, SumGate, VarLeaf
+from lowdepth.ir import Formula, OneLeaf, ProdGate, SumGate, VarLeaf
 from lowdepth.util import run_recursive
 
 #: First variable id of the placeholders residual puts in.
@@ -73,9 +77,26 @@ def frontier(f: Formula, delta: int):
                 stack.append(ch)
     ids = frozenset(i for i, node in enumerate(ir.gates_preorder(f)) if id(node) in members)
     rest = residual(f, ids)
-    assert ir.is_skew(rest), "frontier residual is not skew"
+    assert reference.is_skew(rest), "frontier residual is not skew"
     assert ir.metrics(rest).sum_depth <= delta, "frontier residual exceeds sum depth delta"
     return ids, phi_root
+
+
+def sigma_pi(g: Formula):
+    """main's walk over the skew formula g, with the variable leaves as its
+    factors: (the merged (coefficient, factors) terms of tr._sigma_pi_terms,
+    the sum of products they make as a formula).  A leaf root is walked as
+    a fan-in-1 sum, since main walks gates only."""
+    one = g.field.one()
+    root = g.root if ir.is_gate(g.root) else SumGate(((one, g.root),))
+    terms = tr._sigma_pi_terms(root, lambda node: type(node) is VarLeaf, g.field)
+    summands = []
+    for c, fs in terms:
+        if len(fs) > 1:
+            summands.append((c, ProdGate(tuple((one, f) for f in fs))))
+        else:
+            summands.append((c, fs[0] if fs else OneLeaf()))
+    return terms, g.with_root(SumGate(tuple(summands)))
 
 
 def residual(f: Formula, ids) -> Formula:
