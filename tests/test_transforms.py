@@ -838,13 +838,11 @@ def test_homogenize_components_hold_the_input_leaves():
               gen_random_homogeneous(8, 6, 1000, seed=3, commutative=False)):
         fb = tr.binarize(f)
         leaves = {id(n) for n in ir.postorder(fb.root) if type(n) is VarLeaf}
-        present = 0
-        for comp in tr.homogenize(fb, ir.syn_degree(fb)):
-            comp_leaves = comp and {id(n) for n in ir.postorder(comp.root) if type(n) is VarLeaf}
-            if comp_leaves:
-                present += 1
-                assert comp_leaves <= leaves
-        assert present
+        comps = tr.homogenize(fb, ir.syn_degree(fb))
+        assert comps[-1] is not None
+        for comp in comps[1:]:
+            if comp is not None:
+                assert {id(n) for n in ir.postorder(comp.root) if type(n) is VarLeaf} <= leaves
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Each view calls the functions the pass itself runs: bb's split walk and part
 builder, and main's potential, frontier test and sum-of-products walk.
-Gates are named by
-preorder id (the index in ir.gates_preorder), so the formula must be a true
-tree, as parsing or reference.tree_materialize gives: a node object at two
-positions has two ids.
+Gates are named by preorder id (the index in ir.gates_preorder), so the
+formula must be a true tree, as parsing or reference.tree_materialize gives:
+a node object at two positions has two ids.
 """
 
 import itertools
