@@ -172,6 +172,33 @@ def _balance_edges(kind, edges: list, one: Scalar):
     return (one, kind((left, right)))
 
 
+def _binary(root: Node, constant_sums: bool) -> bool:
+    """Whether every gate of root has fan-in exactly 2 and, when constant_sums
+    is set, no sum has two constant leaves as its children.
+
+    One scan with a stack and an id seen-set: it visits each node object once,
+    however many positions share it, builds no postorder list, and stops at
+    the first gate that fails.
+    """
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is not SumGate and kind is not ProdGate or id(node) in seen:
+            continue
+        seen.add(id(node))
+        children = node.children
+        if len(children) != 2:
+            return False
+        (_, a), (_, b) = children
+        if constant_sums and kind is SumGate and type(a) is OneLeaf and type(b) is OneLeaf:
+            return False
+        stack.append(a)
+        stack.append(b)
+    return True
+
+
 def binarize(formula: Formula) -> Formula:
     """Equivalent formula with every gate at fan-in 2.
 
@@ -181,7 +208,12 @@ def binarize(formula: Formula) -> Formula:
     (it only shrinks when parallel constant leaves of one sum merge).  Two
     degenerate shapes keep a fan-in-1 sum at the root: a scaled bare leaf and
     a constant output.
+
+    A fan-in-2 input with no sum of two constant leaves (which merge) is
+    returned itself after one early-exit scan (_binary), with no walk.
     """
+    if _binary(formula.root, constant_sums=True):
+        return formula
     field = formula.field
     one = field.one()
 
@@ -216,11 +248,10 @@ def binarize(formula: Formula) -> Formula:
 
 def _fanin_2(formula: Formula) -> Formula:
     """formula itself when every gate has fan-in exactly 2, else
-    binarize(formula).  The passes that need fan-in 2 call it."""
-    for node in ir.postorder(formula.root):
-        if is_gate(node) and len(node.children) != 2:
-            return binarize(formula)
-    return formula
+    binarize(formula).  The passes that need fan-in 2 call it.  Unlike
+    binarize, it keeps a sum of two constant leaves as it is.  The test is
+    binarize's scan, which stops at the first gate of another fan-in."""
+    return formula if _binary(formula.root, constant_sums=False) else binarize(formula)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +478,11 @@ def depth_reduce_bb(formula: Formula, epsilon: Fraction | int | str = Fraction(1
     preserved.  The output is checked against its contract: depth within
     bb_depth_bound, syntactic degree unchanged (InternalInvariantError).
 
-    The input is binarized once.  The parts A, B and C are then fan-in 2 by
-    construction (their subtrees come from the binarized input or from
-    earlier parts), so the recursion runs on them as built.  The split reads
-    the leaf count every node carries, so no level counts leaves.
+    The input goes through binarize once, which returns a fan-in-2 input
+    after one scan.  The parts A, B and C are then fan-in 2 by construction
+    (their subtrees come from the binarized input or from earlier parts), so
+    the recursion runs on them as built.  The split reads the leaf count
+    every node carries, so no level counts leaves.
     """
     eps = Fraction(epsilon)
     k = bb_branch_param(eps)

@@ -43,6 +43,35 @@ def test_binarize_fixed_point_identity():
     assert out.root is f.root  # structural identity, not just equality
 
 
+def test_binarize_scan_visits_node_objects_not_positions(monkeypatch):
+    # 60 levels of (+ g g) over one node g: 61 distinct nodes at 2^60
+    # positions, so a scan by position would never end.  A node prints by
+    # position too, so a failure report prints each node by its type and size.
+    monkeypatch.setattr(ir.Node, "__repr__", lambda n: f"<{type(n).__name__} size={n.size}>")
+
+    def stacked(bottom):
+        g = bottom
+        for _ in range(60):
+            g = SumGate(((1, g), (1, g)))
+        return Formula(g)
+
+    f = stacked(VarLeaf(1))
+    assert f.root.size == 2**60
+    for run in (tr.binarize, tr._fanin_2):
+        start = time.perf_counter()
+        assert run(f) is f
+        assert time.perf_counter() - start < 1
+    # a fan-in-3 gate at the bottom is still binarized, once per node object
+    f = stacked(SumGate(((1, VarLeaf(1)), (1, VarLeaf(2)), (1, VarLeaf(3)))))
+    for run in (tr.binarize, tr._fanin_2):
+        start = time.perf_counter()
+        out = run(f)
+        assert time.perf_counter() - start < 1
+        assert out.root is not f.root and out.root.size == 3 * 2**60
+        assert ir.max_fanin(out) == 2
+        assert len(ir.postorder(out.root)) == 65  # 3 leaves, 2 + 60 gates
+
+
 def test_binarize_noncommutative_word_preserved():
     f = sexpr.parse("mode: noncommutative\n(* x1 x2 x3)")
     out = tr.binarize(f)
@@ -77,6 +106,29 @@ def test_binarize_merges_parallel_constants():
     ir.validate(out)
     assert ir.max_fanin(out) == 2
     assert_equivalent(f, out)
+
+
+_TWO_CONSTANTS = Formula(ProdGate(((ONE, VarLeaf(1)),
+                                    (ONE, SumGate(((ONE, OneLeaf()), (ONE, OneLeaf())))))))
+
+
+@pytest.mark.parametrize("f, out", [
+    (sexpr.parse("(+ 1 1)"), "(+ (scale 2 1))"),
+    (sexpr.parse("(+ (scale 3 1) 1)"), "(+ (scale 4 1))"),
+    (sexpr.parse("(+ (scale 2 1) (scale -2 1))"), None),
+    (sexpr.parse("field: Fp:7\n(+ (scale 3 1) (scale 4 1))"), None),
+    (_TWO_CONSTANTS, "(* x1 (+ (scale 2 1)))"),
+], ids=["one-one", "three-one", "cancel", "cancel-mod-7", "below-a-product"])
+def test_binarize_merges_a_sum_of_two_constants(f, out):
+    # every gate has fan-in 2, yet binarize (and bb through it) merges the
+    # two constants, or refuses when they cancel; _fanin_2 keeps the sum
+    assert tr._fanin_2(f) is f
+    for run in (tr.binarize, tr.depth_reduce_bb):
+        if out is None:
+            with pytest.raises(ValueError, match="^formula computes the zero polynomial; cannot binarize$"):
+                run(f)
+        else:
+            assert sexpr.serialize(run(f)).splitlines()[-1] == out
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +389,9 @@ def test_bb_comb_memory_linear():
 
 @pytest.mark.parametrize("eps", [Fraction(1, 2), 1])
 def test_bb_walks_node_attribute_once(monkeypatch, eps):
-    # the input is binarized once; the parts are fan-in 2 as built, so no
-    # level re-binarizes them
+    # binarize walks the input once, and a fan-in-2 input (comb, the chain)
+    # not at all; the parts are fan-in 2 as built, so no level re-binarizes
+    # them
     walks = []
     node_attribute = ir.node_attribute
 
@@ -347,8 +400,11 @@ def test_bb_walks_node_attribute_once(monkeypatch, eps):
         return node_attribute(root, fn)
 
     monkeypatch.setattr(ir, "node_attribute", counting)
-    tr.depth_reduce_bb(gen_comb(2001), eps)
-    assert len(walks) == 1
+    for f, expected in ((gen_comb(2001), 0), (sum_chain(2001), 0),
+                        (gen_random_homogeneous(8, 8, 2000, seed=0), 1)):
+        walks.clear()
+        tr.depth_reduce_bb(f, eps)
+        assert len(walks) == expected
 
 
 def test_bb_output_is_fanin_2_below_its_root(corpus_both, hard_instances):
