@@ -39,11 +39,18 @@ from .fields import QQ, Field, Scalar
 # Nodes
 # ---------------------------------------------------------------------------
 
+#: repr renders a node as text up to this many leaves, and above it prints its
+#: type and metrics: the text has one token per position, so a node that
+#: shares its subtrees (size 2^60 in 61 objects) would never finish printing
+REPR_MAX_SIZE = 10**5
+
+
 class Node:
     """A formula node with its metrics as attributes: size, depth, sum_depth,
     product_depth and syn_degree.  Nodes refuse assignment, since a changed
     child would leave its ancestors' metrics stale.  hash reads the type,
-    metrics and variable in O(1), so equal structures hash alike."""
+    metrics and variable in O(1), so equal structures hash alike; repr is the
+    node's text up to REPR_MAX_SIZE leaves."""
 
     __slots__ = ()
 
@@ -79,6 +86,8 @@ class Node:
         return hash((type(self), self.size, self.depth, self.syn_degree, getattr(self, "var", None)))
 
     def __repr__(self):
+        if self.size > REPR_MAX_SIZE:
+            return f"<{type(self).__name__} size={self.size} depth={self.depth} degree={self.syn_degree}>"
         from .sexpr import render  # local import; sexpr builds on this module
 
         return render(self)

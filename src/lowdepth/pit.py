@@ -26,6 +26,17 @@ residues, one per trial: a fan-in-2 sum is (c0*x + c1*y) % p and a fan-in-2
 product c*x*y % p, in one comprehension each.  Points are drawn as
 random.randrange(p) does.
 
+Matrix mode multiplies no matrices.  A verdict reads only the root's
+entries, so _lower turns a program and a root demand into a scalar cell
+program: a cell (position, row i, diagonal k) is one entry of a position's
+matrix, and a position supplies only the rows its parents read, in the
+diagonals it can hold.  _run_scalar evaluates the cell program as it does a
+scalar program, so one loop serves both modes.  _pit's root demands every
+entry the root holds, so its values, verdicts and witnesses are those of the
+full matrices; check_witness's root demands its recorded entry alone.  At
+the default m = d + 1 a homogeneous program demands the one entry (0, d),
+and its cell program has one cell per position.
+
 Rational formulas are reduced mod the configured prime (sound: a mismatch mod
 p separates them over Q too).  Formulas over a prime field are evaluated in
 their own field; their coefficients are already reduced, so lifting them to
@@ -37,13 +48,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 from math import prod
 from operator import add, mul
 
 from .fields import MERSENNE61, Field, PrimeField, _require_prime
 from . import ir, poly
-from .ir import _ONE, _SUM, _VAR
+from .ir import _ONE, _PROD, _SUM, _VAR
 
 #: A matrix-mode value for all trials at once: superdiagonal k -> its entries,
 #: position j of trial t at index j * trials + t.  Scalar mode computes on
@@ -110,25 +121,11 @@ def _columns(seeds: list[int], variables: list[int], per: int, p: int) -> dict:
     return {v: list(chain.from_iterable(draws[i * per:(i + 1) * per])) for i, v in enumerate(variables)}
 
 
-def _mul(a: Value, b: Value, m: int, trials: int, p: int) -> Value:
-    """Matrix product of two sums of superdiagonals: diagonal k1 times k2 is
-    diagonal k1 + k2 with c[j] = a[j] * b[j + k1]; those at or beyond m vanish."""
-    out: Value = {}
-    for k1, xs in a.items():
-        off = k1 * trials
-        for k2, ys in b.items():
-            k = k1 + k2
-            if k >= m:
-                continue
-            part = [x * y % p for x, y in zip(xs, ys[off:] if off else ys)]
-            cur = out.get(k)
-            out[k] = part if cur is None else [(x + y) % p for x, y in zip(cur, part)]
-    return out
-
-
-def _run_scalar(prog: ir.Program, cols: dict, res: list[int], trials: int, p: int) -> list[int]:
-    """Residue of the root at every trial's point; x_v is cols[v] and res holds
-    the residues of the scalar table."""
+def _run_scalar(prog: ir.Program, cols: dict, res: list[int], trials: int, p: int,
+                roots: list[int] | None = None) -> list:
+    """Residue of the root at every trial's point, or with roots the residues
+    of each of those positions (whose uses must keep them alive); x_v is
+    cols[v] and res holds the residues of the scalar table."""
     one = [1] * trials
     left, vals = prog.uses[:], [None] * len(prog.uses)
     for i, (kind, kids, slots) in enumerate(zip(prog.kinds, prog.args, prog.slots)):
@@ -165,41 +162,210 @@ def _run_scalar(prog: ir.Program, cols: dict, res: list[int], trials: int, p: in
             if not left[k]:
                 vals[k] = None
         vals[i] = val
-    return [x % p for x in vals[-1]]
+    if roots is None:
+        return [x % p for x in vals[-1]]
+    return [[x % p for x in vals[r]] for r in roots]
+
+
+def _bits(mask: int) -> list[int]:
+    """The members of a set of small naturals held as a bitmask, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _plus(a: int, b: int) -> int:
+    """Minkowski sum {x + y} of two sets held as bitmasks."""
+    out = 0
+    while b:
+        low = b & -b
+        out |= a * low  # a shifted by the member of b at low
+        b ^= low
+    return out
+
+
+def _lower(prog: ir.Program, m: int, entry: tuple[int, int] | None = None) -> tuple[ir.Program, dict]:
+    """The cell program of prog for m x m superdiagonal values, and its root
+    cells: (i, k) -> the cell that holds entry (i, i + k) of the root.
+
+    A cell (position, row i, diagonal k), i + k <= m - 1, is one entry of a
+    position's matrix, and the cell program computes it as a scalar, so that
+    _run_scalar evaluates it.  A bottom-up pass gives each position the
+    diagonals it can hold, capped below m: a variable {1}, the constant {0},
+    a sum the union of its children's and a product their Minkowski sum.  A
+    top-down pass gives each position the rows its parents read: a sum
+    passes its rows to every child, a product its rows R to its first factor
+    and R + ka to the factor after one of degrees ka, a row going only where
+    the child holds some entry; a shared node takes the union.  The root
+    demands every entry it holds, or with entry = (i, j) that entry alone.
+
+    A variable cell at row i reads the variable's column (v, i), draw i of
+    its r's; a sum cell adds its children's cells of its row and diagonal;
+    a product cell multiplies one cell of each factor, or sums such products
+    over the splits of its diagonal among the factors, folded left: the
+    products that reach one diagonal after a factor become one sum cell.  A
+    gate of one unit-weight edge is its child's cell, and cells no root
+    reads are dropped, so on a homogeneous program at m = degree + 1 the
+    root demands one cell and each position supplies one.
+    """
+    kinds, args, slots_of = prog.kinds, prog.args, prog.slots
+    n, cap = len(kinds), (1 << m) - 1
+    degs = [0] * n  # position -> its diagonals, bit k for diagonal k
+    for pos, (kind, kids) in enumerate(zip(kinds, args)):
+        if kind == _VAR or kind == _ONE:
+            d = 2 if kind == _VAR else 1
+        elif kind == _SUM:
+            d = 0
+            for k in kids:
+                d |= degs[k]
+        else:
+            d = 1
+            for k in kids:
+                d = _plus(d, degs[k]) & cap
+        degs[pos] = d & cap
+    rows = [0] * n  # position -> its rows, bit i for row i
+    root = degs[-1]  # the diagonals the root demands
+    if entry is not None:
+        i, j = entry
+        root &= 1 << j - i if 0 <= i <= j < m else 0
+        rows[-1] = 1 << i if root else 0
+    elif root:
+        rows[-1] = cap >> _bits(root)[0]  # the rows that hold an entry
+    for pos in range(n - 1, -1, -1):
+        r, kind = rows[pos], kinds[pos]
+        if not r or kind < _SUM:
+            continue
+        for k in args[pos]:
+            d = degs[k]
+            if d:
+                rows[k] |= r & cap >> (d & -d).bit_length() - 1
+            if kind == _PROD:
+                r = _plus(r, d) & cap
+    if all(x and not x & (x - 1) for x in chain(degs, rows)):
+        # one cell per position, as on a homogeneous program at m = degree + 1:
+        # prog itself, with each variable reading the column of its row
+        row = [x.bit_length() - 1 for x in rows]
+        args_c = [(v, row[pos]) if kind == _VAR else v for pos, (kind, v) in enumerate(zip(kinds, args))]
+        uses_c = prog.uses[:]
+        uses_c[-1] += 1
+        columns = {arg for kind, arg in zip(kinds, args_c) if kind == _VAR}
+        cells = ir.Program(kinds, args_c, slots_of, uses_c, prog.degree, prog.size, columns)
+        return cells, {(row[-1], root.bit_length() - 1): n - 1}
+
+    kinds_c, args_c, slots_c, uses_c = [], [], [], []
+    at: dict[int, int] = {}  # (pos * m + i) * m + k -> the cell of (pos, i, k)
+
+    def leaf(kind: int, arg, slots=None) -> int:
+        kinds_c.append(kind)
+        args_c.append(arg)
+        slots_c.append(slots)
+        uses_c.append(0)
+        return len(kinds_c) - 1
+
+    def gate(kind: int, edges: list) -> int:
+        """The cell of a gate over edges, each (cell, slot)."""
+        if len(edges) == 1 and not edges[0][1]:
+            return edges[0][0]
+        cs, ss = zip(*edges)
+        for c in cs:
+            uses_c[c] += 1
+        return leaf(kind, cs, ss if any(ss) else None)
+
+    def total(products: list) -> int:
+        """One cell for a sum of products, each a list of edges."""
+        return gate(_SUM, [(gate(_PROD, edges), 0) for edges in products])
+
+    for pos, (kind, kids, slots) in enumerate(zip(kinds, args, slots_of)):
+        d, slots = degs[pos], slots or repeat(0)
+        for i in _bits(rows[pos]):
+            key = (pos * m + i) * m
+            if kind == _VAR:
+                at[key + 1] = leaf(_VAR, (kids, i))
+            elif kind == _ONE:
+                at[key] = leaf(_ONE, None)
+            elif kind == _SUM:
+                for k in _bits(d & cap >> i):
+                    at[key + k] = gate(_SUM, [(at[(c * m + i) * m + k], s) for c, s in zip(kids, slots)
+                                              if (c * m + i) * m + k in at])
+            else:
+                # the diagonal of the factors so far -> the products, each a
+                # list of edges, that reach it
+                acc = {0: [[]]}
+                for c, s in zip(kids, slots):
+                    step: dict[int, list] = {}
+                    for k0, products in acc.items():
+                        fits = _bits(degs[c] & cap >> i + k0)
+                        if fits and len(products) > 1:
+                            products = [[(total(products), 0)]]
+                        for kc in fits:
+                            edge = (at[(c * m + i + k0) * m + kc], s)
+                            if len(fits) == 1:  # the one split: extend in place
+                                for edges in products:
+                                    edges.append(edge)
+                                out = products
+                            else:
+                                out = [edges + [edge] for edges in products]
+                            step.setdefault(k0 + kc, []).extend(out)
+                    acc = step
+                for k, products in acc.items():
+                    if d >> k & 1:
+                        at[key + k] = total(products)
+    roots = {}
+    for i in _bits(rows[-1]):
+        for k in _bits(root & cap >> i):
+            roots[i, k] = c = at[((n - 1) * m + i) * m + k]
+            uses_c[c] += 1
+    if 0 in uses_c:  # keep only the cells a root reads, renumbered
+        left = [0] * len(kinds_c)  # cell -> its reads by roots and kept cells
+        for c in roots.values():
+            left[c] += 1
+        for c in range(len(kinds_c) - 1, -1, -1):
+            if left[c] and kinds_c[c] >= _SUM:
+                for k in args_c[c]:
+                    left[k] += 1
+        keep = [c for c, u in enumerate(left) if u]
+        new = {c: t for t, c in enumerate(keep)}
+        kinds_c = [kinds_c[c] for c in keep]
+        slots_c = [slots_c[c] for c in keep]
+        args_c = [tuple(new[k] for k in args_c[c]) if kinds_c[t] >= _SUM else args_c[c]
+                  for t, c in enumerate(keep)]
+        uses_c = [left[c] for c in keep]
+        roots = {key: new[c] for key, c in roots.items()}
+    columns = {arg for kind, arg in zip(kinds_c, args_c) if kind == _VAR}
+    return ir.Program(kinds_c, args_c, slots_c, uses_c, prog.degree, prog.size, columns), roots
+
+
+def _run_cells(cells: ir.Program, roots: dict, cols: dict, res: list[int], trials: int, p: int) -> list:
+    """The residues of each root cell at every trial, x_v being cols[v] with
+    draw i of trial t at i * trials + t."""
+    at_row = {(v, i): cols[v][i * trials:(i + 1) * trials] for v, i in cells.variables}
+    return _run_scalar(cells, at_row, res, trials, p, list(roots.values()))
 
 
 def _run(prog: ir.Program, cols: dict, diag: int, res: list[int], m: int, trials: int, p: int) -> Value:
     """Value of the root for every trial; x_v is cols[v] on diagonal diag (0
     for scalars, m = 1, which run on plain residue lists) and res holds the
-    residues of the scalar table."""
+    residues of the scalar table.  A matrix value holds the root's entries:
+    prog is lowered to its cell program (_lower) with the root demanding
+    every entry it holds, and _run_scalar evaluates that."""
     if not diag:
         return {0: _run_scalar(prog, cols, res, trials, p)}
-    one = {0: [1] * (m * trials)}
-    left, vals = prog.uses[:], [None] * len(prog.uses)
-    for i, (kind, kids, slots) in enumerate(zip(prog.kinds, prog.args, prog.slots)):
-        if kind == _VAR or kind == _ONE:
-            vals[i] = {diag: cols[kids]} if kind == _VAR else one
-            continue
-        if kind == _SUM:
-            acc: Value = {}
-            for j, k in enumerate(kids):
-                c = 1 if slots is None else res[slots[j]]
-                for d, xs in vals[k].items():
-                    xs = xs if c == 1 else [c * x for x in xs]
-                    acc[d] = xs if d not in acc else list(map(add, acc[d], xs))
-            val = {d: [x % p for x in xs] for d, xs in acc.items()}
-        else:
-            val, coeff = vals[kids[0]], prod([res[s] for s in slots or ()]) % p
-            for k in kids[1:]:
-                val = _mul(val, vals[k], m, trials, p)
-            if coeff != 1:
-                val = {d: [coeff * x % p for x in xs] for d, xs in val.items()}
-        for k in kids:
-            left[k] -= 1
-            if not left[k]:
-                vals[k] = None
-        vals[i] = val
-    return {d: [x % p for x in xs] for d, xs in vals[-1].items()}
+    cells, roots = _lower(prog, m)
+    out: Value = {}
+    for (_, k), xs in zip(roots, _run_cells(cells, roots, cols, res, trials, p)):
+        out.setdefault(k, []).extend(xs)  # rows in order, so row i at i * trials
+    return out
+
+
+def _root_entry(prog: ir.Program, cols: dict, res: list[int], m: int, p: int, entry: tuple[int, int]) -> int:
+    """Entry (i, j) = entry of the root's matrix at one trial's draws cols,
+    from the cell program whose root demands that entry alone; zero when
+    the root holds no entry there."""
+    cells, roots = _lower(prog, m, entry)
+    return _run_cells(cells, roots, cols, res, 1, p)[0][0] if roots else 0
 
 
 def _entry(val: Value, i: int, j: int, trial: int, trials: int) -> int:
@@ -313,14 +479,15 @@ def check_witness(a: ir.Formula, b: ir.Formula, witness: dict) -> bool:
         raise ValueError(f"witness prime {p} is not the prime of {a.field.name}")
     (prog_a, prog_b), scalars = poly._compile(a, b)
     vs = sorted(prog_a.variables | prog_b.variables)
+    res = _residues(scalars, p)
     if kind == "scalar":
-        diag, m, i, j = 0, 1, 0, 0
         cols = _columns(seeds, vs, 1, p)
         if {str(v): xs[0] for v, xs in cols.items()} != witness["point"]:
             return False
+        va, vb = (_run_scalar(prog, cols, res, 1, p)[0] for prog in (prog_a, prog_b))
     else:
-        diag, m, (i, j) = 1, witness["dim"], witness["entry"]
+        # the root demands the recorded entry alone
+        m, entry = witness["dim"], tuple(witness["entry"])
         cols = _columns(seeds, vs, m - 1, p)
-    res = _residues(scalars, p)
-    va, vb = (_entry(_run(prog, cols, diag, res, m, 1, p), i, j, 0, 1) for prog in (prog_a, prog_b))
+        va, vb = (_root_entry(prog, cols, res, m, p, entry) for prog in (prog_a, prog_b))
     return va == witness["lhs"] and vb == witness["rhs"] and va != vb

@@ -530,12 +530,16 @@ def _potential(node: Node, delta: int) -> int:
     return _phi(node.syn_degree, node.sum_depth, delta) if node.syn_degree else 0
 
 
-def _below(phi_root: int, delta: int):
+def _below(phi_root: int, delta: int, source: Formula | None = None):
     """The frontier test of the region below a node of potential phi_root >= 1:
-    is a (non-constant) node's potential below phi_root?"""
+    is a (non-constant) node's potential below phi_root?  A constant gate
+    there comes from a formula the IR refuses, so the pass input source, when
+    given, is validated first and its WellFormednessError raised."""
 
     def is_factor(node: Node) -> bool:
         if not node.syn_degree:
+            if source is not None:
+                ir.validate(source)
             raise InternalInvariantError("potential undefined below the frontier")
         p = _potential(node, delta)
         if p > phi_root:
@@ -618,12 +622,16 @@ def depth_reduce_main(formula: Formula, delta: int | str) -> Formula:
     return _reduce_main(formula, delta)[0]
 
 
-def _reduce_main(formula: Formula, delta: int | str,
-                 fanin_2: bool = False) -> tuple[Formula, int, tuple[int, int]]:
+def _reduce_main(formula: Formula, delta: int | str, fanin_2: bool = False,
+                 source: Formula | None = None) -> tuple[Formula, int, tuple[int, int]]:
     """depth_reduce_main, plus its delta and its (product depth, size) bounds;
-    fanin_2 says that every gate of formula has fan-in 2 already."""
+    fanin_2 says that every gate of formula has fan-in 2 already, and source
+    is the input of the pass that made formula (formula itself by default),
+    validated only when a constant gate turns up below a frontier."""
     if delta != "auto" and int(delta) < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
+    if source is None:
+        source = formula
     if not fanin_2:
         formula = _fanin_2(formula)
     field = formula.field
@@ -642,7 +650,7 @@ def _reduce_main(formula: Formula, delta: int | str,
             return node  # a leaf, a gate of potential 0, or a degree-0 output gate
         # the region down to the frontier is skew: two interior children of a
         # product would each need ceil_log2(d_i) >= ceil_log2(d_1 + d_2)
-        terms = _sigma_pi_terms(node, _below(phi, delta), field)
+        terms = _sigma_pi_terms(node, _below(phi, delta, source), field)
         reduced: dict[int, Node | None] = {}
         summands: list = []
         const_acc = field.zero()
@@ -874,7 +882,7 @@ def depth_reduce_homogeneous(formula: Formula) -> Formula:
     """
     d = ir.syn_degree(formula)
     f1 = depth_reduce_bb(formula, Fraction(1, 2))
-    f2 = _reduce_main(f1, "auto", fanin_2=True)[0]
+    f2 = _reduce_main(f1, "auto", fanin_2=True, source=formula)[0]
     m1 = ir.metrics(f1)
     out = collapse(f2)
     if d >= 1 and ir.metrics(out).size > m1.size * m1.size * max(d, 1):
@@ -898,7 +906,7 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
     if d <= 1:
         # no product structure: split-reduce, then flatten the sums
         f1 = depth_reduce_bb(formula, eps)
-        return collapse(_reduce_main(f1, "auto", fanin_2=True)[0])
+        return collapse(_reduce_main(f1, "auto", fanin_2=True, source=formula)[0])
     # branch test d^(4/eps) >= s, exactly: with eps = p/q it is d^(4q) >= s^p
     if d ** (4 * eps.denominator) >= s**eps.numerator:
         return depth_reduce_bb(formula, eps)
@@ -906,7 +914,7 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
     delta = _floor_ratio_log(eps, s, d)
     if delta < 2:
         raise InternalInvariantError("branch condition must force delta >= 2")
-    return collapse(_reduce_main(f1, delta, fanin_2=True)[0])
+    return collapse(_reduce_main(f1, delta, fanin_2=True, source=formula)[0])
 
 
 def _floor_ratio_log(eps: Fraction, s: int, d: int) -> int:
@@ -951,7 +959,7 @@ def pipeline_inhom(formula: Formula) -> Formula:
         comp_d = _components(depth_reduce_bb(formula, Fraction(1, 2)), d)[d]
         if comp_d is None:
             raise InternalInvariantError("degree component missing for the output degree")
-        out = collapse(depth_reduce_main(comp_d, "auto"))
+        out = collapse(_reduce_main(comp_d, "auto", source=formula)[0])
     if not ir.is_homogeneous(out):
         raise InternalInvariantError("pipeline output is not homogeneous")
     return out

@@ -99,6 +99,28 @@ def test_deep_formulas_compare_hash_and_print():
         sys.setrecursionlimit(limit)
 
 
+def test_repr_of_a_shared_formula_ends():
+    # 60 levels of (+ g g) over one node g: 61 objects at 2^60 positions, whose
+    # text would never finish; repr prints the type and metrics instead
+    import time
+
+    g = VarLeaf(1)
+    for _ in range(60):
+        g = SumGate(((1, g), (1, g)))
+    for obj in (g, F(g)):
+        start = time.perf_counter()
+        text = repr(obj)
+        assert time.perf_counter() - start < 1
+        assert f"<SumGate size={2**60} depth=60 degree=1>" in text
+    assert repr(F(g)).startswith("Formula(root=<SumGate")
+    # up to the bound a node renders in full, shared or not
+    h = VarLeaf(2)
+    while 2 * h.size <= ir.REPR_MAX_SIZE:
+        h = SumGate(((1, h), (1, h)))
+    assert h.size > ir.REPR_MAX_SIZE // 2 and repr(h) == sexpr.render(h)
+    assert repr(SumGate(((1, h), (1, h)))).startswith("<SumGate size=")
+
+
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from lowdepth import ir, pit, poly, sexpr, transforms
 from lowdepth.bench import gen_comb, gen_random_homogeneous
 from lowdepth.errors import BudgetExceeded, ModeMismatch
 from lowdepth.fields import QQ, PrimeField
+from lowdepth.hardpoly import HardParams, gen_hard
 from lowdepth.pit import PITConfig, check_witness, pit_equal
 
 
@@ -470,3 +471,165 @@ def test_wide_shaped_pair_verdicts_pinned():
         "rhs": 124563102822051533,
     })
     assert pit_equal(f, doubled, cfg).trials_run == 1
+
+
+# ---------------------------------------------------------------------------
+# matrix mode by lowering to a cell program
+# ---------------------------------------------------------------------------
+
+def _shares(prog: ir.Program) -> bool:
+    return any(u > 1 for u in prog.uses)
+
+
+def _reads(cells: ir.Program, roots: dict) -> list[int]:
+    """The reads of each cell by the cells after it and by the roots."""
+    reads = [0] * len(cells.kinds)
+    for kind, arg in zip(cells.kinds, cells.args):
+        if kind >= ir._SUM:
+            for c in arg:
+                reads[c] += 1
+    for c in roots.values():
+        reads[c] += 1
+    return reads
+
+
+def _lowering_inputs(field) -> list:
+    """Non-commutative formulas over field: pass outputs that share nodes,
+    and formulas of mixed degree, some with constants."""
+    header = f"mode: noncommutative\nfield: {field.name}\n"
+    out = [sexpr.parse(header + text) for text in (
+        "(+ x1 (* x1 x2))", "(+ x1 (* x2 x1))", "(* x1 (+ x2 1))", "(* (+ x2 1) x1)",
+        "(+ (* x1 (+ x2 (* x3 x1)) x2) (scale 3 (* x2 (+ 1 x1))) x3)",
+        "(* (+ x1 (* x2 x2)) (+ 1 x3) (+ x2 (* x1 x3 x1)))",
+    )]
+    one, two = field.one(), field.normalize(2)
+    for seed in range(2):
+        f = gen_random_homogeneous(5, 4, 120, seed=seed, commutative=False, field=field)
+        # f + 2 x1 (f + 1): degrees 4 and 5, reading the one node f twice
+        mix = f.with_root(ir.SumGate(((one, f.root), (two, ir.ProdGate((
+            (one, ir.VarLeaf(1)), (one, ir.SumGate(((one, f.root), (one, ir.OneLeaf()))))))))))
+        bb = transforms.depth_reduce_bb(mix)
+        out += [mix, bb, transforms.depth_reduce_main(transforms.binarize(mix), "auto"),
+                transforms.depth_reduce_homogeneous(f)]
+        out += [c for c in transforms.homogenize(bb, 5) if c is not None]
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 97])
+def test_lowered_matrix_mode_matches_reference(p):
+    field = PrimeField(p)
+    formulas = _lowering_inputs(field)
+    shared = mixed = 0
+    for f in formulas:
+        order, degree, _, variables = reference.shape(f.root)
+        scalars: list = []
+        prog = ir.compile_program(f.root, scalars)
+        shared += _shares(prog)
+        mixed += not ir.is_homogeneous(f)
+        res = pit._residues(scalars, p)
+        vs, seeds = sorted(variables), [3, 1_000_004, 77]
+        d = max(degree, 1)
+        for m in (d + 1, d + 2, d + 4):
+            leaves = reference.superdiagonal_leaves(seeds, vs, m, p)
+            cols = pit._columns(seeds, vs, m - 1, p)
+            expected = reference.evaluate(order, leaves, m, len(seeds), p)
+            assert pit._run(prog, cols, 1, res, m, len(seeds), p) == expected
+    assert shared >= 6 and mixed >= 12
+
+
+def _reference_witness(a, b, cfg):
+    """(trials run, witness) of a non-commutative pit_equal over Fp, found
+    from reference.evaluate's values: the first trial that differs, and in
+    it the first differing entry in row-major order."""
+    p = a.field.p
+    (order_a, da, _, va), (order_b, db, _, vb) = reference.shape(a.root), reference.shape(b.root)
+    m = cfg.matrix_dim or max(da, db, 1) + 1
+    vs = sorted(va | vb)
+    for t in range(cfg.trials):
+        seed = cfg.seed * 1_000_003 + t
+        leaves = reference.superdiagonal_leaves([seed], vs, m, p)
+        xa, xb = (reference.evaluate(order, leaves, m, 1, p) for order in (order_a, order_b))
+        for i in range(m):
+            for j in range(i, m):
+                x, y = (val[j - i][i] if j - i in val else 0 for val in (xa, xb))
+                if x != y:
+                    return t + 1, {"kind": "superdiagonal", "prime": p, "trial": t, "trial_seed": seed,
+                                   "dim": m, "entry": [i, j], "lhs": x, "rhs": y}
+    return cfg.trials, None
+
+
+def test_witness_in_a_lower_row_matches_reference():
+    # at dim 4 the degree-2 parts sit on entries (0, 2) and (1, 3); under
+    # seed 5 they agree at (0, 2) mod 7, so the witness is in row 1
+    header = "mode: noncommutative\nfield: Fp:7\n"
+    a, b = sexpr.parse(header + "(* x1 (+ x2 1))"), sexpr.parse(header + "(* (+ x2 1) x1)")
+    cfg = PITConfig(trials=8, seed=5, matrix_dim=4)
+    res = pit_equal(a, b, cfg)
+    assert (res.trials_run, res.witness) == _reference_witness(a, b, cfg)
+    assert res.witness == {"kind": "superdiagonal", "prime": 7, "trial": 0, "trial_seed": 5000015,
+                           "dim": 4, "entry": [1, 3], "lhs": 4, "rhs": 1}
+    assert check_witness(a, b, res.witness)
+    # and on the mixed-degree inputs, at several dimensions and seeds
+    inputs = _lowering_inputs(PrimeField(97))[:6]
+    for lhs, rhs in zip(inputs[::2], inputs[1::2]):
+        d = max(ir.syn_degree(lhs), ir.syn_degree(rhs))
+        for dim in (d + 1, d + 2, d + 4):
+            for seed in range(4):
+                cfg = PITConfig(trials=3, seed=seed, matrix_dim=dim)
+                res = pit_equal(lhs, rhs, cfg)
+                assert (res.trials_run, res.witness) == _reference_witness(lhs, rhs, cfg)
+
+
+def test_cell_program_of_a_homogeneous_program_has_one_cell_per_position():
+    # the benchmark's non-commutative wide input, its reduction, and H(2, 3)
+    wide = gen_random_homogeneous(8, 8, 1000, seed=0, commutative=False)
+    hard = gen_hard(HardParams(k=2, r=3), commutative=False)
+    for f in (wide, transforms.depth_reduce_homogeneous(wide), hard):
+        assert ir.is_homogeneous(f)
+        prog = ir.compile_program(f.root, [])
+        d = prog.degree
+        cells, roots = pit._lower(prog, d + 1)
+        assert len(cells.kinds) == len(prog.kinds) and list(roots) == [(0, d)]
+        # one more row asks for one more entry of the root, and at most two
+        # cells per position
+        cells, roots = pit._lower(prog, d + 2)
+        assert list(roots) == [(0, d), (1, d)] and len(cells.kinds) <= 2 * len(prog.kinds)
+
+
+@pytest.mark.parametrize("lhs, rhs, entry", [
+    ("(+ x1 (* x1 x2) (* x2 x1 x2))", "(+ x1 (* x2 x1) (* x2 x1 x2))", (0, 2)),
+    # the root's cell (0, 2), which the entry does not demand, reads x1 too
+    ("(* x1 (+ x2 (* x2 x1)))", "(* x1 (+ x2 (* x1 x2)))", (0, 3)),
+])
+def test_check_witness_lowers_one_root_cell(lhs, rhs, entry):
+    header = "mode: noncommutative\n"
+    a, b = sexpr.parse(header + lhs), sexpr.parse(header + rhs)
+    cfg = PITConfig(trials=3, seed=1, matrix_dim=5)
+    w = pit_equal(a, b, cfg).witness
+    assert w["entry"] == list(entry) and check_witness(a, b, w)
+    (prog_a, prog_b), scalars = poly._compile(a, b)
+    res, p, m = pit._residues(scalars, w["prime"]), w["prime"], w["dim"]
+    cols = pit._columns([w["trial_seed"]], [1, 2], m - 1, p)
+    for prog, side in ((prog_a, "lhs"), (prog_b, "rhs")):
+        cells, roots = pit._lower(prog, m, entry)
+        assert list(roots) == [(0, entry[1])]
+        assert len(cells.kinds) < len(pit._lower(prog, m)[0].kinds)
+        assert pit._run_cells(cells, roots, cols, res, 1, p) == [[w[side]]]
+        # every cell is read, and its use count is its reads, so that the
+        # evaluator drops each value after its last read
+        assert 0 not in cells.uses and cells.uses == _reads(cells, roots)
+        # an entry the root does not hold lowers no root cell
+        assert pit._lower(prog, m, (1, 1))[1] == {} and pit._lower(prog, m, (0, m))[1] == {}
+
+
+def test_product_of_inhomogeneous_factors_folds_left():
+    # k factors (x1 + 1): diagonal j of the product has C(k, j) splits, and
+    # folding the splits that meet after each factor into one sum cell keeps
+    # the cells to a sum and a product per row, factor and diagonal
+    k = 12
+    f = sexpr.parse("mode: noncommutative\n(* " + " ".join(["(+ x1 1)"] * k) + ")")
+    prog = ir.compile_program(f.root, [])
+    cells, roots = pit._lower(prog, k + 1)
+    assert len(roots) == (k + 1) * (k + 2) // 2  # every entry on or above the diagonal
+    assert len(cells.kinds) <= 2 * k * (k + 1) ** 2
+    assert cells.uses == _reads(cells, roots)

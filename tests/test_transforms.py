@@ -43,12 +43,9 @@ def test_binarize_fixed_point_identity():
     assert out.root is f.root  # structural identity, not just equality
 
 
-def test_binarize_scan_visits_node_objects_not_positions(monkeypatch):
+def test_binarize_scan_visits_node_objects_not_positions():
     # 60 levels of (+ g g) over one node g: 61 distinct nodes at 2^60
-    # positions, so a scan by position would never end.  A node prints by
-    # position too, so a failure report prints each node by its type and size.
-    monkeypatch.setattr(ir.Node, "__repr__", lambda n: f"<{type(n).__name__} size={n.size}>")
-
+    # positions, so a scan by position would never end
     def stacked(bottom):
         g = bottom
         for _ in range(60):
@@ -560,6 +557,19 @@ def test_run_pass_rejects_out_of_range_params():
     m = ir.metrics(f if ir.max_fanin(f) <= 2 else tr.binarize(f))
     auto = tr.auto_delta(m.size, m.syn_degree, m.sum_depth)
     assert tr.run_pass(f, "main", {"delta": "auto"})[1] == {"delta": auto}
+
+
+@pytest.mark.parametrize("name", ["main", "homogeneous", "nearlinear", "pipeline"])
+def test_malformed_python_formula_gets_an_input_error(name, monkeypatch):
+    # a constant-only sum below the root, which parse refuses, built in Python
+    bad = Formula(ProdGate(((1, VarLeaf(1)), (1, SumGate(((1, OneLeaf()), (1, OneLeaf())))))))
+    with pytest.raises(WellFormednessError, match="sum gate over constant leaves only"):
+        tr.run_pass(bad, name, {})
+    # a valid input is not validated: the check runs only on the failure path
+    calls = []
+    monkeypatch.setattr(ir, "validate", lambda f: calls.append(f))
+    tr.run_pass(sexpr.parse("(* x1 (+ x2 (scale 2 x3)) x1)"), name, {})
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
