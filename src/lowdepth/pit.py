@@ -244,17 +244,6 @@ def _lower(prog: ir.Program, m: int, entry: tuple[int, int] | None = None) -> tu
                 rows[k] |= r & cap >> (d & -d).bit_length() - 1
             if kind == _PROD:
                 r = _plus(r, d) & cap
-    if all(x and not x & (x - 1) for x in chain(degs, rows)):
-        # one cell per position, as on a homogeneous program at m = degree + 1:
-        # prog itself, with each variable reading the column of its row
-        row = [x.bit_length() - 1 for x in rows]
-        args_c = [(v, row[pos]) if kind == _VAR else v for pos, (kind, v) in enumerate(zip(kinds, args))]
-        uses_c = prog.uses[:]
-        uses_c[-1] += 1
-        columns = {arg for kind, arg in zip(kinds, args_c) if kind == _VAR}
-        cells = ir.Program(kinds, args_c, slots_of, uses_c, prog.degree, prog.size, columns)
-        return cells, {(row[-1], root.bit_length() - 1): n - 1}
-
     kinds_c, args_c, slots_c, uses_c = [], [], [], []
     at: dict[int, int] = {}  # (pos * m + i) * m + k -> the cell of (pos, i, k)
 

@@ -530,16 +530,12 @@ def _potential(node: Node, delta: int) -> int:
     return _phi(node.syn_degree, node.sum_depth, delta) if node.syn_degree else 0
 
 
-def _below(phi_root: int, delta: int, source: Formula | None = None):
+def _below(phi_root: int, delta: int):
     """The frontier test of the region below a node of potential phi_root >= 1:
-    is a (non-constant) node's potential below phi_root?  A constant gate
-    there comes from a formula the IR refuses, so the pass input source, when
-    given, is validated first and its WellFormednessError raised."""
+    is a (non-constant) node's potential below phi_root?"""
 
     def is_factor(node: Node) -> bool:
         if not node.syn_degree:
-            if source is not None:
-                ir.validate(source)
             raise InternalInvariantError("potential undefined below the frontier")
         p = _potential(node, delta)
         if p > phi_root:
@@ -622,16 +618,12 @@ def depth_reduce_main(formula: Formula, delta: int | str) -> Formula:
     return _reduce_main(formula, delta)[0]
 
 
-def _reduce_main(formula: Formula, delta: int | str, fanin_2: bool = False,
-                 source: Formula | None = None) -> tuple[Formula, int, tuple[int, int]]:
+def _reduce_main(formula: Formula, delta: int | str,
+                 fanin_2: bool = False) -> tuple[Formula, int, tuple[int, int]]:
     """depth_reduce_main, plus its delta and its (product depth, size) bounds;
-    fanin_2 says that every gate of formula has fan-in 2 already, and source
-    is the input of the pass that made formula (formula itself by default),
-    validated only when a constant gate turns up below a frontier."""
+    fanin_2 says that every gate of formula has fan-in 2 already."""
     if delta != "auto" and int(delta) < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-    if source is None:
-        source = formula
     if not fanin_2:
         formula = _fanin_2(formula)
     field = formula.field
@@ -650,7 +642,7 @@ def _reduce_main(formula: Formula, delta: int | str, fanin_2: bool = False,
             return node  # a leaf, a gate of potential 0, or a degree-0 output gate
         # the region down to the frontier is skew: two interior children of a
         # product would each need ceil_log2(d_i) >= ceil_log2(d_1 + d_2)
-        terms = _sigma_pi_terms(node, _below(phi, delta, source), field)
+        terms = _sigma_pi_terms(node, _below(phi, delta), field)
         reduced: dict[int, Node | None] = {}
         summands: list = []
         const_acc = field.zero()
@@ -882,7 +874,7 @@ def depth_reduce_homogeneous(formula: Formula) -> Formula:
     """
     d = ir.syn_degree(formula)
     f1 = depth_reduce_bb(formula, Fraction(1, 2))
-    f2 = _reduce_main(f1, "auto", fanin_2=True, source=formula)[0]
+    f2 = _reduce_main(f1, "auto", fanin_2=True)[0]
     m1 = ir.metrics(f1)
     out = collapse(f2)
     if d >= 1 and ir.metrics(out).size > m1.size * m1.size * max(d, 1):
@@ -906,7 +898,7 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
     if d <= 1:
         # no product structure: split-reduce, then flatten the sums
         f1 = depth_reduce_bb(formula, eps)
-        return collapse(_reduce_main(f1, "auto", fanin_2=True, source=formula)[0])
+        return collapse(_reduce_main(f1, "auto", fanin_2=True)[0])
     # branch test d^(4/eps) >= s, exactly: with eps = p/q it is d^(4q) >= s^p
     if d ** (4 * eps.denominator) >= s**eps.numerator:
         return depth_reduce_bb(formula, eps)
@@ -914,7 +906,7 @@ def depth_reduce_nearlinear(formula: Formula, epsilon: Fraction | int | str = Fr
     delta = _floor_ratio_log(eps, s, d)
     if delta < 2:
         raise InternalInvariantError("branch condition must force delta >= 2")
-    return collapse(_reduce_main(f1, delta, fanin_2=True, source=formula)[0])
+    return collapse(_reduce_main(f1, delta, fanin_2=True)[0])
 
 
 def _floor_ratio_log(eps: Fraction, s: int, d: int) -> int:
@@ -959,7 +951,7 @@ def pipeline_inhom(formula: Formula) -> Formula:
         comp_d = _components(depth_reduce_bb(formula, Fraction(1, 2)), d)[d]
         if comp_d is None:
             raise InternalInvariantError("degree component missing for the output degree")
-        out = collapse(_reduce_main(comp_d, "auto", source=formula)[0])
+        out = collapse(depth_reduce_main(comp_d, "auto"))
     if not ir.is_homogeneous(out):
         raise InternalInvariantError("pipeline output is not homogeneous")
     return out
@@ -978,7 +970,18 @@ def run_pass(formula: Formula, name: str, params: dict) -> tuple[Formula, dict, 
     the (product depth, size) bounds its output was checked against.
 
     epsilon None or "auto" means 1/2, delta None or "auto" means auto_delta;
-    the passes reject other values out of range."""
+    the passes reject other values out of range.  A formula built in Python
+    skips the checks of the parser, so when a pass fails an internal check
+    its input is validated then, and a WellFormednessError of the input
+    raised instead; a valid input takes no extra walk."""
+    try:
+        return _run_pass(formula, name, params)
+    except InternalInvariantError:
+        ir.validate(formula)
+        raise
+
+
+def _run_pass(formula: Formula, name: str, params: dict) -> tuple[Formula, dict, tuple | None]:
     if name in ("bb", "nearlinear"):
         eps = params.get("epsilon")
         eps = Fraction(1, 2) if eps in (None, "auto") else Fraction(eps)
