@@ -572,6 +572,15 @@ def test_malformed_python_formula_gets_an_input_error(name, monkeypatch):
     assert calls == []
 
 
+def test_run_pass_keeps_an_internal_error_on_valid_input(monkeypatch):
+    def broken(formula):
+        raise InternalInvariantError("broken pass")
+
+    monkeypatch.setattr(tr, "depth_reduce_homogeneous", broken)
+    with pytest.raises(InternalInvariantError, match="broken pass"):
+        tr.run_pass(sexpr.parse("(* x1 x2)"), "homogeneous", {})
+
+
 # ---------------------------------------------------------------------------
 # potential, frontier, skew rewrite
 # ---------------------------------------------------------------------------
